@@ -18,12 +18,28 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+# The generated transform kernels (crates/winograd/src/kernels.rs) are
+# checked in; the exact-rational codelet generator is their source of
+# truth. Fail on any drift between the two (regenerate with
+# `cargo run -p lowino-winograd --bin gen_kernels`).
+echo "==> generated kernels up to date (gen_kernels --check)"
+cargo run -q --release --offline -p lowino-winograd --bin gen_kernels -- --check
+
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
+# The zero-steady-state-allocation audits count allocations process-wide,
+# so their tests serialise on `lowino_testkit::alloc::audit()`. Prove the
+# count does not depend on how many harness threads the host offers.
+for threads in 1 8; do
+    echo "==> allocation audits (--test-threads=$threads)"
+    cargo test -q --offline -p lowino-conv --test steady_state_alloc -- --test-threads="$threads"
+    cargo test -q --offline -p lowino-nn --test graph_alloc -- --test-threads="$threads"
+done
+
 # Re-run the suite pinned to each narrower vector tier the host supports
-# (LOWINO_FORCE_TIER caps dispatch below the native probe). The compiled
-# transform tapes, the dpbusd kernels and the quantize epilogues all
+# (LOWINO_FORCE_TIER caps dispatch below the native probe). The generated
+# transform kernels, the dpbusd kernels and the quantize epilogues all
 # dispatch on the tier, so every per-tier bitwise-equivalence property
 # must hold on every tier, not just the widest one. detect() rejects
 # tiers above the native level, so probe availability first with the
@@ -44,6 +60,13 @@ for forced in scalar avx2 avx512vnni; do
         # shapes and scratch reuse are all asserted by name per tier.
         echo "==> gemm pipeline identity (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-gemm --test pipeline
+        # LoWino's in-place transform phases (interior tiles read and
+        # stored straight in the blocked images, on the generated kernels)
+        # must equal the gather/scatter reference bit for bit on every
+        # tier, as must every kernel against the interpreted codelets.
+        echo "==> LoWino in-place + kernel identity (LOWINO_FORCE_TIER=$forced)"
+        LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_in_place
+        LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-winograd --test tape_equivalence
     else
         echo "==> tier $forced not supported on this host; skipping forced-tier pass"
     fi
@@ -55,9 +78,11 @@ done
 echo "==> bench smoke (forkjoin, LOWINO_BENCH_SMOKE=1)"
 LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench forkjoin
 
-# Smoke-run the transform-codelet bench: interpreted codelet executor vs
-# the compiled instruction tape, plus the fused quantize/dequantize
-# epilogues vs their two-pass spellings.
+# Smoke-run the transform-codelet bench: generic run-time driver vs
+# generated kernel for every F(m,3) matrix (a regression to the
+# interpreter shows as the two reading the same), interpreted codelet
+# executor vs lowered tape, and the fused quantize/dequantize epilogues vs
+# their two-pass spellings.
 echo "==> bench smoke (transforms, LOWINO_BENCH_SMOKE=1)"
 LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench transforms
 

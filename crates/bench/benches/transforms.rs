@@ -1,9 +1,15 @@
-//! Transform codelet bench backing the compiled-tape PR: per-tile cost of
-//! the interpreted codelet executor (the reference oracle retained in
-//! `lowino_winograd::codelet`) against the compiled instruction tape
-//! (`lowino_winograd::tape`) executed at the host's native vector tier,
-//! for every supported `F(m, 3)` input / filter / output transform at the
+//! Transform codelet bench: per-tile cost of the interpreted codelet
+//! executor (the reference oracle retained in `lowino_winograd::codelet`)
+//! against the lowered tape (`lowino_winograd::tape`, on its generated
+//! straight-line kernels) executed at the host's native vector tier, for
+//! every supported `F(m, 3)` input / filter / output transform at the
 //! production lane count (`LANES = 64`, one channel block).
+//!
+//! The `driver` groups hold the two ways a tape can run against each other
+//! on one 64-lane 1-D call per matrix: `generic` walks the term list at run
+//! time (`Tape::lower_generic`, what tile sizes outside the generated set
+//! get), `generated` is the straight-line kernel `Tape::lower` resolves —
+//! if the two ever read the same, the kernels have stopped being used.
 //!
 //! Two extra pairs measure the fused epilogues against their two-pass
 //! spellings:
@@ -15,13 +21,15 @@
 //!
 //! Run with `cargo bench --bench transforms`; set
 //! `LOWINO_BENCH_JSON=BENCH_PR3.json` to accumulate the JSON-line log and
-//! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration.
+//! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration (the
+//! `driver` groups of all three tile sizes, the tile groups of `F(4,3)`).
 
 use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_i32_lanes, quantize_f32_lanes_i8};
 use lowino_tensor::LANES;
 use lowino_testkit::{black_box, BenchGroup, Rng};
-use lowino_winograd::TileTransformer;
+use lowino_winograd::codelet::Codelet;
+use lowino_winograd::{Tape, TileTransformer, WinogradMatrices};
 use std::time::Duration;
 
 struct Config {
@@ -48,6 +56,30 @@ impl Config {
                 .sample_size(15)
                 .measurement_time(Duration::from_millis(900))
                 .warm_up_time(Duration::from_millis(150));
+        }
+    }
+}
+
+/// Generic run-time driver vs generated kernel, one 1-D `LANES`-wide call
+/// per transform matrix of `F(m, 3)`.
+fn bench_driver(m: usize, cfg: &Config) {
+    let w = WinogradMatrices::for_tile(m, 3).expect("supported tile");
+    let vt = cfg.vt;
+    let mut rng = Rng::seed_from_u64(0xD21 ^ m as u64);
+    let mut group = BenchGroup::new(format!("transforms/F{m}x3/driver/{vt}"));
+    cfg.tune(&mut group);
+    for (name, mat) in [("bt", &w.bt), ("g", &w.g), ("at", &w.at)] {
+        let code = Codelet::generate(mat);
+        let generated = Tape::lower(&code);
+        assert!(generated.kernel().is_some(), "F({m},3) {name} has no generated kernel");
+        let mut input = vec![0f32; code.n_in() * LANES];
+        rng.fill_f32(&mut input, -6.0, 6.0);
+        let mut output = vec![0f32; code.n_out() * LANES];
+        for (how, tape) in [("generic", Tape::lower_generic(&code)), ("generated", generated)] {
+            group.bench_function(format!("{name}/{how}"), || {
+                tape.execute_f32(vt, LANES, black_box(&input), 0, LANES, &mut output, 0, LANES);
+                black_box(output[0]);
+            });
         }
     }
 }
@@ -163,14 +195,12 @@ fn bench_tile(m: usize, cfg: &Config) {
 fn main() {
     lowino_trace::init_from_env();
     let cfg = Config::from_env();
-    if cfg.smoke {
-        // One tile size, enough to prove both paths build and run.
-        bench_tile(4, &cfg);
-        lowino_trace::flush_to_env();
-        return;
-    }
     for m in [2, 4, 6] {
-        bench_tile(m, &cfg);
+        bench_driver(m, &cfg);
+        // Smoke: one tile size is enough to prove every tile path runs.
+        if !cfg.smoke || m == 4 {
+            bench_tile(m, &cfg);
+        }
     }
     lowino_trace::flush_to_env();
 }

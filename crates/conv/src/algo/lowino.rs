@@ -3,16 +3,18 @@
 //!
 //! Pipeline (Fig. 3):
 //!
-//! 1. **Input transformation ①** — gather each `n×n×64` tile from the
-//!    blocked image, transform in FP32 (`V = Bᵀ d B`), quantize *in the
-//!    Winograd domain* with the calibrated `α_V` (Eq. 4), add the +128
+//! 1. **Input transformation ①** — read each `n×n×64` tile of the blocked
+//!    image (in place when it lies inside the image, gathered with its
+//!    zero halo otherwise), transform in FP32 (`V = Bᵀ d B`), quantize *in
+//!    the Winograd domain* with the calibrated `α_V` (Eq. 4), add the +128
 //!    compensation, and scatter each 64-channel group as one cache line
 //!    into the `V` panel with non-temporal stores (§4.2.1);
 //! 2. **Batched GEMM ②** — `T` tall-and-skinny `u8×i8→i32` products with
 //!    compensation seeding (§4.3);
 //! 3. **Output transformation ③** — read each tile's `T×64` block
 //!    contiguously from `Z`, de-quantize by `1/(α_V·α_U)` (Eq. 6),
-//!    inverse-transform (`y = Aᵀ Z A`) and scatter to the blocked output.
+//!    inverse-transform (`y = Aᵀ Z A`) and store into the blocked output
+//!    (full tiles directly, ragged-edge tiles through a clipping scatter).
 //!
 //! Unlike the down-scaling baseline, the FP32 input is loaded directly (4×
 //! the bytes of an INT8 load — the §5.3 transformation-time trade-off) and
@@ -33,7 +35,7 @@ use crate::algo::{check_io, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::{ConvContext, NonFinitePolicy};
 use crate::error::{ConvError, ExecError};
 use crate::filter::{pack_filters_lowino, pack_filters_lowino_per_position};
-use crate::scratch::{ensure_f32, ensure_u8, ScratchArena, WorkerScratch};
+use crate::scratch::{ensure_f32, ScratchArena, WorkerScratch};
 use crate::stats::StageTimings;
 use crate::tiles::{gather_patch, scatter_output_tile, tile_coords, tile_origin};
 
@@ -352,48 +354,67 @@ impl LoWinoConv {
             k_blocks * geom.total,
         ];
         let times = pool.run_phases_catching(&totals, |worker, phase, range| match phase {
-            // -- Phase ①: compiled input transform with the quantize
-            // epilogue fused into the row pass, then a stream-scatter of
-            // each 64-channel cache line into the V panel.
+            // -- Phase ①: input transform with the quantize epilogue fused
+            // into the row pass; every finished 64-channel V line is
+            // stream-stored as one cache line into the V panel. Interior
+            // tiles are transformed in place off the blocked image; tiles
+            // that overlap the zero-padding halo go through `gather_patch`.
             0 => {
                 let _span = lowino_trace::span("lowino/input_transform");
                 // One gate load per phase body; saturation totals accumulate
                 // locally and flush as a single counter add per worker.
                 let tracing = lowino_trace::enabled();
                 let mut saturated = 0u64;
-                let mut values = 0u64;
+                let values = (range.len() * t_count * LANES) as u64;
                 let mut ws = scratch.worker(worker);
                 let WorkerScratch {
-                    transform,
-                    patch_f,
-                    tile_u8,
-                    ..
+                    transform, patch_f, ..
                 } = &mut *ws;
                 tt.ensure_scratch(transform, LANES);
                 let patch = ensure_f32(patch_f, n * n * LANES);
-                let q_tile = ensure_u8(tile_u8, n * n * LANES);
+                let (_, _, in_h, in_w) = input.dims();
                 for task in range {
                     let cb = task / geom.total;
                     let tile = task % geom.total;
                     let (b, ty, tx) = tile_coords(&geom, tile);
                     let (y0, x0) = tile_origin(&spec, &geom, ty, tx);
-                    gather_patch(input, b, cb, y0, x0, n, patch);
-                    tt.input_tile_quantized(vt, patch, alpha_v, true, q_tile, transform);
-                    if tracing {
-                        saturated += lowino_quant::count_saturated_u8(&q_tile[..t_count * LANES]);
-                        values += (t_count * LANES) as u64;
-                    }
-                    for t in 0..t_count {
-                        let line: &[u8; LANES] =
-                            q_tile[t * LANES..(t + 1) * LANES].try_into().unwrap();
-                        // SAFETY: each (t, tile, cb) cache line is written by
-                        // exactly one task; rows are 64-byte aligned.
+                    let interior = y0 >= 0
+                        && x0 >= 0
+                        && y0 as usize + n <= in_h
+                        && x0 as usize + n <= in_w;
+                    // `task < c_blocks · N`, so (cb, tile) is this task's alone.
+                    debug_assert!(cb < c_blocks);
+                    let (d, d_base, d_row_stride) = if interior {
+                        // Rows y0..y0+n and columns x0..x0+n are inside the
+                        // image, so all n×n lane groups are in bounds (safe
+                        // slice reads; the tape re-checks the span).
+                        let base = input.offset(b, cb, y0 as usize, x0 as usize);
+                        debug_assert!(base + ((n - 1) * in_w + n) * LANES <= input.data().len());
+                        (input.data(), base, in_w * LANES)
+                    } else {
+                        gather_patch(input, b, cb, y0, x0, n, patch);
+                        (&*patch, 0, n * LANES)
+                    };
+                    let sink = |t: usize, line: &[u8]| {
+                        let line: &[u8; LANES] = line.try_into().expect("one V line per sink call");
+                        if tracing {
+                            saturated += lowino_quant::count_saturated_u8(line);
+                        }
+                        // SAFETY: `t < T` and `tile < N` index a row of the
+                        // V panel (checked by `row_ptr_shared` in debug
+                        // builds) and `cb·64 + 64 ≤ C_p`, so the 64 bytes
+                        // are inside the row; each (t, tile, cb) line is
+                        // written by exactly one task of this phase, and
+                        // nothing reads V before the phase barrier.
                         unsafe {
                             let dst = vp.row_ptr_shared(t, tile).add(cb * LANES);
-                            let dst = core::slice::from_raw_parts_mut(dst, LANES);
-                            stream_store_u8_64(tier, dst, line);
+                            debug_assert!(dst.addr().is_multiple_of(LANES) && (cb + 1) * LANES <= vp.cp());
+                            stream_store_u8_64(tier, core::slice::from_raw_parts_mut(dst, LANES), line);
                         }
-                    }
+                    };
+                    tt.input_tile_quantized_with(
+                        vt, d, d_base, d_row_stride, alpha_v, true, transform, sink,
+                    );
                 }
                 if tracing {
                     lowino_trace::counter("quant/saturated", saturated);
@@ -410,10 +431,13 @@ impl LoWinoConv {
                 let mut ws = scratch.worker(worker);
                 gemm.run_range(range, &mut ws.gemm_pack);
             }
-            // -- Phase ③: compiled output transform consuming the raw i32
-            // Z block, dequantization fused into the column-pass loads and
-            // the post-op epilogue (bias / residual tile / ReLU) fused
-            // into the row-pass stores.
+            // -- Phase ③: output transform consuming the raw i32 Z block,
+            // dequantization fused into the column-pass loads and the
+            // post-op epilogue (bias / residual tile / ReLU) fused into the
+            // row-pass stores. Full tiles are stored straight into the
+            // output image (residual read in place); tiles clipped by the
+            // ragged edge go through a tile buffer and
+            // `scatter_output_tile`.
             _ => {
                 let _span = lowino_trace::span("lowino/output_transform");
                 let mut ws = scratch.worker(worker);
@@ -431,16 +455,53 @@ impl LoWinoConv {
                 let mut res_tile = post
                     .residual
                     .map(|_| ensure_f32(patch_f, m * m * LANES));
+                let (_, _, out_h, out_w) = out_ref.dims();
                 for task in range {
                     let kg = task / geom.total;
                     let tile = task % geom.total;
                     let (b, ty, tx) = tile_coords(&geom, tile);
+                    let (oy, ox) = (ty * m, tx * m);
+                    // `task < k_blocks · N`, so (kg, tile) is this task's alone.
+                    debug_assert!(kg < k_blocks);
                     let block = gemm.z().tile_block(kg, tile);
+                    let bias = post.bias.map(|bb| &bb[kg * LANES..(kg + 1) * LANES]);
+                    if oy + m <= out_h && ox + m <= out_w {
+                        let base = out_ref.offset(b, kg, oy, ox);
+                        let tape_post = lowino_winograd::TapePostOps {
+                            bias,
+                            residual: post.residual.map(|res| (res.data(), base, LANES)),
+                            relu: post.relu,
+                        };
+                        // SAFETY: the tile is full, so rows oy..oy+m hold m
+                        // in-bounds pixels each from column ox — m·64
+                        // contiguous values at row pitch out_w·64, the last
+                        // ending at or before the image's end; output tiles
+                        // never overlap and this task is the tile's only
+                        // writer. The residual has the output's dims, so
+                        // the same base and pitch address its tile.
+                        unsafe {
+                            debug_assert!(
+                                base + ((m - 1) * out_w + m) * LANES <= out_ref.data().len()
+                            );
+                            tt.output_tile_dequantized_post_strided(
+                                vt,
+                                block,
+                                inv_alpha,
+                                1,
+                                tape_post,
+                                out_w * LANES,
+                                out_ref.lanes_ptr_shared(b, kg, oy, ox),
+                                out_w * LANES,
+                                transform,
+                            );
+                        }
+                        continue;
+                    }
                     if let (Some(res), Some(rt)) = (post.residual, res_tile.as_deref_mut()) {
-                        gather_patch(res, b, kg, (ty * m) as isize, (tx * m) as isize, m, rt);
+                        gather_patch(res, b, kg, oy as isize, ox as isize, m, rt);
                     }
                     let tape_post = lowino_winograd::TapePostOps {
-                        bias: post.bias.map(|bb| &bb[kg * LANES..(kg + 1) * LANES]),
+                        bias,
                         residual: res_tile.as_deref().map(|rt| (rt, 0, LANES)),
                         relu: post.relu,
                     };
@@ -449,7 +510,7 @@ impl LoWinoConv {
                     );
                     // SAFETY: output tiles never overlap; one task per tile.
                     unsafe {
-                        scatter_output_tile(out_ref, b, kg, ty * m, tx * m, m, y);
+                        scatter_output_tile(out_ref, b, kg, oy, ox, m, y);
                     }
                 }
             }
@@ -474,15 +535,18 @@ impl ConvExecutor for LoWinoConv {
     /// The fused single-fork-join schedule (paper §4.4): all three pipeline
     /// stages run inside **one** pool job, separated by in-pool barriers,
     /// with working buffers drawn from the context's persistent per-worker
-    /// [`ScratchArena`]. Transforms run on the **compiled codelet tapes**
-    /// with fused epilogues: phase ① quantizes `V` in-register during the
-    /// row pass (the f32 `V` tile is never materialized) and phase ③ folds
-    /// the `1/(α_V·α_U)` dequantization into the column-pass loads of the
-    /// raw i32 `Z` block. Task decomposition and per-lane arithmetic are
-    /// identical to the interpreted
+    /// [`ScratchArena`]. Transforms run on the **generated codelet
+    /// kernels** with fused epilogues, in place wherever the tile geometry
+    /// allows: phase ① reads interior tiles straight off the blocked image
+    /// and quantizes `V` in-register during the row pass, stream-storing
+    /// each 64-byte line (the f32 `V` tile is never materialized); phase ③
+    /// folds the `1/(α_V·α_U)` dequantization into the column-pass loads of
+    /// the raw i32 `Z` block and stores full tiles straight into the
+    /// output image. Task decomposition and per-lane arithmetic are
+    /// identical to the interpreted, gather-everything
     /// [`LoWinoConv::execute_three_fork_join`], so outputs are bitwise
-    /// identical (the equivalence test below is the end-to-end
-    /// compiled-vs-interpreted oracle check).
+    /// identical (`tests/lowino_in_place.rs` and the equivalence test below
+    /// are the end-to-end oracle checks).
     fn execute(
         &mut self,
         input: &BlockedImage,

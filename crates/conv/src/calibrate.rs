@@ -10,8 +10,10 @@
 //!   quantization happens.
 
 use lowino_quant::{calibrate_kl, Histogram, QParams};
+use lowino_simd::vecf32::VecTier;
+use lowino_simd::SimdTier;
 use lowino_tensor::{BlockedImage, ConvShape, LANES};
-use lowino_winograd::TileTransformer;
+use lowino_winograd::{TileTransformer, TransformScratch};
 
 use crate::error::ConvError;
 use crate::tiles::{gather_patch, tile_coords, tile_origin};
@@ -75,21 +77,35 @@ pub fn calibrate_spatial(samples: &[BlockedImage]) -> Result<QParams, ConvError>
     Ok(QParams::from_threshold(calibrate_kl(&hist).tau))
 }
 
-/// Winograd-domain KL calibration (the LoWino scheme): every tile of every
-/// sample is transformed with `Bᵀ·B` for `F(m, r)` and the histogram is
-/// collected over the transformed values.
-pub fn calibrate_winograd_domain(
+/// `Bᵀ d B` of one gathered 64-lane patch: `(transformer, d, v, scratch)`.
+type TileTransform<'a> = &'a dyn Fn(&TileTransformer, &[f32], &mut [f32], &mut TransformScratch);
+
+/// The production transform of both Winograd-domain calibrations: the
+/// lowered tape at the host's tier — bitwise identical to the interpreted
+/// [`TileTransformer::input_tile_f32`], so histograms, thresholds and
+/// scales do not depend on which one runs.
+fn lowered_transform(tt: &TileTransformer, d: &[f32], v: &mut [f32], s: &mut TransformScratch) {
+    tt.input_tile_f32_compiled(VecTier::for_simd(SimdTier::detect()), d, v, s);
+}
+
+/// Push every tile of every sample through `transform` for `F(m, r)` and
+/// hand each transformed `n×n×64` tile to `record` together with its
+/// number of real channels (padding lanes are zero and would skew a
+/// distribution toward 0, so callers histogram only `..real` of each
+/// slot).
+fn for_each_transformed_tile(
     spec: &ConvShape,
     m: usize,
     samples: &[BlockedImage],
-) -> Result<QParams, ConvError> {
+    transform: TileTransform<'_>,
+    mut record: impl FnMut(&[f32], usize),
+) -> Result<(), ConvError> {
     if samples.is_empty() {
         return Err(ConvError::Calibration("empty sample set".into()));
     }
     let tt = TileTransformer::new(m, spec.r)?;
     let geom = spec.tiles(m)?;
     let n = geom.n;
-    let mut hist = Histogram::new(CAL_BINS);
     let mut scratch = tt.make_scratch(LANES);
     let mut patch = vec![0f32; n * n * LANES];
     let mut v = vec![0f32; n * n * LANES];
@@ -101,28 +117,69 @@ pub fn calibrate_winograd_domain(
                 spec.in_c, spec.h, spec.w
             )));
         }
-        let tiles = b_dim * geom.per_image;
-        for tile in 0..tiles {
+        for tile in 0..b_dim * geom.per_image {
             let (b, ty, tx) = tile_coords(&geom, tile);
             let (y0, x0) = tile_origin(spec, &geom, ty, tx);
             for cb in 0..sample.c_blocks() {
                 gather_patch(sample, b, cb, y0, x0, n, &mut patch);
-                tt.input_tile_f32(&patch, &mut v, &mut scratch);
-                // Only histogram real channels (padding lanes are zero and
-                // would skew the distribution toward 0).
-                let real = (spec.in_c - cb * LANES).min(LANES);
-                if real == LANES {
-                    hist.record(&v);
-                } else {
-                    for slot in 0..n * n {
-                        hist.record(&v[slot * LANES..slot * LANES + real]);
-                    }
-                }
+                transform(&tt, &patch, &mut v, &mut scratch);
+                record(&v, (spec.in_c - cb * LANES).min(LANES));
             }
         }
     }
+    Ok(())
+}
+
+fn winograd_domain_with(
+    spec: &ConvShape,
+    m: usize,
+    samples: &[BlockedImage],
+    transform: TileTransform<'_>,
+) -> Result<QParams, ConvError> {
+    let mut hist = Histogram::new(CAL_BINS);
+    for_each_transformed_tile(spec, m, samples, transform, |v, real| {
+        if real == LANES {
+            hist.record(v);
+        } else {
+            for slot in v.chunks_exact(LANES) {
+                hist.record(&slot[..real]);
+            }
+        }
+    })?;
     check_distribution("calibrate_winograd_domain", &[&hist])?;
     Ok(QParams::from_threshold(calibrate_kl(&hist).tau))
+}
+
+fn winograd_domain_per_position_with(
+    spec: &ConvShape,
+    m: usize,
+    samples: &[BlockedImage],
+    transform: TileTransform<'_>,
+) -> Result<Vec<QParams>, ConvError> {
+    let t_count = spec.tiles(m)?.t();
+    let mut hists: Vec<Histogram> = (0..t_count).map(|_| Histogram::new(CAL_BINS)).collect();
+    for_each_transformed_tile(spec, m, samples, transform, |v, real| {
+        for (hist, slot) in hists.iter_mut().zip(v.chunks_exact(LANES)) {
+            hist.record(&slot[..real]);
+        }
+    })?;
+    let refs: Vec<&Histogram> = hists.iter().collect();
+    check_distribution("calibrate_winograd_domain_per_position", &refs)?;
+    Ok(hists
+        .iter()
+        .map(|h| QParams::from_threshold(calibrate_kl(h).tau))
+        .collect())
+}
+
+/// Winograd-domain KL calibration (the LoWino scheme): every tile of every
+/// sample is transformed with `Bᵀ·B` for `F(m, r)` and the histogram is
+/// collected over the transformed values.
+pub fn calibrate_winograd_domain(
+    spec: &ConvShape,
+    m: usize,
+    samples: &[BlockedImage],
+) -> Result<QParams, ConvError> {
+    winograd_domain_with(spec, m, samples, &lowered_transform)
 }
 
 /// Per-tile-position Winograd-domain calibration: one threshold per
@@ -139,45 +196,7 @@ pub fn calibrate_winograd_domain_per_position(
     m: usize,
     samples: &[BlockedImage],
 ) -> Result<Vec<QParams>, ConvError> {
-    if samples.is_empty() {
-        return Err(ConvError::Calibration("empty sample set".into()));
-    }
-    let tt = TileTransformer::new(m, spec.r)?;
-    let geom = spec.tiles(m)?;
-    let n = geom.n;
-    let t_count = geom.t();
-    let mut hists: Vec<Histogram> = (0..t_count).map(|_| Histogram::new(CAL_BINS)).collect();
-    let mut scratch = tt.make_scratch(LANES);
-    let mut patch = vec![0f32; n * n * LANES];
-    let mut v = vec![0f32; n * n * LANES];
-    for sample in samples {
-        let (b_dim, c_dim, h, w) = sample.dims();
-        if (c_dim, h, w) != (spec.in_c, spec.h, spec.w) {
-            return Err(ConvError::Calibration(format!(
-                "sample dims ({c_dim},{h},{w}) don't match spec ({},{},{})",
-                spec.in_c, spec.h, spec.w
-            )));
-        }
-        let tiles = b_dim * geom.per_image;
-        for tile in 0..tiles {
-            let (b, ty, tx) = tile_coords(&geom, tile);
-            let (y0, x0) = tile_origin(spec, &geom, ty, tx);
-            for cb in 0..sample.c_blocks() {
-                gather_patch(sample, b, cb, y0, x0, n, &mut patch);
-                tt.input_tile_f32(&patch, &mut v, &mut scratch);
-                let real = (spec.in_c - cb * LANES).min(LANES);
-                for (t, hist) in hists.iter_mut().enumerate() {
-                    hist.record(&v[t * LANES..t * LANES + real]);
-                }
-            }
-        }
-    }
-    let refs: Vec<&Histogram> = hists.iter().collect();
-    check_distribution("calibrate_winograd_domain_per_position", &refs)?;
-    Ok(hists
-        .iter()
-        .map(|h| QParams::from_threshold(calibrate_kl(h).tau))
-        .collect())
+    winograd_domain_per_position_with(spec, m, samples, &lowered_transform)
 }
 
 #[cfg(test)]
@@ -216,6 +235,31 @@ mod tests {
         // And bounded by the analytic growth.
         let g4 = range_growth_2d(4, 3).unwrap() as f32;
         assert!(wd4.tau() <= spatial.tau() * g4 * 1.1);
+    }
+
+    #[test]
+    fn lowered_transform_calibrates_bit_equal_to_the_interpreted_one() {
+        // C = 70 (a 6-lane tail block), ragged tiles, two seeded samples.
+        let spec = ConvShape::same(2, 70, 8, 11, 3).validate().unwrap();
+        let mut rng = lowino_testkit::Rng::seed_from_u64(0xCA11B);
+        let samples: Vec<BlockedImage> = (0..2)
+            .map(|_| {
+                let mut t = Tensor4::zeros(2, 70, 11, 11);
+                rng.fill_f32(t.data_mut(), -3.0, 3.0);
+                BlockedImage::from_nchw(&t)
+            })
+            .collect();
+        let interpreted: TileTransform<'_> = &|tt, d, v, s| tt.input_tile_f32(d, v, s);
+        for m in [2usize, 4, 6] {
+            let want = winograd_domain_with(&spec, m, &samples, interpreted).unwrap();
+            let got = calibrate_winograd_domain(&spec, m, &samples).unwrap();
+            assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "F({m},3) per-tensor");
+        }
+        // One KL search per position: F(4,3) only, to keep the test short.
+        let want = winograd_domain_per_position_with(&spec, 4, &samples, interpreted).unwrap();
+        let got = calibrate_winograd_domain_per_position(&spec, 4, &samples).unwrap();
+        let bits = |q: &[QParams]| q.iter().map(|q| q.alpha.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "F(4,3) per-position");
     }
 
     #[test]

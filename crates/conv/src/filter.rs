@@ -10,13 +10,18 @@ use lowino_gemm::{UPanel, UPanelF32, UPanelI16};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
 use lowino_simd::{saturate_to_i8, SimdTier};
-use lowino_tensor::{ConvShape, Tensor4, TileGeometry};
+use lowino_tensor::{ConvShape, Tensor4, TileGeometry, LANES};
 use lowino_winograd::TileTransformer;
 
 use crate::error::{check_weights, ConvError};
 
 /// Transform every `(k, c)` filter channel to the Winograd domain.
 /// Returns a `[k][c][t]`-indexed flat vector (`t = n²` values per channel).
+///
+/// Up to [`LANES`] consecutive input channels of one output channel go
+/// through the `G` tape per call, one channel per lane. The transform is
+/// lane-wise, so every value equals the one-channel-at-a-time result bit
+/// for bit.
 pub fn transform_filters_f32(
     spec: &ConvShape,
     tt: &TileTransformer,
@@ -24,22 +29,28 @@ pub fn transform_filters_f32(
 ) -> Result<Vec<f32>, ConvError> {
     check_weights(spec, weights)?;
     let (kk, cc, r, _) = weights.dims();
-    let n = tt.n();
-    let t_count = n * n;
+    let t_count = tt.n() * tt.n();
     let vt = VecTier::for_simd(SimdTier::detect());
     let mut out = vec![0f32; kk * cc * t_count];
-    let mut scratch = tt.make_scratch(1);
-    let mut g = vec![0f32; r * r];
-    let mut u = vec![0f32; t_count];
+    let mut scratch = tt.make_scratch(LANES);
+    let mut g = vec![0f32; r * r * LANES];
+    let mut u = vec![0f32; t_count * LANES];
     for k in 0..kk {
-        for c in 0..cc {
-            for dy in 0..r {
-                for dx in 0..r {
-                    g[dy * r + dx] = weights.at(k, c, dy, dx);
+        for c0 in (0..cc).step_by(LANES) {
+            let lanes = (cc - c0).min(LANES);
+            tt.ensure_scratch(&mut scratch, lanes);
+            for tap in 0..r * r {
+                for l in 0..lanes {
+                    g[tap * lanes + l] = weights.at(k, c0 + l, tap / r, tap % r);
                 }
             }
             tt.filter_tile_f32_compiled(vt, &g, &mut u, &mut scratch);
-            out[(k * cc + c) * t_count..(k * cc + c) * t_count + t_count].copy_from_slice(&u);
+            for l in 0..lanes {
+                let dst = &mut out[(k * cc + c0 + l) * t_count..][..t_count];
+                for (t, d) in dst.iter_mut().enumerate() {
+                    *d = u[t * lanes + l];
+                }
+            }
         }
     }
     Ok(out)
@@ -215,6 +226,45 @@ mod tests {
         let base = (3 * 4 + 2) * 16;
         for t in 0..16 {
             assert!((tf[base + t] - want[t]).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn lane_grouped_transform_is_bit_identical_to_one_channel_at_a_time() {
+        // C = 70: one full 64-lane group plus a 6-lane tail per filter.
+        let spec = ConvShape::same(1, 70, 5, 8, 3).validate().unwrap();
+        let w = Tensor4::from_fn(5, 70, 3, 3, |k, c, y, x| {
+            ((k * 13 + c * 5 + y * 3 + x) as f32 * 0.37).sin() * 0.4
+        });
+        for m in [2usize, 4, 6] {
+            let tt = TileTransformer::new(m, 3).unwrap();
+            let geom = spec.tiles(m).unwrap();
+            let t_count = geom.t();
+            // Reference: the interpreted codelet on one (k, c) pair at a time.
+            let mut want = Vec::new();
+            let mut s1 = tt.make_scratch(1);
+            let mut u = vec![0f32; t_count];
+            for k in 0..5 {
+                for c in 0..70 {
+                    let g: Vec<f32> = (0..9).map(|tap| w.at(k, c, tap / 3, tap % 3)).collect();
+                    tt.filter_tile_f32(&g, &mut u, &mut s1);
+                    want.extend_from_slice(&u);
+                }
+            }
+            let got = transform_filters_f32(&spec, &tt, &w).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "F({m},3) transformed filters");
+            // α_U and the packed panel are functions of those values alone.
+            let (panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, &w).unwrap();
+            assert_eq!(alpha_u.alpha.to_bits(), QParams::from_max_abs(&want).alpha.to_bits());
+            for k in 0..5 {
+                for c in 0..70 {
+                    for t in 0..t_count {
+                        let q = alpha_u.quantize(want[(k * 70 + c) * t_count + t]);
+                        assert_eq!(panel.get(t, c, k), q, "F({m},3) U[{t}][{c}][{k}]");
+                    }
+                }
+            }
         }
     }
 

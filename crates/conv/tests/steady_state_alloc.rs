@@ -6,48 +6,20 @@
 //! * the fused LoWino schedule is bitwise identical to the retained
 //!   three-fork-join reference path.
 //!
-//! The allocation count comes from a counting `#[global_allocator]` that is
-//! armed only around the audited region (so the test harness's own
-//! allocations don't pollute the count).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! The allocation count comes from `lowino_testkit::alloc`: a counting
+//! `#[global_allocator]` armed only around the audited region, with every
+//! test of this binary holding its `audit()` guard so no sibling test's
+//! heap traffic can land in an armed window.
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvExecutor, DirectInt8Conv,
     DownScaleConv, LoWinoConv, UpCastConv, WinogradF32Conv,
 };
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lowino_testkit::alloc::{audit, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Count heap allocations (on any thread) during `f`.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
-}
 
 fn test_image(spec: &ConvShape) -> BlockedImage {
     let input = Tensor4::from_fn(spec.batch, spec.in_c, spec.h, spec.w, |b, c, y, x| {
@@ -64,6 +36,7 @@ fn test_weights(spec: &ConvShape) -> Tensor4 {
 
 #[test]
 fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
+    let audit = audit();
     let spec = ConvShape::same(2, 16, 16, 12, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
@@ -77,7 +50,7 @@ fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
         conv.execute(&img, &mut out, &mut ctx).unwrap();
 
         let before = ctx.pool.fork_joins();
-        let allocs = count_allocs(|| {
+        let allocs = audit.count(|| {
             for _ in 0..3 {
                 conv.execute(&img, &mut out, &mut ctx).unwrap();
             }
@@ -102,6 +75,7 @@ fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
 /// re-seeded in place, packs are straight copies into the resident slots).
 #[test]
 fn pipelined_multi_block_steady_state_allocates_nothing() {
+    let audit = audit();
     use lowino_gemm::Blocking;
     let spec = ConvShape::same(1, 70, 130, 11, 3).validate().unwrap();
     let img = test_image(&spec);
@@ -126,7 +100,7 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
         let mut ctx = ConvContext::new(threads);
         for (name, exec) in &mut executors {
             exec.execute(&img, &mut out, &mut ctx).unwrap();
-            let allocs = count_allocs(|| {
+            let allocs = audit.count(|| {
                 for _ in 0..2 {
                     exec.execute(&img, &mut out, &mut ctx).unwrap();
                 }
@@ -148,6 +122,7 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
 /// execute path; a winner is published by hand to exercise the table hit.
 #[test]
 fn background_lookup_and_published_hit_stay_allocation_free() {
+    let audit = audit();
     use lowino_gemm::{GemmShape, TunePolicy, Wisdom};
     use lowino_simd::SimdTier;
 
@@ -169,7 +144,7 @@ fn background_lookup_and_published_hit_stay_allocation_free() {
     conv.execute(&img, &mut out, &mut ctx).unwrap();
 
     // Steady state on the cost-model-seed path (nothing published yet).
-    let allocs = count_allocs(|| {
+    let allocs = audit.count(|| {
         for _ in 0..3 {
             conv.execute(&img, &mut out, &mut ctx).unwrap();
         }
@@ -181,7 +156,7 @@ fn background_lookup_and_published_hit_stay_allocation_free() {
         .shared()
         .publish(tier, &shape, lowino_gemm::Blocking::default_for(&shape));
     conv.execute(&img, &mut out, &mut ctx).unwrap();
-    let allocs = count_allocs(|| {
+    let allocs = audit.count(|| {
         for _ in 0..3 {
             conv.execute(&img, &mut out, &mut ctx).unwrap();
         }
@@ -191,6 +166,7 @@ fn background_lookup_and_published_hit_stay_allocation_free() {
 
 #[test]
 fn every_executor_is_one_fork_join_per_execute() {
+    let audit = audit();
     let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
@@ -230,11 +206,17 @@ fn every_executor_is_one_fork_join_per_execute() {
             1,
             "{name}: execute must issue exactly one pool fork-join"
         );
+        // That execute grew the arenas; the next one must not allocate.
+        let allocs = audit.count(|| {
+            exec.execute(&img, &mut out, &mut ctx).unwrap();
+        });
+        assert_eq!(allocs, 0, "{name}: steady-state execute must not touch the heap");
     }
 }
 
 #[test]
 fn fused_lowino_matches_three_fork_join_bitwise() {
+    let _audit = audit();
     // Ragged tiles, multiple channel blocks, both thread counts.
     let spec = ConvShape::same(1, 70, 66, 11, 3).validate().unwrap();
     let img = test_image(&spec);

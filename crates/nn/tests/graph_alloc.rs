@@ -4,45 +4,17 @@
 //! — every activation lives in the compile-time liveness-planned arena,
 //! and the per-op `BlockedImage` windows are raw views into it.
 //!
-//! Same counting-`#[global_allocator]` technique as the conv crate's
+//! Same `lowino_testkit::alloc` audit as the conv crate's
 //! `steady_state_alloc` test: the counter is armed only around the audited
-//! region so harness allocations don't pollute it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! region, and both tests hold the binary's `audit()` guard so neither can
+//! allocate inside the other's armed window.
 
 use lowino::Tensor4;
 use lowino_nn::{mini_resnet, mini_vgg, CompiledGraph, GraphSpec};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lowino_testkit::alloc::{audit, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Count heap allocations (on any thread) during `f`.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
-}
 
 fn input(batch: usize) -> Tensor4 {
     Tensor4::from_fn(batch, 3, 8, 8, |b, c, y, x| {
@@ -52,6 +24,7 @@ fn input(batch: usize) -> Tensor4 {
 
 #[test]
 fn miniresnet_graph_execute_is_allocation_free_in_steady_state() {
+    let audit = audit();
     let mut model = mini_resnet(3, 8, 3, 17);
     let x = input(2);
     let spec = GraphSpec { m: 2, batch: 2, threads: 2 };
@@ -61,7 +34,7 @@ fn miniresnet_graph_execute_is_allocation_free_in_steady_state() {
     g.execute(&x, &mut logits).unwrap();
     let warm = logits.clone();
 
-    let allocs = count_allocs(|| {
+    let allocs = audit.count(|| {
         for _ in 0..3 {
             g.execute(&x, &mut logits).unwrap();
         }
@@ -79,6 +52,7 @@ fn miniresnet_graph_execute_is_allocation_free_in_steady_state() {
 
 #[test]
 fn minivgg_graph_execute_is_allocation_free_in_steady_state() {
+    let audit = audit();
     let mut model = mini_vgg(3, 8, 3, 23);
     let x = input(2);
     let spec = GraphSpec { m: 2, batch: 2, threads: 1 };
@@ -86,7 +60,7 @@ fn minivgg_graph_execute_is_allocation_free_in_steady_state() {
     let mut logits = Tensor4::zeros(2, 3, 1, 1);
     g.execute(&x, &mut logits).unwrap();
 
-    let allocs = count_allocs(|| {
+    let allocs = audit.count(|| {
         g.execute(&x, &mut logits).unwrap();
     });
     assert_eq!(allocs, 0, "steady-state graph execute must not allocate");

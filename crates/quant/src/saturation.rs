@@ -17,12 +17,24 @@
 /// Count values in a `+128`-compensated u8 buffer that sit on the clamp
 /// bounds (`1` ⇔ −127, `255` ⇔ +127).
 pub fn count_saturated_u8(q: &[u8]) -> u64 {
-    q.iter().filter(|&&x| x == 1 || x == 255).count() as u64
+    count_hits(q, |x| x == 1 || x == 255)
 }
 
 /// Count values in a signed i8 buffer that sit on the clamp bounds (±127).
 pub fn count_saturated_i8(q: &[i8]) -> u64 {
-    q.iter().filter(|&&x| x == 127 || x == -127).count() as u64
+    count_hits(q, |x| x == 127 || x == -127)
+}
+
+/// Elements of `q` satisfying `hit`. Blocks of 255 are summed in a `u8`
+/// (which cannot overflow), so the loop vectorizes at a byte per lane; a
+/// `filter().count()` widens every element to `usize` first and runs about
+/// 8× slower — and these scans cover whole `V` panels per execute (the
+/// health check) and every quantized line under tracing.
+#[inline]
+fn count_hits<T: Copy>(q: &[T], hit: impl Fn(T) -> bool) -> u64 {
+    q.chunks(255)
+        .map(|block| u64::from(block.iter().map(|&x| u8::from(hit(x))).sum::<u8>()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -35,6 +47,9 @@ mod tests {
         // 0 is not a clamp value (−128 is unreachable); 1 and 255 are.
         assert_eq!(count_saturated_u8(&q), 4);
         assert_eq!(count_saturated_u8(&[]), 0);
+        // Longer than one 255-element block, every element a hit.
+        assert_eq!(count_saturated_u8(&[255u8; 1000]), 1000);
+        assert_eq!(count_saturated_i8(&[-127i8; 511]), 511);
     }
 
     #[test]

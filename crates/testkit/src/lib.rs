@@ -2,7 +2,7 @@
 //! workspace build and test **hermetically**: no registry, no network, no
 //! third-party crates.
 //!
-//! Four pieces, each replacing an external dev-dependency the build
+//! The pieces, each replacing an external dev-dependency the build
 //! environment cannot fetch:
 //!
 //! * [`rng`] — deterministic xoshiro256++ PRNG (replaces `rand`) for
@@ -17,6 +17,9 @@
 //! * [`faults`] — the fault-injection registry: named sites compiled into
 //!   the production crates (zero-cost while disarmed), armed by tests or
 //!   `LOWINO_FAULT` to prove the graceful-degradation paths;
+//! * [`alloc`] — a counting global allocator whose armed sections are
+//!   serialised across a test binary (the zero-steady-state-allocation
+//!   audits);
 //! * [`clock`] — virtual time ([`clock::VirtualClock`]) and a seeded
 //!   Poisson arrival stream ([`clock::PoissonArrivals`]) so the serving
 //!   stack's deadline/batching state machine is testable deterministically.
@@ -27,6 +30,7 @@
 //! itself be deterministic and always runnable — hence first-party and
 //! dependency-free.
 
+pub mod alloc;
 pub mod bench;
 pub mod clock;
 pub mod faults;

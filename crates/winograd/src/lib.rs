@@ -20,20 +20,26 @@
 //!   (Fig. 4): an expression IR derived from a transform matrix with
 //!   zero-elimination and common-subexpression elimination, executed
 //!   lane-wise over 64-channel groups;
-//! * [`tape`] — codelet *compilation* (§4.2.4): lowering to a flat
-//!   `(dst, src, coeff)` instruction tape with register-resident
-//!   temporaries, executed over explicit three-tier f32 SIMD vectors with
-//!   fused quantize/dequantize epilogues;
+//! * [`tape`] — codelet *lowering* to a flat `(dst, src, coeff)` term list
+//!   and its execution over explicit three-tier f32 SIMD vectors with
+//!   fused quantize/dequantize/post-op epilogues: on a generated kernel
+//!   where one exists, on a generic run-time driver otherwise;
+//! * [`codegen`] / [`kernels`] — the paper's "emit code" step (§4.2.4):
+//!   the generator that prints the lowered `F(2,3)`/`F(4,3)`/`F(6,3)`
+//!   codelets as straight-line Rust, and its checked-in, test-reproduced
+//!   output;
 //! * [`transform`] — input (`Bᵀ d B`), filter (`G g Gᵀ`) and output
 //!   (`Aᵀ Z A`) tile transforms in `f32` and the integer variants used by
 //!   the down-scaling / up-casting baselines, in interpreted (reference
-//!   oracle) and compiled forms;
+//!   oracle) and lowered forms, from gathered tiles or in place;
 //! * [`analysis`] — the value-range-growth analysis of paper §2.2 (the
 //!   4× / 100× / ~10⁴× amplification that motivates Winograd-domain
 //!   quantization).
 
 pub mod analysis;
+pub mod codegen;
 pub mod codelet;
+pub mod kernels;
 pub mod matrices;
 pub mod rational;
 pub mod tape;
@@ -42,6 +48,7 @@ pub mod transform;
 pub use analysis::{range_growth_1d, range_growth_2d};
 pub use matrices::{WinogradMatrices, F2_3, F4_3, F6_3};
 pub use rational::Rational;
+pub use kernels::KernelId;
 pub use tape::{Tape, TapeInstr, TapePostOps};
 pub use transform::{
     filter_transform_f32, input_transform_f32, input_transform_i32, output_transform_f32,

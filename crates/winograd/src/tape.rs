@@ -1,19 +1,26 @@
-//! Codelet **compilation**: lower a generated [`Codelet`] to a flat
-//! instruction tape and execute it over explicit SIMD vectors.
+//! Codelet **lowering and execution**: flatten a generated [`Codelet`] to a
+//! `(dst, src, coeff)` term list and run it over explicit SIMD vectors.
 //!
-//! The paper JIT-compiles its transform codelets to native code (§4.2.4);
-//! the interpreted executor in [`codelet`](crate::codelet) walks
-//! `Vec<(Source, f32)>` term lists per lane group, paying dispatch and
-//! bounds-check cost on every term. The tape is the compiled form: one
-//! dense `dst += coeff · src` triple per term, operating on a small
-//! **register file** — transform matrices are at most 8×8 with a handful
-//! of CSE temporaries, so every input slot, temporary and output of a 1-D
-//! codelet fits in vector registers for the whole program. The executor
-//! loads each input slot once, streams the triples, and stores (or
-//! *fuses*) the outputs:
+//! The paper emits its transform codelets as compiled code (§4.2.4); the
+//! interpreted executor in [`codelet`](crate::codelet) walks
+//! `Vec<(Source, f32)>` term lists per lane group. A [`Tape`] is the
+//! lowered term list — one dense `dst += coeff · src` triple per term over
+//! a register file `[inputs | temps | outputs]` — and it runs in one of
+//! two ways:
 //!
-//! * [`Tape::execute_f32`] — plain f32-in/f32-out, the compiled twin of
+//! * the production tile sizes `F(2,3)`, `F(4,3)`, `F(6,3)` resolve, by
+//!   matching the term list itself, to a **generated straight-line kernel**
+//!   in [`kernels`](crate::kernels) (the paper's "emit code" step: the same
+//!   terms in the same order, printed as Rust and compiled);
+//! * every other size runs the **generic driver** below, which walks the
+//!   term list at run time over a stack-resident register file.
+//!
+//! Both load each input slot once per lane chunk and hand every finished
+//! output vector to an epilogue while it is still in a register:
+//!
+//! * [`Tape::execute_f32`] — plain f32-in/f32-out, the twin of
 //!   [`Codelet::execute_f32`];
+//! * [`Tape::execute_f32_post`] — bias / residual / ReLU before the store;
 //! * [`Tape::execute_quant_u8`] — the fused **quantize epilogue** (paper
 //!   Eq. 4 + the §4.2.1 `+128` compensation): output slots are quantized
 //!   in-register and emitted as `u8` lanes, so the input-transform row
@@ -25,19 +32,23 @@
 //!
 //! Every path is bitwise identical to the interpreted executor composed
 //! with the scalar `lowino-simd` conversions (for finite values — see
-//! `lowino_simd::vecf32`); the interpreter stays as the reference oracle
-//! and the equivalence is property-tested per tier.
+//! `lowino_simd::vecf32`): each destination accumulates its terms from
+//! zero, in expression order, with a separate multiply and add (never an
+//! FMA). The interpreter stays as the reference oracle and the equivalence
+//! is property-tested per tier.
 
 use crate::codelet::{Codelet, Source};
+use crate::kernels::{self, KernelId};
+use core::marker::PhantomData;
 use lowino_simd::vecf32::{F32Vector, F32x1, VecTier};
 
-/// Register-file capacity of the tape executor. One register per input
+/// Register-file capacity of the generic driver. One register per input
 /// slot, CSE temporary and output slot; the lowering asserts the program
 /// fits. `F(6,3)` needs 8 + temps + 8; 32 leaves headroom for every
 /// supported tile size.
 pub const MAX_REGS: usize = 32;
 
-/// One compiled statement: `regs[dst] += coeff · regs[src]`.
+/// One lowered statement: `regs[dst] += coeff · regs[src]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TapeInstr {
     /// Destination register (a temp or output slot).
@@ -68,80 +79,90 @@ pub struct TapePostOps<'a> {
     pub relu: bool,
 }
 
-/// [`TapePostOps`] lowered to raw pointers (null ⇒ absent) so the
-/// per-tier `#[target_feature]` wrappers keep plain-data signatures.
-#[derive(Clone, Copy)]
-struct RawPost {
-    bias: *const f32,
-    res: *const f32,
-    res_stride: usize,
-    relu: bool,
+/// A generated straight-line codelet: `NI` input vectors to `NO` output
+/// vectors, temporaries in locals. Implemented only by the unit structs of
+/// [`kernels`](crate::kernels).
+pub(crate) trait Kernel<const NI: usize, const NO: usize> {
+    /// # Safety
+    ///
+    /// `V`'s tier features must be available (see [`F32Vector`]).
+    unsafe fn apply<V: F32Vector>(x: [V; NI]) -> [V; NO];
 }
 
-impl RawPost {
-    fn from_post(post: &TapePostOps<'_>) -> Self {
-        let (res, res_stride) = match post.residual {
-            Some((buf, base, stride)) => (unsafe { buf.as_ptr().add(base) }, stride),
-            None => (core::ptr::null(), 0),
-        };
-        RawPost {
-            bias: post.bias.map_or(core::ptr::null(), |b| b.as_ptr()),
-            res,
-            res_stride,
-            relu: post.relu,
-        }
-    }
+/// Receiver of [`kernels::dispatch`]: called with the kernel type a
+/// [`KernelId`] names.
+pub(crate) trait KernelVisitor {
+    /// # Safety
+    ///
+    /// Whatever the implementor's driver requires of its pointers.
+    unsafe fn visit<K: Kernel<NI, NO>, const NI: usize, const NO: usize>(self);
 }
 
-/// A lowered codelet: a flat multiply-accumulate tape over a register
-/// file laid out `[inputs | temps | outputs]`.
+/// A lowered codelet: a flat multiply-accumulate term list over a register
+/// file laid out `[inputs | temps | outputs]`, plus the generated kernel
+/// that term list resolves to, if any.
 #[derive(Debug, Clone)]
 pub struct Tape {
     n_in: usize,
     n_temps: usize,
     n_out: usize,
     instrs: Vec<TapeInstr>,
+    kernel: Option<KernelId>,
 }
 
 impl Tape {
-    /// Lower `code` to its instruction tape. Instruction order follows the
-    /// interpreter exactly — temporaries in definition order, then outputs,
-    /// each accumulating its terms in expression order from zero — which is
-    /// what makes the two executors bitwise identical.
+    /// Lower `code` to its term list and resolve it against the generated
+    /// kernel tables. Term order follows the interpreter exactly —
+    /// temporaries in definition order, then outputs, each accumulating its
+    /// terms in expression order from zero — which is what makes every
+    /// executor bitwise identical. A kernel is chosen only when the whole
+    /// term list (register numbers and coefficient bits) equals the one it
+    /// was generated from, never by `(m, r)`: matrices for the same tile
+    /// size from another construction simply take the generic driver.
     ///
     /// # Panics
     ///
     /// Panics if the program needs more than [`MAX_REGS`] registers.
     pub fn lower(code: &Codelet) -> Self {
+        let mut tape = Self::lower_generic(code);
+        tape.kernel = kernels::TABLE
+            .iter()
+            .find(|k| {
+                (k.n_in, k.n_temps, k.n_out) == (tape.n_in, tape.n_temps, tape.n_out)
+                    && k.terms.len() == tape.instrs.len()
+                    && k.terms
+                        .iter()
+                        .zip(&tape.instrs)
+                        .all(|(&(dst, src, bits), ins)| {
+                            (dst, src, bits) == (ins.dst, ins.src, ins.coeff.to_bits())
+                        })
+            })
+            .map(|k| k.id);
+        tape
+    }
+
+    /// [`Self::lower`] without resolving a generated kernel: the tape always
+    /// runs the generic driver. The kernel generator's input, and the
+    /// baseline the equivalence tests and the `transforms` bench hold the
+    /// generated kernels against.
+    pub fn lower_generic(code: &Codelet) -> Self {
         let (n_in, n_temps, n_out) = (code.n_in(), code.n_temps(), code.n_out());
         let regs = n_in + n_temps + n_out;
         assert!(
             regs <= MAX_REGS,
             "codelet needs {regs} registers (max {MAX_REGS})"
         );
-        let reg_of = |s: Source| -> u8 {
-            match s {
-                Source::In(j) => j as u8,
-                Source::Temp(t) => (n_in + t) as u8,
-            }
-        };
         let mut instrs = Vec::new();
-        for (t, expr) in code.temps_f32().iter().enumerate() {
-            let dst = (n_in + t) as u8;
+        let exprs = code.temps_f32().iter().chain(code.outs_f32());
+        for (d, expr) in exprs.enumerate() {
             for &(src, coeff) in expr {
+                let src = match src {
+                    Source::In(j) => j,
+                    Source::Temp(t) => n_in + t,
+                };
                 instrs.push(TapeInstr {
-                    dst,
-                    src: reg_of(src),
-                    coeff,
-                });
-            }
-        }
-        for (i, expr) in code.outs_f32().iter().enumerate() {
-            let dst = (n_in + n_temps + i) as u8;
-            for &(src, coeff) in expr {
-                instrs.push(TapeInstr {
-                    dst,
-                    src: reg_of(src),
+                    dst: (n_in + d) as u8,
+                    src: src as u8,
                     coeff,
                 });
             }
@@ -151,6 +172,7 @@ impl Tape {
             n_temps,
             n_out,
             instrs,
+            kernel: None,
         }
     }
 
@@ -169,19 +191,30 @@ impl Tape {
         self.n_temps
     }
 
-    /// Multiply-accumulate instruction count (equals the codelet's
+    /// Multiply-accumulate term count (equals the codelet's
     /// [`op_count`](Codelet::op_count)).
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
 
-    /// True when the tape has no instructions.
+    /// True when the tape has no terms.
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
 
-    /// Compiled twin of [`Codelet::execute_f32`]: slot `j` of the input
-    /// starts at `input[in_base + j·in_stride]`, slot `i` of the output at
+    /// The term list, in execution order.
+    pub(crate) fn instrs(&self) -> &[TapeInstr] {
+        &self.instrs
+    }
+
+    /// The generated kernel this tape runs on; `None` means the generic
+    /// driver.
+    pub fn kernel(&self) -> Option<KernelId> {
+        self.kernel
+    }
+
+    /// Twin of [`Codelet::execute_f32`]: slot `j` of the input starts at
+    /// `input[in_base + j·in_stride]`, slot `i` of the output at
     /// `output[out_base + i·out_stride]`, each slot `lanes` consecutive
     /// values. No scratch — temporaries live in registers.
     #[inline]
@@ -197,21 +230,17 @@ impl Tape {
         out_stride: usize,
     ) {
         self.check_spans(vt, lanes, input.len(), in_base, in_stride, output.len(), out_base, out_stride);
-        let ip = unsafe { input.as_ptr().add(in_base) };
-        let op = unsafe { output.as_mut_ptr().add(out_base) };
-        match vt {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: spans checked above; tier availability asserted in
-            // `check_spans`.
-            VecTier::F32x16 => unsafe {
-                x86::f32_avx512(self, lanes, ip, in_stride, op, out_stride)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            VecTier::F32x8 => unsafe { x86::f32_avx2(self, lanes, ip, in_stride, op, out_stride) },
-            // SAFETY: scalar model has no feature requirement.
-            _ => unsafe { drive_f32::<F32x1>(self, lanes, ip, in_stride, op, out_stride) },
-        }
+        let load = LoadF32 {
+            ip: input[in_base..].as_ptr(),
+            stride: in_stride,
+        };
+        let emit = StoreF32 {
+            op: output[out_base..].as_mut_ptr(),
+            stride: out_stride,
+        };
+        // SAFETY: `check_spans` proved every slot of both operands holds
+        // `lanes` values inside its slice and that the host executes `vt`.
+        unsafe { self.run(vt, lanes, load, emit) }
     }
 
     /// [`Self::execute_f32`] with a fused **post-op epilogue** applied to
@@ -229,7 +258,6 @@ impl Tape {
     /// `add` is plain IEEE and never contracted, `max` matches
     /// `f32::max(v, 0.0)` for all finite-or-NaN inputs.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_f32_post(
         &self,
         vt: VecTier,
@@ -242,31 +270,33 @@ impl Tape {
         out_base: usize,
         out_stride: usize,
     ) {
+        if post.bias.is_none() && post.residual.is_none() && !post.relu {
+            return self.execute_f32(vt, lanes, input, in_base, in_stride, output, out_base, out_stride);
+        }
         self.check_spans(vt, lanes, input.len(), in_base, in_stride, output.len(), out_base, out_stride);
-        if let Some(bias) = post.bias {
-            assert!(bias.len() >= lanes, "bias shorter than the lane group");
-        }
-        if let Some((res, res_base, res_stride)) = post.residual {
-            assert!(res.len() >= res_base + (self.n_out - 1) * res_stride + lanes);
-        }
-        let raw = RawPost::from_post(&post);
-        let ip = unsafe { input.as_ptr().add(in_base) };
-        let op = unsafe { output.as_mut_ptr().add(out_base) };
-        match vt {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: spans checked above; tier availability asserted in
-            // `check_spans`.
-            VecTier::F32x16 => unsafe {
-                x86::f32_post_avx512(self, lanes, ip, in_stride, raw, op, out_stride)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            VecTier::F32x8 => unsafe {
-                x86::f32_post_avx2(self, lanes, ip, in_stride, raw, op, out_stride)
-            },
-            // SAFETY: scalar model has no feature requirement.
-            _ => unsafe { drive_post::<F32x1>(self, lanes, ip, in_stride, raw, op, out_stride) },
-        }
+        let bias = post.bias.map_or(core::ptr::null(), |b| {
+            assert!(b.len() >= lanes, "bias shorter than the lane group");
+            b.as_ptr()
+        });
+        let (res, res_stride) = post.residual.map_or((core::ptr::null(), 0), |(r, base, stride)| {
+            assert!(r.len() >= base + (self.n_out - 1) * stride + lanes);
+            (r[base..].as_ptr(), stride)
+        });
+        let load = LoadF32 {
+            ip: input[in_base..].as_ptr(),
+            stride: in_stride,
+        };
+        let emit = StorePost {
+            bias,
+            res,
+            res_stride,
+            relu: post.relu,
+            op: output[out_base..].as_mut_ptr(),
+            stride: out_stride,
+        };
+        // SAFETY: as in `execute_f32`; the bias and residual spans were
+        // checked just above (null marks an absent operand).
+        unsafe { self.run(vt, lanes, load, emit) }
     }
 
     /// Fused quantize epilogue: run the tape, then per output slot `i`
@@ -295,27 +325,20 @@ impl Tape {
     ) {
         self.check_spans(vt, lanes, input.len(), in_base, in_stride, output.len(), out_base, out_stride);
         assert!(alphas.len() > alpha_base + (self.n_out - 1) * alpha_stride);
-        let offset = if compensate { 128 } else { 0 };
-        let ip = unsafe { input.as_ptr().add(in_base) };
-        let ap = unsafe { alphas.as_ptr().add(alpha_base) };
-        let op = unsafe { output.as_mut_ptr().add(out_base) };
-        match vt {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: spans checked above; tier availability asserted in
-            // `check_spans`.
-            VecTier::F32x16 => unsafe {
-                x86::quant_avx512(self, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            VecTier::F32x8 => unsafe {
-                x86::quant_avx2(self, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride)
-            },
-            // SAFETY: scalar model has no feature requirement.
-            _ => unsafe {
-                drive_quant::<F32x1>(self, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride)
-            },
-        }
+        let load = LoadF32 {
+            ip: input[in_base..].as_ptr(),
+            stride: in_stride,
+        };
+        let emit = StoreQuant {
+            ap: alphas[alpha_base..].as_ptr(),
+            alpha_stride,
+            offset: if compensate { 128 } else { 0 },
+            op: output[out_base..].as_mut_ptr(),
+            stride: out_stride,
+        };
+        // SAFETY: as in `execute_f32`; one alpha per output slot was
+        // asserted above.
+        unsafe { self.run(vt, lanes, load, emit) }
     }
 
     /// Fused dequantize prologue: input slots are raw `i32` GEMM
@@ -343,31 +366,23 @@ impl Tape {
     ) {
         self.check_spans(vt, lanes, input.len(), in_base, in_stride, output.len(), out_base, out_stride);
         assert!(scales.len() > scale_base + (self.n_in - 1) * scale_stride);
-        let ip = unsafe { input.as_ptr().add(in_base) };
-        let sp = unsafe { scales.as_ptr().add(scale_base) };
-        let op = unsafe { output.as_mut_ptr().add(out_base) };
-        match vt {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: spans checked above; tier availability asserted in
-            // `check_spans`.
-            VecTier::F32x16 => unsafe {
-                x86::dequant_avx512(self, lanes, ip, in_stride, sp, scale_stride, op, out_stride)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            VecTier::F32x8 => unsafe {
-                x86::dequant_avx2(self, lanes, ip, in_stride, sp, scale_stride, op, out_stride)
-            },
-            // SAFETY: scalar model has no feature requirement.
-            _ => unsafe {
-                drive_dequant::<F32x1>(self, lanes, ip, in_stride, sp, scale_stride, op, out_stride)
-            },
-        }
+        let load = LoadDequant {
+            ip: input[in_base..].as_ptr(),
+            stride: in_stride,
+            sp: scales[scale_base..].as_ptr(),
+            scale_stride,
+        };
+        let emit = StoreF32 {
+            op: output[out_base..].as_mut_ptr(),
+            stride: out_stride,
+        };
+        // SAFETY: as in `execute_f32`; one scale per input slot was
+        // asserted above.
+        unsafe { self.run(vt, lanes, load, emit) }
     }
 
     /// Common bounds/capability checks for the execute entry points.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn check_spans(
         &self,
         vt: VecTier,
@@ -381,347 +396,263 @@ impl Tape {
     ) {
         assert!(in_len >= in_base + (self.n_in - 1) * in_stride + lanes);
         assert!(out_len >= out_base + (self.n_out - 1) * out_stride + lanes);
-        debug_assert!(vt <= VecTier::detect(), "vec tier {vt} not supported");
+        assert!(vt <= VecTier::detect(), "vec tier {vt} not supported");
+    }
+
+    /// Tier dispatch into the per-tier `#[target_feature]` wrappers.
+    ///
+    /// # Safety
+    ///
+    /// The host must execute `vt`, and `load` / `emit` must be valid for
+    /// every slot of this tape at every lane offset below `lanes`.
+    #[inline]
+    unsafe fn run<L: Load, E: Emit>(&self, vt: VecTier, lanes: usize, load: L, emit: E) {
+        match vt {
+            #[cfg(target_arch = "x86_64")]
+            VecTier::F32x16 => x86::run_avx512(self, lanes, load, emit),
+            #[cfg(target_arch = "x86_64")]
+            VecTier::F32x8 => x86::run_avx2(self, lanes, load, emit),
+            _ => run_scalar(self, lanes, load, emit),
+        }
     }
 }
 
-// -- generic executor core ----------------------------------------------
+// -- loads and epilogues -------------------------------------------------
 //
-// `#[inline(always)]` generic bodies instantiated inside per-tier
-// `#[target_feature]` wrappers — the same codegen pattern as
+// A driver is one lane loop, generic over how input slot `j` is read at
+// lane offset `l` and what happens to finished output slot `i` there.
+// All bodies are `#[inline(always)]` generics instantiated inside the
+// per-tier `#[target_feature]` wrappers — the same codegen pattern as
 // `lowino_simd::dpbusd`.
 
-/// Register-file size of the *small* executor instantiation. The file
-/// holds only inputs and CSE temporaries (sources are never outputs), but
-/// the tape's dynamic source indices still force it onto the stack (LLVM
-/// cannot scalar-promote a dynamically indexed array), so every lane chunk
-/// pays one zero-store per file slot — sizing the file to the program
-/// instead of always [`MAX_REGS`] cuts that fixed cost for the small
-/// tiles (only `F(6,3)`'s `Bᵀ` needs more than 16 slots).
-const SMALL_REGS: usize = 16;
+/// How a driver reads input slot `j` at lane offset `l`.
+trait Load: Copy {
+    /// # Safety
+    ///
+    /// `V`'s tier features must be available and slot `j` must hold
+    /// `l + V::WIDTH` readable lanes.
+    unsafe fn load<V: F32Vector>(self, j: usize, l: usize) -> V;
+}
 
-/// Register-file size of the *tiny* executor instantiation — all three
-/// `F(2,3)` codelets fit their inputs + temps in 8 file slots.
-const TINY_REGS: usize = 8;
+/// What a driver does with finished output slot `i` at lane offset `l`.
+trait Emit: Copy {
+    /// # Safety
+    ///
+    /// `V`'s tier features must be available and slot `i` of every operand
+    /// the epilogue touches must hold `l + V::WIDTH` lanes.
+    unsafe fn emit<V: F32Vector>(self, v: V, i: usize, l: usize);
+}
 
-/// Evaluate the CSE temporaries into `file[n_in..]`, consuming the
-/// leading instructions; `k` is left at the first output instruction.
+#[derive(Clone, Copy)]
+struct LoadF32 {
+    ip: *const f32,
+    stride: usize,
+}
+
+impl Load for LoadF32 {
+    #[inline(always)]
+    unsafe fn load<V: F32Vector>(self, j: usize, l: usize) -> V {
+        V::load(self.ip.add(j * self.stride + l))
+    }
+}
+
+/// `i32` slots dequantized at load time (Eq. 6).
+#[derive(Clone, Copy)]
+struct LoadDequant {
+    ip: *const i32,
+    stride: usize,
+    sp: *const f32,
+    scale_stride: usize,
+}
+
+impl Load for LoadDequant {
+    #[inline(always)]
+    unsafe fn load<V: F32Vector>(self, j: usize, l: usize) -> V {
+        V::load_i32_scaled(self.ip.add(j * self.stride + l), *self.sp.add(j * self.scale_stride))
+    }
+}
+
+#[derive(Clone, Copy)]
+struct StoreF32 {
+    op: *mut f32,
+    stride: usize,
+}
+
+impl Emit for StoreF32 {
+    #[inline(always)]
+    unsafe fn emit<V: F32Vector>(self, v: V, i: usize, l: usize) {
+        v.store(self.op.add(i * self.stride + l));
+    }
+}
+
+/// [`TapePostOps`] lowered to raw pointers (null ⇒ absent): bias, then
+/// residual slot tile, then ReLU — the register-resident fusion point.
+#[derive(Clone, Copy)]
+struct StorePost {
+    bias: *const f32,
+    res: *const f32,
+    res_stride: usize,
+    relu: bool,
+    op: *mut f32,
+    stride: usize,
+}
+
+impl Emit for StorePost {
+    #[inline(always)]
+    unsafe fn emit<V: F32Vector>(self, mut v: V, i: usize, l: usize) {
+        if !self.bias.is_null() {
+            v = v.add(V::load(self.bias.add(l)));
+        }
+        if !self.res.is_null() {
+            v = v.add(V::load(self.res.add(i * self.res_stride + l)));
+        }
+        if self.relu {
+            v = v.max(V::zero());
+        }
+        v.store(self.op.add(i * self.stride + l));
+    }
+}
+
+/// Eq. 4 + the `+128` compensation, one scale per output slot.
+#[derive(Clone, Copy)]
+struct StoreQuant {
+    ap: *const f32,
+    alpha_stride: usize,
+    offset: i32,
+    op: *mut u8,
+    stride: usize,
+}
+
+impl Emit for StoreQuant {
+    #[inline(always)]
+    unsafe fn emit<V: F32Vector>(self, v: V, i: usize, l: usize) {
+        v.quantize_u8(*self.ap.add(i * self.alpha_stride), self.offset, self.op.add(i * self.stride + l));
+    }
+}
+
+// -- drivers -------------------------------------------------------------
+
+/// One lane chunk of a tape: load the inputs, evaluate, emit the outputs.
+trait Program {
+    /// # Safety
+    ///
+    /// [`Load::load`] / [`Emit::emit`] must be sound for every slot of the
+    /// program at lane offset `l`.
+    unsafe fn step<V: F32Vector, L: Load, E: Emit>(&self, load: L, emit: E, l: usize);
+}
+
+/// A generated kernel: straight-line code, everything in registers.
+struct Generated<K, const NI: usize, const NO: usize>(PhantomData<K>);
+
+impl<K: Kernel<NI, NO>, const NI: usize, const NO: usize> Program for Generated<K, NI, NO> {
+    #[inline(always)]
+    unsafe fn step<V: F32Vector, L: Load, E: Emit>(&self, load: L, emit: E, l: usize) {
+        let mut x = [V::zero(); NI];
+        for j in 0..NI {
+            x[j] = load.load(j, l);
+        }
+        let y = K::apply(x);
+        for i in 0..NO {
+            emit.emit(y[i], i, l);
+        }
+    }
+}
+
+/// The generic driver: walks the term list at run time. The file holds
+/// inputs and temporaries only (sources are never outputs); its dynamic
+/// source indices keep it on the stack, which is what the generated
+/// kernels exist to avoid. The lowering emits terms grouped by destination
+/// (temporaries in definition order, then outputs in order), so each
+/// destination is one contiguous run accumulated from zero.
+impl Program for Tape {
+    #[inline(always)]
+    unsafe fn step<V: F32Vector, L: Load, E: Emit>(&self, load: L, emit: E, l: usize) {
+        let mut file = [V::zero(); MAX_REGS];
+        for j in 0..self.n_in {
+            file[j] = load.load(j, l);
+        }
+        let mut k = 0;
+        for d in self.n_in..self.n_in + self.n_temps + self.n_out {
+            let mut acc = V::zero();
+            while k < self.instrs.len() && self.instrs[k].dst as usize == d {
+                let ins = self.instrs[k];
+                acc = acc.add(V::splat(ins.coeff).mul(file[ins.src as usize]));
+                k += 1;
+            }
+            match d.checked_sub(self.n_in + self.n_temps) {
+                Some(i) => emit.emit(acc, i, l),
+                None => file[d] = acc,
+            }
+        }
+    }
+}
+
+/// The lane loop: `V`-wide chunks, then a scalar tail.
 ///
-/// The lowering emits instructions grouped by destination (temporaries in
-/// definition order, then outputs in order), so each destination's terms
-/// are a contiguous run — the accumulator stays in a true vector register
-/// and only completed values touch the (stack-resident) file. Term order
-/// within a run matches the interpreter's accumulate-from-zero exactly.
+/// # Safety
+///
+/// As [`Tape::run`]: `V`'s features available, `load` / `emit` valid for
+/// every slot of `p` at every lane offset below `lanes`.
 #[inline(always)]
-unsafe fn eval_temps<V: F32Vector, const N: usize>(tape: &Tape, file: &mut [V; N], k: &mut usize) {
-    let instrs = tape.instrs.as_slice();
-    for t in 0..tape.n_temps {
-        let dst = (tape.n_in + t) as u8;
-        let mut acc = V::zero();
-        while *k < instrs.len() && instrs[*k].dst == dst {
-            let ins = instrs[*k];
-            acc = acc.add(V::splat(ins.coeff).mul(file[ins.src as usize]));
-            *k += 1;
-        }
-        file[tape.n_in + t] = acc;
-    }
-}
-
-/// Accumulate output slot `i`'s terms starting at instruction `k`,
-/// returning the finished vector — outputs never round-trip through the
-/// file, they go straight to the caller's store/quantize epilogue.
-#[inline(always)]
-unsafe fn eval_output<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    file: &[V; N],
-    k: &mut usize,
-    i: usize,
-) -> V {
-    let instrs = tape.instrs.as_slice();
-    let dst = (tape.n_in + tape.n_temps + i) as u8;
-    let mut acc = V::zero();
-    while *k < instrs.len() && instrs[*k].dst == dst {
-        let ins = instrs[*k];
-        acc = acc.add(V::splat(ins.coeff).mul(file[ins.src as usize]));
-        *k += 1;
-    }
-    acc
-}
-
-/// Load the f32 input slots and evaluate the temporaries; returns the
-/// file and the instruction cursor positioned at the first output term.
-#[inline(always)]
-unsafe fn load_and_eval<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    ip: *const f32,
-    in_stride: usize,
-) -> ([V; N], usize) {
-    let mut file = [V::zero(); N];
-    for j in 0..tape.n_in {
-        file[j] = V::load(ip.add(j * in_stride));
-    }
-    let mut k = 0;
-    eval_temps(tape, &mut file, &mut k);
-    (file, k)
-}
-
-/// As [`load_and_eval`], but inputs are `i32` lanes dequantized at load
-/// time.
-#[inline(always)]
-unsafe fn load_and_eval_dequant<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    ip: *const i32,
-    in_stride: usize,
-    sp: *const f32,
-    scale_stride: usize,
-) -> ([V; N], usize) {
-    let mut file = [V::zero(); N];
-    for j in 0..tape.n_in {
-        file[j] = V::load_i32_scaled(ip.add(j * in_stride), *sp.add(j * scale_stride));
-    }
-    let mut k = 0;
-    eval_temps(tape, &mut file, &mut k);
-    (file, k)
-}
-
-#[inline(always)]
-unsafe fn drive_f32_sized<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    op: *mut f32,
-    out_stride: usize,
-) {
+unsafe fn drive<V: F32Vector, P: Program, L: Load, E: Emit>(p: &P, lanes: usize, load: L, emit: E) {
     let main = lanes - lanes % V::WIDTH;
     let mut l = 0;
     while l < main {
-        let (file, mut k) = load_and_eval::<V, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).store(op.add(i * out_stride + l));
-        }
+        p.step::<V, L, E>(load, emit, l);
         l += V::WIDTH;
     }
     while l < lanes {
-        let (file, mut k) = load_and_eval::<F32x1, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).store(op.add(i * out_stride + l));
-        }
+        p.step::<F32x1, L, E>(load, emit, l);
         l += 1;
     }
 }
 
-#[inline(always)]
-unsafe fn drive_f32<V: F32Vector>(
-    tape: &Tape,
+struct Run<V, L, E> {
     lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    op: *mut f32,
-    out_stride: usize,
-) {
-    let file_regs = tape.n_in + tape.n_temps;
-    if file_regs <= TINY_REGS {
-        drive_f32_sized::<V, TINY_REGS>(tape, lanes, ip, in_stride, op, out_stride);
-    } else if file_regs <= SMALL_REGS {
-        drive_f32_sized::<V, SMALL_REGS>(tape, lanes, ip, in_stride, op, out_stride);
-    } else {
-        drive_f32_sized::<V, MAX_REGS>(tape, lanes, ip, in_stride, op, out_stride);
+    load: L,
+    emit: E,
+    _tier: PhantomData<V>,
+}
+
+impl<V: F32Vector, L: Load, E: Emit> KernelVisitor for Run<V, L, E> {
+    #[inline(always)]
+    unsafe fn visit<K: Kernel<NI, NO>, const NI: usize, const NO: usize>(self) {
+        drive::<V, _, L, E>(&Generated::<K, NI, NO>(PhantomData), self.lanes, self.load, self.emit);
     }
 }
 
-/// One output vector through the post-op epilogue: bias, then residual
-/// slot tile, then ReLU — the register-resident fusion point.
+/// Run `tape` at vector type `V`: its generated kernel when it resolved
+/// one, the generic driver otherwise.
+///
+/// # Safety
+///
+/// As [`drive`]. A resolved kernel has the tape's slot counts (`lower`
+/// matched the whole term list), so the same spans cover both paths.
 #[inline(always)]
-unsafe fn apply_post<V: F32Vector>(mut v: V, post: RawPost, i: usize, l: usize) -> V {
-    if !post.bias.is_null() {
-        v = v.add(V::load(post.bias.add(l)));
-    }
-    if !post.res.is_null() {
-        v = v.add(V::load(post.res.add(i * post.res_stride + l)));
-    }
-    if post.relu {
-        v = v.max(V::zero());
-    }
-    v
-}
-
-#[inline(always)]
-unsafe fn drive_post_sized<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    post: RawPost,
-    op: *mut f32,
-    out_stride: usize,
-) {
-    let main = lanes - lanes % V::WIDTH;
-    let mut l = 0;
-    while l < main {
-        let (file, mut k) = load_and_eval::<V, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            let v = eval_output(tape, &file, &mut k, i);
-            apply_post(v, post, i, l).store(op.add(i * out_stride + l));
-        }
-        l += V::WIDTH;
-    }
-    while l < lanes {
-        let (file, mut k) = load_and_eval::<F32x1, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            let v = eval_output(tape, &file, &mut k, i);
-            apply_post(v, post, i, l).store(op.add(i * out_stride + l));
-        }
-        l += 1;
+unsafe fn run_tier<V: F32Vector, L: Load, E: Emit>(tape: &Tape, lanes: usize, load: L, emit: E) {
+    match tape.kernel {
+        Some(id) => kernels::dispatch(
+            id,
+            Run {
+                lanes,
+                load,
+                emit,
+                _tier: PhantomData::<V>,
+            },
+        ),
+        None => drive::<V, _, L, E>(tape, lanes, load, emit),
     }
 }
 
-#[inline(always)]
-unsafe fn drive_post<V: F32Vector>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    post: RawPost,
-    op: *mut f32,
-    out_stride: usize,
-) {
-    let file_regs = tape.n_in + tape.n_temps;
-    if file_regs <= TINY_REGS {
-        drive_post_sized::<V, TINY_REGS>(tape, lanes, ip, in_stride, post, op, out_stride);
-    } else if file_regs <= SMALL_REGS {
-        drive_post_sized::<V, SMALL_REGS>(tape, lanes, ip, in_stride, post, op, out_stride);
-    } else {
-        drive_post_sized::<V, MAX_REGS>(tape, lanes, ip, in_stride, post, op, out_stride);
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn drive_quant_sized<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    ap: *const f32,
-    alpha_stride: usize,
-    offset: i32,
-    op: *mut u8,
-    out_stride: usize,
-) {
-    let main = lanes - lanes % V::WIDTH;
-    let mut l = 0;
-    while l < main {
-        let (file, mut k) = load_and_eval::<V, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).quantize_u8(
-                *ap.add(i * alpha_stride),
-                offset,
-                op.add(i * out_stride + l),
-            );
-        }
-        l += V::WIDTH;
-    }
-    while l < lanes {
-        let (file, mut k) = load_and_eval::<F32x1, N>(tape, ip.add(l), in_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).quantize_u8(
-                *ap.add(i * alpha_stride),
-                offset,
-                op.add(i * out_stride + l),
-            );
-        }
-        l += 1;
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn drive_quant<V: F32Vector>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const f32,
-    in_stride: usize,
-    ap: *const f32,
-    alpha_stride: usize,
-    offset: i32,
-    op: *mut u8,
-    out_stride: usize,
-) {
-    let file_regs = tape.n_in + tape.n_temps;
-    if file_regs <= TINY_REGS {
-        drive_quant_sized::<V, TINY_REGS>(
-            tape, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride,
-        );
-    } else if file_regs <= SMALL_REGS {
-        drive_quant_sized::<V, SMALL_REGS>(
-            tape, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride,
-        );
-    } else {
-        drive_quant_sized::<V, MAX_REGS>(
-            tape, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride,
-        );
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn drive_dequant_sized<V: F32Vector, const N: usize>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const i32,
-    in_stride: usize,
-    sp: *const f32,
-    scale_stride: usize,
-    op: *mut f32,
-    out_stride: usize,
-) {
-    let main = lanes - lanes % V::WIDTH;
-    let mut l = 0;
-    while l < main {
-        let (file, mut k) =
-            load_and_eval_dequant::<V, N>(tape, ip.add(l), in_stride, sp, scale_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).store(op.add(i * out_stride + l));
-        }
-        l += V::WIDTH;
-    }
-    while l < lanes {
-        let (file, mut k) =
-            load_and_eval_dequant::<F32x1, N>(tape, ip.add(l), in_stride, sp, scale_stride);
-        for i in 0..tape.n_out {
-            eval_output(tape, &file, &mut k, i).store(op.add(i * out_stride + l));
-        }
-        l += 1;
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn drive_dequant<V: F32Vector>(
-    tape: &Tape,
-    lanes: usize,
-    ip: *const i32,
-    in_stride: usize,
-    sp: *const f32,
-    scale_stride: usize,
-    op: *mut f32,
-    out_stride: usize,
-) {
-    let file_regs = tape.n_in + tape.n_temps;
-    if file_regs <= TINY_REGS {
-        drive_dequant_sized::<V, TINY_REGS>(
-            tape, lanes, ip, in_stride, sp, scale_stride, op, out_stride,
-        );
-    } else if file_regs <= SMALL_REGS {
-        drive_dequant_sized::<V, SMALL_REGS>(
-            tape, lanes, ip, in_stride, sp, scale_stride, op, out_stride,
-        );
-    } else {
-        drive_dequant_sized::<V, MAX_REGS>(
-            tape, lanes, ip, in_stride, sp, scale_stride, op, out_stride,
-        );
-    }
+/// The scalar tier, out of line like the x86 wrappers so the `#[inline]`
+/// entry points do not each carry a copy of every kernel.
+///
+/// # Safety
+///
+/// As [`run_tier`] (the scalar model has no feature requirement).
+#[inline(never)]
+unsafe fn run_scalar<L: Load, E: Emit>(tape: &Tape, lanes: usize, load: L, emit: E) {
+    run_tier::<F32x1, L, E>(tape, lanes, load, emit);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -729,116 +660,20 @@ mod x86 {
     use super::*;
     use lowino_simd::vecf32::{F32x16, F32x8};
 
+    /// # Safety
+    ///
+    /// `avx512f` must be available; otherwise as [`run_tier`].
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn f32_avx512(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_f32::<F32x16>(tape, lanes, ip, in_stride, op, out_stride);
+    pub(super) unsafe fn run_avx512<L: Load, E: Emit>(tape: &Tape, lanes: usize, load: L, emit: E) {
+        run_tier::<F32x16, L, E>(tape, lanes, load, emit);
     }
 
+    /// # Safety
+    ///
+    /// `avx2` must be available; otherwise as [`run_tier`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn f32_avx2(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_f32::<F32x8>(tape, lanes, ip, in_stride, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn f32_post_avx512(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        post: RawPost,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_post::<F32x16>(tape, lanes, ip, in_stride, post, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn f32_post_avx2(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        post: RawPost,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_post::<F32x8>(tape, lanes, ip, in_stride, post, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn quant_avx512(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        ap: *const f32,
-        alpha_stride: usize,
-        offset: i32,
-        op: *mut u8,
-        out_stride: usize,
-    ) {
-        drive_quant::<F32x16>(tape, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn quant_avx2(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const f32,
-        in_stride: usize,
-        ap: *const f32,
-        alpha_stride: usize,
-        offset: i32,
-        op: *mut u8,
-        out_stride: usize,
-    ) {
-        drive_quant::<F32x8>(tape, lanes, ip, in_stride, ap, alpha_stride, offset, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn dequant_avx512(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const i32,
-        in_stride: usize,
-        sp: *const f32,
-        scale_stride: usize,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_dequant::<F32x16>(tape, lanes, ip, in_stride, sp, scale_stride, op, out_stride);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn dequant_avx2(
-        tape: &Tape,
-        lanes: usize,
-        ip: *const i32,
-        in_stride: usize,
-        sp: *const f32,
-        scale_stride: usize,
-        op: *mut f32,
-        out_stride: usize,
-    ) {
-        drive_dequant::<F32x8>(tape, lanes, ip, in_stride, sp, scale_stride, op, out_stride);
+    pub(super) unsafe fn run_avx2<L: Load, E: Emit>(tape: &Tape, lanes: usize, load: L, emit: E) {
+        run_tier::<F32x8, L, E>(tape, lanes, load, emit);
     }
 }
 

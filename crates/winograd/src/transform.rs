@@ -10,7 +10,7 @@
 
 use crate::codelet::Codelet;
 use crate::matrices::{MatrixError, WinogradMatrices};
-use crate::tape::Tape;
+use crate::tape::{Tape, TapePostOps};
 use lowino_simd::vecf32::VecTier;
 
 /// Scratch space for tile transforms (reused across tiles; no allocation in
@@ -22,6 +22,9 @@ pub struct TransformScratch {
     cse: Vec<f32>,
     tmp_i32: Vec<i32>,
     cse_i32: Vec<i32>,
+    /// One row of quantized `V` lines (`n · lanes` bytes): the staging
+    /// buffer between the quantize epilogue and the line sink.
+    row_u8: Vec<u8>,
 }
 
 impl TransformScratch {
@@ -40,6 +43,7 @@ impl TransformScratch {
             cse: Vec::new(),
             tmp_i32: Vec::new(),
             cse_i32: Vec::new(),
+            row_u8: Vec::new(),
         }
     }
 }
@@ -50,13 +54,13 @@ impl Default for TransformScratch {
     }
 }
 
-/// Compiled transforms for one `F(m×m, r×r)` algorithm.
+/// The transforms of one `F(m×m, r×r)` algorithm.
 ///
 /// Each 1-D codelet exists in two forms: the interpreted [`Codelet`]
-/// (reference oracle) and its lowered [`Tape`] (the production path,
-/// executed over explicit SIMD vectors — see [`crate::tape`]). The
-/// `*_compiled` / fused methods are bitwise identical to their
-/// interpreted counterparts.
+/// (reference oracle) and its lowered [`Tape`] (the production path: a
+/// generated straight-line kernel for `F(2,3)`/`F(4,3)`/`F(6,3)`, the
+/// generic driver otherwise — see [`crate::tape`]). The `*_compiled` /
+/// fused methods are bitwise identical to their interpreted counterparts.
 #[derive(Debug)]
 pub struct TileTransformer {
     w: WinogradMatrices,
@@ -153,6 +157,9 @@ impl TileTransformer {
         }
         if s.cse_i32.len() < cse_len {
             s.cse_i32.resize(cse_len, 0);
+        }
+        if s.row_u8.len() < n * lanes {
+            s.row_u8.resize(n * lanes, 0);
         }
     }
 
@@ -305,10 +312,10 @@ impl TileTransformer {
     ) {
         let n = self.n();
         let lanes = s.lanes;
-        for j in 0..n {
-            self.bt_tape
-                .execute_f32(vt, lanes, d, j * lanes, n * lanes, &mut s.tmp, j * lanes, n * lanes);
-        }
+        // Column pass: the `n` columns of a row are contiguous, so all of
+        // them are one call over `n·lanes` lanes.
+        self.bt_tape
+            .execute_f32(vt, n * lanes, d, 0, n * lanes, &mut s.tmp, 0, n * lanes);
         for i in 0..n {
             self.bt_tape
                 .execute_f32(vt, lanes, &s.tmp, i * n * lanes, lanes, v, i * n * lanes, lanes);
@@ -325,10 +332,8 @@ impl TileTransformer {
     ) {
         let (n, r) = (self.n(), self.r());
         let lanes = s.lanes;
-        for j in 0..r {
-            self.g_tape
-                .execute_f32(vt, lanes, g, j * lanes, r * lanes, &mut s.tmp, j * lanes, r * lanes);
-        }
+        self.g_tape
+            .execute_f32(vt, r * lanes, g, 0, r * lanes, &mut s.tmp, 0, r * lanes);
         for i in 0..n {
             self.g_tape
                 .execute_f32(vt, lanes, &s.tmp, i * r * lanes, lanes, u, i * n * lanes, lanes);
@@ -345,10 +350,8 @@ impl TileTransformer {
     ) {
         let (n, m) = (self.n(), self.m());
         let lanes = s.lanes;
-        for j in 0..n {
-            self.at_tape
-                .execute_f32(vt, lanes, z, j * lanes, n * lanes, &mut s.tmp, j * lanes, n * lanes);
-        }
+        self.at_tape
+            .execute_f32(vt, n * lanes, z, 0, n * lanes, &mut s.tmp, 0, n * lanes);
         for i in 0..m {
             self.at_tape
                 .execute_f32(vt, lanes, &s.tmp, i * n * lanes, lanes, y, i * m * lanes, lanes);
@@ -357,32 +360,39 @@ impl TileTransformer {
 
     // -- fused epilogue transforms (the LoWino production path) ----------
 
-    /// Input transform with the **fused quantize epilogue**: the column
-    /// pass runs on the compiled tape as usual, and the row pass quantizes
-    /// each `V` element group in-register (Eq. 4 with scale
-    /// `alphas[t]` for Winograd-domain element `t = i·n + j`, plus the
-    /// `+128` compensation when `compensate`) and writes `q` directly as
-    /// u8 lanes — the f32 `V` tile is never materialized.
+    /// Input transform with the **fused quantize epilogue**, reading the
+    /// tile **in place** and handing each finished `V` line to `sink`.
     ///
-    /// `q` uses the same `n×n` lane-group layout as `v` in
-    /// [`Self::input_tile_f32`]. Bitwise identical to the interpreted
-    /// transform followed by `quantize_f32_lanes_i8` per element group.
-    pub fn input_tile_quantized(
+    /// Tile element `(i, j)` is the `lanes` values at
+    /// `d[d_base + i·d_row_stride + j·lanes ..]` — a gathered patch
+    /// (`d_row_stride = n·lanes`) or a window of the blocked image itself
+    /// (`d_row_stride` = its row pitch). The column pass runs `Bᵀ` straight
+    /// off that source; the row pass quantizes each `V` element group
+    /// in-register (Eq. 4 with scale `alphas[t]` for Winograd-domain
+    /// element `t = i·n + j`, plus the `+128` compensation when
+    /// `compensate`) and calls `sink(t, line)` with its `lanes` bytes, in
+    /// ascending `t` — the f32 `V` tile is never materialized.
+    ///
+    /// Bitwise identical to the interpreted transform followed by
+    /// `quantize_f32_lanes_i8` per element group.
+    pub fn input_tile_quantized_with(
         &self,
         vt: VecTier,
         d: &[f32],
+        d_base: usize,
+        d_row_stride: usize,
         alphas: &[f32],
         compensate: bool,
-        q: &mut [u8],
         s: &mut TransformScratch,
+        mut sink: impl FnMut(usize, &[u8]),
     ) {
         let n = self.n();
         let lanes = s.lanes;
         debug_assert!(alphas.len() >= n * n);
-        for j in 0..n {
-            self.bt_tape
-                .execute_f32(vt, lanes, d, j * lanes, n * lanes, &mut s.tmp, j * lanes, n * lanes);
-        }
+        // Column pass: the `n` columns of a source row are contiguous, so
+        // all of them are one call over `n·lanes` lanes.
+        self.bt_tape
+            .execute_f32(vt, n * lanes, d, d_base, d_row_stride, &mut s.tmp, 0, n * lanes);
         for i in 0..n {
             self.bt_tape.execute_quant_u8(
                 vt,
@@ -394,11 +404,32 @@ impl TileTransformer {
                 i * n,
                 1,
                 compensate,
-                q,
-                i * n * lanes,
+                &mut s.row_u8,
+                0,
                 lanes,
             );
+            for (j, line) in s.row_u8[..n * lanes].chunks_exact(lanes).enumerate() {
+                sink(i * n + j, line);
+            }
         }
+    }
+
+    /// [`Self::input_tile_quantized_with`] from a gathered `n×n` patch into
+    /// a `q` tile of the same layout (`u8` lanes per element group).
+    pub fn input_tile_quantized(
+        &self,
+        vt: VecTier,
+        d: &[f32],
+        alphas: &[f32],
+        compensate: bool,
+        q: &mut [u8],
+        s: &mut TransformScratch,
+    ) {
+        let lanes = s.lanes;
+        let stride = self.n() * lanes;
+        self.input_tile_quantized_with(vt, d, 0, stride, alphas, compensate, s, |t, line| {
+            q[t * lanes..(t + 1) * lanes].copy_from_slice(line);
+        });
     }
 
     /// Output transform with the **fused dequantize prologue**: consumes
@@ -409,7 +440,6 @@ impl TileTransformer {
     ///
     /// Bitwise identical to `dequantize_i32_lanes` into a scratch f32 tile
     /// followed by [`Self::output_tile_f32`].
-    #[allow(clippy::too_many_arguments)]
     pub fn output_tile_dequantized(
         &self,
         vt: VecTier,
@@ -419,28 +449,7 @@ impl TileTransformer {
         y: &mut [f32],
         s: &mut TransformScratch,
     ) {
-        let (n, m) = (self.n(), self.m());
-        let lanes = s.lanes;
-        debug_assert!(stride == 0 || inv_alphas.len() >= n * n);
-        for j in 0..n {
-            self.at_tape.execute_dequant_f32(
-                vt,
-                lanes,
-                z,
-                j * lanes,
-                n * lanes,
-                inv_alphas,
-                j * stride,
-                n * stride,
-                &mut s.tmp,
-                j * lanes,
-                n * lanes,
-            );
-        }
-        for i in 0..m {
-            self.at_tape
-                .execute_f32(vt, lanes, &s.tmp, i * n * lanes, lanes, y, i * m * lanes, lanes);
-        }
+        self.output_tile_dequantized_post(vt, z, inv_alphas, stride, TapePostOps::default(), y, s);
     }
 
     /// [`Self::output_tile_dequantized`] with the graph engine's fused
@@ -452,15 +461,56 @@ impl TileTransformer {
     ///
     /// Bitwise identical to [`Self::output_tile_dequantized`] followed by
     /// the scalar `((y + bias) + res).max(0.0)` per element.
-    #[allow(clippy::too_many_arguments)]
     pub fn output_tile_dequantized_post(
         &self,
         vt: VecTier,
         z: &[i32],
         inv_alphas: &[f32],
         stride: usize,
-        post: crate::tape::TapePostOps<'_>,
+        post: TapePostOps<'_>,
         y: &mut [f32],
+        s: &mut TransformScratch,
+    ) {
+        let (m, lanes) = (self.m(), s.lanes);
+        assert!(y.len() >= m * m * lanes);
+        // SAFETY: `y` holds the `m` rows of `m·lanes` values at pitch
+        // `m·lanes` (asserted above) and is exclusively borrowed.
+        unsafe {
+            self.output_tile_dequantized_post_strided(
+                vt,
+                z,
+                inv_alphas,
+                stride,
+                post,
+                m * post.residual.map_or(0, |r| r.2),
+                y.as_mut_ptr(),
+                m * lanes,
+                s,
+            );
+        }
+    }
+
+    /// [`Self::output_tile_dequantized_post`] storing the tile **in
+    /// place**: output row `i` is the `m·lanes` values at
+    /// `y + i·y_row_stride` (a tile buffer, or a window of the blocked
+    /// output image at its row pitch), and row `i` of the residual starts
+    /// `i·res_row_stride` past `post.residual`'s base (its slot stride is
+    /// the pixel pitch, as in [`TapePostOps`]).
+    ///
+    /// # Safety
+    ///
+    /// For every `i < m`, `y + i·y_row_stride` must be valid for `m·lanes`
+    /// writes that no other reference or thread touches during the call.
+    pub unsafe fn output_tile_dequantized_post_strided(
+        &self,
+        vt: VecTier,
+        z: &[i32],
+        inv_alphas: &[f32],
+        stride: usize,
+        post: TapePostOps<'_>,
+        res_row_stride: usize,
+        y: *mut f32,
+        y_row_stride: usize,
         s: &mut TransformScratch,
     ) {
         let (n, m) = (self.n(), self.m());
@@ -482,26 +532,17 @@ impl TileTransformer {
             );
         }
         for i in 0..m {
-            // Row `i` of the `m×m` residual tile lines up with row `i` of
-            // `y`: slot `j` at `base + (i·m + j)·stride`.
-            let row_post = crate::tape::TapePostOps {
-                bias: post.bias,
+            // SAFETY: the caller's contract — row `i` is `m·lanes` writable
+            // values nothing else touches.
+            let row = unsafe { core::slice::from_raw_parts_mut(y.add(i * y_row_stride), m * lanes) };
+            let row_post = TapePostOps {
                 residual: post
                     .residual
-                    .map(|(buf, base, stride)| (buf, base + i * m * stride, stride)),
-                relu: post.relu,
+                    .map(|(buf, base, slot)| (buf, base + i * res_row_stride, slot)),
+                ..post
             };
-            self.at_tape.execute_f32_post(
-                vt,
-                lanes,
-                &s.tmp,
-                i * n * lanes,
-                lanes,
-                row_post,
-                y,
-                i * m * lanes,
-                lanes,
-            );
+            self.at_tape
+                .execute_f32_post(vt, lanes, &s.tmp, i * n * lanes, lanes, row_post, row, 0, lanes);
         }
     }
 }

@@ -1,24 +1,26 @@
-//! Property tests: the compiled instruction tape ([`lowino_winograd::tape`])
+//! Property tests: a lowered tape ([`lowino_winograd::tape`]) — on its
+//! generated straight-line kernel and on the generic run-time driver alike —
 //! is **bitwise identical** to the interpreted codelet executor (the
-//! reference oracle) — for every available vector tier, every supported
-//! `F(m, 3)` transform matrix, random lane counts and strided addressing,
-//! and for the fused quantize/dequantize epilogues against their two-pass
-//! spellings.
+//! reference oracle): for every available vector tier, every entry point
+//! (plain f32, post-ops, fused quantize, fused dequantize), every generated
+//! `F(m, 3)` transform matrix and sizes outside the generated set, random
+//! lane counts (scalar tails included), `-0.0` inputs and magnitudes that
+//! saturate INT8, with strided addressing.
 
 use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_i32_lanes, quantize_f32_lanes_i8};
 use lowino_testkit::{one_of, prop_assert, property, Rng};
 use lowino_winograd::codelet::Codelet;
-use lowino_winograd::tape::Tape;
+use lowino_winograd::tape::{Tape, TapePostOps};
 use lowino_winograd::{TileTransformer, WinogradMatrices};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The three 1-D transform matrices of `F(m, 3)` as (name, codelet) pairs.
-fn codelets(m: usize) -> Vec<(&'static str, Codelet)> {
-    let w = WinogradMatrices::for_tile(m, 3).unwrap();
+/// The three 1-D transform matrices of `F(m, r)` as (name, codelet) pairs.
+fn codelets(m: usize, r: usize) -> Vec<(&'static str, Codelet)> {
+    let w = WinogradMatrices::for_tile(m, r).unwrap();
     vec![
         ("bt", Codelet::generate(&w.bt)),
         ("g", Codelet::generate(&w.g)),
@@ -26,32 +28,159 @@ fn codelets(m: usize) -> Vec<(&'static str, Codelet)> {
     ]
 }
 
+/// Random values with the cases the identity contract is about mixed in:
+/// `-0.0` (a destination starts from `+0.0`, so a lone `c · -0.0` term must
+/// come out as `+0.0`), `+0.0`, and magnitudes that clamp at ±127 under the
+/// quantize scales below.
+fn edgy_f32(rng: &mut Rng, len: usize) -> Vec<f32> {
+    let mut v = vec![0.0f32; len];
+    rng.fill_f32(&mut v, -9.0, 9.0);
+    for x in v.iter_mut() {
+        match rng.range_i32(0, 8) {
+            0 => *x = -0.0,
+            1 => *x = 0.0,
+            2 => *x *= 1e4,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// All four entry points of `tape` against the interpreted `code` composed
+/// with the scalar `lowino-simd` conversions, on every available tier.
+fn check_entry_points(
+    what: &str,
+    code: &Codelet,
+    tape: &Tape,
+    lanes: usize,
+    rng: &mut Rng,
+) -> Result<(), String> {
+    let (n_in, n_out) = (code.n_in(), code.n_out());
+    // Slots wider apart than the lane group, at a nonzero base.
+    let (in_base, in_stride) = (3, lanes + 2);
+    let (out_base, out_stride) = (1, lanes + 5);
+    let in_len = in_base + n_in * in_stride;
+    let out_len = out_base + n_out * out_stride;
+    let mut cse = vec![0.0f32; code.n_temps().max(1) * lanes];
+    let interpret = |input: &[f32], cse: &mut [f32]| {
+        let mut want = vec![0.0f32; out_len];
+        code.execute_f32(lanes, input, in_base, in_stride, &mut want, out_base, out_stride, cse);
+        want
+    };
+    let slot = |i: usize| out_base + i * out_stride..out_base + i * out_stride + lanes;
+
+    let input = edgy_f32(rng, in_len);
+    let want = interpret(&input, &mut cse);
+
+    // Post-ops: bias, a residual at its own base/stride, ReLU.
+    let bias = edgy_f32(rng, lanes);
+    let (res_base, res_stride) = (2, lanes + 1);
+    let res = edgy_f32(rng, res_base + n_out * res_stride);
+    let mut want_post = want.clone();
+    for i in 0..n_out {
+        for l in 0..lanes {
+            let v = (want[slot(i)][l] + bias[l]) + res[res_base + i * res_stride + l];
+            want_post[slot(i)][l] = if v > 0.0 { v } else { 0.0 };
+        }
+    }
+
+    // Quantize: one scale per slot, large enough to saturate some lanes.
+    let mut alphas = vec![0.0f32; n_out];
+    rng.fill_f32(&mut alphas, 0.05, 40.0);
+
+    // Dequantize: raw i32 slots, per-slot scales (stride 1) or one (stride 0).
+    let z: Vec<i32> = (0..in_len).map(|_| rng.range_i32(-2_000_000, 2_000_000)).collect();
+    let mut scales = vec![0.0f32; n_in];
+    rng.fill_f32(&mut scales, 1e-5, 2e-3);
+
+    for vt in VecTier::available() {
+        let mut got = vec![f32::NAN; out_len];
+        tape.execute_f32(vt, lanes, &input, in_base, in_stride, &mut got, out_base, out_stride);
+        for i in 0..n_out {
+            prop_assert!(
+                bits(&got[slot(i)]) == bits(&want[slot(i)]),
+                "{what} f32 tier={vt} lanes={lanes} slot {i}"
+            );
+        }
+
+        let mut got = vec![f32::NAN; out_len];
+        let post = TapePostOps {
+            bias: Some(&bias),
+            residual: Some((&res, res_base, res_stride)),
+            relu: true,
+        };
+        tape.execute_f32_post(vt, lanes, &input, in_base, in_stride, post, &mut got, out_base, out_stride);
+        for i in 0..n_out {
+            prop_assert!(
+                bits(&got[slot(i)]) == bits(&want_post[slot(i)]),
+                "{what} post tier={vt} lanes={lanes} slot {i}"
+            );
+        }
+
+        for compensate in [true, false] {
+            let mut got = vec![0xAAu8; out_len];
+            tape.execute_quant_u8(
+                vt, lanes, &input, in_base, in_stride, &alphas, 0, 1, compensate,
+                &mut got, out_base, out_stride,
+            );
+            for i in 0..n_out {
+                let mut want_q = vec![0u8; lanes];
+                quantize_f32_lanes_i8(&want[slot(i)], alphas[i], compensate, &mut want_q);
+                prop_assert!(
+                    got[slot(i)] == want_q[..],
+                    "{what} quant tier={vt} lanes={lanes} compensate={compensate} slot {i}"
+                );
+            }
+        }
+
+        for scale_stride in [0usize, 1] {
+            let mut zf = vec![0.0f32; in_len];
+            for j in 0..n_in {
+                let span = in_base + j * in_stride..in_base + j * in_stride + lanes;
+                dequantize_i32_lanes(&z[span.clone()], scales[j * scale_stride], &mut zf[span]);
+            }
+            let want_d = interpret(&zf, &mut cse);
+            let mut got = vec![f32::NAN; out_len];
+            tape.execute_dequant_f32(
+                vt, lanes, &z, in_base, in_stride, &scales, 0, scale_stride,
+                &mut got, out_base, out_stride,
+            );
+            for i in 0..n_out {
+                prop_assert!(
+                    bits(&got[slot(i)]) == bits(&want_d[slot(i)]),
+                    "{what} dequant tier={vt} lanes={lanes} scale_stride={scale_stride} slot {i}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 property! {
-    /// 1-D codelet execution: tape == interpreter, bit for bit, on every
-    /// available tier, for random lane counts straddling every chunk
-    /// boundary.
-    #[cases(48)]
-    fn tape_matches_interpreter_1d(
-        m in one_of(&[2usize, 4, 6]),
+    /// 1-D codelet execution, every entry point: generated kernel ==
+    /// generic driver == interpreter, bit for bit, on every available tier,
+    /// for lane counts straddling every chunk boundary. Sizes outside the
+    /// generated set must still lower — onto the generic driver — and match.
+    #[cases(64)]
+    fn every_entry_point_matches_interpreter_1d(
+        size in one_of(&[(2usize, 3usize), (4, 3), (6, 3), (3, 3), (2, 5)]),
         lanes in 1usize..70,
         seed in 0u64..1_000_000,
     ) {
+        let (m, r) = size;
+        let generated = r == 3 && [2, 4, 6].contains(&m);
         let mut rng = Rng::seed_from_u64(seed ^ 0xD1CE);
-        for (name, code) in codelets(m) {
+        for (name, code) in codelets(m, r) {
             let tape = Tape::lower(&code);
-            let (n_in, n_out) = (code.n_in(), code.n_out());
-            let mut input = vec![0.0f32; n_in * lanes];
-            rng.fill_f32(&mut input, -9.0, 9.0);
-            let mut want = vec![0.0f32; n_out * lanes];
-            let mut cse = vec![0.0f32; code.n_temps().max(1) * lanes];
-            code.execute_f32(lanes, &input, 0, lanes, &mut want, 0, lanes, &mut cse);
-            for vt in VecTier::available() {
-                let mut got = vec![f32::NAN; n_out * lanes];
-                tape.execute_f32(vt, lanes, &input, 0, lanes, &mut got, 0, lanes);
-                prop_assert!(
-                    bits(&got) == bits(&want),
-                    "F({m},3) {name} tier={vt} lanes={lanes}: {got:?} != {want:?}"
-                );
+            prop_assert!(
+                tape.kernel().is_some() == generated,
+                "F({m},{r}) {name}: resolved {:?}", tape.kernel()
+            );
+            check_entry_points(&format!("F({m},{r}) {name} lowered"), &code, &tape, lanes, &mut rng)?;
+            if generated {
+                let generic = Tape::lower_generic(&code);
+                prop_assert!(generic.kernel().is_none());
+                check_entry_points(&format!("F({m},{r}) {name} generic"), &code, &generic, lanes, &mut rng)?;
             }
         }
     }
