@@ -35,6 +35,12 @@ for threads in 1 8; do
     echo "==> allocation audits (--test-threads=$threads)"
     cargo test -q --offline -p lowino-conv --test steady_state_alloc -- --test-threads="$threads"
     cargo test -q --offline -p lowino-nn --test graph_alloc -- --test-threads="$threads"
+    # LoWino's two schedules against each other: its fault-injection and
+    # trace-counter cases arm process-global state behind a reader/writer
+    # gate, which must hold serially and with more harness threads than
+    # cores alike.
+    echo "==> LoWino staged vs depth-first (--test-threads=$threads)"
+    cargo test -q --offline -p lowino-conv --test lowino_chained -- --test-threads="$threads"
 done
 
 # Re-run the suite pinned to each narrower vector tier the host supports
@@ -67,6 +73,12 @@ for forced in scalar avx2 avx512vnni; do
         echo "==> LoWino in-place + kernel identity (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_in_place
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-winograd --test tape_equivalence
+        # The depth-first schedule (tile blocks through ① → ② → ③ in one
+        # worker's L2) must equal the staged one and the three-fork-join
+        # reference bit for bit on every tier: the block GEMM entry point
+        # and the cache-allocating store kind dispatch on it too.
+        echo "==> LoWino staged vs depth-first identity (LOWINO_FORCE_TIER=$forced)"
+        LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_chained
     else
         echo "==> tier $forced not supported on this host; skipping forced-tier pass"
     fi
@@ -75,8 +87,18 @@ done
 # Smoke-run the schedule bench: proves the bench targets build and that
 # both the fused single-fork-join path and the retained three-fork-join
 # reference path execute end to end (seconds-long smoke configuration).
+# Its schedule/* rows run one conv_wide-shaped and one model-stem-shaped
+# LoWino layer on a cache model without an L2 (staged) and on the detected
+# one (depth-first where the host's L2 holds the layer; the row is named
+# after the schedule that ran). Both rows of both layers must be there;
+# which schedule a given host picks is the chain-rule table test's job.
 echo "==> bench smoke (forkjoin, LOWINO_BENCH_SMOKE=1)"
-LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench forkjoin
+forkjoin_out="$(LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench forkjoin)"
+echo "$forkjoin_out"
+for layer in wide128x40 stem3x32; do
+    grep -q "^schedule/$layer/t2/staged" <<<"$forkjoin_out"
+    [[ "$(grep -c "^schedule/$layer/t2/" <<<"$forkjoin_out")" == 2 ]]
+done
 
 # Smoke-run the transform-codelet bench: generic run-time driver vs
 # generated kernel for every F(m,3) matrix (a regression to the
@@ -104,6 +126,8 @@ cargo run -q --release --offline -p lowino-bench --bin resilient_smoke
 # counter) and gemm/steal (per-worker stolen-chunk instant — an instant
 # precisely so it records even on steal-free runs) are load-bearing
 # observability and their absence means the pipeline silently fell back.
+# The depth-first rows of the same bench emit the GEMM work counters from
+# the block entry point.
 echo "==> trace smoke (forkjoin, LOWINO_TRACE set)"
 trace_tmp="$(mktemp -t lowino-trace-XXXXXX.json)"
 trap 'rm -f "$trace_tmp"' EXIT
@@ -113,6 +137,8 @@ cargo run -q --release --offline -p lowino-bench --bin trace_check -- "$trace_tm
 grep -q '"gemm/pack_ns"' "$trace_tmp"
 grep -q '"gemm/steal"' "$trace_tmp"
 grep -q '"pool/steal"' "$trace_tmp"
+grep -q '"gemm/dpbusd_macs"' "$trace_tmp"
+grep -q '"gemm/panel_bytes"' "$trace_tmp"
 
 # Whole-model smoke: compile MiniResNet into the graph engine and run it
 # end to end (one smoke bench cell), traced, and validate the trace — it

@@ -13,7 +13,7 @@
 //!    the combined compensation row), then `Z` is de-quantized into the
 //!    blocked output.
 
-use lowino_gemm::kernel::{microkernel, Seed};
+use lowino_gemm::kernel::{microkernel, Seed, Store};
 use lowino_gemm::{Blocking, GemmShape, UPanel, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
@@ -254,6 +254,7 @@ impl ConvExecutor for DirectInt8Conv {
                                                 seed,
                                                 z_ptr,
                                                 z_stride,
+                                                Store::Stream,
                                             );
                                         }
                                         k1 += cb * 16;

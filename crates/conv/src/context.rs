@@ -1,7 +1,7 @@
 //! Shared execution resources: thread pool, SIMD tier, wisdom, tuning.
 
 use lowino_gemm::{
-    Blocking, GemmShape, RetuneConfig, SeedSource, TunePolicy, TuneRuntime, Wisdom,
+    Blocking, CacheModel, GemmShape, RetuneConfig, SeedSource, TunePolicy, TuneRuntime, Wisdom,
 };
 use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
@@ -42,6 +42,9 @@ pub struct ConvContext {
     pub non_finite: NonFinitePolicy,
     /// Autotuner 2.0: seeding policy + published-winner table + retuner.
     pub tune: TuneRuntime,
+    /// Per-core cache capacities of the host ([`CacheModel::detect`]) — the
+    /// machine description `LoWinoConv` picks its schedule from.
+    pub cache: CacheModel,
 }
 
 impl ConvContext {
@@ -91,6 +94,7 @@ impl ConvContext {
             scratch: ScratchArena::new(threads),
             non_finite: NonFinitePolicy::default(),
             tune,
+            cache: CacheModel::detect(),
         }
     }
 
@@ -145,6 +149,7 @@ mod tests {
         assert_eq!(ctx.threads(), 2);
         assert_eq!(ctx.scratch.workers(), 2);
         assert_eq!(ctx.tier, SimdTier::detect());
+        assert_eq!(ctx.cache, CacheModel::detect());
         let ctx = ConvContext::with_tier(1, SimdTier::Scalar);
         assert_eq!(ctx.tier, SimdTier::Scalar);
         assert!(ctx.wisdom.is_empty());

@@ -34,7 +34,10 @@ use lowino_winograd::TransformScratch;
 /// * `tile_f` — transformed FP32 tile / inverse-transformed output tile;
 /// * `acc_f` — FP32 GEMM accumulator (the `GemmTasksF32` path);
 /// * `patch_i` — gathered INT8→i32 patch (integer-transform baselines);
-/// * `tile_i` — integer-transformed tile.
+/// * `tile_i` — integer-transformed tile;
+/// * `v_block` / `z_block` — the depth-first LoWino schedule's per-worker
+///   slice of the Winograd domain: the `V` lines and `Z` sums of the tile
+///   block in flight, sized to sit in this core's L2 next to `U`.
 #[derive(Default)]
 pub struct WorkerScratch {
     /// Winograd transform temporaries.
@@ -55,6 +58,10 @@ pub struct WorkerScratch {
     /// Double-buffered `U` packing slots for the pipelined GEMM driver
     /// (grown by `GemmTasks::run_range` on first use, then reused).
     pub gemm_pack: PanelScratch,
+    /// Quantized `V` block `[T][nb][C_p]` of the tile block in flight.
+    pub v_block: AlignedBuf<u8>,
+    /// `Z` block `[K_p/64][nb][T][64]` of the tile block in flight.
+    pub z_block: AlignedBuf<i32>,
 }
 
 /// Record an arena growth in the trace. Buffers never shrink, so the

@@ -1,7 +1,9 @@
 //! Steady-state execution audit for the single-fork-join executors:
 //!
 //! * after the first `execute` on a shape has grown the per-worker scratch
-//!   arenas, repeated executes perform **zero heap allocations**;
+//!   arenas (and, for a staged LoWino layer, allocated its whole-layer
+//!   panels), repeated executes perform **zero heap allocations** — on
+//!   LoWino's staged and depth-first schedules alike;
 //! * every executor issues exactly **one** pool fork-join per `execute`;
 //! * the fused LoWino schedule is bitwise identical to the retained
 //!   three-fork-join reference path.
@@ -15,6 +17,7 @@ use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvExecutor, DirectInt8Conv,
     DownScaleConv, LoWinoConv, UpCastConv, WinogradF32Conv,
 };
+use lowino_gemm::CacheModel;
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 use lowino_testkit::alloc::{audit, CountingAlloc};
 
@@ -44,26 +47,31 @@ fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
     let mut conv = LoWinoConv::new(spec, 4, &weights, cal).unwrap();
     let mut out = BlockedImage::zeros(2, 16, 12, 12);
 
-    for threads in [1, 3] {
-        let mut ctx = ConvContext::new(threads);
-        // Warm-up: the first execute on this shape grows the arenas.
-        conv.execute(&img, &mut out, &mut ctx).unwrap();
+    // A cache model without an L2 runs the layer staged, a vast one
+    // depth-first over per-worker tile blocks.
+    for (schedule, l2_bytes) in [("staged", 0), ("chained", 1 << 30)] {
+        for threads in [1, 3] {
+            let mut ctx = ConvContext::new(threads);
+            ctx.cache = CacheModel { l2_bytes, ..ctx.cache };
+            // Warm-up: the first execute on this shape grows the arenas.
+            conv.execute(&img, &mut out, &mut ctx).unwrap();
 
-        let before = ctx.pool.fork_joins();
-        let allocs = audit.count(|| {
-            for _ in 0..3 {
-                conv.execute(&img, &mut out, &mut ctx).unwrap();
-            }
-        });
-        assert_eq!(
-            ctx.pool.fork_joins() - before,
-            3,
-            "each execute must be exactly one fork-join (threads={threads})"
-        );
-        assert_eq!(
-            allocs, 0,
-            "steady-state execute must not touch the heap (threads={threads})"
-        );
+            let before = ctx.pool.fork_joins();
+            let allocs = audit.count(|| {
+                for _ in 0..3 {
+                    conv.execute(&img, &mut out, &mut ctx).unwrap();
+                }
+            });
+            assert_eq!(
+                ctx.pool.fork_joins() - before,
+                3,
+                "each {schedule} execute must be exactly one fork-join (threads={threads})"
+            );
+            assert_eq!(
+                allocs, 0,
+                "steady-state {schedule} execute must not touch the heap (threads={threads})"
+            );
+        }
     }
 }
 
@@ -98,6 +106,9 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
     let mut out = BlockedImage::zeros(1, 130, 11, 11);
     for threads in [1, 3] {
         let mut ctx = ConvContext::new(threads);
+        // No L2: LoWino stays on the staged schedule, whose GEMM phase is
+        // the pipelined driver under audit here.
+        ctx.cache = CacheModel { l2_bytes: 0, ..ctx.cache };
         for (name, exec) in &mut executors {
             exec.execute(&img, &mut out, &mut ctx).unwrap();
             let allocs = audit.count(|| {

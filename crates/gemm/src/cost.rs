@@ -41,6 +41,9 @@
 //! The absolute unit is arbitrary ("one issue slot"); only the ordering
 //! matters, and the ordering is what the top-K guard test checks.
 
+use std::path::Path;
+use std::sync::OnceLock;
+
 use lowino_simd::SimdTier;
 use lowino_tensor::round_up;
 
@@ -71,6 +74,48 @@ impl Default for CacheModel {
             l1_bytes: 32 * 1024,
             l2_bytes: 1024 * 1024,
         }
+    }
+}
+
+impl CacheModel {
+    /// The host's per-core L1D and L2 capacities as Linux reports them for
+    /// `cpu0` (`/sys/devices/system/cpu/cpu0/cache/index*`), read once per
+    /// process; the [`Default`] geometry when anything is missing or does
+    /// not parse (other platforms, masked sysfs).
+    pub fn detect() -> Self {
+        static DETECTED: OnceLock<CacheModel> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            Self::from_sysfs(Path::new("/sys/devices/system/cpu/cpu0/cache")).unwrap_or_default()
+        })
+    }
+
+    /// Parse one CPU's `cache/` directory: every `index<i>` holds `level`,
+    /// `type` (`Data` / `Instruction` / `Unified`) and `size` (`48K`,
+    /// `2048K`, `1M` or plain bytes).
+    fn from_sysfs(dir: &Path) -> Option<Self> {
+        let (mut l1, mut l2) = (None, None);
+        for index in 0.. {
+            let entry = dir.join(format!("index{index}"));
+            let read = |name: &str| std::fs::read_to_string(entry.join(name)).ok();
+            let Some(level) = read("level") else { break };
+            if read("type")?.trim() == "Instruction" {
+                continue;
+            }
+            let size = read("size")?;
+            let size = size.trim();
+            let (digits, unit) = match size.as_bytes().last()? {
+                b'K' => (&size[..size.len() - 1], 1usize << 10),
+                b'M' => (&size[..size.len() - 1], 1 << 20),
+                _ => (size, 1),
+            };
+            let bytes = digits.parse::<usize>().ok()?.checked_mul(unit)?;
+            match level.trim() {
+                "1" => l1 = Some(bytes),
+                "2" => l2 = Some(bytes),
+                _ => {}
+            }
+        }
+        Some(Self { l1_bytes: l1?, l2_bytes: l2? })
     }
 }
 
@@ -314,6 +359,50 @@ pub fn candidate_lattice(shape: &GemmShape) -> Vec<Blocking> {
 mod tests {
     use super::*;
     use lowino_testkit::{prop_assert, property};
+
+    /// A throw-away `cache/` tree: `(level, type, size)` per `index<i>`.
+    fn sysfs_tree(tag: &str, indices: &[(&str, &str, &str)]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("lowino-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, (level, ty, size)) in indices.iter().enumerate() {
+            let entry = dir.join(format!("index{i}"));
+            std::fs::create_dir_all(&entry).unwrap();
+            std::fs::write(entry.join("level"), format!("{level}\n")).unwrap();
+            std::fs::write(entry.join("type"), format!("{ty}\n")).unwrap();
+            std::fs::write(entry.join("size"), format!("{size}\n")).unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn cache_model_reads_sysfs_and_falls_back() {
+        let good = sysfs_tree(
+            "good",
+            &[("1", "Data", "48K"), ("1", "Instruction", "32K"), ("2", "Unified", "2048K"), ("3", "Unified", "260M")],
+        );
+        assert_eq!(
+            CacheModel::from_sysfs(&good),
+            Some(CacheModel { l1_bytes: 48 << 10, l2_bytes: 2 << 20 })
+        );
+        let plain = sysfs_tree("plain", &[("1", "Data", "32768"), ("2", "Unified", "1M")]);
+        assert_eq!(
+            CacheModel::from_sysfs(&plain),
+            Some(CacheModel { l1_bytes: 32 << 10, l2_bytes: 1 << 20 })
+        );
+        // No L2 entry, an unparseable size, no directory at all: no model.
+        let no_l2 = sysfs_tree("nol2", &[("1", "Data", "48K")]);
+        assert_eq!(CacheModel::from_sysfs(&no_l2), None);
+        let garbled = sysfs_tree("garbled", &[("1", "Data", "48K"), ("2", "Unified", "lots")]);
+        assert_eq!(CacheModel::from_sysfs(&garbled), None);
+        assert_eq!(CacheModel::from_sysfs(&good.join("missing")), None);
+        for dir in [good, plain, no_l2, garbled] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        // Whatever the host offers, detection settles on one sane answer.
+        let detected = CacheModel::detect();
+        assert_eq!(detected, CacheModel::detect());
+        assert!(detected.l1_bytes > 0 && detected.l2_bytes >= detected.l1_bytes);
+    }
 
     fn shape_from(t: usize, n: usize, c: usize, k: usize) -> GemmShape {
         GemmShape { t, n, c, k }

@@ -13,7 +13,12 @@
 //!
 //! The first `C` chunk seeds the accumulators with the compensation row
 //! `Z̄[t]` (Eq. 9); subsequent chunks accumulate into `Z` — the in-cache
-//! partial-sum buffer of §4.3.1.
+//! partial-sum buffer of §4.3.1: a chunk that a later one of the same task
+//! reads back is stored with cache-allocating stores, and only the last
+//! chunk's finished sums leave with the non-temporal scatter. The walk
+//! covers the `round_up(C, 4)` channels the layer has, not the panel's
+//! 64-padded `C_p`: the padding is zero in `U` and inert in `Z̄`, so
+//! skipping it leaves `Z` bit-identical.
 //!
 //! The `(k0, c0)` cache-block walk is *software-pipelined*: each executing
 //! worker owns a [`PanelScratch`] of two packing slots, and while the
@@ -33,13 +38,13 @@
 use lowino_parallel::StaticPool;
 use lowino_simd::store::prefetch_panel_rows;
 use lowino_simd::SimdTier;
-use lowino_tensor::{round_up, AlignedBuf};
+use lowino_tensor::{round_up, AlignedBuf, LANES};
 
 use core::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::kernel::{microkernel, Blocking, Seed, MAX_COL_BLK, MAX_ROW_BLK};
+use crate::kernel::{microkernel, Blocking, Seed, Store, MAX_COL_BLK, MAX_ROW_BLK};
 use crate::panels::{UPanel, VPanel, ZPanel};
 
 /// Logical dimensions of a batched Winograd GEMM.
@@ -133,7 +138,6 @@ pub struct GemmTasks<'a> {
     tier: SimdTier,
     shape: GemmShape,
     b: Blocking,
-    cp: usize,
     kp: usize,
     n_chunks: usize,
     v: &'a VPanel,
@@ -173,7 +177,6 @@ impl<'a> GemmTasks<'a> {
             tier,
             shape: *shape,
             b,
-            cp: vcp,
             kp: ukp,
             n_chunks,
             v,
@@ -201,8 +204,9 @@ impl<'a> GemmTasks<'a> {
     /// The packed size (bytes) of the largest `(K_blk, C_blk)` cache block
     /// a task will route through one [`PanelScratch`] slot.
     fn max_block_bytes(&self) -> usize {
-        // c4 groups × 4 bytes × k width = c_blk·k_blk clamped to the panel.
-        self.b.c_blk.min(self.cp) * self.b.k_blk.min(self.kp)
+        // c4 groups × 4 bytes × k width; `normalize_blocking` has clamped
+        // `c_blk` to the channels walked and `k_blk` to the panel.
+        self.b.c_blk * self.b.k_blk
     }
 
     /// Execute a contiguous task range through the worker's packing
@@ -225,18 +229,14 @@ impl<'a> GemmTasks<'a> {
             let n0 = (task % self.n_chunks) * self.b.n_blk;
             let n_end = (n0 + self.b.n_blk).min(self.shape.n);
             if tracing {
-                let rows = (n_end - n0) as u64;
-                let (cp, kp) = (self.cp as u64, self.kp as u64);
-                // Per task: V rows read (u8), the U panel streamed once
-                // (i8), and Z partial sums written (i32).
-                panel_bytes += rows * cp + cp * kp + rows * kp * 4;
-                macs += rows * cp * kp;
+                let (bytes, task_macs) = product_traffic(n_end - n0, self.shape.c, self.kp);
+                panel_bytes += bytes;
+                macs += task_macs;
             }
             gemm_block(
                 self.tier,
                 &self.b,
-                &self.shape,
-                self.cp,
+                round_up(self.shape.c, 4),
                 self.kp,
                 t,
                 n0,
@@ -304,6 +304,132 @@ pub fn batched_gemm_u8i8(
     });
 }
 
+/// Operand bytes and `vpdpbusd` MAC-equivalents of one `rows × C × K_p`
+/// product (the `gemm/panel_bytes` / `gemm/dpbusd_macs` trace counters):
+/// `V` rows read (u8), the `U[t]` panel streamed once (i8), `Z` written
+/// (i32) — over the `round_up(C, 4)` channels the drivers walk.
+fn product_traffic(rows: usize, c: usize, kp: usize) -> (u64, u64) {
+    let (rows, c, kp) = (rows as u64, round_up(c, 4) as u64, kp as u64);
+    (rows * c + c * kp + rows * kp * 4, rows * c * kp)
+}
+
+/// Stage ② of the depth-first LoWino schedule: all `T` products of **one
+/// block of tiles**, out of and into one worker's cache-resident blocks.
+///
+/// The operands are not panels but two plain buffers the executing worker
+/// owns — `V` as `[T][nb][C_p]` u8 and `Z` as `[K_p/64][nb][T][64]` i32
+/// (per tile the `T × 64` layout [`ZPanel::tile_block`] hands the output
+/// transform) — so the stores are cache-allocating ([`Store::Cached`]) and
+/// nothing is fenced. Each micro-kernel call runs the full `round_up(C, 4)`
+/// depth out of `U[t]` in place: the accumulators never leave the
+/// registers half-summed, and `U` — small enough to share L2 with the
+/// blocks, or this schedule is not chosen — is neither packed nor
+/// re-streamed. Per-element arithmetic is the staged driver's (same `Z̄`
+/// seed, exact i32 sums), so `Z` is bit-identical.
+pub struct BlockGemm<'a> {
+    tier: SimdTier,
+    u: &'a UPanel,
+    c: usize,
+    row_blk: usize,
+    col_blk: usize,
+}
+
+impl<'a> BlockGemm<'a> {
+    /// Validate `u` against `shape` and take the register tile of the
+    /// (normalized) `blocking`; its cache-block sizes do not apply here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the panel disagrees with `shape` or the blocking is invalid.
+    pub fn plan(tier: SimdTier, shape: &GemmShape, blocking: &Blocking, u: &'a UPanel) -> Self {
+        let (ut, uc, _, uk, _) = u.dims();
+        assert_eq!((ut, uc, uk), (shape.t, shape.c, shape.k), "U panel shape");
+        let b = normalize_blocking(blocking, shape);
+        b.validate().expect("invalid blocking");
+        Self { tier, u, c: shape.c, row_blk: b.row_blk, col_blk: b.col_blk }
+    }
+
+    /// Bytes of a `V` block with room for `nb` tiles.
+    pub fn v_len(&self, nb: usize) -> usize {
+        self.u.dims().0 * nb * self.u.cp()
+    }
+
+    /// `i32` elements of a `Z` block with room for `nb` tiles.
+    pub fn z_len(&self, nb: usize) -> usize {
+        self.u.dims().0 * nb * self.u.kp()
+    }
+
+    /// `(gemm/panel_bytes, gemm/dpbusd_macs)` of one [`Self::run`] over
+    /// `rows` tiles, for the caller's trace counters.
+    pub fn traffic(&self, rows: usize) -> (u64, u64) {
+        let t = self.u.dims().0 as u64;
+        let (bytes, macs) = product_traffic(rows, self.c, self.u.kp());
+        (t * bytes, t * macs)
+    }
+
+    /// `Z[t] = V̄[t] × U[t] + Z̄[t]` for every `t`, over the first `rows`
+    /// tiles of blocks laid out for `nb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > nb` or a block is shorter than
+    /// [`Self::v_len`]/[`Self::z_len`] of `nb`.
+    pub fn run(&self, nb: usize, rows: usize, v: &[u8], z: &mut [i32]) {
+        let (t_count, _, cp, _, kp) = self.u.dims();
+        assert!(rows <= nb, "{rows} tiles in a block of {nb}");
+        assert!(v.len() >= self.v_len(nb) && z.len() >= self.z_len(nb), "block too short");
+        let c4_count = round_up(self.c, 4) / 4;
+        let z_stride = t_count * LANES;
+        // `col_blk ∈ {1, 2, 4}` ZMM columns divide a 64-lane group, so a
+        // register tile never straddles two `Z` channel groups.
+        let k_step = self.col_blk * 16;
+        debug_assert!(LANES.is_multiple_of(k_step) && kp.is_multiple_of(LANES));
+        for t in 0..t_count {
+            let zbar = self.u.zbar(t);
+            // K outer, tiles inner: one `col_blk`-wide strip of `U[t]`
+            // stays in L1 while the block's rows stream past it.
+            for k1 in (0..kp).step_by(k_step) {
+                let (kg, kl) = (k1 / LANES, k1 % LANES);
+                let mut n1 = 0;
+                while n1 < rows {
+                    let rb = (rows - n1).min(self.row_blk);
+                    let v_off = (t * nb + n1) * cp;
+                    let z_off = ((kg * nb + n1) * t_count + t) * LANES + kl;
+                    debug_assert!(v_off + (rb - 1) * cp + c4_count * 4 <= v.len());
+                    debug_assert!(z_off + (rb - 1) * z_stride + k_step <= z.len());
+                    debug_assert!(k1 + k_step <= zbar.len());
+                    // SAFETY: `rb` rows of `C_p ≥ 4·c4_count` bytes at pitch
+                    // `C_p` from row `(t, n1)` lie inside the `V` block and
+                    // `rb` rows of `k_step` lanes `T·64` apart from
+                    // `(kg, n1, t, kl)` inside the `Z` block (lengths
+                    // asserted above, `n1 + rb ≤ rows ≤ nb`); `U[t]` holds
+                    // `C_p/4 ≥ c4_count` groups of `K_p·4` bytes, so
+                    // `col_blk·64` bytes from `k1` stay inside each; `Z̄[t]`
+                    // holds `K_p ≥ k1 + k_step` sums; `z` is exclusively
+                    // borrowed.
+                    unsafe {
+                        microkernel(
+                            self.tier,
+                            rb,
+                            self.col_blk,
+                            v.as_ptr().add(v_off),
+                            cp,
+                            self.u.block_ptr(t, k1),
+                            self.u.c4_stride(),
+                            c4_count,
+                            Seed::Zbar(zbar.as_ptr().add(k1)),
+                            z.as_mut_ptr().add(z_off),
+                            z_stride,
+                            Store::Cached,
+                        );
+                    }
+                    n1 += rb;
+                }
+            }
+        }
+    }
+}
+
 /// One (t, N-chunk) task — everything below here is single-threaded.
 ///
 /// The cache-block walk is software-pipelined through the two
@@ -318,8 +444,7 @@ pub fn batched_gemm_u8i8(
 fn gemm_block(
     tier: SimdTier,
     b: &Blocking,
-    shape: &GemmShape,
-    cp: usize,
+    c_walk: usize,
     kp: usize,
     t: usize,
     n0: usize,
@@ -331,16 +456,17 @@ fn gemm_block(
     tracing: bool,
     pack_ns: &mut u64,
 ) {
-    let _ = shape;
     let zbar = u.zbar(t);
     let z_stride = z.n_stride();
-    // The (k0, c0) cache blocks in walk order: k outer, c inner.
-    let c_chunks = cp.div_ceil(b.c_blk);
+    // The (k0, c0) cache blocks in walk order: k outer, c inner — over the
+    // `c_walk = round_up(C, 4)` real channels only (see the module docs).
+    debug_assert!(c_walk.is_multiple_of(4) && c_walk <= v.cp());
+    let c_chunks = c_walk.div_ceil(b.c_blk);
     let blocks = kp.div_ceil(b.k_blk) * c_chunks;
     let bounds = |i: usize| {
         let k0 = (i / c_chunks) * b.k_blk;
         let c0 = (i % c_chunks) * b.c_blk;
-        (k0, (k0 + b.k_blk).min(kp), c0, (c0 + b.c_blk).min(cp))
+        (k0, (k0 + b.k_blk).min(kp), c0, (c0 + b.c_blk).min(c_walk))
     };
     // Pipeline prologue: block 0 has no compute to hide behind.
     pack_block(u, t, bounds(0), pack.slot_mut(0), tracing, pack_ns);
@@ -348,6 +474,9 @@ fn gemm_block(
         let (k0, k_end, c0, c_end) = bounds(i);
         let c4_count = (c_end - c0) / 4;
         let first_chunk = c0 == 0;
+        // A partial sum the next C chunk of this task accumulates into
+        // stays in cache; only finished sums take the streaming scatter.
+        let store = if c_end == c_walk { Store::Stream } else { Store::Cached };
         // The packed block is contiguous: c4 groups (k_end-k0)·4 bytes
         // apart, exactly the stride the micro-kernel parameterises over.
         let packed_stride = (k_end - k0) * 4;
@@ -378,9 +507,10 @@ fn gemm_block(
                     Seed::Accumulate
                 };
                 // SAFETY: all offsets are within the panels by the loop
-                // bounds; the packed slot holds the full cache block
-                // (`ensure` sized it); `store_ptr_shared` regions are
-                // disjoint per task (distinct (t, n) ranges).
+                // bounds (`c_end ≤ c_walk ≤ C_p` bytes of each V row); the
+                // packed slot holds the full cache block (`ensure` sized
+                // it); `store_ptr_shared` regions are disjoint per task
+                // (distinct (t, n) ranges).
                 unsafe {
                     let v_ptr = v.row_ptr(t, n1).add(c0);
                     let u_ptr = packed.add((k1 - k0) * 4);
@@ -397,6 +527,7 @@ fn gemm_block(
                         seed,
                         z_ptr,
                         z_stride,
+                        store,
                     );
                 }
                 k1 += cb * 16;
@@ -493,6 +624,102 @@ mod tests {
                         "t={t} n={n} k={k} (shape={shape:?})"
                     );
                 }
+            }
+        }
+    }
+
+    /// Poison the padding channels (`round_up(C, 4)..C_p`) of both operands
+    /// *after* the compensation rows are final: a driver that walks them no
+    /// longer matches the reference, one that walks only the real channels
+    /// does.
+    fn poison_padding(v: &mut VPanel, u: &mut UPanel, shape: &GemmShape) {
+        for t in 0..shape.t {
+            for c in round_up(shape.c, 4)..u.cp() {
+                for n in 0..shape.n {
+                    v.set(t, n, c, 128);
+                }
+                for k in 0..shape.k {
+                    u.set(t, c, k, 0x55);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walks_only_the_layers_channels() {
+        // Regression: `c_blk` is clamped to `round_up(C, 4)` but the walk
+        // used to cover the 64-padded panel — a C = 3 layer ran 16 chunks
+        // of one 4-channel group, 15 of them zeros, each re-reading the
+        // stream-stored partial sums of the one before.
+        let tier = SimdTier::detect();
+        for c in [3, 8, 37, 70] {
+            let shape = GemmShape { t: 2, n: 19, c, k: 70 };
+            for c_blk in [4, 16, 512] {
+                let blocking = Blocking { n_blk: 7, c_blk, k_blk: 64, row_blk: 4, col_blk: 2 };
+                let (mut v, mut u) = fill_panels(&shape, 0xC4 ^ c as u64);
+                let want = reference_gemm(&v, &u, &shape);
+                poison_padding(&mut v, &mut u, &shape);
+                let mut z = ZPanel::new(shape.t, shape.n, shape.k);
+                let mut pool = StaticPool::new(2);
+                batched_gemm_u8i8(tier, &shape, &blocking, &v, &u, &mut z, &mut pool);
+                for t in 0..shape.t {
+                    for n in 0..shape.n {
+                        for k in 0..shape.k {
+                            assert_eq!(
+                                z.get(t, n, k),
+                                want[(t * shape.n + n) * shape.k + k],
+                                "c={c} c_blk={c_blk} t={t} n={n} k={k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_gemm_matches_reference_all_tiers() {
+        // The depth-first entry point on a tile block cut out of the middle
+        // of a panel: full and short blocks, C and K off every grid, every
+        // register tile shape, U padding poisoned as above.
+        for tier in SimdTier::available() {
+            for (c, k, row_blk, col_blk) in [(3, 16, 6, 4), (8, 64, 8, 2), (37, 70, 3, 1), (70, 130, 5, 4)] {
+                let shape = GemmShape { t: 3, n: 23, c, k };
+                let (mut v, mut u) = fill_panels(&shape, 0xB10C ^ (c * k) as u64);
+                let want = reference_gemm(&v, &u, &shape);
+                poison_padding(&mut v, &mut u, &shape);
+                let blocking = Blocking { n_blk: 96, c_blk: 512, k_blk: 64, row_blk, col_blk };
+                let gemm = BlockGemm::plan(tier, &shape, &blocking, &u);
+                let (nb, tile0) = (12, 5);
+                for rows in [12, 7, 1] {
+                    let cp = v.cp();
+                    let mut vb = vec![0xEEu8; gemm.v_len(nb)];
+                    for t in 0..shape.t {
+                        for i in 0..rows {
+                            vb[(t * nb + i) * cp..][..cp].copy_from_slice(v.row(t, tile0 + i));
+                        }
+                    }
+                    let mut zb = vec![i32::MIN; gemm.z_len(nb)];
+                    gemm.run(nb, rows, &vb, &mut zb);
+                    for t in 0..shape.t {
+                        for i in 0..rows {
+                            for k in 0..shape.k {
+                                let at = (((k / LANES) * nb + i) * shape.t + t) * LANES + k % LANES;
+                                assert_eq!(
+                                    zb[at],
+                                    want[(t * shape.n + tile0 + i) * shape.k + k],
+                                    "tier={tier} c={c} k={k} rows={rows} t={t} i={i}"
+                                );
+                            }
+                        }
+                    }
+                    // Tiles past `rows` are not this call's to write.
+                    let beyond = ((nb - 1) * shape.t) * LANES;
+                    assert!(rows == nb || zb[beyond] == i32::MIN);
+                }
+                let (bytes, macs) = gemm.traffic(5);
+                assert_eq!(macs, (shape.t * 5 * round_up(c, 4) * round_up(k, 64)) as u64);
+                assert!(bytes > macs / round_up(c, 4) as u64);
             }
         }
     }

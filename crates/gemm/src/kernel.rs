@@ -10,7 +10,7 @@
 //!         for c in 0..col_blk:
 //!             u_reg[c] = 64 bytes of U[c4][k0+16c..]
 //!             acc[r][c] = vpdpbusd(acc[r][c], v_reg, u_reg[c])
-//! scatter acc to Z with non-temporal stores
+//! scatter acc to Z (non-temporal or cache-allocating stores, per `Store`)
 //! ```
 //!
 //! Accumulators are seeded with the compensation row `Z̄` (Eq. 9), with the
@@ -31,6 +31,18 @@ pub enum Seed {
     Accumulate,
     /// Plain zero (kernels without compensation).
     Zero,
+}
+
+/// How the finished accumulators leave the registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Store {
+    /// Non-temporal scatter (paper §4.3.2): `Z` goes to memory for a later
+    /// stage on another barrier; nothing in this task reads it back.
+    Stream,
+    /// Ordinary cache-allocating stores: the same worker reads the values
+    /// back shortly — a partial sum a later `C` chunk accumulates into, or
+    /// the depth-first schedule's cache-resident `Z` block.
+    Cached,
 }
 
 /// Cache- and register-blocking parameters (paper §4.3.4's tuning space).
@@ -134,12 +146,21 @@ pub unsafe fn microkernel(
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
+    store: Store,
 ) {
+    debug_assert!((1..=MAX_ROW_BLK).contains(&rb) && matches!(cb, 1 | 2 | 4));
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx512Vnni {
-        dispatch_avx512(rb, cb, v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride);
+        // SAFETY: the caller's contract, passed through unchanged; the
+        // tier guarantees the kernel's target features, and the streaming
+        // variant checks each store's 64-byte alignment itself.
+        unsafe {
+            dispatch_avx512(rb, cb, v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride, store);
+        }
         return;
     }
+    // The portable kernel's plain stores are cache-allocating either way.
+    let _ = store;
     microkernel_fallback(tier, rb, cb, v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride);
 }
 
@@ -158,10 +179,18 @@ unsafe fn dispatch_avx512(
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
+    store: Store,
 ) {
     macro_rules! arm {
         ($r:literal, $c:literal) => {
-            mk_avx512::<$r, $c>(v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride)
+            match store {
+                Store::Stream => {
+                    mk_avx512::<$r, $c, true>(v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride)
+                }
+                Store::Cached => {
+                    mk_avx512::<$r, $c, false>(v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride)
+                }
+            }
         };
     }
     match (rb, cb) {
@@ -191,11 +220,12 @@ unsafe fn dispatch_avx512(
     }
 }
 
-/// The Fig. 7 kernel, monomorphised over the register tile.
+/// The Fig. 7 kernel, monomorphised over the register tile and the store
+/// kind (`STREAM`: non-temporal scatter; otherwise cache-allocating).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512<const RB: usize, const CB: usize>(
+unsafe fn mk_avx512<const RB: usize, const CB: usize, const STREAM: bool>(
     v: *const u8,
     v_stride: usize,
     u: *const i8,
@@ -239,8 +269,9 @@ unsafe fn mk_avx512<const RB: usize, const CB: usize>(
             // Broadcast one packed 32-bit word (4 input-channel bytes).
             let v_reg = _mm512_set1_epi32((vp as *const i32).read_unaligned());
             // Prefetch the same c4 position of the next register-row block
-            // (paper Fig. 7 line 6).
-            _mm_prefetch::<_MM_HINT_T0>(vp.add(RB * v_stride) as *const i8);
+            // (paper Fig. 7 line 6). A hint only: past the last row block
+            // it may point outside the operand, hence the wrapping add.
+            _mm_prefetch::<_MM_HINT_T0>(vp.wrapping_add(RB * v_stride) as *const i8);
             for c in 0..CB {
                 let u_reg = _mm512_loadu_si512(u_base.add(c * 64) as *const _);
                 acc[r][c] = _mm512_dpbusd_epi32(acc[r][c], v_reg, u_reg);
@@ -251,7 +282,7 @@ unsafe fn mk_avx512<const RB: usize, const CB: usize>(
     for r in 0..RB {
         for c in 0..CB {
             let dst = z.add(r * z_row_stride + c * 16);
-            if (dst as usize).is_multiple_of(64) {
+            if STREAM && (dst as usize).is_multiple_of(64) {
                 // Non-temporal scatter (paper §4.3.2) — Z is consumed by a
                 // later stage, not re-read here.
                 _mm512_stream_si512(dst as *mut _, acc[r][c]);
@@ -409,7 +440,12 @@ mod tests {
             s
         };
         for tier in SimdTier::available() {
-            for (rb, cb) in [(1, 1), (2, 2), (3, 4), (6, 4), (8, 2), (5, 1), (4, 4)] {
+            for (i, (rb, cb)) in [(1, 1), (2, 2), (3, 4), (6, 4), (8, 2), (5, 1), (4, 4)]
+                .into_iter()
+                .enumerate()
+            {
+                // Both store kinds must leave the same integers in `z`.
+                let store = if i % 2 == 0 { Store::Stream } else { Store::Cached };
                 let v_stride = c4_count * 4;
                 let mut v = AlignedBuf::<u8>::zeroed(rb * v_stride);
                 for x in v.as_mut_slice() {
@@ -444,6 +480,7 @@ mod tests {
                         Seed::Zbar(zbar.as_ptr()),
                         z.as_mut_ptr(),
                         z_stride,
+                        store,
                     );
                 }
                 lowino_simd::store::stream_fence();
@@ -501,6 +538,7 @@ mod tests {
                 Seed::Accumulate,
                 z.as_mut_ptr(),
                 z_stride,
+                Store::Cached,
             );
         }
         lowino_simd::store::stream_fence();
@@ -531,6 +569,7 @@ mod tests {
                 Seed::Zero,
                 z.as_mut_ptr(),
                 16,
+                Store::Stream,
             );
         }
         lowino_simd::store::stream_fence();

@@ -41,7 +41,7 @@ pub mod tune;
 mod driver;
 
 pub use cost::{candidate_lattice, CacheModel, GemmCostModel};
-pub use driver::{batched_gemm_u8i8, GemmShape, GemmTasks, PanelScratch};
+pub use driver::{batched_gemm_u8i8, BlockGemm, GemmShape, GemmTasks, PanelScratch};
 pub use driver::normalize_blocking as normalize_for;
 pub use f32gemm::{batched_gemm_f32, GemmTasksF32};
 pub use int16::{batched_gemm_i16, GemmTasksI16};

@@ -100,6 +100,21 @@ fn ragged_tail_blocks_match_reference() {
     assert_matches_reference(shape, blocking, 2, SimdTier::detect());
 }
 
+/// `c_blk` below the 64-padded `C_p` with `C` off the 4-channel grid: the
+/// walk is `⌈round_up(C, 4)/c_blk⌉` chunks — the layer's channels, not the
+/// panel's padding — and every chunk but the last hands its partial sums to
+/// the next through cache-allocating stores.
+#[test]
+fn c_chunks_cover_the_layers_channels_not_the_padding() {
+    for tier in SimdTier::available() {
+        for (c, c_blk) in [(3, 4), (8, 4), (37, 16), (70, 32)] {
+            let shape = GemmShape { t: 2, n: 14, c, k: 64 };
+            let blocking = Blocking { n_blk: 5, c_blk, k_blk: 64, row_blk: 3, col_blk: 4 };
+            assert_matches_reference(shape, blocking, 2, tier);
+        }
+    }
+}
+
 /// One `PanelScratch` reused across plans of different shapes: the slots
 /// grow to the largest block and smaller follow-up layers must not shrink,
 /// move, or corrupt them — the executor-arena reuse pattern.

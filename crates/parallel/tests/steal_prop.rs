@@ -79,11 +79,21 @@ property! {
     }
 }
 
+/// The `pool/phase` fault site is process-global: a fault one test arms for
+/// `(worker 1, phase 0)` would fire in whichever pool reaches that key
+/// first, so the tests that run a real pool take turns.
+static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn pool_turn() -> std::sync::MutexGuard<'static, ()> {
+    POOL_TESTS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Through the real pool: a phase whose first static chunk stalls hands the
 /// rest of that worker's partition to thieves; every task still runs exactly
 /// once and at least one chunk is observed as stolen.
 #[test]
 fn pool_steals_from_a_stalled_worker() {
+    let _turn = pool_turn();
     let mut pool = StaticPool::new(2);
     let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
     let saw_stolen = AtomicBool::new(false);
@@ -116,6 +126,7 @@ fn pool_steals_from_a_stalled_worker() {
 #[test]
 fn panic_mid_steal_leaves_pool_reusable() {
     use lowino_testkit::faults::POOL_PHASE;
+    let _turn = pool_turn();
     let mut pool = StaticPool::new(3);
     POOL_PHASE.arm_keyed(phase_fault_key(1, 0));
     let err = pool
