@@ -143,7 +143,8 @@ grep -q '"gemm/panel_bytes"' "$trace_tmp"
 # Whole-model smoke: compile MiniResNet into the graph engine and run it
 # end to end (one smoke bench cell), traced, and validate the trace — it
 # must carry the graph/compile + graph/execute + graph/layer spans and
-# the graph/plan_bytes counter alongside the kernel-level spans.
+# the graph/plan_bytes counter alongside the kernel-level spans, and the
+# tune/seeded instants of graph/compile resolving every conv's blocking.
 echo "==> models bench smoke (graph engine, LOWINO_TRACE set)"
 models_trace="$(mktemp -t lowino-models-trace-XXXXXX.json)"
 trap 'rm -f "$trace_tmp" "$models_trace"' EXIT
@@ -153,21 +154,7 @@ cargo run -q --release --offline -p lowino-bench --bin trace_check -- "$models_t
 grep -q '"graph/execute"' "$models_trace"
 grep -q '"graph/layer"' "$models_trace"
 grep -q '"graph/plan_bytes"' "$models_trace"
-
-# Autotuner smoke: run the tune_smoke binary traced. It proves the full
-# seed → execute → retune → swap → shutdown cycle in-process (seed-only
-# engine serves its first request with no measurement sweep; a Background
-# engine publishes a winner, joins its retune thread on stop, and leaves a
-# non-empty wisdom file). The validated trace must carry the compile-time
-# seeding instants and the atomic table swap.
-echo "==> tune smoke (seed + background retune, LOWINO_TRACE set)"
-tune_trace="$(mktemp -t lowino-tune-trace-XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$models_trace" "$tune_trace"' EXIT
-LOWINO_TRACE="$tune_trace" \
-    cargo run -q --release --offline -p lowino-bench --bin tune_smoke
-cargo run -q --release --offline -p lowino-bench --bin trace_check -- "$tune_trace"
-grep -q '"tune/seeded"' "$tune_trace"
-grep -q '"tune/swap"' "$tune_trace"
+grep -q '"tune/seeded"' "$models_trace"
 
 # Serving smoke, two layers. First the sustained-load bench in its
 # seconds-long smoke configuration (seeded Poisson arrivals over
@@ -189,7 +176,7 @@ echo "==> serve bench smoke (Poisson load + kill-loop, LOWINO_BENCH_SMOKE=1)"
 LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench serve
 echo "==> serve smoke (real TCP loopback, LOWINO_TRACE set)"
 serve_trace="$(mktemp -t lowino-serve-trace-XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$models_trace" "$tune_trace" "$serve_trace"' EXIT
+trap 'rm -f "$trace_tmp" "$models_trace" "$serve_trace"' EXIT
 LOWINO_TRACE="$serve_trace" \
     cargo run -q --release --offline -p lowino-bench --bin serve_smoke
 cargo run -q --release --offline -p lowino-bench --bin trace_check -- "$serve_trace"
@@ -206,7 +193,7 @@ grep -q '"serve/brownout"' "$serve_trace"
 # reach >=90% of the full-lattice sweep's best throughput on the three
 # bench GEMM shapes.
 echo "==> top-K pruning guard (release, --ignored)"
-cargo test -q --release --offline -p lowino-gemm --test retune -- --ignored
+cargo test -q --release --offline -p lowino-gemm --test topk_guard -- --ignored
 
 # PR-8 ablation regression guard (also timing-sensitive, release-only):
 # the graph engine's accepted ~2-4% per-op bookkeeping overhead versus
@@ -214,6 +201,18 @@ cargo test -q --release --offline -p lowino-gemm --test retune -- --ignored
 # in tests/graph_overhead.rs and EXPERIMENTS.md).
 echo "==> graph overhead guard (release, --ignored)"
 cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignored
+
+# Deleted-names gate: the three-policy tuning switch, the online retuner,
+# the per-execute blocking resolver, wisdom v1's fallback and the unused
+# i16 filter panel are gone; a blocking is resolved by
+# ConvContext::seed_blocking, once per executor. Fail if any of the names
+# comes back (this line excepted).
+echo "==> deleted-names gate"
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused' \
+    crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
+    echo "deleted tuning names are back (see above)" >&2
+    exit 1
+fi
 
 if [[ "$run_lint" == 1 ]]; then
     if cargo clippy --version >/dev/null 2>&1; then

@@ -20,7 +20,7 @@ use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_lanes, quantize_lanes, store::stream_fence, stream_store_u8_64};
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, Tensor4, LANES};
 
-use crate::algo::{check_io, Algorithm, ConvExecutor};
+use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_direct_i8;
@@ -40,7 +40,9 @@ pub struct DirectInt8Conv {
     qbuf: AlignedBuf<u8>,
     z_panel: ZPanel,
     cp: usize,
-    blocking_override: Option<Blocking>,
+    /// The GEMM blocking: set by [`Self::set_blocking`], else resolved by
+    /// the first execute ([`resolve_blocking`]) and kept.
+    blocking: Option<Blocking>,
 }
 
 impl DirectInt8Conv {
@@ -82,13 +84,13 @@ impl DirectInt8Conv {
             qbuf,
             z_panel: ZPanel::new(1, n, spec.out_c),
             cp,
-            blocking_override: None,
+            blocking: None,
         })
     }
 
-    /// Override the GEMM blocking.
+    /// Set the GEMM blocking; the next execute runs with it.
     pub fn set_blocking(&mut self, b: Blocking) {
-        self.blocking_override = Some(b);
+        self.blocking = Some(b);
     }
 
     /// The per-offset GEMM shape (for tuning; `r²` such passes run).
@@ -132,7 +134,7 @@ impl ConvExecutor for DirectInt8Conv {
         let c_blocks = cp / LANES;
 
         let shape = self.gemm_shape();
-        let blocking = ctx.gemm_blocking(&shape, self.blocking_override);
+        let blocking = resolve_blocking(&mut self.blocking, &shape, ctx);
         let blocking = lowino_gemm::normalize_for(&blocking, &shape);
 
         let ConvContext { pool, tier, .. } = ctx;

@@ -18,35 +18,25 @@ use lowino_gemm::{Blocking, GemmShape, GemmTasks, UPanel, VPanel, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::{requantize_i32_lanes, VecTier};
 use lowino_simd::{store::stream_fence, stream_store_u8_64};
-use lowino_tensor::{AlignedBuf, BlockedImage, ConvShape, Tensor4, TileGeometry, LANES};
+use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
 use lowino_winograd::{range_growth_2d, TileTransformer};
 
+use crate::algo::spatial::SpatialInt8;
 use crate::algo::{check_io, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_lowino;
-use crate::scratch::{ensure_f32, ensure_i32, ScratchArena, WorkerScratch};
+use crate::scratch::{ensure_i32, ScratchArena, WorkerScratch};
 use crate::stats::StageTimings;
-use crate::tiles::{scatter_output_tile, tile_coords, tile_origin};
 
 /// Down-scaling Winograd INT8 executor.
 pub struct DownScaleConv {
-    spec: ConvShape,
-    geom: TileGeometry,
-    tt: TileTransformer,
+    /// Spatial-domain quantization, tile gather and output transform.
+    front: SpatialInt8,
     u_panel: UPanel,
-    alpha_in: QParams,
     alpha_u: QParams,
     /// The transform-domain down-scale `α = 1/growth`.
     alpha_ds: f32,
-    /// Spatially-quantized padded input `[B][H+2p][W+2p][C_p]` i8 — filled
-    /// once per execute, so overlapping tiles re-read INT8 bytes instead of
-    /// re-quantizing FP32 (the oneDNN behaviour the paper contrasts with in
-    /// §5.3: oneDNN's transform reads 4× fewer input bytes than LoWino).
-    qbuf: AlignedBuf<i8>,
-    /// Padded buffer dims (cover the full ragged-tile extent).
-    hp: usize,
-    wp: usize,
     v_panel: VPanel,
     z_panel: ZPanel,
     blocking_override: Option<Blocking>,
@@ -69,22 +59,14 @@ impl DownScaleConv {
         let (u_panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, weights)?;
         let growth = range_growth_2d(m, spec.r)? as f32;
         let t_count = geom.t();
-        let cp = lowino_tensor::round_up(spec.in_c, LANES);
-        // Ragged edge tiles read past H+2p; size the buffer for the full
-        // tile extent.
-        let hp = ((geom.tiles_h - 1) * geom.m + geom.n).max(spec.h + 2 * spec.pad);
-        let wp = ((geom.tiles_w - 1) * geom.m + geom.n).max(spec.w + 2 * spec.pad);
         Ok(Self {
-            spec,
-            geom,
-            tt,
+            // Before the panels: allocated after them, the padded INT8 buffer
+            // raises the heap's high-water mark by ~15 MiB on layers that are
+            // rebuilt (EXPERIMENTS.md "PR 20").
+            front: SpatialInt8::new(spec, geom, tt, input_scale.alpha),
             u_panel,
-            alpha_in: input_scale,
             alpha_u,
             alpha_ds: 1.0 / growth,
-            qbuf: AlignedBuf::zeroed(spec.batch * hp * wp * cp),
-            hp,
-            wp,
             v_panel: VPanel::new(t_count, geom.total, spec.in_c),
             z_panel: ZPanel::new(t_count, geom.total, spec.out_c),
             blocking_override: None,
@@ -103,11 +85,12 @@ impl DownScaleConv {
 
     /// The GEMM shape of stage ②.
     pub fn gemm_shape(&self) -> GemmShape {
+        let (spec, geom) = (&self.front.spec, &self.front.geom);
         GemmShape {
-            t: self.geom.t(),
-            n: self.geom.total,
-            c: self.spec.in_c,
-            k: self.spec.out_c,
+            t: geom.t(),
+            n: geom.total,
+            c: spec.in_c,
+            k: spec.out_c,
         }
     }
 
@@ -121,7 +104,7 @@ impl DownScaleConv {
         // L2-resident (1 MB on Cascade Lake); larger tiles => smaller
         // partitions (2.25× more intermediate for F(4,3), paper §5.3).
         let budget = 1024 * 1024usize; // bytes of L2 for intermediates
-        let per_row = self.geom.t() * (lowino_tensor::round_up(shape.c, 64) + 4 * 64);
+        let per_row = shape.t * (lowino_tensor::round_up(shape.c, 64) + 4 * 64);
         b.n_blk = (budget / per_row.max(1)).clamp(8, 96);
         b.k_blk = 128;
         b.c_blk = b.c_blk.min(256);
@@ -131,11 +114,11 @@ impl DownScaleConv {
 
 impl ConvExecutor for DownScaleConv {
     fn spec(&self) -> &ConvShape {
-        &self.spec
+        &self.front.spec
     }
 
     fn algorithm(&self) -> Algorithm {
-        Algorithm::DownScale { m: self.geom.m }
+        Algorithm::DownScale { m: self.front.geom.m }
     }
 
     /// Single-fork-join schedule: the four stages (spatial quantization,
@@ -148,27 +131,18 @@ impl ConvExecutor for DownScaleConv {
         output: &mut BlockedImage,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
-        let spec = self.spec;
-        let geom = self.geom;
-        let (n, m, t_count) = (geom.n, geom.m, geom.t());
-        let tt = &self.tt;
-        let alpha_in = self.alpha_in.alpha;
+        let front = &self.front;
+        check_io(&front.spec, input, output, ctx.non_finite)?;
+        let (spec, geom, tt) = (front.spec, front.geom, &front.tt);
+        let (n, t_count) = (geom.n, geom.t());
         let alpha_ds = self.alpha_ds;
-        let (hp, wp) = (self.hp, self.wp);
-        let cp = lowino_tensor::round_up(spec.in_c, LANES);
-        let c_blocks = cp / LANES;
 
-        // A published retune winner beats the override; otherwise the
-        // oneDNN-like partition cap stands in for wisdom — this executor
-        // models oneDNN's design, so it is never cost-model seeded.
+        // The oneDNN-like partition cap stands in for the tuner — this
+        // executor models oneDNN's design, so it is never cost-model seeded.
         let shape = self.gemm_shape();
-        let blocking = match ctx.tune.lookup(ctx.tier, &shape) {
-            Some(published) => published,
-            None => self
-                .blocking_override
-                .unwrap_or_else(|| self.onednn_like_blocking()),
-        };
+        let blocking = self
+            .blocking_override
+            .unwrap_or_else(|| self.onednn_like_blocking());
 
         let ConvContext {
             pool,
@@ -183,7 +157,6 @@ impl ConvExecutor for DownScaleConv {
         // Plan stage ③ (the GEMM) with the partition-capped blocking; the
         // plan's exclusive borrow of `Z` lives through the whole fork-join.
         let vp: &VPanel = &self.v_panel;
-        let qb: &AlignedBuf<i8> = &self.qbuf;
         let gemm = GemmTasks::plan(
             tier,
             &shape,
@@ -192,12 +165,12 @@ impl ConvExecutor for DownScaleConv {
             &self.u_panel,
             &mut self.z_panel,
         );
-        let inv = 1.0 / (alpha_in * alpha_ds * self.alpha_u.alpha);
+        let inv = 1.0 / (front.alpha_in * alpha_ds * self.alpha_u.alpha);
 
         let out_ref: &BlockedImage = output;
         let totals = [
             spec.batch * spec.h,
-            c_blocks * geom.total,
+            front.c_blocks() * geom.total,
             gemm.total(),
             out_ref.c_blocks() * geom.total,
         ];
@@ -207,41 +180,9 @@ impl ConvExecutor for DownScaleConv {
             // overlapping tiles then re-read cheap INT8 bytes.
             0 => {
                 let _span = lowino_trace::span("downscale/quantize_input");
-                let tracing = lowino_trace::enabled();
-                let mut saturated = 0u64;
-                let mut values = 0u64;
-                for row in range {
-                    let b = row / spec.h;
-                    let y = row % spec.h;
-                    for x in 0..spec.w {
-                        for cb in 0..c_blocks {
-                            let lanes = input.lanes(b, cb, y, x);
-                            let off =
-                                ((b * hp + y + spec.pad) * wp + x + spec.pad) * cp + cb * LANES;
-                            // SAFETY: each (b, y) row is owned by one task.
-                            unsafe {
-                                let dst = qb.as_ptr().add(off) as *mut i8;
-                                for (l, &s) in lanes.iter().enumerate() {
-                                    let qv = (s * alpha_in)
-                                        .round_ties_even()
-                                        .clamp(-127.0, 127.0)
-                                        as i8;
-                                    *dst.add(l) = qv;
-                                    if tracing && (qv == 127 || qv == -127) {
-                                        saturated += 1;
-                                    }
-                                }
-                            }
-                            if tracing {
-                                values += LANES as u64;
-                            }
-                        }
-                    }
-                }
-                if tracing {
-                    lowino_trace::counter("quant/saturated", saturated);
-                    lowino_trace::counter("quant/values", values);
-                }
+                // SAFETY: each (b, y) row is one task of this phase, and
+                // nothing reads the buffer before the phase barrier.
+                unsafe { front.quantize_rows(input, range) };
             }
             // -- Phase ① part B: integer transform of INT8 tiles,
             // down-scale, round back to INT8 (❷ — the lossy step), +128
@@ -265,22 +206,7 @@ impl ConvExecutor for DownScaleConv {
                 for task in range {
                     let cb = task / geom.total;
                     let tile = task % geom.total;
-                    let (b, ty, tx) = tile_coords(&geom, tile);
-                    let (y0, x0) = tile_origin(&spec, &geom, ty, tx);
-                    // Gather the INT8 tile (pad offsets shift the origin into
-                    // the padded buffer, so indices are always in bounds).
-                    for i in 0..n {
-                        for j in 0..n {
-                            let yy = (y0 + i as isize + spec.pad as isize) as usize;
-                            let xx = (x0 + j as isize + spec.pad as isize) as usize;
-                            let off = ((b * hp + yy) * wp + xx) * cp + cb * LANES;
-                            let src = &qb.as_slice()[off..off + LANES];
-                            let dst = &mut patch_q[(i * n + j) * LANES..][..LANES];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d = i32::from(s);
-                            }
-                        }
-                    }
+                    front.gather_tile(tile, cb, patch_q);
                     // Exact integer Winograd transform (range grows up to
                     // `growth(m)×`).
                     tt.input_tile_i32(patch_q, v_int, transform);
@@ -313,37 +239,15 @@ impl ConvExecutor for DownScaleConv {
                 let mut ws = scratch.worker(worker);
                 gemm.run_range(range, &mut ws.gemm_pack);
             }
-            // -- Phase ③: fused de-quantize + output transform (the inverse
-            // scale 1/(α_in·α_ds·α_U) is folded into the compiled tape's
-            // i32→f32 loads, broadcast across all t). Effective input scale
-            // is α_in·α_ds (the spatial scale times the transform
-            // down-scale).
+            // -- Phase ③: fused de-quantize + output transform. Effective
+            // input scale is α_in·α_ds (the spatial scale times the
+            // transform down-scale).
             _ => {
                 let _span = lowino_trace::span("downscale/output_transform");
                 let mut ws = scratch.worker(worker);
-                let WorkerScratch {
-                    transform, tile_f, ..
-                } = &mut *ws;
-                tt.ensure_scratch(transform, LANES);
-                let y = ensure_f32(tile_f, m * m * LANES);
-                for task in range {
-                    let kg = task / geom.total;
-                    let tile = task % geom.total;
-                    let (b, ty, tx) = tile_coords(&geom, tile);
-                    let block = gemm.z().tile_block(kg, tile);
-                    tt.output_tile_dequantized(
-                        vt,
-                        block,
-                        core::slice::from_ref(&inv),
-                        0,
-                        y,
-                        transform,
-                    );
-                    // SAFETY: output tiles never overlap.
-                    unsafe {
-                        scatter_output_tile(out_ref, b, kg, ty * m, tx * m, m, y);
-                    }
-                }
+                // SAFETY: one task per (kg, tile) — output tiles never
+                // overlap.
+                unsafe { front.output_tiles(vt, gemm.z(), inv, out_ref, range, &mut ws) };
             }
         })?;
         Ok(StageTimings {

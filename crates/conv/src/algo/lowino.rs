@@ -50,7 +50,7 @@ use lowino_simd::{quantize_f32_lanes_i8, store::stream_fence, stream_store_u8_64
 use lowino_tensor::{round_up, BlockedImage, ConvShape, Tensor4, TileGeometry, LANES};
 use lowino_winograd::{TapePostOps, TileTransformer, TransformScratch};
 
-use crate::algo::{check_io, Algorithm, ConvExecutor, ConvPostOps};
+use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::{ConvContext, NonFinitePolicy};
 use crate::error::{ConvError, ExecError};
 use crate::filter::{pack_filters_lowino, pack_filters_lowino_per_position};
@@ -285,7 +285,9 @@ pub struct LoWinoConv {
     panels: Option<(VPanel, ZPanel)>,
     /// Saturated `V` values of the last execute, counted in phase ①.
     saturated: AtomicU64,
-    blocking_override: Option<Blocking>,
+    /// Stage ②'s blocking: set by [`Self::set_blocking`], else resolved by
+    /// the first execute ([`resolve_blocking`]) and kept.
+    blocking: Option<Blocking>,
 }
 
 impl LoWinoConv {
@@ -374,7 +376,7 @@ impl LoWinoConv {
             per_position,
             panels: None,
             saturated: AtomicU64::new(0),
-            blocking_override: None,
+            blocking: None,
         }
     }
 
@@ -383,10 +385,11 @@ impl LoWinoConv {
         self.per_position
     }
 
-    /// Override the GEMM blocking (wisdom/tuner integration and the
-    /// blocking ablation bench).
+    /// Set the GEMM blocking (planners seeding from
+    /// [`ConvContext::seed_blocking`], the offline tuner and the blocking
+    /// ablation bench); the next execute runs with it.
     pub fn set_blocking(&mut self, b: Blocking) {
-        self.blocking_override = Some(b);
+        self.blocking = Some(b);
     }
 
     /// The GEMM shape of stage ② (for tuning).
@@ -436,7 +439,7 @@ impl LoWinoConv {
         let geom = self.geom;
         let (n, m, t_count) = (geom.n, geom.m, geom.t());
         let shape = self.gemm_shape();
-        let blocking = ctx.gemm_blocking(&shape, self.blocking_override);
+        let blocking = resolve_blocking(&mut self.blocking, &shape, ctx);
         let (v_panel, z_panel) = staged_panels(&mut self.panels, &shape);
         let tt = &self.tt;
         let tier = ctx.tier;
@@ -550,10 +553,10 @@ impl LoWinoConv {
         if let Some(res) = post.residual {
             assert_eq!(res.dims(), output.dims(), "residual dims mismatch");
         }
-        // Resolve stage ②'s blocking (published winner → override → seed)
-        // and, from its register tile and the host's L2, the schedule.
+        // Stage ②'s blocking and, from its register tile and the host's L2,
+        // the schedule.
         let shape = self.gemm_shape();
-        let blocking = normalize_for(&ctx.gemm_blocking(&shape, self.blocking_override), &shape);
+        let blocking = normalize_for(&resolve_blocking(&mut self.blocking, &shape, ctx), &shape);
         let chain = chain_block(&shape, blocking.row_blk, ctx.threads(), ctx.cache.l2_bytes);
         self.saturated.store(0, Ordering::Relaxed);
         let bodies = TileBodies {

@@ -4,6 +4,7 @@ pub mod direct_f32;
 pub mod direct_i8;
 pub mod downscale;
 pub mod lowino;
+pub(crate) mod spatial;
 pub mod upcast;
 pub mod wino_f32;
 
@@ -232,10 +233,24 @@ pub trait ConvExecutor {
         None
     }
 
-    /// Install a tuner-chosen blocking for the stage-② GEMM. Executors
-    /// that report a shape from [`Self::gemm_shape`] accept the seed;
-    /// everyone else ignores it.
+    /// Install a blocking for the stage-② GEMM — what planners do with
+    /// [`ConvContext::seed_blocking`]'s answer; an executor that never gets
+    /// one resolves the same seed on its first execute. Executors that
+    /// report a shape from [`Self::gemm_shape`] accept it; everyone else
+    /// ignores it.
     fn set_blocking(&mut self, _b: lowino_gemm::Blocking) {}
+}
+
+/// The blocking a GEMM-backed executor runs `shape` with: the one it was
+/// given (`set_blocking`) or has already resolved, else the context's seed
+/// ([`ConvContext::seed_blocking`]) — resolved by this execute, once, and
+/// kept in the executor's slot for every later one.
+pub(crate) fn resolve_blocking(
+    slot: &mut Option<lowino_gemm::Blocking>,
+    shape: &lowino_gemm::GemmShape,
+    ctx: &ConvContext,
+) -> lowino_gemm::Blocking {
+    *slot.get_or_insert_with(|| ctx.seed_blocking(shape))
 }
 
 /// Shared input/output validation for all executors: dimension check plus
@@ -274,6 +289,22 @@ pub(crate) fn check_io(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resolve_blocking_fills_an_empty_slot_once_and_keeps_a_given_one() {
+        let shape = lowino_gemm::GemmShape { t: 16, n: 100, c: 32, k: 64 };
+        let given = lowino_gemm::Blocking { n_blk: 4, c_blk: 16, k_blk: 64, row_blk: 2, col_blk: 1 };
+        let mut ctx = ConvContext::new(1);
+        let mut slot = None;
+        let seed = resolve_blocking(&mut slot, &shape, &ctx);
+        assert_eq!((seed, slot), (ctx.seed_blocking(&shape), Some(seed)));
+        // Resolved means kept: wisdom that arrives later does not move it.
+        ctx.wisdom.insert(ctx.tier, &shape, given);
+        assert_eq!(resolve_blocking(&mut slot, &shape, &ctx), seed);
+        // `set_blocking` overwrites the slot; the next execute reads that.
+        slot = Some(given);
+        assert_eq!(resolve_blocking(&mut slot, &shape, &ctx), given);
+    }
 
     #[test]
     fn algorithm_metadata() {

@@ -16,29 +16,24 @@ use lowino_gemm::int16::GemmTasksI16;
 use lowino_gemm::{GemmShape, UPanelI16, VPanelI16, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
-use lowino_tensor::{AlignedBuf, BlockedImage, ConvShape, Tensor4, TileGeometry, LANES};
+use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
 use lowino_winograd::{range_growth_2d, TileTransformer};
 
+use crate::algo::spatial::SpatialInt8;
 use crate::algo::{check_io, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_upcast;
-use crate::scratch::{ensure_f32, ensure_i32, ScratchArena, WorkerScratch};
+use crate::scratch::{ensure_i32, ScratchArena, WorkerScratch};
 use crate::stats::StageTimings;
-use crate::tiles::{scatter_output_tile, tile_coords, tile_origin};
 
 /// Up-casting Winograd INT16 executor.
 pub struct UpCastConv {
-    spec: ConvShape,
-    geom: TileGeometry,
-    tt: TileTransformer,
+    /// Spatial-domain quantization, tile gather and output transform
+    /// (shared design with the down-scaling baseline).
+    front: SpatialInt8,
     u_panel: UPanelI16,
-    alpha_in: QParams,
     alpha_u: QParams,
-    /// Spatially-quantized padded input (INT8, quantized once per execute).
-    qbuf: AlignedBuf<i8>,
-    hp: usize,
-    wp: usize,
     v_panel: VPanelI16,
     z_panel: ZPanel,
 }
@@ -68,19 +63,13 @@ impl UpCastConv {
         let tt = TileTransformer::new(m, spec.r)?;
         let (u_panel, alpha_u) = pack_filters_upcast(&spec, &geom, &tt, weights)?;
         let t_count = geom.t();
-        let cp = lowino_tensor::round_up(spec.in_c, LANES);
-        let hp = ((geom.tiles_h - 1) * geom.m + geom.n).max(spec.h + 2 * spec.pad);
-        let wp = ((geom.tiles_w - 1) * geom.m + geom.n).max(spec.w + 2 * spec.pad);
         Ok(Self {
-            spec,
-            geom,
-            tt,
+            // Before the panels: allocated after them, the padded INT8 buffer
+            // raises the heap's high-water mark by ~15 MiB on layers that are
+            // rebuilt (EXPERIMENTS.md "PR 20").
+            front: SpatialInt8::new(spec, geom, tt, input_scale.alpha),
             u_panel,
-            alpha_in: input_scale,
             alpha_u,
-            qbuf: AlignedBuf::zeroed(spec.batch * hp * wp * cp),
-            hp,
-            wp,
             v_panel: VPanelI16::new(t_count, geom.total, spec.in_c),
             z_panel: ZPanel::new(t_count, geom.total, spec.out_c),
         })
@@ -89,11 +78,11 @@ impl UpCastConv {
 
 impl ConvExecutor for UpCastConv {
     fn spec(&self) -> &ConvShape {
-        &self.spec
+        &self.front.spec
     }
 
     fn algorithm(&self) -> Algorithm {
-        Algorithm::UpCast { m: self.geom.m }
+        Algorithm::UpCast { m: self.front.geom.m }
     }
 
     /// Single-fork-join schedule: the four stages (spatial quantization,
@@ -106,15 +95,10 @@ impl ConvExecutor for UpCastConv {
         output: &mut BlockedImage,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
-        let spec = self.spec;
-        let geom = self.geom;
-        let (n, m, t_count) = (geom.n, geom.m, geom.t());
-        let tt = &self.tt;
-        let alpha_in = self.alpha_in.alpha;
-        let (hp, wp) = (self.hp, self.wp);
-        let cp = lowino_tensor::round_up(spec.in_c, LANES);
-        let c_blocks = cp / LANES;
+        let front = &self.front;
+        check_io(&front.spec, input, output, ctx.non_finite)?;
+        let (spec, geom, tt) = (front.spec, front.geom, &front.tt);
+        let (n, t_count) = (geom.n, geom.t());
 
         let ConvContext {
             pool,
@@ -133,57 +117,24 @@ impl ConvExecutor for UpCastConv {
             k: spec.out_c,
         };
         let vp: &VPanelI16 = &self.v_panel;
-        let qb: &AlignedBuf<i8> = &self.qbuf;
         let gemm = GemmTasksI16::plan(tier, &shape, &self.v_panel, &self.u_panel, &mut self.z_panel);
-        let inv = 1.0 / (alpha_in * self.alpha_u.alpha);
+        let inv = 1.0 / (front.alpha_in * self.alpha_u.alpha);
 
         let out_ref: &BlockedImage = output;
         let totals = [
             spec.batch * spec.h,
-            c_blocks * geom.total,
+            front.c_blocks() * geom.total,
             gemm.total(),
             out_ref.c_blocks() * geom.total,
         ];
         let times = pool.run_phases_catching(&totals, |worker, phase, range| match phase {
             // -- Phase ① part A: quantize the input once into the padded
-            // INT8 buffer (shared design with the down-scaling baseline).
+            // INT8 buffer.
             0 => {
                 let _span = lowino_trace::span("upcast/quantize_input");
-                let tracing = lowino_trace::enabled();
-                let mut saturated = 0u64;
-                let mut values = 0u64;
-                for row in range {
-                    let b = row / spec.h;
-                    let y = row % spec.h;
-                    for x in 0..spec.w {
-                        for cb in 0..c_blocks {
-                            let lanes = input.lanes(b, cb, y, x);
-                            let off =
-                                ((b * hp + y + spec.pad) * wp + x + spec.pad) * cp + cb * LANES;
-                            // SAFETY: each (b, y) row is owned by one task.
-                            unsafe {
-                                let dst = qb.as_ptr().add(off) as *mut i8;
-                                for (l, &s) in lanes.iter().enumerate() {
-                                    let qv = (s * alpha_in)
-                                        .round_ties_even()
-                                        .clamp(-127.0, 127.0)
-                                        as i8;
-                                    *dst.add(l) = qv;
-                                    if tracing && (qv == 127 || qv == -127) {
-                                        saturated += 1;
-                                    }
-                                }
-                            }
-                            if tracing {
-                                values += LANES as u64;
-                            }
-                        }
-                    }
-                }
-                if tracing {
-                    lowino_trace::counter("quant/saturated", saturated);
-                    lowino_trace::counter("quant/values", values);
-                }
+                // SAFETY: each (b, y) row is one task of this phase, and
+                // nothing reads the buffer before the phase barrier.
+                unsafe { front.quantize_rows(input, range) };
             }
             // -- Phase ① part B: exact integer transform of INT8 → INT16.
             1 => {
@@ -201,20 +152,7 @@ impl ConvExecutor for UpCastConv {
                 for task in range {
                     let cb = task / geom.total;
                     let tile = task % geom.total;
-                    let (b, ty, tx) = tile_coords(&geom, tile);
-                    let (y0, x0) = tile_origin(&spec, &geom, ty, tx);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let yy = (y0 + i as isize + spec.pad as isize) as usize;
-                            let xx = (x0 + j as isize + spec.pad as isize) as usize;
-                            let off = ((b * hp + yy) * wp + xx) * cp + cb * LANES;
-                            let src = &qb.as_slice()[off..off + LANES];
-                            let dst = &mut patch_q[(i * n + j) * LANES..][..LANES];
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d = i32::from(s);
-                            }
-                        }
-                    }
+                    front.gather_tile(tile, cb, patch_q);
                     tt.input_tile_i32(patch_q, v_int, transform);
                     // Up-cast ❶: exact in INT16 (capacity checked at plan
                     // time).
@@ -238,36 +176,15 @@ impl ConvExecutor for UpCastConv {
                 let _span = lowino_trace::span("upcast/gemm");
                 gemm.run_range(range);
             }
-            // -- Phase ③: fused de-quantize + output transform (the inverse
-            // scale is folded into the compiled tape's i32→f32 loads,
-            // broadcast across all t). The integer transform is exact, so
-            // the only scales are the spatial α_in and the filter α_U.
+            // -- Phase ③: fused de-quantize + output transform. The integer
+            // transform is exact, so the only scales are the spatial α_in
+            // and the filter α_U.
             _ => {
                 let _span = lowino_trace::span("upcast/output_transform");
                 let mut ws = scratch.worker(worker);
-                let WorkerScratch {
-                    transform, tile_f, ..
-                } = &mut *ws;
-                tt.ensure_scratch(transform, LANES);
-                let y = ensure_f32(tile_f, m * m * LANES);
-                for task in range {
-                    let kg = task / geom.total;
-                    let tile = task % geom.total;
-                    let (b, ty, tx) = tile_coords(&geom, tile);
-                    let block = gemm.z().tile_block(kg, tile);
-                    tt.output_tile_dequantized(
-                        vt,
-                        block,
-                        core::slice::from_ref(&inv),
-                        0,
-                        y,
-                        transform,
-                    );
-                    // SAFETY: output tiles never overlap.
-                    unsafe {
-                        scatter_output_tile(out_ref, b, kg, ty * m, tx * m, m, y);
-                    }
-                }
+                // SAFETY: one task per (kg, tile) — output tiles never
+                // overlap.
+                unsafe { front.output_tiles(vt, gemm.z(), inv, out_ref, range, &mut ws) };
             }
         })?;
         Ok(StageTimings {
@@ -282,8 +199,8 @@ impl ConvExecutor for UpCastConv {
     /// scanning the whole padded buffer is exact; `total` counts only the
     /// real `B·C·H·W` values.
     fn saturation(&self) -> Option<(u64, u64)> {
-        let spec = &self.spec;
-        let sat = lowino_quant::count_saturated_i8(self.qbuf.as_slice());
+        let spec = &self.front.spec;
+        let sat = lowino_quant::count_saturated_i8(self.front.quantized());
         Some((sat, (spec.batch * spec.in_c * spec.h * spec.w) as u64))
     }
 }

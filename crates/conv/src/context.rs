@@ -1,8 +1,6 @@
-//! Shared execution resources: thread pool, SIMD tier, wisdom, tuning.
+//! Shared execution resources: thread pool, SIMD tier, wisdom, scratch.
 
-use lowino_gemm::{
-    Blocking, CacheModel, GemmShape, RetuneConfig, SeedSource, TunePolicy, TuneRuntime, Wisdom,
-};
+use lowino_gemm::{Blocking, CacheModel, GemmShape, Wisdom};
 use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
 
@@ -25,10 +23,8 @@ pub enum NonFinitePolicy {
 
 /// Execution context shared across layers: the static-scheduling thread
 /// pool (paper §4.4), the detected SIMD tier, the auto-tuning wisdom
-/// (§4.3.4), the Autotuner 2.0 runtime (seeding policy, published retune
-/// table, optional background retuner), and the persistent per-worker
-/// scratch arena the executors' phase bodies draw their working buffers
-/// from.
+/// (§4.3.4), and the persistent per-worker scratch arena the executors'
+/// phase bodies draw their working buffers from.
 pub struct ConvContext {
     /// Fork-join pool; worker count fixed at construction.
     pub pool: StaticPool,
@@ -40,8 +36,6 @@ pub struct ConvContext {
     pub scratch: ScratchArena,
     /// How `execute` treats NaN/±inf input values.
     pub non_finite: NonFinitePolicy,
-    /// Autotuner 2.0: seeding policy + published-winner table + retuner.
-    pub tune: TuneRuntime,
     /// Per-core cache capacities of the host ([`CacheModel::detect`]) — the
     /// machine description `LoWinoConv` picks its schedule from.
     pub cache: CacheModel,
@@ -49,11 +43,8 @@ pub struct ConvContext {
 
 impl ConvContext {
     /// Context with `threads` execution slots and the best available tier.
-    /// Tuning policy comes from `LOWINO_RETUNE` (default: seed-only, no
-    /// thread) and wisdom from `LOWINO_WISDOM` (unreadable files degrade
-    /// to empty wisdom). The retuner thread is *not* spawned here even
-    /// under `background` — use [`Self::with_tuning`] or
-    /// `Engine::builder` for that.
+    /// Wisdom comes from `LOWINO_WISDOM` (unreadable files degrade to
+    /// empty wisdom).
     pub fn new(threads: usize) -> Self {
         Self::with_tier(threads, SimdTier::detect())
     }
@@ -65,35 +56,12 @@ impl ConvContext {
             Ok(path) => Wisdom::load(std::path::Path::new(&path)).unwrap_or_default(),
             Err(_) => Wisdom::new(),
         };
-        Self::with_tuning(threads, tier, TunePolicy::from_env(), wisdom, None)
-    }
-
-    /// Fully explicit construction: tuning policy, wisdom, and (when the
-    /// policy is [`TunePolicy::Background`] and `retune` is `Some`) a
-    /// background retuner spawned with the given config. Passing `retune:
-    /// None` under `Background` gives the policy's lookup/hotness
-    /// behaviour without a thread — useful for tests that publish into
-    /// the table by hand.
-    pub fn with_tuning(
-        threads: usize,
-        tier: SimdTier,
-        policy: TunePolicy,
-        wisdom: Wisdom,
-        retune: Option<RetuneConfig>,
-    ) -> Self {
-        let mut tune = TuneRuntime::new(policy);
-        if policy == TunePolicy::Background {
-            if let Some(cfg) = retune {
-                tune.start_retuner(cfg, wisdom.clone());
-            }
-        }
         Self {
             pool: StaticPool::new(threads),
             tier,
             wisdom,
             scratch: ScratchArena::new(threads),
             non_finite: NonFinitePolicy::default(),
-            tune,
             cache: CacheModel::detect(),
         }
     }
@@ -103,37 +71,14 @@ impl ConvContext {
         self.pool.threads()
     }
 
-    /// Resolve the blocking an executor should run `shape` with, in
-    /// priority order: published retune winner → compile-time/manual
-    /// override → wisdom/cost-model seed (or the static default when the
-    /// policy is [`TunePolicy::Off`]). Steady-state allocation-free; never
-    /// measures.
-    pub fn gemm_blocking(&self, shape: &GemmShape, override_: Option<Blocking>) -> Blocking {
-        if let Some(published) = self.tune.lookup(self.tier, shape) {
-            return published;
-        }
-        if let Some(b) = override_ {
-            return b;
-        }
-        match self.tune.policy() {
-            TunePolicy::Off => self.wisdom.blocking_or_default(self.tier, shape),
-            _ => self.wisdom.blocking_for(self.tier, shape).0,
-        }
-    }
-
-    /// The compile-time seed for `shape`: exact wisdom → shape-class
-    /// wisdom → cost-model argmin (never a measurement). Emits one
-    /// `tune/seeded` instant whose payload encodes the [`SeedSource`].
-    /// Under [`TunePolicy::Off`] only exact wisdom or the static default
-    /// are used (pre-autotuner behaviour).
+    /// The blocking for `shape` — the one place a GEMM shape becomes a
+    /// blocking: exact wisdom → shape-class wisdom → cost-model argmin
+    /// (never a measurement). Emits one `tune/seeded` instant whose payload
+    /// is the [`lowino_gemm::SeedSource`] code. Planners call it once per
+    /// executor and hand the result to `set_blocking`; an executor nobody
+    /// seeded calls it on its first execute and keeps the answer.
     pub fn seed_blocking(&self, shape: &GemmShape) -> Blocking {
-        let (blocking, src) = match self.tune.policy() {
-            TunePolicy::Off => match self.wisdom.get(self.tier, shape) {
-                Some(b) => (b, SeedSource::Exact),
-                None => (Blocking::default_for(shape), SeedSource::Default),
-            },
-            _ => self.wisdom.blocking_for(self.tier, shape),
-        };
+        let (blocking, src) = self.wisdom.blocking_for(self.tier, shape);
         lowino_trace::instant("tune/seeded", src.as_u64());
         blocking
     }
@@ -142,6 +87,8 @@ impl ConvContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowino_gemm::GemmCostModel;
+    use lowino_tensor::ConvShape;
 
     #[test]
     fn construction() {
@@ -153,48 +100,81 @@ mod tests {
         let ctx = ConvContext::with_tier(1, SimdTier::Scalar);
         assert_eq!(ctx.tier, SimdTier::Scalar);
         assert!(ctx.wisdom.is_empty());
-        assert!(!ctx.tune.is_retuning());
+    }
+
+    /// Stage ②'s shape for `F(m,3)` on a `batch × c × hw × hw` "same" layer.
+    fn wino(m: usize, batch: usize, c: usize, k: usize, hw: usize) -> GemmShape {
+        let geom = ConvShape::same(batch, c, k, hw, 3).tiles(m).unwrap();
+        GemmShape { t: geom.t(), n: geom.total, c, k }
     }
 
     #[test]
     fn blocking_resolution_order() {
-        let shape = GemmShape { t: 4, n: 100, c: 32, k: 64 };
-        let override_b = Blocking { n_blk: 50, c_blk: 32, k_blk: 64, row_blk: 4, col_blk: 2 };
-        let published = Blocking { n_blk: 25, c_blk: 32, k_blk: 64, row_blk: 2, col_blk: 2 };
+        let tuned = GemmShape { t: 16, n: 1000, c: 200, k: 200 };
+        let neighbour = GemmShape { t: 16, n: 513, c: 129, k: 129 };
+        let far = GemmShape { t: 16, n: 8192, c: 16, k: 1024 };
+        let exact_b = Blocking { n_blk: 50, c_blk: 32, k_blk: 64, row_blk: 4, col_blk: 2 };
+        let class_b = Blocking { n_blk: 25, c_blk: 32, k_blk: 64, row_blk: 2, col_blk: 2 };
 
-        let mut ctx = ConvContext::with_tuning(
-            1,
-            SimdTier::Scalar,
-            TunePolicy::SeedOnly,
-            Wisdom::new(),
-            None,
-        );
-        // No override, empty wisdom: cost-model seed, still valid.
-        assert!(ctx.gemm_blocking(&shape, None).validate().is_ok());
-        // Override beats the seed...
-        assert_eq!(ctx.gemm_blocking(&shape, Some(override_b)), override_b);
-        // ...but a published winner beats the override.
-        ctx.tune.shared().publish(SimdTier::Scalar, &shape, published);
-        assert_eq!(ctx.gemm_blocking(&shape, Some(override_b)), published);
-        // Exact wisdom wins over the model when nothing is published.
-        let other = GemmShape { t: 2, n: 64, c: 16, k: 64 };
-        ctx.wisdom.insert(SimdTier::Scalar, &other, override_b);
-        assert_eq!(ctx.gemm_blocking(&other, None), override_b);
-    }
+        let mut ctx = ConvContext::with_tier(1, SimdTier::Avx2);
+        // `insert` files a tuning under its shape and its class; a later
+        // one for a class neighbour takes the class, not the exact entry.
+        ctx.wisdom.insert(SimdTier::Avx2, &tuned, exact_b);
+        ctx.wisdom.insert(SimdTier::Avx2, &neighbour, class_b);
+        let model = |tier, shape: &GemmShape| GemmCostModel::new().seed(tier, shape);
+        let same_class = GemmShape { n: 600, ..neighbour };
+        for (what, tier, shape, want) in [
+            ("exact beats class", SimdTier::Avx2, tuned, exact_b),
+            ("class beats model", SimdTier::Avx2, same_class, class_b),
+            ("no entry: model", SimdTier::Avx2, far, model(SimdTier::Avx2, &far)),
+            ("other tier: model", SimdTier::Scalar, tuned, model(SimdTier::Scalar, &tuned)),
+        ] {
+            ctx.tier = tier;
+            assert_eq!(ctx.seed_blocking(&shape), want, "{what}");
+        }
 
-    #[test]
-    fn off_policy_ignores_published_table() {
-        let shape = GemmShape { t: 4, n: 100, c: 32, k: 64 };
-        let published = Blocking { n_blk: 25, c_blk: 32, k_blk: 64, row_blk: 2, col_blk: 2 };
-        let ctx = ConvContext::with_tuning(
-            1,
-            SimdTier::Scalar,
-            TunePolicy::Off,
-            Wisdom::new(),
-            None,
-        );
-        ctx.tune.shared().publish(SimdTier::Scalar, &shape, published);
-        assert_eq!(ctx.gemm_blocking(&shape, None), Blocking::default_for(&shape));
-        assert_eq!(ctx.seed_blocking(&shape), Blocking::default_for(&shape));
+        // With empty wisdom the resolver is the cost model's seed — on every
+        // GEMM shape the six ledger workloads plan (BENCHMARK.json), so the
+        // blockings the ledger runs with are the cost model's by
+        // construction.
+        let mut shapes = Vec::new();
+        // conv_deep, conv_wide: LoWino F(4,3) on Table 2 layers.
+        for (batch, c, k, hw) in [
+            (2, 512, 512, 30),
+            (4, 512, 512, 16),
+            (16, 512, 512, 7),
+            (1, 512, 512, 40),
+            (1, 512, 512, 66),
+            (1, 256, 512, 16),
+            (16, 192, 384, 7),
+            (4, 384, 384, 13),
+            (1, 128, 128, 160),
+            (1, 128, 128, 141),
+            (1, 64, 128, 64),
+            (4, 128, 128, 28),
+            (4, 128, 192, 28),
+        ] {
+            shapes.push(wino(4, batch, c, k, hw));
+        }
+        // conv_baselines: DirectInt8 (one pass per filter offset).
+        for (batch, c, k, hw) in [(2, 512, 512, 16), (1, 128, 256, 32), (4, 256, 256, 14)] {
+            shapes.push(GemmShape { t: 9, n: batch * hw * hw, c, k });
+        }
+        // model_tiny / model_wide (batch 4) and serve_poisson (batch 2):
+        // mini_vgg + mini_resnet at F(2,3), stem 3 → width, then width →
+        // width at each pooled size.
+        for (batch, width, hw) in [(4, 8, 8), (4, 128, 32), (2, 8, 8)] {
+            shapes.push(wino(2, batch, 3, width, hw));
+            for pooled in [hw, hw / 2, hw / 4] {
+                shapes.push(wino(2, batch, width, width, pooled));
+            }
+        }
+        for tier in SimdTier::available() {
+            let ctx = ConvContext::with_tier(1, tier);
+            assert!(ctx.wisdom.is_empty());
+            for shape in &shapes {
+                assert_eq!(ctx.seed_blocking(shape), model(tier, shape), "{tier} {shape:?}");
+            }
+        }
     }
 }

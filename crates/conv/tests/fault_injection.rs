@@ -3,6 +3,8 @@
 //! These live in their own integration binary (their own process) because
 //! the fault sites are process-global: arming `scratch/grow` here cannot
 //! race with the library unit tests, which run in a different process.
+//! Within the binary every test calibrates and executes, so an armed site
+//! would fire in whichever sibling probes it first: the tests take turns.
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvError, ConvExecutor, ExecError,
@@ -10,6 +12,12 @@ use lowino_conv::{
 };
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 use lowino_testkit::faults::{CALIBRATE_SAMPLES, SCRATCH_GROW};
+
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn turn() -> std::sync::MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn test_image(spec: &ConvShape) -> BlockedImage {
     let input = Tensor4::from_fn(spec.batch, spec.in_c, spec.h, spec.w, |b, c, y, x| {
@@ -29,6 +37,7 @@ fn test_weights(spec: &ConvShape) -> Tensor4 {
 /// and arena then complete the retry and match a clean run bitwise.
 #[test]
 fn scratch_grow_fault_is_recoverable() {
+    let _turn = turn();
     let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
@@ -72,6 +81,7 @@ fn scratch_grow_fault_is_recoverable() {
 /// path with healthy data; disarmed, the same samples calibrate fine.
 #[test]
 fn calibrate_fault_yields_calibration_error() {
+    let _turn = turn();
     let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
     let img = test_image(&spec);
     CALIBRATE_SAMPLES.arm();
@@ -90,6 +100,7 @@ fn calibrate_fault_yields_calibration_error() {
 /// arming needed; this is the always-on shape guard.
 #[test]
 fn io_shape_mismatch_is_an_error_not_a_panic() {
+    let _turn = turn();
     let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
@@ -114,6 +125,7 @@ fn io_shape_mismatch_is_an_error_not_a_panic() {
 /// work; the default `Propagate` policy lets the same input through.
 #[test]
 fn non_finite_policy_reject_fails_fast() {
+    let _turn = turn();
     let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);

@@ -164,7 +164,7 @@ fn chained_staged_and_three_fork_join_agree_bitwise() {
                     assert!(chained.v_panel().is_none(), "{what}: VAST_L2 must run chained");
                     assert_eq!(staged.saturation(), chained.saturation(), "{what}");
                     let shape = chained.gemm_shape();
-                    let blocking = ctx_chained.gemm_blocking(&shape, None);
+                    let blocking = ctx_chained.seed_blocking(&shape);
                     let row_blk = lowino_gemm::normalize_for(&blocking, &shape).row_blk;
                     let nb = chain_block(&shape, row_blk, threads, VAST_L2.l2_bytes).unwrap();
                     chained_short_block |= shape.n > nb && !shape.n.is_multiple_of(nb);

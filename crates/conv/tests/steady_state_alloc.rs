@@ -17,7 +17,7 @@ use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvExecutor, DirectInt8Conv,
     DownScaleConv, LoWinoConv, UpCastConv, WinogradF32Conv,
 };
-use lowino_gemm::CacheModel;
+use lowino_gemm::{Blocking, CacheModel};
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 use lowino_testkit::alloc::{audit, CountingAlloc};
 
@@ -84,7 +84,6 @@ fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
 #[test]
 fn pipelined_multi_block_steady_state_allocates_nothing() {
     let audit = audit();
-    use lowino_gemm::Blocking;
     let spec = ConvShape::same(1, 70, 130, 11, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
@@ -124,55 +123,71 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
     }
 }
 
-/// Autotuner 2.0 extension of the zero-alloc invariant: the `Background`
-/// lookup path (published-table probe + hot-shape counter bump) and a
-/// published-winner hit must both stay heap-free in steady state — the
-/// retuner's whole point is free swaps, not per-execute overhead. The
-/// runtime is built without a thread (`retune: None`) so the counting
-/// allocator, which counts every thread's allocations, sees only the
-/// execute path; a winner is published by hand to exercise the table hit.
+/// The blocking rule on executors nobody seeded (everything built with
+/// `LoWinoConv::new` / `DirectInt8Conv::new` directly): the first execute
+/// resolves the blocking from its context — one `tune/seeded` instant — and
+/// keeps it, so executes 2…N neither resolve again nor touch the heap; a
+/// blocking handed over later is kept the same way.
 #[test]
-fn background_lookup_and_published_hit_stay_allocation_free() {
+fn unseeded_executors_resolve_their_blocking_once_and_then_allocate_nothing() {
     let audit = audit();
-    use lowino_gemm::{GemmShape, TunePolicy, Wisdom};
-    use lowino_simd::SimdTier;
-
+    const N: usize = 5;
     let spec = ConvShape::same(2, 16, 16, 12, 3).validate().unwrap();
     let img = test_image(&spec);
     let weights = test_weights(&spec);
-    let cal = calibrate_winograd_domain(&spec, 4, std::slice::from_ref(&img)).unwrap();
-    let mut conv = LoWinoConv::new(spec, 4, &weights, cal).unwrap();
-    let mut out = BlockedImage::zeros(2, 16, 12, 12);
-
-    let tier = SimdTier::detect();
-    let mut ctx =
-        ConvContext::with_tuning(2, tier, TunePolicy::Background, Wisdom::new(), None);
-    let geom = spec.tiles(4).unwrap();
-    let shape = GemmShape { t: geom.t(), n: geom.total, c: spec.in_c, k: spec.out_c };
-
-    // Warm-up: grows the arenas AND inserts the shape's hot-counter entry
-    // (the only allocation the note path ever performs).
-    conv.execute(&img, &mut out, &mut ctx).unwrap();
-
-    // Steady state on the cost-model-seed path (nothing published yet).
-    let allocs = audit.count(|| {
-        for _ in 0..3 {
-            conv.execute(&img, &mut out, &mut ctx).unwrap();
+    let wino = calibrate_winograd_domain(&spec, 4, std::slice::from_ref(&img)).unwrap();
+    let spatial = calibrate_spatial(std::slice::from_ref(&img)).unwrap();
+    type Build<'a> = &'a dyn Fn() -> Box<dyn ConvExecutor>;
+    let lowino: Build = &|| Box::new(LoWinoConv::new(spec, 4, &weights, wino).unwrap());
+    let direct_i8: Build = &|| Box::new(DirectInt8Conv::new(spec, &weights, spatial).unwrap());
+    let detected = CacheModel::detect();
+    let cases = [
+        ("lowino staged", CacheModel { l2_bytes: 0, ..detected }, lowino),
+        ("lowino chained", CacheModel { l2_bytes: 1 << 30, ..detected }, lowino),
+        ("direct_i8", detected, direct_i8),
+    ];
+    // `tune/seeded` instants of N traced executes.
+    let seeded_in = |exec: &mut dyn ConvExecutor, ctx: &mut ConvContext, out: &mut BlockedImage| {
+        lowino_trace::reset();
+        lowino_trace::set_enabled(true);
+        for _ in 0..N {
+            exec.execute(&img, out, ctx).unwrap();
         }
-    });
-    assert_eq!(allocs, 0, "Background lookup+note path must not touch the heap");
+        let threads = lowino_trace::drain();
+        lowino_trace::set_enabled(false);
+        lowino_trace::reset();
+        threads
+            .iter()
+            .flat_map(|t| t.events.iter())
+            .filter(|e| e.name == "tune/seeded")
+            .count()
+    };
+    for (name, cache, build) in cases {
+        let mut ctx = ConvContext::new(2);
+        ctx.cache = cache;
+        let mut out = BlockedImage::zeros(2, 16, 12, 12);
 
-    // Publish a winner (as the retuner would) and hit the table instead.
-    ctx.tune
-        .shared()
-        .publish(tier, &shape, lowino_gemm::Blocking::default_for(&shape));
-    conv.execute(&img, &mut out, &mut ctx).unwrap();
-    let allocs = audit.count(|| {
-        for _ in 0..3 {
-            conv.execute(&img, &mut out, &mut ctx).unwrap();
-        }
-    });
-    assert_eq!(allocs, 0, "published-winner hit must not touch the heap");
+        let mut exec = build();
+        assert_eq!(seeded_in(&mut *exec, &mut ctx, &mut out), 1, "{name}: one resolve in {N} executes");
+        let want = out.clone();
+
+        // Untraced, on a fresh executor: the first execute resolves (and
+        // grows whatever the shape needs), the rest must not allocate.
+        let mut exec = build();
+        exec.execute(&img, &mut out, &mut ctx).unwrap();
+        let allocs = audit.count(|| {
+            for _ in 1..N {
+                exec.execute(&img, &mut out, &mut ctx).unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "{name}: executes 2..{N} must not touch the heap");
+
+        // A blocking set afterwards replaces the resolved one and is never
+        // resolved over; the output bits cannot depend on it.
+        exec.set_blocking(Blocking { n_blk: 4, c_blk: 16, k_blk: 64, row_blk: 2, col_blk: 1 });
+        assert_eq!(seeded_in(&mut *exec, &mut ctx, &mut out), 0, "{name}: a set blocking is kept");
+        assert!(out.data() == want.data(), "{name}: output moved with the blocking");
+    }
 }
 
 #[test]

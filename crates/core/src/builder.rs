@@ -7,7 +7,6 @@
 //! workspaces — into a reusable [`Layer`].
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, Algorithm, ConvContext, ConvError,
@@ -15,7 +14,7 @@ use lowino_conv::{
     StageTimings, UpCastConv, WinogradF32Conv,
 };
 use lowino_conv::calibrate::calibrate_winograd_domain_per_position;
-use lowino_gemm::{RetuneConfig, TunePolicy, Wisdom};
+use lowino_gemm::Wisdom;
 use lowino_quant::QParams;
 use lowino_simd::SimdTier;
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
@@ -51,15 +50,12 @@ impl Engine {
         }
     }
 
-    /// Start configuring an engine explicitly: tier, tuning policy,
-    /// wisdom file, background retuning.
+    /// Start configuring an engine explicitly: tier, wisdom file.
     pub fn builder(threads: usize) -> EngineBuilder {
         EngineBuilder {
             threads,
             tier: None,
-            policy: None,
             wisdom_path: None,
-            retune_interval: None,
         }
     }
 
@@ -99,22 +95,19 @@ impl Engine {
     }
 }
 
-/// Configures an [`Engine`] with explicit autotuning behaviour.
+/// Configures an [`Engine`] with an explicit tier and wisdom file.
 ///
 /// ```no_run
-/// # use lowino::Engine;
-/// # use lowino_gemm::TunePolicy;
+/// # use lowino::{Engine, SimdTier};
 /// let engine = Engine::builder(4)
-///     .tune_policy(TunePolicy::Background)
+///     .tier(SimdTier::Avx2)
 ///     .wisdom_path("model.wisdom")
 ///     .build();
 /// ```
 pub struct EngineBuilder {
     threads: usize,
     tier: Option<SimdTier>,
-    policy: Option<TunePolicy>,
     wisdom_path: Option<PathBuf>,
-    retune_interval: Option<Duration>,
 }
 
 impl EngineBuilder {
@@ -124,52 +117,21 @@ impl EngineBuilder {
         self
     }
 
-    /// Set the tuning policy (default: `LOWINO_RETUNE`, falling back to
-    /// [`TunePolicy::SeedOnly`]).
-    pub fn tune_policy(mut self, policy: TunePolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Wisdom file to seed from — and, under
-    /// [`TunePolicy::Background`], to merge retune winners back into
-    /// (default: `LOWINO_WISDOM` if set). Unreadable files degrade to
-    /// empty wisdom.
+    /// Wisdom file to seed blockings from (default: `LOWINO_WISDOM` if
+    /// set). Unreadable files degrade to empty wisdom.
     pub fn wisdom_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.wisdom_path = Some(path.into());
         self
     }
 
-    /// Idle interval of the background retuner (only meaningful under
-    /// [`TunePolicy::Background`]; default 100 ms).
-    pub fn retune_interval(mut self, interval: Duration) -> Self {
-        self.retune_interval = Some(interval);
-        self
-    }
-
-    /// Construct the engine. Under [`TunePolicy::Background`] this spawns
-    /// the retuner thread; it is joined when the engine (context) drops.
+    /// Construct the engine.
     pub fn build(self) -> Engine {
         let tier = self.tier.unwrap_or_else(SimdTier::detect);
-        let policy = self.policy.unwrap_or_else(TunePolicy::from_env);
-        let wisdom_path = self
-            .wisdom_path
-            .or_else(|| std::env::var("LOWINO_WISDOM").ok().map(PathBuf::from));
-        let wisdom = wisdom_path
-            .as_deref()
-            .and_then(|p| Wisdom::load(p).ok())
-            .unwrap_or_default();
-        let retune = (policy == TunePolicy::Background).then(|| {
-            let mut cfg = RetuneConfig::new(tier);
-            if let Some(interval) = self.retune_interval {
-                cfg.interval = interval;
-            }
-            cfg.wisdom_path = wisdom_path;
-            cfg
-        });
-        Engine {
-            ctx: ConvContext::with_tuning(self.threads, tier, policy, wisdom, retune),
+        let mut ctx = ConvContext::with_tier(self.threads, tier);
+        if let Some(path) = self.wisdom_path {
+            ctx.wisdom = Wisdom::load(&path).unwrap_or_default();
         }
+        Engine { ctx }
     }
 }
 
@@ -246,8 +208,9 @@ impl<'w> LayerBuilder<'w> {
     }
 
     /// Plan the layer. GEMM-backed executors get their stage-② blocking
-    /// seeded from the engine's tuner (exact wisdom → shape-class wisdom →
-    /// cost model) — a first execute never stalls on a measurement sweep.
+    /// from [`ConvContext::seed_blocking`] (exact wisdom → shape-class
+    /// wisdom → cost model) — a first execute never stalls on a measurement
+    /// sweep.
     pub fn build(self, engine: &Engine) -> Result<Layer, ConvError> {
         let spec = self.spec.validate()?;
         let algo = match self.algo {

@@ -61,8 +61,7 @@ pub use lowino_conv::{
     ExecError, LoWinoConv, NonFinitePolicy, StageTimings, UpCastConv, WinogradF32Conv,
 };
 pub use lowino_gemm::{
-    Blocking, CacheModel, GemmCostModel, GemmShape, RetuneConfig, SeedSource, ShapeClass,
-    TunePolicy, Wisdom,
+    Blocking, CacheModel, GemmCostModel, GemmShape, SeedSource, ShapeClass, Wisdom,
 };
 pub use lowino_quant::QParams;
 pub use lowino_simd::{dpbusd, SimdTier};

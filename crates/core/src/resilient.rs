@@ -124,9 +124,6 @@ pub struct ResilientConv {
     remaining: Vec<Algorithm>,
     exec: Box<dyn ConvExecutor + Send>,
     demotions: Vec<Demotion>,
-    /// Whether [`Self::seed_blocking`] was called — demoted rungs are then
-    /// re-seeded so a rebuilt executor keeps tuner-chosen blockings.
-    seeded: bool,
 }
 
 impl ResilientConv {
@@ -191,7 +188,6 @@ impl ResilientConv {
                 remaining,
                 exec,
                 demotions,
-                seeded: false,
             }),
             // Even DirectF32 failed: nothing to serve from.
             None => Err(pending.expect("chain was non-empty").1),
@@ -226,15 +222,12 @@ impl ResilientConv {
         self.policy = policy;
     }
 
-    /// Seed the serving executor's GEMM blocking from the context's tuner
-    /// (exact wisdom → shape class → cost model; never a measurement).
-    /// Demotions after this call re-seed the rebuilt rung automatically.
+    /// Seed the serving executor's GEMM blocking at plan time
+    /// ([`ConvContext::seed_blocking`]: exact wisdom → shape class → cost
+    /// model; never a measurement). An executor that is never seeded — this
+    /// one when the call is skipped, or a rung rebuilt by a demotion —
+    /// resolves the same seed on its first execute.
     pub fn seed_blocking(&mut self, ctx: &ConvContext) {
-        self.seeded = true;
-        self.apply_seed(ctx);
-    }
-
-    fn apply_seed(&mut self, ctx: &ConvContext) {
         if let Some(shape) = self.exec.gemm_shape() {
             self.exec.set_blocking(ctx.seed_blocking(&shape));
         }
@@ -279,9 +272,6 @@ impl ResilientConv {
                 }
                 // Caller errors: every rung would reject them identically.
                 Err(err) => return Err(err.into()),
-            }
-            if self.seeded {
-                self.apply_seed(ctx);
             }
         }
     }
@@ -383,6 +373,51 @@ mod tests {
         conv.execute(&img, &mut out, &mut ctx).unwrap();
         assert!(conv.demotions().is_empty());
         assert!(out.max_abs() > 0.0);
+    }
+
+    /// `tune/seeded` instants the calling thread emits while `f` runs. The
+    /// recorder is process-global and sibling tests seed blockings too, so
+    /// only this thread's ring counts — the one carrying the marker.
+    fn seeded_by_this_thread(f: impl FnOnce()) -> usize {
+        let is_mark = |e: &lowino_trace::ring::Event| e.name == "test/mark";
+        lowino_trace::set_enabled(true);
+        lowino_trace::instant("test/mark", 0);
+        f();
+        let threads = lowino_trace::drain();
+        lowino_trace::set_enabled(false);
+        let mine = threads
+            .iter()
+            .find(|t| t.events.iter().any(is_mark))
+            .expect("this thread's marker was recorded");
+        let after = mine.events.iter().rposition(is_mark).expect("marker");
+        mine.events[after..].iter().filter(|e| e.name == "tune/seeded").count()
+    }
+
+    #[test]
+    fn blocking_is_resolved_once_at_plan_time_or_else_by_the_first_execute() {
+        let (spec, w, img) = setup(1.0);
+        let mut ctx = ConvContext::new(2);
+        let mut outs = Vec::new();
+        for seed_at_plan_time in [false, true] {
+            let mut conv = ResilientConv::new(spec, 4, &w, vec![img.clone()]).unwrap();
+            let mut out = BlockedImage::zeros(1, 8, 10, 10);
+            let planned = seeded_by_this_thread(|| {
+                if seed_at_plan_time {
+                    conv.seed_blocking(&ctx);
+                }
+            });
+            let first = seeded_by_this_thread(|| {
+                conv.execute(&img, &mut out, &mut ctx).unwrap();
+            });
+            let second = seeded_by_this_thread(|| {
+                conv.execute(&img, &mut out, &mut ctx).unwrap();
+            });
+            let (p, f) = if seed_at_plan_time { (1, 0) } else { (0, 1) };
+            assert_eq!((planned, first, second), (p, f, 0), "seed_at_plan_time={seed_at_plan_time}");
+            assert!(conv.demotions().is_empty());
+            outs.push(out);
+        }
+        assert!(outs[0].data() == outs[1].data(), "when the blocking was resolved moved the output");
     }
 
     #[test]

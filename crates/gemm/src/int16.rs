@@ -10,6 +10,7 @@ use core::ops::Range;
 
 use lowino_parallel::StaticPool;
 use lowino_simd::{dpwssd, SimdTier};
+use lowino_tensor::round_up;
 
 use crate::driver::GemmShape;
 use crate::panels::{UPanelI16, VPanelI16, ZPanel};
@@ -52,7 +53,9 @@ impl<'a> GemmTasksI16<'a> {
             tier,
             shape: *shape,
             kp: ukp,
-            c2: vcp / 2,
+            // Only the layer's own channel pairs: the panels pad `C` to 64
+            // with zeros in both operands, which add nothing to `Z`.
+            c2: round_up(shape.c, 2) / 2,
             v,
             u,
             z,
@@ -125,9 +128,7 @@ mod tests {
     use super::*;
     use crate::reference::reference_gemm_i16;
 
-    #[test]
-    fn matches_reference() {
-        let shape = GemmShape { t: 3, n: 7, c: 13, k: 40 };
+    fn random_panels(shape: &GemmShape) -> (VPanelI16, UPanelI16) {
         let mut v = VPanelI16::new(shape.t, shape.n, shape.c);
         let mut u = UPanelI16::new(shape.t, shape.c, shape.k);
         let mut s = 13u64;
@@ -149,20 +150,54 @@ mod tests {
                 }
             }
         }
+        (v, u)
+    }
+
+    fn assert_gemm_equals(shape: &GemmShape, v: &VPanelI16, u: &UPanelI16, want: &[i32]) {
         let mut z = ZPanel::new(shape.t, shape.n, shape.k);
         let mut pool = StaticPool::new(2);
-        batched_gemm_i16(SimdTier::detect(), &shape, &v, &u, &mut z, &mut pool);
-        let want = reference_gemm_i16(&v, &u, &shape);
+        batched_gemm_i16(SimdTier::detect(), shape, v, u, &mut z, &mut pool);
         for t in 0..shape.t {
             for n in 0..shape.n {
                 for k in 0..shape.k {
                     assert_eq!(
                         z.get(t, n, k),
                         want[(t * shape.n + n) * shape.k + k],
-                        "t={t} n={n} k={k}"
+                        "{shape:?} t={t} n={n} k={k}"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn matches_reference() {
+        let shape = GemmShape { t: 3, n: 7, c: 13, k: 40 };
+        let (v, u) = random_panels(&shape);
+        assert_gemm_equals(&shape, &v, &u, &reference_gemm_i16(&v, &u, &shape));
+    }
+
+    #[test]
+    fn walks_the_layers_channel_pairs_not_the_panels_padding() {
+        // The panels pad `C` to 64; only `⌈C/2⌉` pairs carry data (a `C = 3`
+        // stem: 2 of 32). With the padding of *both* operands poisoned after
+        // the reference is taken, a walk that touches it reads wrong sums.
+        for c in [3, 8, 37, 70] {
+            let shape = GemmShape { t: 2, n: 5, c, k: 40 };
+            let (mut v, mut u) = random_panels(&shape);
+            let want = reference_gemm_i16(&v, &u, &shape);
+            let (cp, kp) = (u.cp(), u.kp());
+            for t in 0..shape.t {
+                for pad in round_up(c, 2)..cp {
+                    for n in 0..shape.n {
+                        v.row_mut(t, n)[pad] = 111;
+                    }
+                    for k in 0..kp {
+                        u.set(t, pad, k, -77);
+                    }
+                }
+            }
+            assert_gemm_equals(&shape, &v, &u, &want);
         }
     }
 

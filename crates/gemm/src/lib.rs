@@ -21,11 +21,9 @@
 //! * **compensation** seeding: accumulators start from
 //!   `Z̄ = −128·colsum(U)` so unsigned-u8 inputs compute the signed result
 //!   exactly (Eq. 9);
-//! * **Autotuner 2.0**: an analytic cost model ranking the blocking
-//!   lattice ([`cost`]), tier- and shape-class-keyed wisdom with
-//!   zero-stall seeding ([`tune`], §4.3.4), and an online background
-//!   retuner publishing winners via atomically swapped tables
-//!   ([`retune`]);
+//! * the **autotuner** (§4.3.4): an analytic cost model ranking the
+//!   blocking lattice ([`cost`]), and offline measured tuning whose winners
+//!   persist in tier- and shape-class-keyed wisdom ([`tune`]);
 //! * INT16 ([`int16`]) and FP32 ([`f32gemm`]) drivers for the up-casting and
 //!   full-precision baselines.
 
@@ -35,7 +33,6 @@ pub mod int16;
 pub mod kernel;
 pub mod panels;
 pub mod reference;
-pub mod retune;
 pub mod tune;
 
 mod driver;
@@ -47,7 +44,6 @@ pub use f32gemm::{batched_gemm_f32, GemmTasksF32};
 pub use int16::{batched_gemm_i16, GemmTasksI16};
 pub use kernel::{Blocking, MAX_COL_BLK, MAX_ROW_BLK};
 pub use panels::{UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32, VPanelI16, ZPanel, ZPanelF32};
-pub use retune::{RetuneConfig, TunePolicy, TuneRuntime, TuneShared, TuneTable};
 pub use tune::{
     measure_candidates, tune_blocking, tune_blocking_full, Measurement, SeedSource, ShapeClass,
     Wisdom, TUNE_TOP_K,

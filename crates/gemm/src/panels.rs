@@ -327,8 +327,8 @@ impl ZPanel {
 
 // ------------------------------------------------- FP32 / INT16 variants
 
-macro_rules! simple_panels {
-    ($vname:ident, $uname:ident, $elem:ty, $calign:expr) => {
+macro_rules! simple_v_panel {
+    ($vname:ident, $elem:ty, $calign:expr) => {
         /// Transformed-input panel (`[T] × [N] × [C_p]`).
         #[derive(Clone, Debug)]
         pub struct $vname {
@@ -389,7 +389,11 @@ macro_rules! simple_panels {
                 self.buf.as_ptr().add((t * self.n + n) * self.cp) as *mut $elem
             }
         }
+    };
+}
 
+macro_rules! simple_u_panel {
+    ($uname:ident, $elem:ty, $calign:expr) => {
         /// Transformed-filter panel (`[T] × [C_p] × [K_p]`, k-major rows).
         #[derive(Clone, Debug)]
         pub struct $uname {
@@ -446,8 +450,9 @@ macro_rules! simple_panels {
     };
 }
 
-simple_panels!(VPanelF32, UPanelF32, f32, 64);
-simple_panels!(VPanelI16, UPanelI16Unused, i16, 64);
+simple_v_panel!(VPanelF32, f32, 64);
+simple_u_panel!(UPanelF32, f32, 64);
+simple_v_panel!(VPanelI16, i16, 64);
 
 /// INT16 transformed-filter panel for the up-casting baseline:
 /// `[T] × [C_p/2] × [K_p] × [2]` — the `vpdpwssd` pair interleave (the

@@ -1,5 +1,5 @@
 //! Measured tuning of the blocking parameters and wisdom persistence
-//! (paper §4.3.4, rebuilt as Autotuner 2.0's layers 2 and 3).
+//! (paper §4.3.4) — offline, once per layer shape.
 //!
 //! The paper tunes by exhaustively measuring every candidate per exact
 //! GEMM shape. Here measurement only *ranks*: [`tune_blocking`] times the
@@ -18,7 +18,7 @@
 //!
 //! # Wisdom file format
 //!
-//! Line-oriented text, no external dependencies. The v2 format is:
+//! Line-oriented text, no external dependencies:
 //!
 //! ```text
 //! # lowino wisdom v2
@@ -29,12 +29,8 @@
 //! where `<tier>` is a [`SimdTier::from_name`] spelling (`scalar`, `avx2`,
 //! `avx512-vnni`), `exact` keys are the literal `t n c k` dimensions and
 //! `class` keys are the per-dimension bucket exponents
-//! (`bucket(x) = ⌈log₂ x⌉`). Legacy v1 lines — a bare `t n c k` key with
-//! no tier token — still parse and are kept as tierless exact entries
-//! that any tier may fall back to (they were measured on an unknown
-//! tier, so they rank below tier-qualified entries). Blank lines and
-//! `#` comments are ignored; anything else is rejected with its line
-//! number.
+//! (`bucket(x) = ⌈log₂ x⌉`). Blank lines and `#` comments are ignored;
+//! anything else is rejected with its line number.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -65,14 +61,12 @@ pub struct Measurement {
 /// trace instant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedSource {
-    /// Exact-shape wisdom hit (tier-qualified or legacy v1).
+    /// Exact-shape wisdom hit.
     Exact,
     /// Shape-class wisdom hit.
     Class,
     /// Cost-model argmin (no wisdom for the shape or its class).
     Model,
-    /// Static [`Blocking::default_for`] (tuning policy is `Off`).
-    Default,
 }
 
 impl SeedSource {
@@ -82,7 +76,6 @@ impl SeedSource {
             SeedSource::Exact => 0,
             SeedSource::Class => 1,
             SeedSource::Model => 2,
-            SeedSource::Default => 3,
         }
     }
 }
@@ -202,14 +195,12 @@ fn exact_key(tier: SimdTier, shape: &GemmShape) -> ExactKey {
     (tier, [shape.t, shape.n, shape.c, shape.k])
 }
 
-/// Persistent tuning results (§4.3.4's wisdom file, v2: tier-qualified
-/// exact and shape-class entries plus tierless v1 fallbacks). See the
-/// module docs for the on-disk format.
+/// Persistent tuning results (§4.3.4's wisdom file: tier-qualified exact
+/// and shape-class entries). See the module docs for the on-disk format.
 #[derive(Debug, Clone, Default)]
 pub struct Wisdom {
     exact: HashMap<ExactKey, Blocking>,
     class: HashMap<(SimdTier, ShapeClass), Blocking>,
-    legacy: HashMap<[usize; 4], Blocking>,
 }
 
 impl Wisdom {
@@ -218,9 +209,9 @@ impl Wisdom {
         Self::default()
     }
 
-    /// Number of remembered exact shapes (tier-qualified + legacy v1).
+    /// Number of remembered exact shapes.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.legacy.len()
+        self.exact.len()
     }
 
     /// Number of remembered shape classes.
@@ -230,16 +221,12 @@ impl Wisdom {
 
     /// Whether nothing is remembered.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.class.is_empty() && self.legacy.is_empty()
+        self.exact.is_empty() && self.class.is_empty()
     }
 
-    /// Exact-shape lookup: a tier-qualified entry, else a legacy v1 entry
-    /// (tierless, so any tier may use it as a last exact resort).
+    /// Exact-shape lookup.
     pub fn get(&self, tier: SimdTier, shape: &GemmShape) -> Option<Blocking> {
-        self.exact
-            .get(&exact_key(tier, shape))
-            .or_else(|| self.legacy.get(&[shape.t, shape.n, shape.c, shape.k]))
-            .copied()
+        self.exact.get(&exact_key(tier, shape)).copied()
     }
 
     /// Shape-class lookup for the shape's bucket.
@@ -267,13 +254,6 @@ impl Wisdom {
         (GemmCostModel::new().seed(tier, shape), SeedSource::Model)
     }
 
-    /// Pre-v2 behaviour: exact hit or the static default (used when the
-    /// tuning policy is `Off`).
-    pub fn blocking_or_default(&self, tier: SimdTier, shape: &GemmShape) -> Blocking {
-        self.get(tier, shape)
-            .unwrap_or_else(|| Blocking::default_for(shape))
-    }
-
     /// Union `other` into `self`; on a conflicting key `other`'s entry
     /// wins (it is the newer measurement on the save path).
     pub fn merge(&mut self, other: &Wisdom) {
@@ -283,13 +263,9 @@ impl Wisdom {
         for (k, v) in &other.class {
             self.class.insert(*k, *v);
         }
-        for (k, v) in &other.legacy {
-            self.legacy.insert(*k, *v);
-        }
     }
 
-    /// Serialise to the v2 line format (legacy entries keep their v1
-    /// spelling, so a loaded v1 file round-trips).
+    /// Serialise to the line format.
     pub fn to_string_format(&self) -> String {
         let fmt_b = |b: &Blocking| {
             format!(
@@ -320,15 +296,12 @@ impl Wisdom {
                 fmt_b(b)
             ));
         }
-        for (d, b) in &self.legacy {
-            lines.push(format!("{} {} {} {} -> {}", d[0], d[1], d[2], d[3], fmt_b(b)));
-        }
         lines.sort();
         format!("# lowino wisdom v2\n{}\n", lines.join("\n"))
     }
 
-    /// Parse the line format (v2 and v1); malformed lines are rejected
-    /// with their line number.
+    /// Parse the line format; malformed lines are rejected with their
+    /// line number.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut w = Wisdom::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -364,12 +337,6 @@ impl Wisdom {
             let first = key_toks
                 .next()
                 .ok_or_else(|| format!("line {lineno}: empty key"))?;
-            if first.parse::<usize>().is_ok() {
-                // v1: bare `t n c k` key, no tier.
-                let d = parse_nums(key, 4)?;
-                w.legacy.insert([d[0], d[1], d[2], d[3]], blocking);
-                continue;
-            }
             let tier = SimdTier::from_name(first)
                 .ok_or_else(|| format!("line {lineno}: unknown tier '{first}'"))?;
             let kind = key_toks
@@ -460,9 +427,9 @@ impl Wisdom {
     }
 
     /// Concurrent-writer save: re-load the file, merge `self`'s entries
-    /// over it, and [`Wisdom::save`] the union — so two processes (or the
-    /// background retuner and a foreground tuner) saving interleaved keep
-    /// *both* writers' entries instead of last-writer-wins clobbering.
+    /// over it, and [`Wisdom::save`] the union — so two processes saving
+    /// interleaved keep *both* writers' entries instead of
+    /// last-writer-wins clobbering.
     /// A missing or unparseable on-disk file contributes nothing (a
     /// corrupt file is already lost; this path replaces it with good
     /// data). Inherits `save`'s crash safety and its fault site.
@@ -540,21 +507,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_parse_as_tierless_fallbacks() {
+    fn v1_line_is_rejected_with_its_line_number() {
+        // The tierless `t n c k -> …` dialect is gone: such a line names no
+        // tier, so it is malformed like any other.
         let text = "# lowino wisdom v1\n16 100 64 128 -> 48 64 128 4 4\n";
-        let w = Wisdom::parse(text).unwrap();
-        assert_eq!(w.len(), 1);
-        let s = GemmShape { t: 16, n: 100, c: 64, k: 128 };
-        let want = Blocking { n_blk: 48, c_blk: 64, k_blk: 128, row_blk: 4, col_blk: 4 };
-        // Any tier may use the legacy entry for its exact shape…
-        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512Vnni] {
-            assert_eq!(w.get(tier, &s), Some(want));
-        }
-        // …but it contributes no class generalisation.
-        assert_eq!(w.class_len(), 0);
-        // And it survives a v2 re-serialisation.
-        let back = Wisdom::parse(&w.to_string_format()).unwrap();
-        assert_eq!(back.get(SimdTier::Avx2, &s), Some(want));
+        let err = Wisdom::parse(text).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
@@ -608,12 +566,9 @@ mod tests {
         assert!(Wisdom::parse("avx2 blah 1 2 3 4 -> 1 2 3 4 5").is_err()); // bad tag
         assert!(Wisdom::parse("avx2 exact 1 2 3 -> 1 2 3 4 5").is_err()); // short key
         assert!(Wisdom::parse("avx2 class 1 2 3 999 -> 1 2 3 4 5").is_err()); // exponent range
-        // Comments and blanks are fine; both line dialects parse.
-        let w = Wisdom::parse(
-            "# comment\n\n1 2 3 4 -> 5 6 7 8 9\navx2 exact 1 2 3 4 -> 5 6 7 8 9\n",
-        )
-        .unwrap();
-        assert_eq!(w.len(), 2);
+        // Comments and blanks are fine.
+        let w = Wisdom::parse("# comment\n\navx2 exact 1 2 3 4 -> 5 6 7 8 9\n").unwrap();
+        assert_eq!(w.len(), 1);
     }
 
     /// Serialises the tests that call `Wisdom::save`: the `wisdom/save`
@@ -689,8 +644,8 @@ mod tests {
         let path = dir.join("wisdom.txt");
         std::fs::remove_file(&path).ok();
 
-        // Two independent writers (e.g. the background retuner and a
-        // foreground tuning run) save interleaved: both entries survive.
+        // Two independent writers (e.g. two tuning runs) save interleaved:
+        // both entries survive.
         let s_a = GemmShape { t: 16, n: 100, c: 64, k: 128 };
         let s_b = GemmShape { t: 36, n: 1024, c: 512, k: 512 };
         let mut a = Wisdom::new();
@@ -722,16 +677,6 @@ mod tests {
         assert_eq!(disk.get(SimdTier::Avx512Vnni, &s_b), Some(B2));
         assert_eq!(disk.get(SimdTier::Scalar, &s_c), Some(B1));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn blocking_or_default_falls_back() {
-        let w = Wisdom::new();
-        let s = GemmShape { t: 16, n: 128, c: 64, k: 64 };
-        assert_eq!(
-            w.blocking_or_default(SimdTier::Avx2, &s),
-            Blocking::default_for(&s)
-        );
     }
 
     use lowino_testkit::{prop_assert, property, vec_of};

@@ -360,7 +360,7 @@ impl CompiledGraph {
 
     /// [`Self::compile_with_health`] onto a caller-built [`Engine`] — a
     /// serving shard configures its engine first (pinned tier, wisdom
-    /// file, tune policy via [`Engine::builder`]) and hands it over; the
+    /// file via [`Engine::builder`]) and hands it over; the
     /// graph takes ownership. `spec.threads` is ignored in this variant
     /// (the engine already owns its pool).
     pub fn compile_with_engine(
@@ -381,9 +381,9 @@ impl CompiledGraph {
         let input_slot = builder.add_slot(c, h, w);
         let mut act = calib_x.clone();
         let output_slot = builder.lower(&mut model.layers, &mut act, input_slot)?;
-        // Seed every conv's GEMM blocking from the engine's tuner (exact
-        // wisdom → shape class → cost model) — the graph's first forward
-        // never stalls on a measurement sweep, and demoted rungs re-seed.
+        // Seed every conv's GEMM blocking at compile time (exact wisdom →
+        // shape class → cost model) — the graph's first forward never
+        // stalls on a measurement sweep.
         for op in &mut builder.ops {
             if let GraphOp::Conv { conv, .. } = op {
                 conv.seed_blocking(engine.context());

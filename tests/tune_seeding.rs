@@ -4,7 +4,7 @@
 //! must run **zero** `tune/measurement` instants — no first-request stall,
 //! ever.
 
-use lowino::{Blocking, ConvShape, GemmShape, SimdTier, Tensor4, TunePolicy, Wisdom};
+use lowino::{Blocking, ConvShape, GemmShape, SimdTier, Tensor4, Wisdom};
 use lowino::prelude::*;
 use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
 use lowino_testkit::Rng;
@@ -112,23 +112,4 @@ fn class_wisdom_generalizes_to_neighbour_shapes_in_the_engine() {
     let distant = GemmShape { t: 36, n: 4096, c: 512, k: 512 };
     let (_, src) = wisdom.blocking_for(tier, &distant);
     assert_eq!(src, lowino::SeedSource::Model);
-}
-
-#[test]
-fn off_policy_engine_still_works_without_seeding_machinery() {
-    let spec = ConvShape::same(1, 16, 16, 8, 3).validate().unwrap();
-    let weights =
-        Tensor4::from_fn(16, 16, 3, 3, |k, c, y, x| ((k + c + y + x) as f32 * 0.3).sin() * 0.2);
-    let input = Tensor4::from_fn(1, 16, 8, 8, |_, c, y, x| ((c + y + x) as f32 * 0.5).cos());
-    let img = BlockedImage::from_nchw(&input);
-
-    let mut engine = Engine::builder(1).tune_policy(TunePolicy::Off).build();
-    let mut layer = LayerBuilder::new(spec, &weights)
-        .algorithm(AlgoChoice::Fixed(Algorithm::LoWino { m: 2 }))
-        .calibration_samples(vec![img.clone()])
-        .build(&engine)
-        .unwrap();
-    let mut out = engine.alloc_output(&spec);
-    engine.execute(&mut layer, &img, &mut out).unwrap();
-    assert!(out.max_abs() > 0.0);
 }
