@@ -108,6 +108,17 @@ done
 echo "==> bench smoke (transforms, LOWINO_BENCH_SMOKE=1)"
 LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench transforms
 
+# Smoke-run the primitives bench for its whole-GEMM rows: YOLOv3_b's
+# F(4,3) stage ② through the one driver on each element type (u8×i8, i16,
+# f32). All three rows must be there — a baseline that fell back to a
+# private loop would not have one.
+echo "==> bench smoke (kernels, LOWINO_BENCH_SMOKE=1)"
+kernels_out="$(LOWINO_BENCH_SMOKE=1 cargo bench -q --offline -p lowino-bench --bench kernels)"
+echo "$kernels_out"
+for elem in u8i8 i16 f32; do
+    grep -q "^gemm/$elem/yolo_b_f4 " <<<"$kernels_out"
+done
+
 # Fault-injection smoke: run the resilience binary once with the
 # pool/phase and wisdom/save sites armed (the layer must demote and keep
 # serving within direct-f32 tolerance; the crashed wisdom save must leave
@@ -195,6 +206,13 @@ grep -q '"serve/brownout"' "$serve_trace"
 echo "==> top-K pruning guard (release, --ignored)"
 cargo test -q --release --offline -p lowino-gemm --test topk_guard -- --ignored
 
+# One kernel, three element types (also timing-sensitive, release-only):
+# at YOLOv3_b's F(4,3) GEMM shape the i16 GEMM must stay within 4x and the
+# f32 GEMM within 8x of the u8xi8 one — their instruction ratios with
+# headroom, not the 78x / 23x of two row-at-a-time loops.
+echo "==> element-type GEMM ratio guard (release, --ignored)"
+cargo test -q --release --offline -p lowino-gemm --test element_guard -- --ignored
+
 # PR-8 ablation regression guard (also timing-sensitive, release-only):
 # the graph engine's accepted ~2-4% per-op bookkeeping overhead versus
 # the per-layer interpreter must not silently widen (bound and rationale
@@ -205,12 +223,14 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # Deleted-names gate: the three-policy tuning switch, the online retuner,
 # the per-execute blocking resolver, wisdom v1's fallback and the unused
 # i16 filter panel are gone; a blocking is resolved by
-# ConvContext::seed_blocking, once per executor. Fail if any of the names
-# comes back (this line excepted).
+# ConvContext::seed_blocking, once per executor. So are the INT16 and FP32
+# GEMMs' private drivers and the caller-supplied FP32 accumulator: every
+# element type plans the one GemmTasks. Fail if any of the names comes back
+# (this line excepted).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
-    echo "deleted tuning names are back (see above)" >&2
+    echo "deleted names are back (see above)" >&2
     exit 1
 fi
 

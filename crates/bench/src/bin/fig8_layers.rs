@@ -10,10 +10,9 @@
 //! ```
 //!
 //! Defaults divide the paper's batch-64 classification layers by
-//! `--batch-div` (the harness host is a single core; the per-layer *shape*
-//! of the comparison is batch-invariant because every implementation
-//! processes the same tiles). Absolute times are reported alongside the
-//! normalized ones.
+//! `--batch-div` so a sweep takes minutes (the per-layer *shape* of the
+//! comparison is batch-invariant because every implementation processes the
+//! same tiles). Absolute times are reported alongside the normalized ones.
 
 use lowino::prelude::*;
 use lowino_bench::report::fmt_duration;

@@ -14,7 +14,7 @@
 //!    blocked output.
 
 use lowino_gemm::kernel::{microkernel, Seed, Store};
-use lowino_gemm::{Blocking, GemmShape, UPanel, ZPanel};
+use lowino_gemm::{Blocking, Element, GemmShape, UPanel, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_lanes, quantize_lanes, store::stream_fence, stream_store_u8_64};
@@ -246,6 +246,7 @@ impl ConvExecutor for DirectInt8Conv {
                                                 zp.store_ptr_shared(0, n_base + x1, k1);
                                             microkernel(
                                                 tier,
+                                                Element::U8I8,
                                                 rb,
                                                 cb,
                                                 v_ptr,

@@ -16,17 +16,17 @@
 
 use lowino_gemm::{Blocking, GemmShape, GemmTasks, UPanel, VPanel, ZPanel};
 use lowino_quant::QParams;
-use lowino_simd::vecf32::{requantize_i32_lanes, VecTier};
+use lowino_simd::vecf32::{quantize_lanes, requantize_i32_lanes, VecTier};
 use lowino_simd::{store::stream_fence, stream_store_u8_64};
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
 use lowino_winograd::{range_growth_2d, TileTransformer};
 
-use crate::algo::spatial::SpatialInt8;
+use crate::algo::spatial::{SpatialInt8, TileLanes};
 use crate::algo::{check_io, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_lowino;
-use crate::scratch::{ensure_i32, ScratchArena, WorkerScratch};
+use crate::scratch::ScratchArena;
 use crate::stats::StageTimings;
 
 /// Down-scaling Winograd INT8 executor.
@@ -85,13 +85,7 @@ impl DownScaleConv {
 
     /// The GEMM shape of stage ②.
     pub fn gemm_shape(&self) -> GemmShape {
-        let (spec, geom) = (&self.front.spec, &self.front.geom);
-        GemmShape {
-            t: geom.t(),
-            n: geom.total,
-            c: spec.in_c,
-            k: spec.out_c,
-        }
+        self.front.gemm_shape()
     }
 
     /// The cache-capped blocking modelling oneDNN's partition design
@@ -133,8 +127,7 @@ impl ConvExecutor for DownScaleConv {
     ) -> Result<StageTimings, ExecError> {
         let front = &self.front;
         check_io(&front.spec, input, output, ctx.non_finite)?;
-        let (spec, geom, tt) = (front.spec, front.geom, &front.tt);
-        let (n, t_count) = (geom.n, geom.t());
+        let (spec, geom) = (front.spec, front.geom);
         let alpha_ds = self.alpha_ds;
 
         // The oneDNN-like partition cap stands in for the tuner — this
@@ -193,38 +186,25 @@ impl ConvExecutor for DownScaleConv {
                 let mut saturated = 0u64;
                 let mut values = 0u64;
                 let mut ws = scratch.worker(worker);
-                let WorkerScratch {
-                    transform,
-                    patch_i,
-                    tile_i,
-                    ..
-                } = &mut *ws;
-                tt.ensure_scratch(transform, LANES);
-                let patch_q = ensure_i32(patch_i, n * n * LANES);
-                let v_int = ensure_i32(tile_i, n * n * LANES);
                 let mut q = [0u8; LANES];
-                for task in range {
-                    let cb = task / geom.total;
-                    let tile = task % geom.total;
-                    front.gather_tile(tile, cb, patch_q);
-                    // Exact integer Winograd transform (range grows up to
-                    // `growth(m)×`).
-                    tt.input_tile_i32(patch_q, v_int, transform);
-                    for t in 0..t_count {
-                        let src = &v_int[t * LANES..(t + 1) * LANES];
-                        requantize_i32_lanes(vt, src, alpha_ds, true, &mut q);
-                        if tracing {
-                            saturated += lowino_quant::count_saturated_u8(&q);
-                            values += LANES as u64;
-                        }
-                        // SAFETY: disjoint cache lines per task.
-                        unsafe {
-                            let dst = vp.row_ptr_shared(t, tile).add(cb * LANES);
-                            let dst = core::slice::from_raw_parts_mut(dst, LANES);
-                            stream_store_u8_64(tier, dst, &q);
-                        }
+                // Exact integer Winograd transform (range grows up to
+                // `growth(m)×`), then the down-scale.
+                front.input_tiles(vt, range, &mut ws, |t, tile, cb, lanes| {
+                    match lanes {
+                        TileLanes::F32(v) => quantize_lanes(vt, v, alpha_ds, true, &mut q),
+                        TileLanes::I32(v) => requantize_i32_lanes(vt, v, alpha_ds, true, &mut q),
                     }
-                }
+                    if tracing {
+                        saturated += lowino_quant::count_saturated_u8(&q);
+                        values += LANES as u64;
+                    }
+                    // SAFETY: disjoint cache lines per task.
+                    unsafe {
+                        let dst = vp.row_ptr_shared(t, tile).add(cb * LANES);
+                        let dst = core::slice::from_raw_parts_mut(dst, LANES);
+                        stream_store_u8_64(tier, dst, &q);
+                    }
+                });
                 if tracing {
                     lowino_trace::counter("quant/saturated", saturated);
                     lowino_trace::counter("quant/values", values);

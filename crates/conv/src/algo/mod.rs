@@ -225,10 +225,13 @@ pub trait ConvExecutor {
         None
     }
 
-    /// The stage-② GEMM shape this executor runs, when it is GEMM-backed
-    /// and open to tuner seeding. `None` (the default) means "nothing to
-    /// seed" — true for direct/f32 executors and for `DownScaleConv`,
-    /// whose blocking deliberately models oneDNN's partition design.
+    /// The stage-② GEMM this executor runs, when it is GEMM-backed and open
+    /// to tuner seeding — as the u8×i8 problem of the same words
+    /// ([`lowino_gemm::GemmShape::as_u8i8`]: `c` is `2C` for the INT16
+    /// baseline, `4C` for the FP32 one), the shape a blocking is resolved
+    /// on. `None` (the default) means "nothing to seed" — true for
+    /// `DirectF32Conv` and for `DownScaleConv`, whose blocking deliberately
+    /// models oneDNN's partition design.
     fn gemm_shape(&self) -> Option<lowino_gemm::GemmShape> {
         None
     }

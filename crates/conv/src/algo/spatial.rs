@@ -8,12 +8,12 @@
 
 use core::ops::Range;
 
-use lowino_gemm::ZPanel;
+use lowino_gemm::{GemmShape, ZPanel};
 use lowino_simd::vecf32::VecTier;
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, TileGeometry, LANES};
 use lowino_winograd::TileTransformer;
 
-use crate::scratch::{ensure_f32, WorkerScratch};
+use crate::scratch::{ensure_f32, ensure_i32, WorkerScratch};
 use crate::tiles::{scatter_output_tile, tile_coords, tile_origin};
 
 /// A layer's spatially-quantized padded input and the tile geometry that
@@ -24,6 +24,10 @@ pub(crate) struct SpatialInt8 {
     pub(crate) tt: TileTransformer,
     /// The spatial-domain input scale.
     pub(crate) alpha_in: f32,
+    /// Whether the generated f32 `Bᵀ` is exact on this tile size's INT8
+    /// tiles ([`TileTransformer::input_exact_in_f32`]) — then phase ① part B
+    /// runs it instead of the interpreted integer codelets.
+    exact_in_f32: bool,
     /// `[B][hp][wp][C_p]` i8 — filled once per execute, so overlapping
     /// tiles re-read INT8 bytes instead of re-quantizing FP32 (the oneDNN
     /// behaviour the paper contrasts with in §5.3: its transform reads 4×
@@ -34,6 +38,14 @@ pub(crate) struct SpatialInt8 {
     hp: usize,
     wp: usize,
     cp: usize,
+}
+
+/// One 64-lane group of an integer-transformed tile: exact integers, in
+/// f32 where the generated `Bᵀ` kernel is exact on them, else in i32 from
+/// the interpreted codelets.
+pub(crate) enum TileLanes<'a> {
+    F32(&'a [f32]),
+    I32(&'a [i32]),
 }
 
 impl SpatialInt8 {
@@ -49,6 +61,7 @@ impl SpatialInt8 {
         Self {
             spec,
             geom,
+            exact_in_f32: tt.input_exact_in_f32(127),
             tt,
             alpha_in,
             qbuf: AlignedBuf::zeroed(spec.batch * hp * wp * cp),
@@ -56,6 +69,12 @@ impl SpatialInt8 {
             wp,
             cp,
         }
+    }
+
+    /// The stage-② GEMM of the layer, in channels.
+    pub(crate) fn gemm_shape(&self) -> GemmShape {
+        let (spec, geom) = (&self.spec, &self.geom);
+        GemmShape { t: geom.t(), n: geom.total, c: spec.in_c, k: spec.out_c }
     }
 
     /// Input channel groups (`C_p / 64`).
@@ -117,11 +136,10 @@ impl SpatialInt8 {
         }
     }
 
-    /// Phase ① part B, first half: channel group `cb` of `tile` as an
-    /// `n×n×64` i32 patch for the integer `Bᵀ`. The pad offset shifts the
-    /// tile's origin into the padded buffer, so indices are always in
-    /// bounds and halo pixels read zeros.
-    pub(crate) fn gather_tile(&self, tile: usize, cb: usize, patch: &mut [i32]) {
+    /// Channel group `cb` of `tile` as an `n×n×64` patch of widened INT8
+    /// values. The pad offset shifts the tile's origin into the padded
+    /// buffer, so indices are always in bounds and halo pixels read zeros.
+    fn gather_tile<T: From<i8>>(&self, tile: usize, cb: usize, patch: &mut [T]) {
         let (spec, n) = (&self.spec, self.geom.n);
         let (b, ty, tx) = tile_coords(&self.geom, tile);
         let (y0, x0) = tile_origin(spec, &self.geom, ty, tx);
@@ -133,7 +151,45 @@ impl SpatialInt8 {
                 let src = &self.qbuf.as_slice()[off..off + LANES];
                 let dst = &mut patch[(i * n + j) * LANES..][..LANES];
                 for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = i32::from(s);
+                    *d = T::from(s);
+                }
+            }
+        }
+    }
+
+    /// Phase ① part B over `tasks` of the `(cb, tile)` grid: the exact
+    /// integer `Bᵀ d B` of each INT8 tile, handed to `sink(t, tile, cb,
+    /// lanes)` one 64-lane group per Winograd-domain element `t`. The values
+    /// are the same integers either way ([`TileLanes`]); what the executor
+    /// squeezes them into is its own business.
+    pub(crate) fn input_tiles(
+        &self,
+        vt: VecTier,
+        tasks: Range<usize>,
+        ws: &mut WorkerScratch,
+        mut sink: impl FnMut(usize, usize, usize, TileLanes<'_>),
+    ) {
+        let (total, t_count) = (self.geom.total, self.geom.t());
+        let len = t_count * LANES;
+        self.tt.ensure_scratch(&mut ws.transform, LANES);
+        if self.exact_in_f32 {
+            let (patch, v) = (ensure_f32(&mut ws.patch_f, len), ensure_f32(&mut ws.tile_f, len));
+            for task in tasks {
+                let (cb, tile) = (task / total, task % total);
+                self.gather_tile(tile, cb, patch);
+                self.tt.input_tile_f32_compiled(vt, patch, v, &mut ws.transform);
+                for (t, lanes) in v.chunks_exact(LANES).enumerate() {
+                    sink(t, tile, cb, TileLanes::F32(lanes));
+                }
+            }
+        } else {
+            let (patch, v) = (ensure_i32(&mut ws.patch_i, len), ensure_i32(&mut ws.tile_i, len));
+            for task in tasks {
+                let (cb, tile) = (task / total, task % total);
+                self.gather_tile(tile, cb, patch);
+                self.tt.input_tile_i32(patch, v, &mut ws.transform);
+                for (t, lanes) in v.chunks_exact(LANES).enumerate() {
+                    sink(t, tile, cb, TileLanes::I32(lanes));
                 }
             }
         }

@@ -12,19 +12,18 @@
 //! by `growth(m)`, so `growth(m)·127` must fit in i16 — true for `m ≤ 4`,
 //! false for `m = 6`, which is exactly why ncnn only ships small tiles.
 
-use lowino_gemm::int16::GemmTasksI16;
-use lowino_gemm::{GemmShape, UPanelI16, VPanelI16, ZPanel};
+use lowino_gemm::{Blocking, Element, GemmShape, GemmTasks, UPanelI16, VPanelI16, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
 use lowino_winograd::{range_growth_2d, TileTransformer};
 
-use crate::algo::spatial::SpatialInt8;
-use crate::algo::{check_io, Algorithm, ConvExecutor};
+use crate::algo::spatial::{SpatialInt8, TileLanes};
+use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_upcast;
-use crate::scratch::{ensure_i32, ScratchArena, WorkerScratch};
+use crate::scratch::ScratchArena;
 use crate::stats::StageTimings;
 
 /// Up-casting Winograd INT16 executor.
@@ -36,6 +35,10 @@ pub struct UpCastConv {
     alpha_u: QParams,
     v_panel: VPanelI16,
     z_panel: ZPanel,
+    /// Stage ②'s blocking, in the units of [`GemmShape::as_u8i8`]: set by
+    /// `set_blocking`, else resolved by the first execute
+    /// ([`resolve_blocking`]) and kept.
+    blocking: Option<Blocking>,
 }
 
 impl UpCastConv {
@@ -72,6 +75,7 @@ impl UpCastConv {
             alpha_u,
             v_panel: VPanelI16::new(t_count, geom.total, spec.in_c),
             z_panel: ZPanel::new(t_count, geom.total, spec.out_c),
+            blocking: None,
         })
     }
 }
@@ -95,10 +99,11 @@ impl ConvExecutor for UpCastConv {
         output: &mut BlockedImage,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
+        check_io(&self.front.spec, input, output, ctx.non_finite)?;
+        let shape = self.front.gemm_shape();
+        let blocking = resolve_blocking(&mut self.blocking, &shape.as_u8i8(Element::I16), ctx);
         let front = &self.front;
-        check_io(&front.spec, input, output, ctx.non_finite)?;
-        let (spec, geom, tt) = (front.spec, front.geom, &front.tt);
-        let (n, t_count) = (geom.n, geom.t());
+        let (spec, geom) = (front.spec, front.geom);
 
         let ConvContext {
             pool,
@@ -110,14 +115,15 @@ impl ConvExecutor for UpCastConv {
         let vt = VecTier::for_simd(tier);
         let scratch: &ScratchArena = scratch;
 
-        let shape = GemmShape {
-            t: t_count,
-            n: geom.total,
-            c: spec.in_c,
-            k: spec.out_c,
-        };
         let vp: &VPanelI16 = &self.v_panel;
-        let gemm = GemmTasksI16::plan(tier, &shape, &self.v_panel, &self.u_panel, &mut self.z_panel);
+        let gemm = GemmTasks::plan_i16(
+            tier,
+            &shape,
+            &blocking,
+            &self.v_panel,
+            &self.u_panel,
+            &mut self.z_panel,
+        );
         let inv = 1.0 / (front.alpha_in * self.alpha_u.alpha);
 
         let out_ref: &BlockedImage = output;
@@ -140,41 +146,35 @@ impl ConvExecutor for UpCastConv {
             1 => {
                 let _span = lowino_trace::span("upcast/input_transform");
                 let mut ws = scratch.worker(worker);
-                let WorkerScratch {
-                    transform,
-                    patch_i,
-                    tile_i,
-                    ..
-                } = &mut *ws;
-                tt.ensure_scratch(transform, LANES);
-                let patch_q = ensure_i32(patch_i, n * n * LANES);
-                let v_int = ensure_i32(tile_i, n * n * LANES);
-                for task in range {
-                    let cb = task / geom.total;
-                    let tile = task % geom.total;
-                    front.gather_tile(tile, cb, patch_q);
-                    tt.input_tile_i32(patch_q, v_int, transform);
+                front.input_tiles(vt, range, &mut ws, |t, tile, cb, lanes| {
+                    // SAFETY: disjoint (t, tile, cb) groups per task.
+                    let dst = unsafe {
+                        let dst = vp.row_ptr_shared(t, tile).add(cb * LANES);
+                        core::slice::from_raw_parts_mut(dst, LANES)
+                    };
                     // Up-cast ❶: exact in INT16 (capacity checked at plan
-                    // time).
-                    for t in 0..t_count {
-                        // SAFETY: disjoint (t, tile, cb) groups per task.
-                        unsafe {
-                            let dst = vp.row_ptr_shared(t, tile).add(cb * LANES);
-                            for l in 0..LANES {
-                                let val = v_int[t * LANES + l];
-                                debug_assert!(
-                                    val >= i32::from(i16::MIN) && val <= i32::from(i16::MAX)
-                                );
-                                *dst.add(l) = val as i16;
+                    // time), whichever type carried the integers here.
+                    match lanes {
+                        TileLanes::F32(v) => {
+                            for (d, &x) in dst.iter_mut().zip(v) {
+                                *d = x as i16;
+                            }
+                        }
+                        TileLanes::I32(v) => {
+                            for (d, &x) in dst.iter_mut().zip(v) {
+                                debug_assert!(i16::try_from(x).is_ok());
+                                *d = x as i16;
                             }
                         }
                     }
-                }
+                });
             }
-            // -- Phase ②: INT16 GEMM (vpdpwssd — half VNNI throughput).
+            // -- Phase ②: INT16 GEMM (vpdpwssd — half VNNI throughput),
+            // pipelined through the worker's packing scratch.
             2 => {
                 let _span = lowino_trace::span("upcast/gemm");
-                gemm.run_range(range);
+                let mut ws = scratch.worker(worker);
+                gemm.run_range(range, &mut ws.gemm_pack);
             }
             // -- Phase ③: fused de-quantize + output transform. The integer
             // transform is exact, so the only scales are the spatial α_in
@@ -202,6 +202,16 @@ impl ConvExecutor for UpCastConv {
         let spec = &self.front.spec;
         let sat = lowino_quant::count_saturated_i8(self.front.quantized());
         Some((sat, (spec.batch * spec.in_c * spec.h * spec.w) as u64))
+    }
+
+    /// The u8×i8 problem stage ②'s words amount to (`c = 2C`): what the
+    /// tuner seeds a blocking for.
+    fn gemm_shape(&self) -> Option<GemmShape> {
+        Some(self.front.gemm_shape().as_u8i8(Element::I16))
+    }
+
+    fn set_blocking(&mut self, b: Blocking) {
+        self.blocking = Some(b);
     }
 }
 

@@ -1,17 +1,17 @@
 //! FP32 Winograd convolution — the full-precision fast-algorithm baseline.
 //!
 //! Same three-stage pipeline as LoWino, with no quantization anywhere: the
-//! transformed tiles stay in f32 and the GEMM runs at FP32 throughput
+//! transformed tiles stay in f32 and the GEMM — the same blocked driver and
+//! register-tiled kernel, over f32 words — runs at FP32 throughput
 //! (16 lanes/instr vs. VNNI's 64 MACs/instr — the 4× theoretical gap of
 //! paper §2.1).
 
-use lowino_gemm::f32gemm::GemmTasksF32;
-use lowino_gemm::{GemmShape, UPanelF32, VPanelF32, ZPanelF32};
+use lowino_gemm::{Blocking, Element, GemmShape, GemmTasks, UPanelF32, VPanelF32, ZPanelF32};
 use lowino_simd::vecf32::VecTier;
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4, TileGeometry, LANES};
 use lowino_winograd::TileTransformer;
 
-use crate::algo::{check_io, Algorithm, ConvExecutor};
+use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_f32;
@@ -27,6 +27,10 @@ pub struct WinogradF32Conv {
     u_panel: UPanelF32,
     v_panel: VPanelF32,
     z_panel: ZPanelF32,
+    /// Stage ②'s blocking, in the units of [`GemmShape::as_u8i8`]: set by
+    /// `set_blocking`, else resolved by the first execute
+    /// ([`resolve_blocking`]) and kept.
+    blocking: Option<Blocking>,
 }
 
 impl WinogradF32Conv {
@@ -44,7 +48,14 @@ impl WinogradF32Conv {
             u_panel,
             v_panel: VPanelF32::new(t_count, geom.total, spec.in_c),
             z_panel: ZPanelF32::new(t_count, geom.total, spec.out_c),
+            blocking: None,
         })
+    }
+
+    /// The FP32 GEMM of stage ②, in channels.
+    fn shape(&self) -> GemmShape {
+        let (spec, geom) = (&self.spec, &self.geom);
+        GemmShape { t: geom.t(), n: geom.total, c: spec.in_c, k: spec.out_c }
     }
 }
 
@@ -69,6 +80,8 @@ impl ConvExecutor for WinogradF32Conv {
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
         check_io(&self.spec, input, output, ctx.non_finite)?;
+        let shape = self.shape();
+        let blocking = resolve_blocking(&mut self.blocking, &shape.as_u8i8(Element::F32), ctx);
         let spec = self.spec;
         let geom = self.geom;
         let (n, m, t_count) = (geom.n, geom.m, geom.t());
@@ -83,15 +96,15 @@ impl ConvExecutor for WinogradF32Conv {
         let vt = VecTier::for_simd(*tier);
         let scratch: &ScratchArena = scratch;
 
-        let shape = GemmShape {
-            t: t_count,
-            n: geom.total,
-            c: spec.in_c,
-            k: spec.out_c,
-        };
         let vp: &VPanelF32 = &self.v_panel;
-        let gemm = GemmTasksF32::plan(&shape, &self.v_panel, &self.u_panel, &mut self.z_panel);
-        let acc_len = gemm.acc_len();
+        let gemm = GemmTasks::plan_f32(
+            *tier,
+            &shape,
+            &blocking,
+            &self.v_panel,
+            &self.u_panel,
+            &mut self.z_panel,
+        );
 
         let out_ref: &BlockedImage = output;
         let totals = [
@@ -129,12 +142,12 @@ impl ConvExecutor for WinogradF32Conv {
                     }
                 }
             }
-            // -- Phase ②: FP32 batched GEMM.
+            // -- Phase ②: FP32 batched GEMM, pipelined through the worker's
+            // packing scratch.
             1 => {
                 let _span = lowino_trace::span("wino_f32/gemm");
                 let mut ws = scratch.worker(worker);
-                let acc = ensure_f32(&mut ws.acc_f, acc_len);
-                gemm.run_range(range, acc);
+                gemm.run_range(range, &mut ws.gemm_pack);
             }
             // -- Phase ③: output transform.
             _ => {
@@ -163,6 +176,16 @@ impl ConvExecutor for WinogradF32Conv {
             gemm: times[1],
             output_transform: times[2],
         })
+    }
+
+    /// The u8×i8 problem stage ②'s words amount to (`c = 4C`): what the
+    /// tuner seeds a blocking for.
+    fn gemm_shape(&self) -> Option<GemmShape> {
+        Some(self.shape().as_u8i8(Element::F32))
+    }
+
+    fn set_blocking(&mut self, b: Blocking) {
+        self.blocking = Some(b);
     }
 }
 

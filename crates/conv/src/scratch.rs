@@ -32,7 +32,7 @@ use lowino_winograd::TransformScratch;
 /// * `transform` — [`TransformScratch`] for the Winograd matrices;
 /// * `patch_f` — gathered FP32 input patch / de-quantized `Z` block;
 /// * `tile_f` — transformed FP32 tile / inverse-transformed output tile;
-/// * `acc_f` — FP32 GEMM accumulator (the `GemmTasksF32` path);
+/// * `acc_f` — spare FP32 buffer (no executor grows it; the ledger sums it);
 /// * `patch_i` — gathered INT8→i32 patch (integer-transform baselines);
 /// * `tile_i` — integer-transformed tile;
 /// * `v_block` / `z_block` — the depth-first LoWino schedule's per-worker
@@ -55,8 +55,9 @@ pub struct WorkerScratch {
     /// u8 tile-sized buffer (quantized transform output; 64-byte aligned
     /// so each 64-lane group can be stream-stored as one cache line).
     pub tile_u8: AlignedBuf<u8>,
-    /// Double-buffered `U` packing slots for the pipelined GEMM driver
-    /// (grown by `GemmTasks::run_range` on first use, then reused).
+    /// Double-buffered `U` packing slots for the pipelined GEMM driver of
+    /// every element type (grown by `GemmTasks::run_range` on first use,
+    /// then reused).
     pub gemm_pack: PanelScratch,
     /// Quantized `V` block `[T][nb][C_p]` of the tile block in flight.
     pub v_block: AlignedBuf<u8>,

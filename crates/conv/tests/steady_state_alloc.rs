@@ -140,11 +140,17 @@ fn unseeded_executors_resolve_their_blocking_once_and_then_allocate_nothing() {
     type Build<'a> = &'a dyn Fn() -> Box<dyn ConvExecutor>;
     let lowino: Build = &|| Box::new(LoWinoConv::new(spec, 4, &weights, wino).unwrap());
     let direct_i8: Build = &|| Box::new(DirectInt8Conv::new(spec, &weights, spatial).unwrap());
+    // The two baselines on the same driver over other element types: their
+    // output (f32 sums included) must not move with the blocking either.
+    let upcast: Build = &|| Box::new(UpCastConv::new(spec, 4, &weights, spatial).unwrap());
+    let wino_f32: Build = &|| Box::new(WinogradF32Conv::new(spec, 4, &weights).unwrap());
     let detected = CacheModel::detect();
     let cases = [
         ("lowino staged", CacheModel { l2_bytes: 0, ..detected }, lowino),
         ("lowino chained", CacheModel { l2_bytes: 1 << 30, ..detected }, lowino),
         ("direct_i8", detected, direct_i8),
+        ("upcast", detected, upcast),
+        ("wino_f32", detected, wino_f32),
     ];
     // `tune/seeded` instants of N traced executes.
     let seeded_in = |exec: &mut dyn ConvExecutor, ctx: &mut ConvContext, out: &mut BlockedImage| {

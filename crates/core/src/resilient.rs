@@ -397,27 +397,40 @@ mod tests {
     fn blocking_is_resolved_once_at_plan_time_or_else_by_the_first_execute() {
         let (spec, w, img) = setup(1.0);
         let mut ctx = ConvContext::new(2);
-        let mut outs = Vec::new();
-        for seed_at_plan_time in [false, true] {
-            let mut conv = ResilientConv::new(spec, 4, &w, vec![img.clone()]).unwrap();
-            let mut out = BlockedImage::zeros(1, 8, 10, 10);
-            let planned = seeded_by_this_thread(|| {
-                if seed_at_plan_time {
-                    conv.seed_blocking(&ctx);
-                }
-            });
-            let first = seeded_by_this_thread(|| {
-                conv.execute(&img, &mut out, &mut ctx).unwrap();
-            });
-            let second = seeded_by_this_thread(|| {
-                conv.execute(&img, &mut out, &mut ctx).unwrap();
-            });
-            let (p, f) = if seed_at_plan_time { (1, 0) } else { (0, 1) };
-            assert_eq!((planned, first, second), (p, f, 0), "seed_at_plan_time={seed_at_plan_time}");
-            assert!(conv.demotions().is_empty());
-            outs.push(out);
+        // F(4,3) serves LoWino; F(9,3) has no generated transform, so the
+        // layer demotes to the up-casting rung while it is built — whose
+        // INT16 GEMM runs the same driver and is seeded the same way.
+        for (m, serving) in [(4, Algorithm::LoWino { m: 4 }), (9, Algorithm::UpCast { m: 4 })] {
+            let mut outs = Vec::new();
+            for seed_at_plan_time in [false, true] {
+                let mut conv = ResilientConv::new(spec, m, &w, vec![img.clone()]).unwrap();
+                let demoted = conv.demotions().len();
+                let mut out = BlockedImage::zeros(1, 8, 10, 10);
+                let planned = seeded_by_this_thread(|| {
+                    if seed_at_plan_time {
+                        conv.seed_blocking(&ctx);
+                    }
+                });
+                let first = seeded_by_this_thread(|| {
+                    conv.execute(&img, &mut out, &mut ctx).unwrap();
+                });
+                let second = seeded_by_this_thread(|| {
+                    conv.execute(&img, &mut out, &mut ctx).unwrap();
+                });
+                let (p, f) = if seed_at_plan_time { (1, 0) } else { (0, 1) };
+                assert_eq!(
+                    (planned, first, second),
+                    (p, f, 0),
+                    "{serving} seed_at_plan_time={seed_at_plan_time}"
+                );
+                assert_eq!((conv.algorithm(), conv.demotions().len()), (serving, demoted));
+                outs.push(out);
+            }
+            assert!(
+                outs[0].data() == outs[1].data(),
+                "{serving}: when the blocking was resolved moved the output"
+            );
         }
-        assert!(outs[0].data() == outs[1].data(), "when the blocking was resolved moved the output");
     }
 
     #[test]

@@ -11,12 +11,19 @@
 //!           microkernel (Fig. 7)
 //! ```
 //!
+//! One driver serves all three element types ([`Element`]): it addresses
+//! the operands as 32-bit words (`VWords` / `UWords`), and a word of
+//! 4 u8, 2 i16 or 1 f32 channels differs only in the kernel's fold. A
+//! blocking is always in the units of the u8×i8 problem with the same words
+//! ([`GemmShape::as_u8i8`]): `c_blk` counts bytes of a `V` row.
+//!
 //! The first `C` chunk seeds the accumulators with the compensation row
-//! `Z̄[t]` (Eq. 9); subsequent chunks accumulate into `Z` — the in-cache
+//! `Z̄[t]` (Eq. 9; zeros for the elements that need no compensation);
+//! subsequent chunks accumulate into `Z` — the in-cache
 //! partial-sum buffer of §4.3.1: a chunk that a later one of the same task
 //! reads back is stored with cache-allocating stores, and only the last
 //! chunk's finished sums leave with the non-temporal scatter. The walk
-//! covers the `round_up(C, 4)` channels the layer has, not the panel's
+//! covers the words the layer's `C` channels fill, not the panel's
 //! 64-padded `C_p`: the padding is zero in `U` and inert in `Z̄`, so
 //! skipping it leaves `Z` bit-identical.
 //!
@@ -44,8 +51,8 @@ use core::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::kernel::{microkernel, Blocking, Seed, Store, MAX_COL_BLK, MAX_ROW_BLK};
-use crate::panels::{UPanel, VPanel, ZPanel};
+use crate::kernel::{microkernel, Blocking, Element, Seed, Store, MAX_COL_BLK, MAX_ROW_BLK};
+use crate::panels::{Lane, UPanel, UWords, VPanel, VWords, ZPanel, ZPanelOf};
 
 /// Logical dimensions of a batched Winograd GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,6 +71,14 @@ impl GemmShape {
     /// Multiply-accumulate count (over padded operands).
     pub fn macs(&self) -> u64 {
         self.t as u64 * self.n as u64 * round_up(self.c, 4) as u64 * round_up(self.k, 64) as u64
+    }
+
+    /// The u8×i8 problem that moves the same bytes and issues the same
+    /// instructions as this one over `elem` (`c = 2C` for i16, `4C` for
+    /// f32) — the shape a blocking for it is resolved, keyed and
+    /// normalized on, so the cost model and the wisdom need no element.
+    pub fn as_u8i8(&self, elem: Element) -> GemmShape {
+        GemmShape { c: elem.words(self.c) * 4, ..*self }
     }
 }
 
@@ -126,30 +141,34 @@ impl PanelScratch {
     }
 }
 
-/// A planned batched u8×i8 GEMM whose task ranges can be executed from any
+/// A planned batched GEMM whose task ranges can be executed from any
 /// thread — the job-body form used by the executors' single-fork-join path:
 /// the GEMM runs as one *phase* of a `StaticPool::run_phases` job instead of
-/// issuing its own fork-join.
+/// issuing its own fork-join. `T` is the lane type of `Z`: `i32` for the
+/// u8×i8 ([`Self::plan`]) and i16 (`plan_i16`) elements, `f32` for `plan_f32`.
 ///
 /// Tasks enumerate the `T × ⌈N/N_blk⌉` grid; each task owns a disjoint
 /// `(t, n-range)` region of `Z`, so any partition of `0..total()` is safe to
 /// run concurrently.
-pub struct GemmTasks<'a> {
+pub struct GemmTasks<'a, T: Lane = i32> {
     tier: SimdTier,
+    elem: Element,
     shape: GemmShape,
     b: Blocking,
+    /// Bytes of each `V` row the walk covers: four per word of real channels.
+    c_walk: usize,
     kp: usize,
     n_chunks: usize,
-    v: &'a VPanel,
-    u: &'a UPanel,
-    z: &'a ZPanel,
+    v: VWords<'a>,
+    u: UWords<'a>,
+    z: &'a ZPanelOf<T>,
 }
 
 impl<'a> GemmTasks<'a> {
-    /// Validate panels against `shape`, normalize the blocking, and build
-    /// the task grid. Takes `z` mutably — exclusivity is held by the plan
-    /// for its whole lifetime even though writes go through shared-scatter
-    /// pointers.
+    /// Plan `Z[t] = V̄[t] × U[t] + Z̄[t]` over the u8×i8 panels: validate
+    /// them against `shape`, normalize the blocking, and build the task
+    /// grid. Takes `z` mutably — exclusivity is held by the plan for its
+    /// whole lifetime even though writes go through shared-scatter pointers.
     ///
     /// # Panics
     ///
@@ -163,26 +182,35 @@ impl<'a> GemmTasks<'a> {
         u: &'a UPanel,
         z: &'a mut ZPanel,
     ) -> Self {
-        let (vt, vn, vc, vcp) = v.dims();
-        let (ut, uc, ucp, uk, ukp) = u.dims();
+        Self::over(tier, Element::U8I8, shape, blocking, v.words(), u.words(), z)
+    }
+}
+
+impl<'a, T: Lane> GemmTasks<'a, T> {
+    /// The plan behind every element's constructor: `v` and `u` are word
+    /// views of `elem` panels, `shape` counts channels, and `blocking` is in
+    /// the units of [`GemmShape::as_u8i8`].
+    pub(crate) fn over(
+        tier: SimdTier,
+        elem: Element,
+        shape: &GemmShape,
+        blocking: &Blocking,
+        v: VWords<'a>,
+        u: UWords<'a>,
+        z: &'a mut ZPanelOf<T>,
+    ) -> Self {
+        let (vt, vn, vc, vcp) = v.dims;
+        let (ut, uc, ucp, uk, ukp) = u.dims;
         let (zt, zn, zk, _) = z.dims();
         assert_eq!((vt, vn, vc), (shape.t, shape.n, shape.c), "V panel shape");
         assert_eq!((ut, uc, uk), (shape.t, shape.c, shape.k), "U panel shape");
         assert_eq!((zt, zn, zk), (shape.t, shape.n, shape.k), "Z panel shape");
         assert_eq!(vcp, ucp, "V/U channel padding");
-        let b = normalize_blocking(blocking, shape);
+        let words = shape.as_u8i8(elem);
+        let b = normalize_blocking(blocking, &words);
         b.validate().expect("invalid blocking");
         let n_chunks = shape.n.div_ceil(b.n_blk).max(1);
-        Self {
-            tier,
-            shape: *shape,
-            b,
-            kp: ukp,
-            n_chunks,
-            v,
-            u,
-            z,
-        }
+        Self { tier, elem, shape: *shape, b, c_walk: words.c, kp: ukp, n_chunks, v, u, z }
     }
 
     /// Number of independent tasks (`T × ⌈N/N_blk⌉`).
@@ -197,15 +225,15 @@ impl<'a> GemmTasks<'a> {
 
     /// Read access to the output panel (for the phase *after* the GEMM —
     /// the borrow on `z` stays alive through the plan).
-    pub fn z(&self) -> &ZPanel {
+    pub fn z(&self) -> &ZPanelOf<T> {
         self.z
     }
 
     /// The packed size (bytes) of the largest `(K_blk, C_blk)` cache block
     /// a task will route through one [`PanelScratch`] slot.
     fn max_block_bytes(&self) -> usize {
-        // c4 groups × 4 bytes × k width; `normalize_blocking` has clamped
-        // `c_blk` to the channels walked and `k_blk` to the panel.
+        // word-rows × k words × 4 bytes; `normalize_blocking` has clamped
+        // `c_blk` to the bytes walked and `k_blk` to the panel.
         self.b.c_blk * self.b.k_blk
     }
 
@@ -215,10 +243,9 @@ impl<'a> GemmTasks<'a> {
     /// visible before the caller crosses the next phase barrier.
     pub fn run_range(&self, range: Range<usize>, pack: &mut PanelScratch) {
         // One gate check per range, not per task: when tracing is off this
-        // is a single relaxed load; when on, the panel-byte, dpbusd
-        // MAC-equivalent and pack-time totals are accumulated locally and
-        // emitted once (zeros included, so traced runs always carry the
-        // full counter set).
+        // is a single relaxed load; when on, the panel-byte, MAC and
+        // pack-time totals are accumulated locally and emitted once (zeros
+        // included, so traced runs always carry the full counter set).
         let tracing = lowino_trace::enabled();
         let mut panel_bytes = 0u64;
         let mut macs = 0u64;
@@ -229,25 +256,12 @@ impl<'a> GemmTasks<'a> {
             let n0 = (task % self.n_chunks) * self.b.n_blk;
             let n_end = (n0 + self.b.n_blk).min(self.shape.n);
             if tracing {
-                let (bytes, task_macs) = product_traffic(n_end - n0, self.shape.c, self.kp);
+                let (bytes, task_macs) =
+                    product_traffic(self.elem, n_end - n0, self.shape.c, self.kp);
                 panel_bytes += bytes;
                 macs += task_macs;
             }
-            gemm_block(
-                self.tier,
-                &self.b,
-                round_up(self.shape.c, 4),
-                self.kp,
-                t,
-                n0,
-                n_end,
-                self.v,
-                self.u,
-                self.z,
-                pack,
-                tracing,
-                &mut pack_ns,
-            );
+            self.block(t, n0, n_end, pack, tracing, &mut pack_ns);
         }
         if tracing {
             lowino_trace::counter("gemm/panel_bytes", panel_bytes);
@@ -263,6 +277,25 @@ impl<'a> GemmTasks<'a> {
             );
         }
         lowino_simd::store::stream_fence();
+    }
+
+    /// Run every task as one fork-join of `pool` — the standalone form the
+    /// tuner, the tests and the benches use.
+    pub fn run(&self, pool: &mut StaticPool) {
+        // One packing scratch per pool worker (index-addressed, Mutex only
+        // to make the shared capture safe — each slot is driven by one
+        // thread per fork-join, so the lock is never contended). Pipelining
+        // here too means the tuner's blocking search ranks exactly the
+        // configurations the executors will run.
+        let scratch: Vec<Mutex<PanelScratch>> =
+            (0..pool.threads().max(1)).map(|_| Mutex::new(PanelScratch::new())).collect();
+        pool.run(self.total(), |worker, range| {
+            let mut pack = match scratch[worker].lock() {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            self.run_range(range, &mut pack);
+        });
     }
 }
 
@@ -287,30 +320,20 @@ pub fn batched_gemm_u8i8(
     z: &mut ZPanel,
     pool: &mut StaticPool,
 ) {
-    let tasks = GemmTasks::plan(tier, shape, blocking, v, u, z);
-    // One packing scratch per pool worker (index-addressed, Mutex only to
-    // make the shared capture safe — each slot is driven by one thread per
-    // fork-join, so the lock is never contended). Letting the standalone
-    // wrapper pipeline too means the tuner's blocking search ranks exactly
-    // the configurations the executors will run.
-    let scratch: Vec<Mutex<PanelScratch>> =
-        (0..pool.threads().max(1)).map(|_| Mutex::new(PanelScratch::new())).collect();
-    pool.run(tasks.total(), |worker, range| {
-        let mut pack = match scratch[worker].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        tasks.run_range(range, &mut pack);
-    });
+    GemmTasks::plan(tier, shape, blocking, v, u, z).run(pool);
 }
 
-/// Operand bytes and `vpdpbusd` MAC-equivalents of one `rows × C × K_p`
-/// product (the `gemm/panel_bytes` / `gemm/dpbusd_macs` trace counters):
-/// `V` rows read (u8), the `U[t]` panel streamed once (i8), `Z` written
-/// (i32) — over the `round_up(C, 4)` channels the drivers walk.
-fn product_traffic(rows: usize, c: usize, kp: usize) -> (u64, u64) {
-    let (rows, c, kp) = (rows as u64, round_up(c, 4) as u64, kp as u64);
-    (rows * c + c * kp + rows * kp * 4, rows * c * kp)
+/// Operand bytes and MACs of one `rows × C × K_p` product over `elem` (the
+/// `gemm/panel_bytes` / `gemm/dpbusd_macs` trace counters — the second
+/// keeps its name, whatever the fold): `V` rows read, the `U[t]` panel
+/// streamed once, `Z` written, over the words the drivers walk — 4 bytes
+/// and `channels_per_word` MACs per lane each.
+fn product_traffic(elem: Element, rows: usize, c: usize, kp: usize) -> (u64, u64) {
+    let (rows, words, kp) = (rows as u64, elem.words(c) as u64, kp as u64);
+    (
+        4 * (rows * words + words * kp + rows * kp),
+        rows * words * elem.channels_per_word() as u64 * kp,
+    )
 }
 
 /// Stage ② of the depth-first LoWino schedule: all `T` products of **one
@@ -363,7 +386,7 @@ impl<'a> BlockGemm<'a> {
     /// `rows` tiles, for the caller's trace counters.
     pub fn traffic(&self, rows: usize) -> (u64, u64) {
         let t = self.u.dims().0 as u64;
-        let (bytes, macs) = product_traffic(rows, self.c, self.u.kp());
+        let (bytes, macs) = product_traffic(Element::U8I8, rows, self.c, self.u.kp());
         (t * bytes, t * macs)
     }
 
@@ -410,6 +433,7 @@ impl<'a> BlockGemm<'a> {
                     unsafe {
                         microkernel(
                             self.tier,
+                            Element::U8I8,
                             rb,
                             self.col_blk,
                             v.as_ptr().add(v_off),
@@ -430,125 +454,124 @@ impl<'a> BlockGemm<'a> {
     }
 }
 
-/// One (t, N-chunk) task — everything below here is single-threaded.
-///
-/// The cache-block walk is software-pipelined through the two
-/// [`PanelScratch`] slots: block `i`'s packed `U` copy is consumed from
-/// slot `i % 2` while block `i+1`'s source stream is prefetch-hinted up
-/// front and packed into the other slot once the compute for `i` retires.
-/// The packed copy holds byte-for-byte what the in-place walk would have
-/// read (same values, same loop and store order), so `Z` — including the
-/// `Z̄` compensation seed of the first `C` chunk and the partial-sum
-/// accumulate walk of the later ones — is bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn gemm_block(
-    tier: SimdTier,
-    b: &Blocking,
-    c_walk: usize,
-    kp: usize,
-    t: usize,
-    n0: usize,
-    n_end: usize,
-    v: &VPanel,
-    u: &UPanel,
-    z: &ZPanel,
-    pack: &mut PanelScratch,
-    tracing: bool,
-    pack_ns: &mut u64,
-) {
-    let zbar = u.zbar(t);
-    let z_stride = z.n_stride();
-    // The (k0, c0) cache blocks in walk order: k outer, c inner — over the
-    // `c_walk = round_up(C, 4)` real channels only (see the module docs).
-    debug_assert!(c_walk.is_multiple_of(4) && c_walk <= v.cp());
-    let c_chunks = c_walk.div_ceil(b.c_blk);
-    let blocks = kp.div_ceil(b.k_blk) * c_chunks;
-    let bounds = |i: usize| {
-        let k0 = (i / c_chunks) * b.k_blk;
-        let c0 = (i % c_chunks) * b.c_blk;
-        (k0, (k0 + b.k_blk).min(kp), c0, (c0 + b.c_blk).min(c_walk))
-    };
-    // Pipeline prologue: block 0 has no compute to hide behind.
-    pack_block(u, t, bounds(0), pack.slot_mut(0), tracing, pack_ns);
-    for i in 0..blocks {
-        let (k0, k_end, c0, c_end) = bounds(i);
-        let c4_count = (c_end - c0) / 4;
-        let first_chunk = c0 == 0;
-        // A partial sum the next C chunk of this task accumulates into
-        // stays in cache; only finished sums take the streaming scatter.
-        let store = if c_end == c_walk { Store::Stream } else { Store::Cached };
-        // The packed block is contiguous: c4 groups (k_end-k0)·4 bytes
-        // apart, exactly the stride the micro-kernel parameterises over.
-        let packed_stride = (k_end - k0) * 4;
-        let packed = pack.slot_ptr(i);
-        if i + 1 < blocks {
-            // Prime the next block's U source stream (one line per
-            // 4-channel group) so the pack after this block's compute
-            // copies out of cache instead of stalling on DRAM.
-            let (nk0, _, nc0, nc_end) = bounds(i + 1);
-            // SAFETY: offsets in bounds (see the microkernel SAFETY note).
-            let src = unsafe { u.block_ptr(t, nk0).add((nc0 / 4) * u.c4_stride()) };
-            prefetch_panel_rows(tier, src as *const u8, u.c4_stride(), (nc_end - nc0) / 4);
-        }
-        // And this block's V rows at the current channel offset (the
-        // kernel itself only reaches one register-row block ahead).
-        // SAFETY: (t, n0) is a valid row and c0 < cp.
-        prefetch_panel_rows(tier, unsafe { v.row_ptr(t, n0).add(c0) }, v.cp(), n_end - n0);
-        let mut n1 = n0;
-        while n1 < n_end {
-            let rb = (n_end - n1).min(b.row_blk);
-            let mut k1 = k0;
-            while k1 < k_end {
-                let cb = ((k_end - k1) / 16).min(b.col_blk);
-                debug_assert!(cb > 0);
-                let seed = if first_chunk {
-                    Seed::Zbar(unsafe { zbar.as_ptr().add(k1) })
-                } else {
-                    Seed::Accumulate
-                };
-                // SAFETY: all offsets are within the panels by the loop
-                // bounds (`c_end ≤ c_walk ≤ C_p` bytes of each V row); the
-                // packed slot holds the full cache block (`ensure` sized
-                // it); `store_ptr_shared` regions are disjoint per task
-                // (distinct (t, n) ranges).
-                unsafe {
-                    let v_ptr = v.row_ptr(t, n1).add(c0);
-                    let u_ptr = packed.add((k1 - k0) * 4);
-                    let z_ptr = z.store_ptr_shared(t, n1, k1);
-                    microkernel(
-                        tier,
-                        rb,
-                        cb,
-                        v_ptr,
-                        v.cp(),
-                        u_ptr,
-                        packed_stride,
-                        c4_count,
-                        seed,
-                        z_ptr,
-                        z_stride,
-                        store,
-                    );
-                }
-                k1 += cb * 16;
+impl<T: Lane> GemmTasks<'_, T> {
+    /// One (t, N-chunk) task — everything below here is single-threaded.
+    ///
+    /// The cache-block walk is software-pipelined through the two
+    /// [`PanelScratch`] slots: block `i`'s packed `U` copy is consumed from
+    /// slot `i % 2` while block `i+1`'s source stream is prefetch-hinted up
+    /// front and packed into the other slot once the compute for `i`
+    /// retires. The packed copy holds byte-for-byte what the in-place walk
+    /// would have read (same values, same loop and store order), so `Z` —
+    /// including the `Z̄` compensation seed of the first `C` chunk and the
+    /// partial-sum accumulate walk of the later ones — is bitwise identical.
+    fn block(
+        &self,
+        t: usize,
+        n0: usize,
+        n_end: usize,
+        pack: &mut PanelScratch,
+        tracing: bool,
+        pack_ns: &mut u64,
+    ) {
+        let (tier, b, v, u, z, kp, c_walk) =
+            (self.tier, &self.b, &self.v, &self.u, self.z, self.kp, self.c_walk);
+        let zbar = u.zbar(t);
+        let z_stride = z.n_stride();
+        // The (k0, c0) cache blocks in walk order: k outer, c inner — over
+        // the `c_walk` bytes of real channels only (see the module docs).
+        debug_assert!(c_walk.is_multiple_of(4) && c_walk <= v.row_bytes);
+        let c_chunks = c_walk.div_ceil(b.c_blk);
+        let blocks = kp.div_ceil(b.k_blk) * c_chunks;
+        let bounds = |i: usize| {
+            let k0 = (i / c_chunks) * b.k_blk;
+            let c0 = (i % c_chunks) * b.c_blk;
+            (k0, (k0 + b.k_blk).min(kp), c0, (c0 + b.c_blk).min(c_walk))
+        };
+        // Pipeline prologue: block 0 has no compute to hide behind.
+        pack_block(u, t, bounds(0), pack.slot_mut(0), tracing, pack_ns);
+        for i in 0..blocks {
+            let (k0, k_end, c0, c_end) = bounds(i);
+            let words = (c_end - c0) / 4;
+            let first_chunk = c0 == 0;
+            // A partial sum the next C chunk of this task accumulates into
+            // stays in cache; only finished sums take the streaming scatter.
+            let store = if c_end == c_walk { Store::Stream } else { Store::Cached };
+            // The packed block is contiguous: word-rows (k_end-k0)·4 bytes
+            // apart, exactly the stride the micro-kernel parameterises over.
+            let packed_stride = (k_end - k0) * 4;
+            let packed = pack.slot_ptr(i);
+            if i + 1 < blocks {
+                // Prime the next block's U source stream (one line per
+                // word-row) so the pack after this block's compute copies
+                // out of cache instead of stalling on DRAM.
+                let (nk0, _, nc0, nc_end) = bounds(i + 1);
+                // SAFETY: offsets in bounds (see the microkernel SAFETY note).
+                let src = unsafe { u.block_ptr(t, nk0).add((nc0 / 4) * u.word_stride()) };
+                prefetch_panel_rows(tier, src as *const u8, u.word_stride(), (nc_end - nc0) / 4);
             }
-            n1 += rb;
-        }
-        if i + 1 < blocks {
-            // Produce block i+1 into the other slot while its consumer
-            // (the next loop iteration) is still a branch away — the copy
-            // overlaps with the retiring non-temporal stores above.
-            pack_block(u, t, bounds(i + 1), pack.slot_mut(i + 1), tracing, pack_ns);
+            // And this block's V rows at the current channel offset (the
+            // kernel itself only reaches one register-row block ahead).
+            // SAFETY: (t, n0) is a valid row and c0 < its bytes.
+            prefetch_panel_rows(tier, unsafe { v.row_ptr(t, n0).add(c0) }, v.row_bytes, n_end - n0);
+            let mut n1 = n0;
+            while n1 < n_end {
+                let rb = (n_end - n1).min(b.row_blk);
+                let mut k1 = k0;
+                while k1 < k_end {
+                    let cb = ((k_end - k1) / 16).min(b.col_blk);
+                    debug_assert!(cb > 0);
+                    let seed = if !first_chunk {
+                        Seed::Accumulate
+                    } else if let Some(zbar) = zbar {
+                        // SAFETY: `Z̄[t]` holds `K_p > k1` sums.
+                        Seed::Zbar(unsafe { zbar.as_ptr().add(k1) })
+                    } else {
+                        Seed::Zero
+                    };
+                    // SAFETY: all offsets are within the panels by the loop
+                    // bounds (`c_end ≤ c_walk ≤` the bytes of each V row);
+                    // the packed slot holds the full cache block (`ensure`
+                    // sized it); `store_ptr_shared` regions are disjoint per
+                    // task (distinct (t, n) ranges), and a `Z` lane is 32
+                    // bits wide whatever its type ([`Lane`]).
+                    unsafe {
+                        microkernel(
+                            tier,
+                            self.elem,
+                            rb,
+                            cb,
+                            v.row_ptr(t, n1).add(c0),
+                            v.row_bytes,
+                            packed.add((k1 - k0) * 4),
+                            packed_stride,
+                            words,
+                            seed,
+                            z.store_ptr_shared(t, n1, k1) as *mut i32,
+                            z_stride,
+                            store,
+                        );
+                    }
+                    k1 += cb * 16;
+                }
+                n1 += rb;
+            }
+            if i + 1 < blocks {
+                // Produce block i+1 into the other slot while its consumer
+                // (the next loop iteration) is still a branch away — the
+                // copy overlaps with the retiring non-temporal stores above.
+                pack_block(u, t, bounds(i + 1), pack.slot_mut(i + 1), tracing, pack_ns);
+            }
         }
     }
 }
 
 /// Pack one `(k0..k_end, c0..c_end)` cache block of `U[t]` contiguously
-/// into `dst`: group `c4`'s interleaved K run — `(k_end-k0)·4` bytes,
-/// contiguous in the source because K is the fastest dimension within a
-/// group — lands at offset `c4·(k_end-k0)·4`. One straight copy per group.
+/// into `dst`: word-row `w`'s K run — `(k_end-k0)·4` bytes, contiguous in
+/// the source because K is the fastest dimension within a word-row — lands
+/// at offset `w·(k_end-k0)·4`. One straight copy per word-row.
 fn pack_block(
-    u: &UPanel,
+    u: &UWords<'_>,
     t: usize,
     (k0, k_end, c0, c_end): (usize, usize, usize, usize),
     dst: &mut [i8],
@@ -557,16 +580,16 @@ fn pack_block(
 ) {
     let t0 = if tracing { Some(Instant::now()) } else { None };
     let kw4 = (k_end - k0) * 4;
-    let c4_count = (c_end - c0) / 4;
-    debug_assert!(dst.len() >= c4_count * kw4);
-    for c4 in 0..c4_count {
-        // SAFETY: the source run `(c0/4 + c4)·kp·4 + k0·4 .. + kw4` lies
-        // inside tile `t`'s interleave (c_end ≤ cp, k_end ≤ kp); `dst` is
-        // sized by `PanelScratch::ensure`.
+    let words = (c_end - c0) / 4;
+    debug_assert!(dst.len() >= words * kw4);
+    for w in 0..words {
+        // SAFETY: the source run `(c0/4 + w)·kp·4 + k0·4 .. + kw4` lies
+        // inside tile `t`'s word-rows (c_end ≤ the padded row, k_end ≤ kp);
+        // `dst` is sized by `PanelScratch::ensure`.
         unsafe {
             core::ptr::copy_nonoverlapping(
-                u.block_ptr(t, k0).add((c0 / 4 + c4) * u.c4_stride()),
-                dst.as_mut_ptr().add(c4 * kw4),
+                u.block_ptr(t, k0).add((c0 / 4 + w) * u.word_stride()),
+                dst.as_mut_ptr().add(w * kw4),
                 kw4,
             );
         }
@@ -721,6 +744,21 @@ mod tests {
                 assert_eq!(macs, (shape.t * 5 * round_up(c, 4) * round_up(k, 64)) as u64);
                 assert!(bytes > macs / round_up(c, 4) as u64);
             }
+        }
+    }
+
+    #[test]
+    fn traffic_counts_each_elements_own_bytes_and_macs() {
+        // 5 rows of C = 37 channels against K_p = 128: the channels round up
+        // to whole words (40 u8, 38 i16, 37 f32), a channel is 1 / 2 / 4
+        // bytes in `V` and per `k` in `U`, and each is one MAC per lane.
+        let z_bytes = 5 * 128 * 4;
+        for (elem, channels, bytes_per) in
+            [(Element::U8I8, 40, 1), (Element::I16, 38, 2), (Element::F32, 37, 4)]
+        {
+            let (bytes, macs) = product_traffic(elem, 5, 37, 128);
+            assert_eq!(macs, 5 * channels * 128, "{elem:?}");
+            assert_eq!(bytes, (5 + 128) * channels * bytes_per + z_bytes, "{elem:?}");
         }
     }
 

@@ -1,160 +1,47 @@
 //! FP32 batched GEMM for the full-precision Winograd baseline.
 //!
-//! Same tall-and-skinny shape and scatter layout as the INT8 driver, with a
-//! simple broadcast-axpy kernel: `z[n][k] += v[n][c] · u[c][k]` with `k`
-//! innermost, which the compiler vectorises over the padded `K` rows. This
-//! is the reference point for the paper's §5.1 claim that LoWino reaches
-//! 1.9×/2.6× over the best FP32 implementation.
+//! Same tall-and-skinny shape, scatter layout, blocked driver and
+//! register-tiled kernel as the INT8 path, over words that hold one f32
+//! channel ([`Element::F32`]): 16 MACs per multiply-add pair against
+//! `vpdpbusd`'s 64 — the 4× theoretical gap of paper §2.1, and the
+//! reference point for the §5.1 claim that LoWino reaches 1.9×/2.6× over the
+//! best FP32 implementation.
+//!
+//! Rounding rule: each output is `acc += v·u` over the channels in ascending
+//! order from `+0.0`, the product rounded before the add — on every tier,
+//! under every blocking (a partial sum parked in `Z` between `C` chunks is
+//! the same f32). A fused multiply-add would round once and change bits.
 
-use core::ops::Range;
+use lowino_simd::SimdTier;
 
-use lowino_parallel::StaticPool;
-use lowino_tensor::{round_up, LANES};
-
-use crate::driver::GemmShape;
+use crate::driver::{GemmShape, GemmTasks};
+use crate::kernel::{Blocking, Element};
 use crate::panels::{UPanelF32, VPanelF32, ZPanelF32};
 
-/// A planned batched FP32 GEMM executable range-by-range from any thread —
-/// the phase-body form for the FP32 baseline's single fork-join.
-///
-/// Tasks enumerate the `T × ⌈N/8⌉` grid; each task owns a disjoint
-/// `(t, 8-row chunk)` of `Z`. The caller supplies a per-worker accumulator
-/// of [`acc_len`](GemmTasksF32::acc_len) floats (from the scratch arena on
-/// the executor path; a fresh vec on the standalone path).
-pub struct GemmTasksF32<'a> {
-    shape: GemmShape,
-    kp: usize,
-    n_chunks: usize,
-    v: &'a VPanelF32,
-    u: &'a UPanelF32,
-    z: &'a ZPanelF32,
-}
-
-/// Tile rows blocked per U pass so each filter row is reused 8x (otherwise
-/// the kernel re-streams `U[t]` per tile and goes memory-bound).
-const NB: usize = 8;
-
-impl<'a> GemmTasksF32<'a> {
-    /// Validate panels against `shape` and build the task grid.
+impl<'a> GemmTasks<'a, f32> {
+    /// Plan `Z[t] = V[t] × U[t]` over the FP32 panels. `blocking` is one
+    /// for `shape.as_u8i8(Element::F32)`.
     ///
     /// # Panics
     ///
-    /// Panics on panel/shape mismatch.
-    pub fn plan(
+    /// Panics on panel/shape mismatch or an invalid blocking.
+    pub fn plan_f32(
+        tier: SimdTier,
         shape: &GemmShape,
+        blocking: &Blocking,
         v: &'a VPanelF32,
         u: &'a UPanelF32,
         z: &'a mut ZPanelF32,
     ) -> Self {
-        let (vt, vn, vc, vcp) = v.dims();
-        let (ut, uc, _, uk, ukp) = u.dims();
-        let (zt, zn, zk, _) = z.dims();
-        assert_eq!((vt, vn, vc), (shape.t, shape.n, shape.c), "V panel shape");
-        assert_eq!((ut, uc, uk), (shape.t, shape.c, shape.k), "U panel shape");
-        assert_eq!((zt, zn, zk), (shape.t, shape.n, shape.k), "Z panel shape");
-        let _ = vcp;
-        debug_assert_eq!(ukp, round_up(shape.k, 64));
-        Self {
-            shape: *shape,
-            kp: ukp,
-            n_chunks: shape.n.div_ceil(NB).max(1),
-            v,
-            u,
-            z,
-        }
+        Self::over(tier, Element::F32, shape, blocking, v.words(), u.words(), z)
     }
-
-    /// Number of independent tasks (`T × ⌈N/8⌉`).
-    pub fn total(&self) -> usize {
-        self.shape.t * self.n_chunks
-    }
-
-    /// Length (in f32) of the accumulator each executing worker must bring.
-    pub fn acc_len(&self) -> usize {
-        NB * self.kp
-    }
-
-    /// Read access to the output panel.
-    pub fn z(&self) -> &ZPanelF32 {
-        self.z
-    }
-
-    /// Execute a contiguous task range using the caller's accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc` is shorter than [`acc_len`](GemmTasksF32::acc_len).
-    pub fn run_range(&self, range: Range<usize>, acc: &mut [f32]) {
-        let kp = self.kp;
-        let acc = &mut acc[..NB * kp];
-        for task in range {
-            let t = task / self.n_chunks;
-            let n0 = (task % self.n_chunks) * NB;
-            let nb = (self.shape.n - n0).min(NB);
-            acc.fill(0.0);
-            for c in 0..self.shape.c {
-                let urow = self.u.row(t, c);
-                if c + 1 < self.shape.c {
-                    // Software-pipeline the U stream like the INT8 driver:
-                    // hint the next filter row's head while the axpy over
-                    // this one retires (the hardware prefetcher streams the
-                    // rest of the row once the line is touched).
-                    lowino_simd::store::prefetch_read(self.u.row(t, c + 1).as_ptr());
-                }
-                for rb in 0..nb {
-                    let vv = self.v.row(t, n0 + rb)[c];
-                    if vv != 0.0 {
-                        let a = &mut acc[rb * kp..(rb + 1) * kp];
-                        for (av, &uu) in a.iter_mut().zip(urow.iter()) {
-                            *av += vv * uu;
-                        }
-                    }
-                }
-            }
-            // Scatter into the [K/64][N][T][64] layout.
-            for rb in 0..nb {
-                for kg in 0..kp / LANES {
-                    // SAFETY: each (t, n-chunk) is owned by exactly one task.
-                    unsafe {
-                        let dst = self.z.store_ptr_shared(t, n0 + rb, kg * LANES);
-                        core::ptr::copy_nonoverlapping(
-                            acc.as_ptr().add(rb * kp + kg * LANES),
-                            dst,
-                            LANES,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Batched FP32 GEMM: `Z[t] = V[t] × U[t]`, scattered like the INT8 path.
-///
-/// Standalone-fork-join wrapper over [`GemmTasksF32`].
-///
-/// # Panics
-///
-/// Panics on panel/shape mismatch.
-pub fn batched_gemm_f32(
-    shape: &GemmShape,
-    v: &VPanelF32,
-    u: &UPanelF32,
-    z: &mut ZPanelF32,
-    pool: &mut StaticPool,
-) {
-    let tasks = GemmTasksF32::plan(shape, v, u, z);
-    let acc_len = tasks.acc_len();
-    pool.run(tasks.total(), |_, range| {
-        let mut acc = vec![0f32; acc_len];
-        tasks.run_range(range, &mut acc);
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::reference_gemm_f32;
+    use lowino_parallel::StaticPool;
 
     #[test]
     fn matches_reference() {
@@ -175,14 +62,15 @@ mod tests {
         }
         let mut z = ZPanelF32::new(shape.t, shape.n, shape.k);
         let mut pool = StaticPool::new(2);
-        batched_gemm_f32(&shape, &v, &u, &mut z, &mut pool);
+        let blocking = Blocking::default_for(&shape.as_u8i8(Element::F32));
+        GemmTasks::plan_f32(SimdTier::detect(), &shape, &blocking, &v, &u, &mut z).run(&mut pool);
         let want = reference_gemm_f32(&v, &u, &shape);
         for t in 0..shape.t {
             for n in 0..shape.n {
                 for k in 0..shape.k {
                     let got = z.get(t, n, k);
                     let w = want[(t * shape.n + n) * shape.k + k];
-                    assert!((got - w).abs() < 1e-4, "t={t} n={n} k={k}: {got} vs {w}");
+                    assert_eq!(got.to_bits(), w.to_bits(), "t={t} n={n} k={k}: {got} vs {w}");
                 }
             }
         }
@@ -195,7 +83,8 @@ mod tests {
         let u = UPanelF32::new(1, 4, 64);
         let mut z = ZPanelF32::new(1, 2, 64);
         let mut pool = StaticPool::new(1);
-        batched_gemm_f32(&shape, &v, &u, &mut z, &mut pool);
+        let blocking = Blocking::default_for(&shape.as_u8i8(Element::F32));
+        GemmTasks::plan_f32(SimdTier::detect(), &shape, &blocking, &v, &u, &mut z).run(&mut pool);
         for n in 0..2 {
             for k in 0..64 {
                 assert_eq!(z.get(0, n, k), 0.0);

@@ -3,33 +3,70 @@
 //! One invocation computes a `row_blk × (col_blk·16)` tile of `Z[t]`:
 //!
 //! ```text
-//! for c4 in 0..C_blk/4:                 (fully unrolled in the paper's JIT)
+//! for w in 0..C_blk/4:                  (fully unrolled in the paper's JIT)
 //!     for r in 0..row_blk:
-//!         v_reg = broadcast 4 bytes of V[n0+r][4·c4..]
+//!         v_reg = broadcast the 32-bit word V[n0+r][w]
 //!         prefetch next V rows
 //!         for c in 0..col_blk:
-//!             u_reg[c] = 64 bytes of U[c4][k0+16c..]
-//!             acc[r][c] = vpdpbusd(acc[r][c], v_reg, u_reg[c])
+//!             u_reg[c] = 64 bytes of U[w][k0+16c..]
+//!             acc[r][c] = fold(acc[r][c], v_reg, u_reg[c])
 //! scatter acc to Z (non-temporal or cache-allocating stores, per `Store`)
 //! ```
 //!
-//! Accumulators are seeded with the compensation row `Z̄` (Eq. 9), with the
-//! partial result already in `Z` when iterating over `C` cache blocks, or
-//! with zeros. The Rust monomorphisation over `(ROW, COL)` plays the role of
-//! the paper's JIT specialisation: each variant compiles to a fixed-shape,
-//! fully-unrolled loop body.
+//! What a word holds, and therefore `fold`, is the [`Element`]: 4 × u8·i8
+//! under `vpdpbusd` (LoWino), 2 × i16·i16 under `vpdpwssd` (the up-casting
+//! baseline) or one f32 under multiply-then-add (the FP32 baseline).
+//! Everything else — loads, broadcast, prefetches, the register tile, the
+//! stores — addresses 32-bit words and is the same code.
+//!
+//! Accumulators are seeded with the compensation row `Z̄` (Eq. 9, u8×i8
+//! only), with the partial result already in `Z` when iterating over `C`
+//! cache blocks, or with zeros. The Rust monomorphisation over
+//! `(ROW, COL, element)` plays the role of the paper's JIT specialisation:
+//! each variant compiles to a fixed-shape, fully-unrolled loop body.
 
 use lowino_simd::SimdTier;
+
+/// What one 32-bit word of a `V` row and of a `U` word-row holds — the one
+/// thing the three multiply stages differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Element {
+    /// 4 × (u8 · i8), folded by `vpdpbusd` into i32 lanes.
+    U8I8,
+    /// 2 × (i16 · i16), folded by `vpdpwssd` into i32 lanes — half the MACs
+    /// per instruction, the price of up-casting (paper §2.3).
+    I16,
+    /// 1 × (f32 · f32): the product is rounded, then added — never fused, so
+    /// a lane is the plain `acc += v * u` over channels in ascending order.
+    F32,
+}
+
+impl Element {
+    /// Input channels (= MACs per output lane) in one word.
+    pub const fn channels_per_word(self) -> usize {
+        match self {
+            Element::U8I8 => 4,
+            Element::I16 => 2,
+            Element::F32 => 1,
+        }
+    }
+
+    /// Words that cover `c` input channels.
+    pub const fn words(self, c: usize) -> usize {
+        c.div_ceil(self.channels_per_word())
+    }
+}
 
 /// How the accumulators start (paper §4.3.1: the `C/C_blk` partial sums).
 #[derive(Debug, Clone, Copy)]
 pub enum Seed {
-    /// First C-chunk: start from the compensation row (16·`col_blk` i32 at
-    /// the given pointer, broadcast across rows).
+    /// First C-chunk of a u8×i8 product: start from the compensation row
+    /// (16·`col_blk` i32 at the given pointer, broadcast across rows).
     Zbar(*const i32),
     /// Later C-chunks: read the partial result back from `Z`.
     Accumulate,
-    /// Plain zero (kernels without compensation).
+    /// Plain zero (`+0.0` for f32): first C-chunk without compensation.
     Zero,
 }
 
@@ -53,7 +90,8 @@ pub enum Store {
 pub struct Blocking {
     /// Rows of `V` per cache block (`N_blk`).
     pub n_blk: usize,
-    /// Input channels per cache block (`C_blk`, multiple of 4).
+    /// Bytes of a `V` row per cache block (`C_blk`, multiple of 4): four per
+    /// 32-bit word, so u8 input channels under [`Element::U8I8`].
     pub c_blk: usize,
     /// Output channels per cache block (`K_blk`, multiple of 64).
     pub k_blk: usize,
@@ -126,23 +164,25 @@ impl Blocking {
 ///
 /// # Safety
 ///
-/// * `v` points to `rb` rows of at least `4·c4_count` bytes, `v_stride`
+/// * `v` points to `rb` rows of at least `4·words` bytes, `v_stride` bytes
 ///   apart;
-/// * `u` points to an interleaved filter block of `c4_count` groups,
-///   `u_c4_stride` bytes apart, each at least `cb·64` bytes;
-/// * `z` points to `rb` rows of at least `cb·16` i32, `z_row_stride`
-///   elements apart (and is readable when `seed` is `Accumulate`);
+/// * `u` points to a filter block of `words` word-rows, `u_stride` bytes
+///   apart, each at least `cb·64` bytes of `elem` words;
+/// * `z` points to `rb` rows of at least `cb·16` 32-bit lanes (f32 bit
+///   patterns under [`Element::F32`]), `z_row_stride` lanes apart (and is
+///   readable when `seed` is `Accumulate`);
 /// * a `Seed::Zbar` pointer holds at least `cb·16` i32.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn microkernel(
     tier: SimdTier,
+    elem: Element,
     rb: usize,
     cb: usize,
     v: *const u8,
     v_stride: usize,
     u: *const i8,
-    u_c4_stride: usize,
-    c4_count: usize,
+    u_stride: usize,
+    words: usize,
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
@@ -155,27 +195,37 @@ pub unsafe fn microkernel(
         // tier guarantees the kernel's target features, and the streaming
         // variant checks each store's 64-byte alignment itself.
         unsafe {
-            dispatch_avx512(rb, cb, v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride, store);
+            match elem {
+                Element::U8I8 => dispatch_avx512::<{ Element::U8I8 as u8 }>(
+                    rb, cb, v, v_stride, u, u_stride, words, seed, z, z_row_stride, store,
+                ),
+                Element::I16 => dispatch_avx512::<{ Element::I16 as u8 }>(
+                    rb, cb, v, v_stride, u, u_stride, words, seed, z, z_row_stride, store,
+                ),
+                Element::F32 => dispatch_avx512::<{ Element::F32 as u8 }>(
+                    rb, cb, v, v_stride, u, u_stride, words, seed, z, z_row_stride, store,
+                ),
+            }
         }
         return;
     }
     // The portable kernel's plain stores are cache-allocating either way.
     let _ = store;
-    microkernel_fallback(tier, rb, cb, v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride);
+    microkernel_fallback(tier, elem, rb, cb, v, v_stride, u, u_stride, words, seed, z, z_row_stride);
 }
 
 // ---------------------------------------------------------------- AVX-512
 
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_avx512(
+unsafe fn dispatch_avx512<const E: u8>(
     rb: usize,
     cb: usize,
     v: *const u8,
     v_stride: usize,
     u: *const i8,
-    u_c4_stride: usize,
-    c4_count: usize,
+    u_stride: usize,
+    words: usize,
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
@@ -185,10 +235,10 @@ unsafe fn dispatch_avx512(
         ($r:literal, $c:literal) => {
             match store {
                 Store::Stream => {
-                    mk_avx512::<$r, $c, true>(v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride)
+                    mk_avx512::<$r, $c, true, E>(v, v_stride, u, u_stride, words, seed, z, z_row_stride)
                 }
                 Store::Cached => {
-                    mk_avx512::<$r, $c, false>(v, v_stride, u, u_c4_stride, c4_count, seed, z, z_row_stride)
+                    mk_avx512::<$r, $c, false, E>(v, v_stride, u, u_stride, words, seed, z, z_row_stride)
                 }
             }
         };
@@ -220,22 +270,25 @@ unsafe fn dispatch_avx512(
     }
 }
 
-/// The Fig. 7 kernel, monomorphised over the register tile and the store
-/// kind (`STREAM`: non-temporal scatter; otherwise cache-allocating).
+/// The Fig. 7 kernel, monomorphised over the register tile, the store kind
+/// (`STREAM`: non-temporal scatter; otherwise cache-allocating) and the
+/// element (`E`: an [`Element`] discriminant, which picks the fold).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mk_avx512<const RB: usize, const CB: usize, const STREAM: bool>(
+unsafe fn mk_avx512<const RB: usize, const CB: usize, const STREAM: bool, const E: u8>(
     v: *const u8,
     v_stride: usize,
     u: *const i8,
-    u_c4_stride: usize,
-    c4_count: usize,
+    u_stride: usize,
+    words: usize,
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
 ) {
     use std::arch::x86_64::*;
+    const U8I8: u8 = Element::U8I8 as u8;
+    const I16: u8 = Element::I16 as u8;
     let mut acc = [[_mm512_setzero_si512(); CB]; RB];
     match seed {
         Seed::Zbar(p) => {
@@ -257,24 +310,32 @@ unsafe fn mk_avx512<const RB: usize, const CB: usize, const STREAM: bool>(
         Seed::Zero => {}
     }
 
-    for c4 in 0..c4_count {
-        let u_base = u.add(c4 * u_c4_stride);
-        // Prefetch the head of the next 4-channel group's filter row —
+    for w in 0..words {
+        let u_base = u.add(w * u_stride);
+        // Prefetch the head of the next word-row of the filter block —
         // with the pipelined driver's packed blocks that is the next
         // contiguous cache lines of the scratch slot. A hint only: past
-        // the last group it touches nothing that faults.
-        _mm_prefetch::<_MM_HINT_T0>(u_base.wrapping_add(u_c4_stride));
+        // the last row it touches nothing that faults.
+        _mm_prefetch::<_MM_HINT_T0>(u_base.wrapping_add(u_stride));
         for r in 0..RB {
-            let vp = v.add(r * v_stride + c4 * 4);
-            // Broadcast one packed 32-bit word (4 input-channel bytes).
+            let vp = v.add(r * v_stride + w * 4);
+            // Broadcast one packed 32-bit word of input channels.
             let v_reg = _mm512_set1_epi32((vp as *const i32).read_unaligned());
-            // Prefetch the same c4 position of the next register-row block
+            // Prefetch the same word of the next register-row block
             // (paper Fig. 7 line 6). A hint only: past the last row block
             // it may point outside the operand, hence the wrapping add.
             _mm_prefetch::<_MM_HINT_T0>(vp.wrapping_add(RB * v_stride) as *const i8);
             for c in 0..CB {
                 let u_reg = _mm512_loadu_si512(u_base.add(c * 64) as *const _);
-                acc[r][c] = _mm512_dpbusd_epi32(acc[r][c], v_reg, u_reg);
+                acc[r][c] = match E {
+                    U8I8 => _mm512_dpbusd_epi32(acc[r][c], v_reg, u_reg),
+                    I16 => _mm512_dpwssd_epi32(acc[r][c], v_reg, u_reg),
+                    // Two instructions, two roundings: the product first.
+                    _ => _mm512_castps_si512(_mm512_add_ps(
+                        _mm512_castsi512_ps(acc[r][c]),
+                        _mm512_mul_ps(_mm512_castsi512_ps(v_reg), _mm512_castsi512_ps(u_reg)),
+                    )),
+                };
             }
         }
     }
@@ -297,16 +358,19 @@ unsafe fn mk_avx512<const RB: usize, const CB: usize, const STREAM: bool>(
 
 /// Portable kernel used on the AVX2/scalar tiers (and as the semantic
 /// reference for the AVX-512 path — the tiers are tested bit-identical).
+/// Accumulators are 32-bit lanes; under [`Element::F32`] they hold f32 bit
+/// patterns.
 #[allow(clippy::too_many_arguments)]
 unsafe fn microkernel_fallback(
     tier: SimdTier,
+    elem: Element,
     rb: usize,
     cb: usize,
     v: *const u8,
     v_stride: usize,
     u: *const i8,
-    u_c4_stride: usize,
-    c4_count: usize,
+    u_stride: usize,
+    words: usize,
     seed: Seed,
     z: *mut i32,
     z_row_stride: usize,
@@ -333,18 +397,38 @@ unsafe fn microkernel_fallback(
         Seed::Zero => {}
     }
 
-    let mut v_bcast = [0u8; 64];
-    for c4 in 0..c4_count {
-        let u_base = u.add(c4 * u_c4_stride);
+    for w in 0..words {
+        let u_base = u.add(w * u_stride);
         for r in 0..rb {
-            let vp = v.add(r * v_stride + c4 * 4);
-            let word: [u8; 4] = [*vp, *vp.add(1), *vp.add(2), *vp.add(3)];
-            for lane in 0..16 {
-                v_bcast[lane * 4..lane * 4 + 4].copy_from_slice(&word);
-            }
-            for c in 0..cb {
-                let u_reg: &[i8; 64] = &*(u_base.add(c * 64) as *const [i8; 64]);
-                lowino_simd::dpbusd(tier, &mut acc[r][c], &v_bcast, u_reg);
+            // One word of the row, broadcast to all 16 lanes in its
+            // element's type, against `cb` 64-byte groups of `U`.
+            let word = (v.add(r * v_stride + w * 4) as *const [u8; 4]).read();
+            let acc = &mut acc[r][..cb];
+            match elem {
+                Element::U8I8 => {
+                    let a: [u8; 64] = core::array::from_fn(|i| word[i % 4]);
+                    for (c, acc) in acc.iter_mut().enumerate() {
+                        let b = &*(u_base.add(c * 64) as *const [i8; 64]);
+                        lowino_simd::dpbusd(tier, acc, &a, b);
+                    }
+                }
+                Element::I16 => {
+                    let pair = [[word[0], word[1]], [word[2], word[3]]].map(i16::from_ne_bytes);
+                    let a: [i16; 32] = core::array::from_fn(|i| pair[i % 2]);
+                    for (c, acc) in acc.iter_mut().enumerate() {
+                        let b = (u_base.add(c * 64) as *const [i16; 32]).read_unaligned();
+                        lowino_simd::dpwssd(tier, acc, &a, &b);
+                    }
+                }
+                Element::F32 => {
+                    let vv = f32::from_ne_bytes(word);
+                    for (c, acc) in acc.iter_mut().enumerate() {
+                        let b = (u_base.add(c * 64) as *const [f32; 16]).read_unaligned();
+                        for (a, uu) in acc.iter_mut().zip(b) {
+                            *a = (f32::from_bits(*a as u32) + vv * uu).to_bits() as i32;
+                        }
+                    }
+                }
             }
         }
     }
@@ -470,6 +554,7 @@ mod tests {
                 unsafe {
                     microkernel(
                         tier,
+                        Element::U8I8,
                         rb,
                         cb,
                         v.as_ptr(),
@@ -528,6 +613,7 @@ mod tests {
         unsafe {
             microkernel(
                 SimdTier::detect(),
+                Element::U8I8,
                 rb,
                 cb,
                 v.as_ptr(),
@@ -559,6 +645,7 @@ mod tests {
         unsafe {
             microkernel(
                 SimdTier::detect(),
+                Element::U8I8,
                 rb,
                 cb,
                 v.as_ptr(),

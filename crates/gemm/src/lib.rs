@@ -24,8 +24,9 @@
 //! * the **autotuner** (§4.3.4): an analytic cost model ranking the
 //!   blocking lattice ([`cost`]), and offline measured tuning whose winners
 //!   persist in tier- and shape-class-keyed wisdom ([`tune`]);
-//! * INT16 ([`int16`]) and FP32 ([`f32gemm`]) drivers for the up-casting and
-//!   full-precision baselines.
+//! * the same driver and kernel over INT16 ([`int16`]) and FP32
+//!   ([`f32gemm`]) words ([`Element`]) for the up-casting and full-precision
+//!   baselines.
 
 pub mod cost;
 pub mod f32gemm;
@@ -40,9 +41,7 @@ mod driver;
 pub use cost::{candidate_lattice, CacheModel, GemmCostModel};
 pub use driver::{batched_gemm_u8i8, BlockGemm, GemmShape, GemmTasks, PanelScratch};
 pub use driver::normalize_blocking as normalize_for;
-pub use f32gemm::{batched_gemm_f32, GemmTasksF32};
-pub use int16::{batched_gemm_i16, GemmTasksI16};
-pub use kernel::{Blocking, MAX_COL_BLK, MAX_ROW_BLK};
+pub use kernel::{Blocking, Element, MAX_COL_BLK, MAX_ROW_BLK};
 pub use panels::{UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32, VPanelI16, ZPanel, ZPanelF32};
 pub use tune::{
     measure_candidates, tune_blocking, tune_blocking_full, Measurement, SeedSource, ShapeClass,

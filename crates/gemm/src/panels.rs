@@ -15,14 +15,88 @@
 //!   design, §4.2.3/§4.3).
 //!
 //! FP32 and INT16 sibling panels serve the full-precision and up-casting
-//! baselines with identical geometry.
+//! baselines with identical geometry — and, seen as 32-bit words, identical
+//! layouts: every `V` is `[T][N]` rows of words, every `U` is `[T]` blocks of
+//! word-rows of `K_p·4` bytes (a word holding 4 u8, 2 i16 or 1 f32 channels
+//! of one `k`), every `Z` is `[K_p/64][N][T][64]` 32-bit lanes. `VWords` and
+//! `UWords` are those views; the one GEMM driver walks nothing else.
 
+use core::marker::PhantomData;
+
+use lowino_tensor::align::Pod;
 use lowino_tensor::{round_up, AlignedBuf, LANES};
 
 /// `C` padding granularity for the u8/i8 panels (one cache line).
 pub const C_ALIGN: usize = LANES; // 64
 /// `K` padding granularity (one ZMM of i32 lanes × 4 groups = 64).
 pub const K_ALIGN: usize = LANES; // 64
+
+// ------------------------------------------------------------ word views
+
+/// Read-only view of a transformed-input panel of any element type as
+/// `[T][N]` rows of 32-bit words, `row_bytes` apart.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct VWords<'a> {
+    base: *const u8,
+    /// (T, N, C, C_p) in the panel's own elements.
+    pub(crate) dims: (usize, usize, usize, usize),
+    pub(crate) row_bytes: usize,
+    _panel: PhantomData<&'a [u8]>,
+}
+
+impl VWords<'_> {
+    /// Byte pointer to row `(t, n)`.
+    #[inline]
+    pub(crate) fn row_ptr(&self, t: usize, n: usize) -> *const u8 {
+        debug_assert!(t < self.dims.0 && n < self.dims.1);
+        // SAFETY: the row lies inside the panel the view was taken from.
+        unsafe { self.base.add((t * self.dims.1 + n) * self.row_bytes) }
+    }
+}
+
+/// Read-only view of a transformed-filter panel of any element type as
+/// `[T]` blocks of word-rows, each `K_p·4` bytes (`K_p` words, one per `k`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UWords<'a> {
+    base: *const i8,
+    /// (T, C, C_p, K, K_p) in the panel's own elements.
+    pub(crate) dims: (usize, usize, usize, usize, usize),
+    t_bytes: usize,
+    /// The `[T][K_p]` compensation rows (u8×i8 panels only).
+    zbar: Option<&'a [i32]>,
+}
+
+impl<'a> UWords<'a> {
+    /// Byte pointer to word `k` of word-row 0 of `U[t]`; the next word-row
+    /// is [`Self::word_stride`] bytes on.
+    #[inline]
+    pub(crate) fn block_ptr(&self, t: usize, k: usize) -> *const i8 {
+        debug_assert!(t < self.dims.0 && k < self.dims.4);
+        // SAFETY: the offset lies inside the panel the view was taken from.
+        unsafe { self.base.add(t * self.t_bytes + k * 4) }
+    }
+
+    /// Bytes between consecutive word-rows.
+    #[inline]
+    pub(crate) fn word_stride(&self) -> usize {
+        self.dims.4 * 4
+    }
+
+    /// `Z̄[t]`, when the panel carries compensation rows.
+    #[inline]
+    pub(crate) fn zbar(&self, t: usize) -> Option<&'a [i32]> {
+        let kp = self.dims.4;
+        self.zbar.map(|z| &z[t * kp..(t + 1) * kp])
+    }
+}
+
+// SAFETY: both views are read-only addresses into a panel borrowed for
+// `'a`; the panels are `Sync` (plain `AlignedBuf`s), so sharing or sending
+// a view is sharing `&Panel`.
+unsafe impl Send for VWords<'_> {}
+unsafe impl Sync for VWords<'_> {}
+unsafe impl Send for UWords<'_> {}
+unsafe impl Sync for UWords<'_> {}
 
 // ---------------------------------------------------------------- VPanel
 
@@ -106,6 +180,11 @@ impl VPanel {
     /// Zero the whole panel (workspace reuse between layers).
     pub fn clear(&mut self) {
         self.buf.zero_fill();
+    }
+
+    /// The panel as rows of 32-bit words (4 channels each).
+    pub(crate) fn words(&self) -> VWords<'_> {
+        VWords { base: self.buf.as_ptr(), dims: self.dims(), row_bytes: self.cp, _panel: PhantomData }
     }
 
     /// Raw mutable row pointer through a shared reference — used by the
@@ -229,21 +308,42 @@ impl UPanel {
     pub fn c4_stride(&self) -> usize {
         self.kp * 4
     }
+
+    /// The panel as word-rows (4 channels of one `k` per word) plus `Z̄`.
+    pub(crate) fn words(&self) -> UWords<'_> {
+        UWords {
+            base: self.buf.as_ptr(),
+            dims: self.dims(),
+            t_bytes: self.cp * self.kp,
+            zbar: Some(self.zbar.as_slice()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------- ZPanel
 
-/// GEMM-output panel: `[K_p/64] × [N] × [T] × [64]` i32.
+/// The 32-bit lane types a `Z` panel holds: `i32` sums of the integer
+/// elements, `f32` sums of the FP32 one.
+pub trait Lane: Pod {}
+impl Lane for i32 {}
+impl Lane for f32 {}
+
+/// GEMM-output panel: `[K_p/64] × [N] × [T] × [64]` 32-bit lanes.
 #[derive(Clone, Debug)]
-pub struct ZPanel {
-    buf: AlignedBuf<i32>,
+pub struct ZPanelOf<T: Lane> {
+    buf: AlignedBuf<T>,
     kg: usize,
     n: usize,
     t: usize,
     k: usize,
 }
 
-impl ZPanel {
+/// The `i32` output panel of the u8×i8 and i16 GEMMs.
+pub type ZPanel = ZPanelOf<i32>;
+/// The FP32 GEMM's output panel — same scatter geometry.
+pub type ZPanelF32 = ZPanelOf<f32>;
+
+impl<T: Lane> ZPanelOf<T> {
     /// Allocate a zeroed panel.
     pub fn new(t: usize, n: usize, k: usize) -> Self {
         let kp = round_up(k, K_ALIGN);
@@ -262,48 +362,49 @@ impl ZPanel {
     }
 
     /// The whole panel as one flat slice (snapshot/diff in tests).
-    pub fn as_slice(&self) -> &[i32] {
+    pub fn as_slice(&self) -> &[T] {
         self.buf.as_slice()
     }
 
-    /// The contiguous `T × 64` i32 block for (k-group, tile) — exactly what
+    /// The contiguous `T × 64` block for (k-group, tile) — exactly what
     /// the output transform consumes.
     #[inline]
-    pub fn tile_block(&self, kg: usize, n: usize) -> &[i32] {
+    pub fn tile_block(&self, kg: usize, n: usize) -> &[T] {
         debug_assert!(kg < self.kg && n < self.n);
         let o = (kg * self.n + n) * self.t * LANES;
         &self.buf.as_slice()[o..o + self.t * LANES]
     }
 
+    #[inline]
+    fn offset(&self, t: usize, n: usize, k: usize) -> usize {
+        debug_assert!(t < self.t && n < self.n && k < self.kg * LANES);
+        ((k / LANES * self.n + n) * self.t + t) * LANES + k % LANES
+    }
+
     /// Element accessor `Z[t][n][k]`.
     #[inline]
-    pub fn get(&self, t: usize, n: usize, k: usize) -> i32 {
-        debug_assert!(t < self.t && k < self.kg * LANES);
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
-        self.buf.as_slice()[o]
+    pub fn get(&self, t: usize, n: usize, k: usize) -> T {
+        self.buf.as_slice()[self.offset(t, n, k)]
     }
 
     /// Element setter (reference paths).
     #[inline]
-    pub fn set(&mut self, t: usize, n: usize, k: usize, v: i32) {
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
+    pub fn set(&mut self, t: usize, n: usize, k: usize, v: T) {
+        let o = self.offset(t, n, k);
         self.buf.as_mut_slice()[o] = v;
     }
 
     /// Raw mutable pointer for the micro-kernel store at `(t, n, k)`;
-    /// `k` must be 16-aligned. Row stride (n → n+1) is `T·64` i32.
+    /// `k` must be 16-aligned. Row stride (n → n+1) is `T·64` lanes.
     #[inline]
-    pub fn store_ptr(&mut self, t: usize, n: usize, k: usize) -> *mut i32 {
-        debug_assert!(k.is_multiple_of(16) && t < self.t && n < self.n && k < self.kg * LANES);
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
+    pub fn store_ptr(&mut self, t: usize, n: usize, k: usize) -> *mut T {
+        debug_assert!(k.is_multiple_of(16));
+        let o = self.offset(t, n, k);
         // SAFETY: offset in bounds by construction.
         unsafe { self.buf.as_mut_ptr().add(o) }
     }
 
-    /// Row stride in i32 elements between consecutive tiles `n`.
+    /// Row stride in lanes between consecutive tiles `n`.
     #[inline]
     pub fn n_stride(&self) -> usize {
         self.t * LANES
@@ -317,11 +418,9 @@ impl ZPanel {
     ///
     /// Callers must not create overlapping concurrent writes.
     #[inline]
-    pub unsafe fn store_ptr_shared(&self, t: usize, n: usize, k: usize) -> *mut i32 {
-        debug_assert!(k.is_multiple_of(16) && t < self.t && n < self.n && k < self.kg * LANES);
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
-        self.buf.as_ptr().add(o) as *mut i32
+    pub unsafe fn store_ptr_shared(&self, t: usize, n: usize, k: usize) -> *mut T {
+        debug_assert!(k.is_multiple_of(16));
+        self.buf.as_ptr().add(self.offset(t, n, k)) as *mut T
     }
 }
 
@@ -388,6 +487,16 @@ macro_rules! simple_v_panel {
                 debug_assert!(t < self.t && n < self.n);
                 self.buf.as_ptr().add((t * self.n + n) * self.cp) as *mut $elem
             }
+
+            /// The panel as rows of 32-bit words.
+            pub(crate) fn words(&self) -> VWords<'_> {
+                VWords {
+                    base: self.buf.as_ptr() as *const u8,
+                    dims: self.dims(),
+                    row_bytes: self.cp * core::mem::size_of::<$elem>(),
+                    _panel: PhantomData,
+                }
+            }
         }
     };
 }
@@ -445,6 +554,17 @@ macro_rules! simple_u_panel {
                 debug_assert!(t < self.t && c < self.cp);
                 let o = (t * self.cp + c) * self.kp;
                 &mut self.buf.as_mut_slice()[o..o + self.kp]
+            }
+
+            /// The panel as word-rows: one channel row of `K_p` words each.
+            pub(crate) fn words(&self) -> UWords<'_> {
+                const { assert!(core::mem::size_of::<$elem>() == 4) };
+                UWords {
+                    base: self.buf.as_ptr() as *const i8,
+                    dims: self.dims(),
+                    t_bytes: self.cp * self.kp * 4,
+                    zbar: None,
+                }
             }
         }
     };
@@ -518,83 +638,14 @@ impl UPanelI16 {
         self.buf.as_mut_slice()[o] = v;
     }
 
-    /// The interleaved 32-value group covering `(t, c2, k..k+16)`.
-    #[inline]
-    pub fn pair_group(&self, t: usize, c2: usize, k: usize) -> &[i16] {
-        debug_assert!(k.is_multiple_of(16));
-        let o = ((t * (self.cp / 2) + c2) * self.kp + k) * 2;
-        &self.buf.as_slice()[o..o + 32]
-    }
-}
-
-/// FP32 GEMM-output panel, same scatter geometry as [`ZPanel`].
-#[derive(Clone, Debug)]
-pub struct ZPanelF32 {
-    buf: AlignedBuf<f32>,
-    kg: usize,
-    n: usize,
-    t: usize,
-    k: usize,
-}
-
-impl ZPanelF32 {
-    /// Allocate a zeroed panel.
-    pub fn new(t: usize, n: usize, k: usize) -> Self {
-        let kp = round_up(k, K_ALIGN);
-        Self {
-            buf: AlignedBuf::zeroed((kp / LANES) * n * t * LANES),
-            kg: kp / LANES,
-            n,
-            t,
-            k,
+    /// The panel as word-rows (a channel pair of one `k` per word).
+    pub(crate) fn words(&self) -> UWords<'_> {
+        UWords {
+            base: self.buf.as_ptr() as *const i8,
+            dims: self.dims(),
+            t_bytes: self.cp / 2 * self.kp * 4,
+            zbar: None,
         }
-    }
-
-    /// (T, N, K, K-groups).
-    pub fn dims(&self) -> (usize, usize, usize, usize) {
-        (self.t, self.n, self.k, self.kg)
-    }
-
-    /// The contiguous `T × 64` block for (k-group, tile).
-    #[inline]
-    pub fn tile_block(&self, kg: usize, n: usize) -> &[f32] {
-        let o = (kg * self.n + n) * self.t * LANES;
-        &self.buf.as_slice()[o..o + self.t * LANES]
-    }
-
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, t: usize, n: usize, k: usize) -> f32 {
-        let (kg, kl) = (k / LANES, k % LANES);
-        self.buf.as_slice()[((kg * self.n + n) * self.t + t) * LANES + kl]
-    }
-
-    /// Element setter.
-    #[inline]
-    pub fn set(&mut self, t: usize, n: usize, k: usize, v: f32) {
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
-        self.buf.as_mut_slice()[o] = v;
-    }
-
-    /// Mutable view of the whole (kg, n) block.
-    #[inline]
-    pub fn tile_block_mut(&mut self, kg: usize, n: usize) -> &mut [f32] {
-        let o = (kg * self.n + n) * self.t * LANES;
-        &mut self.buf.as_mut_slice()[o..o + self.t * LANES]
-    }
-
-    /// Raw store pointer through a shared reference for the parallel driver.
-    ///
-    /// # Safety
-    ///
-    /// Callers must not create overlapping concurrent writes.
-    #[inline]
-    pub unsafe fn store_ptr_shared(&self, t: usize, n: usize, k: usize) -> *mut f32 {
-        debug_assert!(t < self.t && n < self.n && k < self.kg * LANES);
-        let (kg, kl) = (k / LANES, k % LANES);
-        let o = ((kg * self.n + n) * self.t + t) * LANES + kl;
-        self.buf.as_ptr().add(o) as *mut f32
     }
 }
 

@@ -130,6 +130,31 @@ impl Codelet {
             .all(|(_, c)| c.is_integer())
     }
 
+    /// Worst-case magnitudes on inputs bounded by `input`, by interval
+    /// arithmetic over the program as it executes (so CSE temporaries and
+    /// every partial sum are covered): `(largest value formed anywhere,
+    /// largest output)`.
+    pub fn magnitude_bound(&self, input: f64) -> (f64, f64) {
+        let mut temps: Vec<f64> = Vec::with_capacity(self.temps.len());
+        let bound = |expr: &Expr, temps: &[f64]| -> f64 {
+            expr.iter()
+                .map(|&(src, c)| {
+                    c.abs().to_f64()
+                        * match src {
+                            Source::In(_) => input,
+                            Source::Temp(t) => temps[t],
+                        }
+                })
+                .sum()
+        };
+        for expr in &self.temps {
+            let b = bound(expr, &temps);
+            temps.push(b);
+        }
+        let out = self.outs.iter().map(|e| bound(e, &temps)).fold(0.0, f64::max);
+        (temps.iter().copied().fold(out, f64::max), out)
+    }
+
     /// Execute over `f32` lanes with strided slot addressing.
     ///
     /// Slot `j` of the input starts at `input[in_base + j·in_stride]`; slot

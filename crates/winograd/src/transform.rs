@@ -232,6 +232,22 @@ impl TileTransformer {
         }
     }
 
+    /// Whether the f32 input transform is **exact** on integer tiles with
+    /// `|d| ≤ max_abs` — then [`Self::input_tile_f32_compiled`] on the
+    /// widened values equals [`Self::input_tile_i32`] value for value, at a
+    /// fraction of the interpreted cost. Holds when every coefficient of
+    /// `Bᵀ` is an integer and no value either pass can form reaches `2²⁴`
+    /// (all f32 operations on integers below that are exact; cf. Meng &
+    /// Brothers, arXiv 1901.01965): `F(2,3)` and `F(4,3)` on INT8 data.
+    pub fn input_exact_in_f32(&self, max_abs: u32) -> bool {
+        if !self.bt_code.is_integral() {
+            return false;
+        }
+        let (peak_col, out_col) = self.bt_code.magnitude_bound(f64::from(max_abs));
+        let (peak_row, _) = self.bt_code.magnitude_bound(out_col);
+        peak_col.max(peak_row) < f64::from(1u32 << 24)
+    }
+
     /// Filter transform `U = G g Gᵀ`; `g` is `r×r`, `u` is `n×n`.
     pub fn filter_tile_f32(&self, g: &[f32], u: &mut [f32], s: &mut TransformScratch) {
         let (n, r) = (self.n(), self.r());

@@ -156,6 +156,60 @@ fn check_entry_points(
     Ok(())
 }
 
+/// `input_tile_f32_compiled` on widened INT8 values against the interpreted
+/// integer transform, value for value, on every tier.
+fn check_int8_tile(tt: &TileTransformer, lanes: usize, d: &[i32]) -> Result<(), String> {
+    let n = tt.n();
+    let mut s = tt.make_scratch(lanes);
+    let mut want = vec![0i32; n * n * lanes];
+    tt.input_tile_i32(d, &mut want, &mut s);
+    let d_f: Vec<f32> = d.iter().map(|&x| x as f32).collect();
+    for vt in VecTier::available() {
+        let mut got = vec![f32::NAN; n * n * lanes];
+        tt.input_tile_f32_compiled(vt, &d_f, &mut got, &mut s);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                *g == *w as f32 && (*g as i32) == *w,
+                "F({},3) tier={vt} lanes={lanes} element {i}: {g} != {w}",
+                tt.m()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The plan-time guard of the spatial-domain baselines: wherever
+/// `input_exact_in_f32` says the f32 `Bᵀ` is exact on INT8 tiles, it is —
+/// on the input that drives each transformed element `(i, j)` to its
+/// largest magnitude (`d[a][b] = ±127·sign(Bᵀ[i][a]·Bᵀ[j][b])`, one pattern
+/// per lane, both signs), where any f32 rounding would show first.
+#[test]
+fn f32_input_tile_is_exact_on_worst_case_int8_tiles() {
+    for (m, must_hold) in [(2usize, true), (4, true), (6, false)] {
+        let tt = TileTransformer::new(m, 3).unwrap();
+        let exact = tt.input_exact_in_f32(127);
+        assert!(exact || !must_hold, "F({m},3) must take the f32 path");
+        assert!(!tt.input_exact_in_f32(1 << 24), "F({m},3): the bound is not vacuous");
+        if !exact {
+            continue;
+        }
+        let (n, bt) = (tt.n(), &tt.matrices().bt);
+        let lanes = 2 * n * n;
+        let mut d = vec![0i32; n * n * lanes];
+        for lane in 0..lanes {
+            let (i, j, flip) = ((lane / 2) / n, (lane / 2) % n, lane % 2 == 1);
+            for a in 0..n {
+                for b in 0..n {
+                    let c = bt[(i, a)] * bt[(j, b)];
+                    let neg = (c < lowino_winograd::Rational::ZERO) != flip;
+                    d[(a * n + b) * lanes + lane] = if neg { -127 } else { 127 };
+                }
+            }
+        }
+        check_int8_tile(&tt, lanes, &d).unwrap();
+    }
+}
+
 property! {
     /// 1-D codelet execution, every entry point: generated kernel ==
     /// generic driver == interpreter, bit for bit, on every available tier,
@@ -346,6 +400,21 @@ property! {
                     "F({m},3) tier={vt} lanes={lanes}: {g} != {w}"
                 );
             }
+        }
+    }
+
+    /// The same equality on seeded `[-127, 127]` tiles (64 lanes, the
+    /// executors' width), for every tile size the guard admits.
+    #[cases(24)]
+    fn f32_input_tile_matches_integer_tile_on_int8_range(
+        m in one_of(&[2usize, 4, 6]),
+        seed in 0u64..1_000_000,
+    ) {
+        let tt = TileTransformer::new(m, 3).unwrap();
+        if tt.input_exact_in_f32(127) {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x2D);
+            let d: Vec<i32> = (0..tt.n() * tt.n() * 64).map(|_| rng.range_i32(-127, 128)).collect();
+            check_int8_tile(&tt, 64, &d)?;
         }
     }
 }
