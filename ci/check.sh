@@ -79,6 +79,12 @@ for forced in scalar avx2 avx512vnni; do
         # and the cache-allocating store kind dispatch on it too.
         echo "==> LoWino staged vs depth-first identity (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_chained
+        # The four Winograd schemes are one executor: every scheme's output
+        # must still hash to what the four separate executors produced
+        # (pinned in the battery), with post-ops fused and saturation
+        # tallied in-phase, when the tier is capped from outside too.
+        echo "==> Winograd scheme battery (LOWINO_FORCE_TIER=$forced)"
+        LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test winograd_schemes
     else
         echo "==> tier $forced not supported on this host; skipping forced-tier pass"
     fi
@@ -225,10 +231,12 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # i16 filter panel are gone; a blocking is resolved by
 # ConvContext::seed_blocking, once per executor. So are the INT16 and FP32
 # GEMMs' private drivers and the caller-supplied FP32 accumulator: every
-# element type plans the one GemmTasks. Fail if any of the names comes back
-# (this line excepted).
+# element type plans the one GemmTasks. And the four Winograd executors are
+# one: the pool-less fork-join entry points, the resilient ladder's private
+# planner and the baselines' tile hand-off type went with them. Fail if any
+# of the names comes back (this line excepted).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
     exit 1

@@ -4,9 +4,9 @@ pub mod direct_f32;
 pub mod direct_i8;
 pub mod downscale;
 pub mod lowino;
-pub(crate) mod spatial;
 pub mod upcast;
 pub mod wino_f32;
+pub mod winograd;
 
 use lowino_tensor::{BlockedImage, ConvShape, LANES};
 
@@ -198,8 +198,8 @@ pub trait ConvExecutor {
     ///
     /// The default implementation runs the plain convolution and then
     /// [`apply_post_ops`] as a separate pass; executors with fused
-    /// epilogues (LoWino's output-transform tape) override this to apply
-    /// the post-ops in-register before the output store. Both must meet
+    /// epilogues (every Winograd scheme: the phase-③ row pass) override this
+    /// to apply the post-ops in-register before the output store. Both must meet
     /// the bitwise contract documented on [`ConvPostOps`], so the
     /// `ResilientConv` demotion ladder can swap implementations freely.
     fn execute_post(

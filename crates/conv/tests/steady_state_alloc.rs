@@ -4,6 +4,8 @@
 //!   arenas (and, for a staged LoWino layer, allocated its whole-layer
 //!   panels), repeated executes perform **zero heap allocations** — on
 //!   LoWino's staged and depth-first schedules alike;
+//! * every Winograd scheme allocates its panels in its first staged execute
+//!   and nothing in executes 2…5;
 //! * every executor issues exactly **one** pool fork-join per `execute`;
 //! * the fused LoWino schedule is bitwise identical to the retained
 //!   three-fork-join reference path.
@@ -194,6 +196,43 @@ fn unseeded_executors_resolve_their_blocking_once_and_then_allocate_nothing() {
         assert_eq!(seeded_in(&mut *exec, &mut ctx, &mut out), 0, "{name}: a set blocking is kept");
         assert!(out.data() == want.data(), "{name}: output moved with the blocking");
     }
+}
+
+/// The four Winograd schemes are one executor: each allocates its
+/// whole-layer `V`/`Z` panels in the first staged execute — none at plan
+/// time — and executes 2…5 allocate nothing.
+#[test]
+fn every_scheme_allocates_its_panels_in_the_first_execute_and_nothing_after() {
+    let audit = audit();
+    let spec = ConvShape::same(2, 16, 16, 12, 3).validate().unwrap();
+    let img = test_image(&spec);
+    let weights = test_weights(&spec);
+    let wino = calibrate_winograd_domain(&spec, 4, std::slice::from_ref(&img)).unwrap();
+    let spatial = calibrate_spatial(std::slice::from_ref(&img)).unwrap();
+    let mut ctx = ConvContext::new(2);
+    // No L2: LoWino runs staged like the baselines.
+    ctx.cache = CacheModel { l2_bytes: 0, ..ctx.cache };
+    let mut out = BlockedImage::zeros(2, 16, 12, 12);
+    macro_rules! check {
+        ($name:literal, $conv:expr) => {{
+            let mut conv = $conv.unwrap();
+            assert!(conv.v_panel().is_none(), "{}: panels before the first execute", $name);
+            let first = audit.count(|| {
+                conv.execute(&img, &mut out, &mut ctx).unwrap();
+            });
+            assert!(conv.v_panel().is_some() && first > 0, "{}: the first execute allocates", $name);
+            let rest = audit.count(|| {
+                for _ in 1..5 {
+                    conv.execute(&img, &mut out, &mut ctx).unwrap();
+                }
+            });
+            assert_eq!(rest, 0, "{}: executes 2..5 must not touch the heap", $name);
+        }};
+    }
+    check!("lowino", LoWinoConv::new(spec, 4, &weights, wino));
+    check!("downscale", DownScaleConv::new(spec, 4, &weights, spatial));
+    check!("upcast", UpCastConv::new(spec, 4, &weights, spatial));
+    check!("wino_f32", WinogradF32Conv::new(spec, 4, &weights));
 }
 
 #[test]

@@ -217,64 +217,54 @@ impl<'w> LayerBuilder<'w> {
             AlgoChoice::Fixed(a) => a,
             AlgoChoice::Auto => select_algorithm(&spec),
         };
-        let need_samples = self.input_scale.is_none()
-            && (algo.needs_spatial_scale() || algo.needs_winograd_scale());
-        if need_samples && self.samples.is_empty() {
-            return Err(ConvError::Calibration(format!(
-                "{algo} needs calibration samples (or an explicit input_scale)"
-            )));
-        }
-        let exec: Box<dyn ConvExecutor + Send> = match algo {
-            Algorithm::DirectF32 => Box::new(DirectF32Conv::new(spec, self.weights)?),
-            Algorithm::WinogradF32 { m } => {
-                Box::new(WinogradF32Conv::new(spec, m, self.weights)?)
-            }
-            Algorithm::DirectInt8 => {
-                let scale = match self.input_scale {
-                    Some(s) => s,
-                    None => calibrate_spatial(&self.samples)?,
-                };
-                Box::new(DirectInt8Conv::new(spec, self.weights, scale)?)
-            }
-            Algorithm::DownScale { m } => {
-                let scale = match self.input_scale {
-                    Some(s) => s,
-                    None => calibrate_spatial(&self.samples)?,
-                };
-                Box::new(DownScaleConv::new(spec, m, self.weights, scale)?)
-            }
-            Algorithm::UpCast { m } => {
-                let scale = match self.input_scale {
-                    Some(s) => s,
-                    None => calibrate_spatial(&self.samples)?,
-                };
-                Box::new(UpCastConv::new(spec, m, self.weights, scale)?)
-            }
-            Algorithm::LoWino { m } => {
-                if self.per_position {
-                    if self.samples.is_empty() {
-                        return Err(ConvError::Calibration(
-                            "per-position scales require calibration samples".into(),
-                        ));
-                    }
-                    let scales =
-                        calibrate_winograd_domain_per_position(&spec, m, &self.samples)?;
-                    Box::new(LoWinoConv::new_per_position(spec, m, self.weights, &scales)?)
-                } else {
-                    let scale = match self.input_scale {
-                        Some(s) => s,
-                        None => calibrate_winograd_domain(&spec, m, &self.samples)?,
-                    };
-                    Box::new(LoWinoConv::new(spec, m, self.weights, scale)?)
-                }
-            }
-        };
-        let mut exec = exec;
+        let mut exec =
+            plan_executor(&spec, self.weights, algo, &self.samples, self.input_scale, self.per_position)?;
         if let Some(shape) = exec.gemm_shape() {
             exec.set_blocking(engine.ctx.seed_blocking(&shape));
         }
         Ok(Layer { exec })
     }
+}
+
+/// The one "algorithm → executor" step, shared by [`LayerBuilder::build`]
+/// and the [`crate::ResilientConv`] ladder: calibrate what `algo` needs —
+/// from `samples`, unless an explicit `input_scale` stands in — and box its
+/// executor. `per_position` asks LoWino for one scale per tile position,
+/// which only samples can provide (the calibrator rejects an empty set).
+pub(crate) fn plan_executor(
+    spec: &ConvShape,
+    weights: &Tensor4,
+    algo: Algorithm,
+    samples: &[BlockedImage],
+    input_scale: Option<QParams>,
+    per_position: bool,
+) -> Result<Box<dyn ConvExecutor + Send>, ConvError> {
+    let calibrated = algo.needs_spatial_scale() || algo.needs_winograd_scale();
+    if calibrated && input_scale.is_none() && samples.is_empty() {
+        return Err(ConvError::Calibration(format!(
+            "{algo} needs calibration samples (or an explicit input_scale)"
+        )));
+    }
+    let spec = *spec;
+    let spatial = || input_scale.map_or_else(|| calibrate_spatial(samples), Ok);
+    Ok(match algo {
+        Algorithm::DirectF32 => Box::new(DirectF32Conv::new(spec, weights)?),
+        Algorithm::WinogradF32 { m } => Box::new(WinogradF32Conv::new(spec, m, weights)?),
+        Algorithm::DirectInt8 => Box::new(DirectInt8Conv::new(spec, weights, spatial()?)?),
+        Algorithm::DownScale { m } => Box::new(DownScaleConv::new(spec, m, weights, spatial()?)?),
+        Algorithm::UpCast { m } => Box::new(UpCastConv::new(spec, m, weights, spatial()?)?),
+        Algorithm::LoWino { m } if per_position => {
+            let scales = calibrate_winograd_domain_per_position(&spec, m, samples)?;
+            Box::new(LoWinoConv::new_per_position(spec, m, weights, &scales)?)
+        }
+        Algorithm::LoWino { m } => {
+            let scale = match input_scale {
+                Some(s) => s,
+                None => calibrate_winograd_domain(&spec, m, samples)?,
+            };
+            Box::new(LoWinoConv::new(spec, m, weights, scale)?)
+        }
+    })
 }
 
 #[cfg(test)]

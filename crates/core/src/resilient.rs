@@ -25,11 +25,11 @@
 //! so they are returned to the caller unchanged.
 
 use lowino_conv::{
-    calibrate_spatial, calibrate_winograd_domain, Algorithm, ConvContext, ConvError,
-    ConvExecutor, ConvPostOps, DirectF32Conv, ExecError, LoWinoConv, StageTimings, UpCastConv,
-    WinogradF32Conv,
+    Algorithm, ConvContext, ConvError, ConvExecutor, ConvPostOps, ExecError, StageTimings,
 };
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
+
+use crate::builder::plan_executor;
 
 /// When a passing execute still counts as unhealthy.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +162,7 @@ impl ResilientConv {
         let mut exec = None;
         while !remaining.is_empty() {
             let algo = remaining.remove(0);
-            let attempt = build_algo(&spec, weights, &samples, algo);
+            let attempt = plan_executor(&spec, weights, algo, &samples, None, false);
             if let Some((from, err)) = pending.take() {
                 lowino_trace::instant("resilient/demote", demotions.len() as u64);
                 demotions.push(Demotion {
@@ -304,7 +304,7 @@ impl ResilientConv {
                 )));
             }
             let next = self.remaining.remove(0);
-            let attempt = build_algo(&self.spec, &self.weights, &self.samples, next);
+            let attempt = plan_executor(&self.spec, &self.weights, next, &self.samples, None, false);
             lowino_trace::instant("resilient/demote", self.demotions.len() as u64);
             match attempt {
                 Ok(exec) => {
@@ -322,35 +322,10 @@ impl ResilientConv {
     }
 }
 
-/// Build one rung of the ladder, running whatever calibration it needs.
-fn build_algo(
-    spec: &ConvShape,
-    weights: &Tensor4,
-    samples: &[BlockedImage],
-    algo: Algorithm,
-) -> Result<Box<dyn ConvExecutor + Send>, ConvError> {
-    Ok(match algo {
-        Algorithm::LoWino { m } => {
-            let scale = calibrate_winograd_domain(spec, m, samples)?;
-            Box::new(LoWinoConv::new(*spec, m, weights, scale)?)
-        }
-        Algorithm::UpCast { m } => {
-            let scale = calibrate_spatial(samples)?;
-            Box::new(UpCastConv::new(*spec, m, weights, scale)?)
-        }
-        Algorithm::WinogradF32 { m } => Box::new(WinogradF32Conv::new(*spec, m, weights)?),
-        Algorithm::DirectF32 => Box::new(DirectF32Conv::new(*spec, weights)?),
-        other => {
-            return Err(ConvError::Unsupported(format!(
-                "{other} is not part of the resilient fallback chain"
-            )))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowino_conv::DirectF32Conv;
 
     fn setup(scale: f32) -> (ConvShape, Tensor4, BlockedImage) {
         let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();

@@ -24,8 +24,7 @@
 //! * [`StaticPool`] — a persistent fork-join worker pool built from parked
 //!   OS threads whose [`StaticPool::run_phases`] executes an entire layer
 //!   (transform → GEMM → transform) as **one** fork-join with stealing
-//!   inside each phase, plus [`run_static`] / [`run_static_phases`], scoped
-//!   one-shot variants for borrowed data (static schedule only).
+//!   inside each phase.
 
 pub mod barrier;
 pub mod partition;
@@ -34,9 +33,7 @@ pub mod steal;
 
 pub use barrier::{Barrier, SenseToken};
 pub use partition::{partition, partition_2d, partition_into, Partition2d};
-pub use pool::{
-    phase_fault_key, run_static, run_static_phases, JobPanic, PhaseTimes, StaticPool, MAX_PHASES,
-};
+pub use pool::{phase_fault_key, JobPanic, PhaseTimes, StaticPool, MAX_PHASES};
 pub use steal::{chunk_was_stolen, Chunk, StealQueues};
 
 #[cfg(test)]
@@ -45,10 +42,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn run_static_covers_all_tasks_once() {
+    fn pool_run_covers_all_tasks_once() {
         let counter = AtomicUsize::new(0);
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        run_static(4, 100, |_, range| {
+        StaticPool::new(4).run(100, |_, range| {
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 counter.fetch_add(1, Ordering::Relaxed);

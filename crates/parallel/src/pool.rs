@@ -1,6 +1,5 @@
 //! Fork-join execution with a static schedule.
 //!
-//! [`run_static`] is the one-shot scoped variant (spawns, runs, joins).
 //! [`StaticPool`] keeps `ω-1` parked worker threads alive across jobs so that
 //! steady-state inference pays only a wake/park per layer, matching the
 //! paper's "the job … is executed using a single fork-join method".
@@ -9,8 +8,8 @@
 //! executes stages ①→②→③ of a layer inside **one** fork-join — workers stay
 //! resident across stages and synchronise at an in-pool sense-reversing
 //! [`Barrier`] between phases instead of parking on the condvar and being
-//! re-woken per stage. [`StaticPool::run`] and [`run_static`] are thin
-//! single-phase wrappers over the same machinery.
+//! re-woken per stage. [`StaticPool::run`] is a thin single-phase wrapper
+//! over the same machinery.
 
 use core::any::Any;
 use core::ops::Range;
@@ -21,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::barrier::Barrier;
-use crate::partition::{partition, partition_into};
+use crate::partition::partition_into;
 use crate::steal::{set_chunk_stolen, StealQueues};
 
 /// Key for the `pool/phase` fault site: which `(worker, phase)` visit of the
@@ -175,14 +174,13 @@ impl PanicSlot {
 /// waits at the barrier after every phase, whether or not it had a range (a
 /// phase may have fewer tasks than workers).
 ///
-/// `queues` enables bounded intra-phase work-stealing on the fan-out path:
-/// instead of executing its static range in one call, each participant pops
-/// guided chunks off its own deque and then steals from stragglers, so the
-/// phase body is invoked once per *chunk*. The one-shot scoped variants pass
-/// `None` and keep the pure static schedule. Exactly-once execution is the
-/// [`StealQueues`] invariant; the stolen-ness of the running chunk is
-/// published through [`crate::steal::chunk_was_stolen`] for leaf-level trace
-/// attribution.
+/// The fan-out path runs each phase off its [`StealQueues`] (bounded
+/// intra-phase work-stealing): instead of executing its static range in one
+/// call, each participant pops guided chunks off its own deque and then
+/// steals from stragglers, so the phase body is invoked once per *chunk*.
+/// Exactly-once execution is the [`StealQueues`] invariant; the stolen-ness
+/// of the running chunk is published through
+/// [`crate::steal::chunk_was_stolen`] for leaf-level trace attribution.
 ///
 /// `after_phase(p)` runs after the phase-`p` barrier — all participants are
 /// guaranteed done with phase `p` at that point, which is where the caller
@@ -190,8 +188,7 @@ impl PanicSlot {
 fn phase_loop<F, A>(
     worker: usize,
     plan: &[Vec<Range<usize>>],
-    sync: Option<(&Barrier, &PanicSlot)>,
-    queues: Option<&[StealQueues]>,
+    sync: Option<(&Barrier, &PanicSlot, &[StealQueues])>,
     f: &F,
     mut after_phase: A,
 ) where
@@ -209,38 +206,29 @@ fn phase_loop<F, A>(
                 after_phase(phase);
             }
         }
-        Some((barrier, panics)) => {
+        Some((barrier, panics, queues)) => {
             let tracing = lowino_trace::enabled();
             let mut token = barrier.sense_token();
-            for (phase, ranges) in plan.iter().enumerate() {
+            for (phase, q) in queues.iter().enumerate() {
                 // The span covers the phase body *and* the barrier wait, so
                 // each worker's phase span ends when the slowest worker
                 // finishes — the same accounting as `PhaseTimes`, but per
                 // worker instead of caller-only.
                 let span = lowino_trace::span_arg("pool/phase", phase as u64);
                 if !panics.tripped() {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| match queues {
-                        Some(queues) => {
-                            // Probed even when this worker ends up with no
-                            // chunks, mirroring the static path.
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
+                        // Probed even when this worker ends up with no
+                        // chunks, mirroring the inline path.
+                        phase_fault_probe(worker, phase);
+                        while !panics.tripped() {
+                            let Some(chunk) = q.pop(worker) else { break };
+                            // Probed per chunk (one-shot, so at most one
+                            // fires): an armed `pool/phase` fault can land
+                            // mid-steal, while other workers are actively
+                            // draining the same phase.
                             phase_fault_probe(worker, phase);
-                            let q = &queues[phase];
-                            while !panics.tripped() {
-                                let Some(chunk) = q.pop(worker) else { break };
-                                // Probed per chunk (one-shot, so at most one
-                                // fires): an armed `pool/phase` fault can land
-                                // mid-steal, while other workers are actively
-                                // draining the same phase.
-                                phase_fault_probe(worker, phase);
-                                set_chunk_stolen(chunk.stolen);
-                                f(worker, phase, chunk.range);
-                            }
-                        }
-                        None => {
-                            phase_fault_probe(worker, phase);
-                            if let Some(r) = ranges.get(worker) {
-                                f(worker, phase, r.clone());
-                            }
+                            set_chunk_stolen(chunk.stolen);
+                            f(worker, phase, chunk.range);
                         }
                     })) {
                         panics.store(payload);
@@ -259,60 +247,6 @@ fn phase_loop<F, A>(
             }
         }
     }
-}
-
-/// Execute `f(worker, phase, range)` for each phase — `0..totals[p]`
-/// statically partitioned across `threads` OS threads (including the
-/// caller), with a barrier between phases. One-shot: threads are spawned
-/// and joined inside the call, so `f` may borrow local data.
-///
-/// With one effective participant this degenerates to a plain sequential
-/// loop on the caller — zero overhead, which is also the fast path on
-/// single-core hosts.
-///
-/// `threads == 0` is clamped to 1 (the caller always participates), so a
-/// misconfigured thread count degrades to sequential execution instead of
-/// aborting the process.
-pub fn run_static_phases<F>(threads: usize, totals: &[usize], f: F)
-where
-    F: Fn(usize, usize, Range<usize>) + Sync,
-{
-    let threads = threads.max(1);
-    assert!(
-        totals.len() <= MAX_PHASES,
-        "at most {MAX_PHASES} phases per job (got {})",
-        totals.len()
-    );
-    let plan: Vec<Vec<Range<usize>>> = totals.iter().map(|&t| partition(t, threads)).collect();
-    let fan_out = threads > 1 && plan.iter().any(|ranges| ranges.len() > 1);
-    if !fan_out {
-        phase_loop(0, &plan, None, None, &f, |_| {});
-        return;
-    }
-    let barrier = Barrier::new(threads);
-    let panics = PanicSlot::default();
-    let sync = (&barrier, &panics);
-    std::thread::scope(|scope| {
-        for worker in 1..threads {
-            let fref = &f;
-            let plan_ref = &plan;
-            scope.spawn(move || phase_loop(worker, plan_ref, Some(sync), None, fref, |_| {}));
-        }
-        phase_loop(0, &plan, Some(sync), None, &f, |_| {});
-    });
-    if let Some(payload) = panics.take() {
-        resume_unwind(payload);
-    }
-}
-
-/// Execute `f(worker, range)` over a static partition of `0..total` using
-/// `threads` OS threads (including the caller). One-shot wrapper over
-/// [`run_static_phases`] with a single phase.
-pub fn run_static<F>(threads: usize, total: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    run_static_phases(threads, &[total], |worker, _phase, range| f(worker, range));
 }
 
 /// Type-erased job pointer handed to workers.
@@ -543,7 +477,7 @@ impl StaticPool {
             // the caller without waking anyone.
             let mut mark = Instant::now();
             let mut run = |times: &mut PhaseTimes| {
-                phase_loop(0, plan, None, None, f, |p| {
+                phase_loop(0, plan, None, f, |p| {
                     let now = Instant::now();
                     times.times[p] = now - mark;
                     mark = now;
@@ -566,10 +500,9 @@ impl StaticPool {
         }
         let barrier = Barrier::new(self.threads);
         let panics = PanicSlot::default();
-        let sync = (&barrier, &panics);
+        let sync = (&barrier, &panics, queues);
         let fref = &f;
-        let job =
-            move |worker: usize| phase_loop(worker, plan, Some(sync), Some(queues), fref, |_| {});
+        let job = move |worker: usize| phase_loop(worker, plan, Some(sync), fref, |_| {});
         let job_dyn: &(dyn Fn(usize) + Sync) = &job;
         // SAFETY of the transmute: we only erase the lifetime; the pointer is
         // never used after `run_phases` returns (join barrier below).
@@ -584,7 +517,7 @@ impl StaticPool {
         }
         // The caller is worker 0 and records the phase timestamps.
         let mut mark = Instant::now();
-        phase_loop(0, plan, Some(sync), Some(queues), fref, |p| {
+        phase_loop(0, plan, Some(sync), fref, |p| {
             let now = Instant::now();
             times.times[p] = now - mark;
             mark = now;
@@ -633,56 +566,6 @@ impl Drop for StaticPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn run_static_single_thread_inline() {
-        let mut seen = [false; 10];
-        run_static(1, 10, |w, range| {
-            assert_eq!(w, 0);
-            assert_eq!(range, 0..10);
-        });
-        // Borrowing mutable data works through interior-free single thread.
-        run_static(1, 10, |_, range| {
-            for _i in range.clone() {}
-        });
-        seen[0] = true;
-        assert!(seen[0]);
-    }
-
-    #[test]
-    fn run_static_multi_thread_disjoint_writes() {
-        let mut data = vec![0usize; 1000];
-        let chunks: Vec<&mut [usize]> = data.chunks_mut(250).collect();
-        let cells: Vec<std::sync::Mutex<&mut [usize]>> =
-            chunks.into_iter().map(std::sync::Mutex::new).collect();
-        run_static(4, 4, |_, range| {
-            for i in range {
-                let mut c = cells[i].lock().unwrap();
-                for v in c.iter_mut() {
-                    *v = i + 1;
-                }
-            }
-        });
-        for (i, chunk) in data.chunks(250).enumerate() {
-            assert!(chunk.iter().all(|&v| v == i + 1));
-        }
-    }
-
-    #[test]
-    fn run_static_phases_barrier_orders_phases() {
-        // Phase 1 observes *every* write of phase 0, from every worker.
-        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        run_static_phases(4, &[64, 64], |_, phase, range| {
-            if phase == 0 {
-                for i in range {
-                    hits[i].store(i + 1, Ordering::Relaxed);
-                }
-            } else {
-                let sum: usize = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-                assert_eq!(sum, 64 * 65 / 2, "range {range:?} saw a torn phase 0");
-            }
-        });
-    }
 
     #[test]
     fn pool_runs_many_jobs() {
@@ -848,15 +731,22 @@ mod tests {
     }
 
     #[test]
-    fn run_static_phases_survives_panic() {
+    fn fresh_pool_survives_panic_on_the_callers_partition() {
+        // The team's very first job panics on worker 0 — the caller itself.
+        let mut pool = StaticPool::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_static_phases(4, &[16], |_, _, range| {
+            pool.run_phases(&[16], |_, _, range| {
                 if range.contains(&0) {
-                    panic!("scoped boom");
+                    panic!("first-job boom");
                 }
             });
         }));
         assert!(result.is_err());
+        let counter = AtomicUsize::new(0);
+        pool.run(16, |_, range| {
+            counter.fetch_add(range.len(), Ordering::Relaxed);
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
     #[test]
@@ -931,10 +821,11 @@ mod tests {
             counter.fetch_add(range.len(), Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 7);
-        run_static_phases(0, &[5], |_, _, range| {
+        let times = pool.run_phases(&[5, 0, 3], |w, _, range| {
+            assert_eq!(w, 0);
             counter.fetch_add(range.len(), Ordering::Relaxed);
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 12);
+        assert_eq!((counter.load(Ordering::Relaxed), times.len()), (15, 3));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use lowino_parallel::{run_static_phases, StaticPool};
+use lowino_parallel::StaticPool;
 use lowino_testkit::prop::vec_of;
 use lowino_testkit::{prop_assert, property};
 
@@ -97,20 +97,6 @@ property! {
             times.len(),
             totals.len()
         );
-        trace.check(&totals)?;
-    }
-
-    /// The pool-less `run_static_phases` entry point upholds the same
-    /// contract (it shares the phase loop, not the worker machinery).
-    #[cases(32)]
-    fn run_static_phases_matches_sequential(
-        threads in 1usize..5,
-        totals in vec_of(0usize..32, 0..4),
-    ) {
-        let trace = Trace::new(&totals);
-        run_static_phases(threads, &totals, |_, phase, range| {
-            trace.body(&totals, phase, range);
-        });
         trace.check(&totals)?;
     }
 }

@@ -326,12 +326,29 @@ impl TileTransformer {
         v: &mut [f32],
         s: &mut TransformScratch,
     ) {
+        self.input_tile_f32_strided(vt, d, 0, self.n() * s.lanes, v, s);
+    }
+
+    /// [`Self::input_tile_f32_compiled`] reading the tile **in place**: tile
+    /// element `(i, j)` is the `lanes` values at
+    /// `d[d_base + i·d_row_stride + j·lanes ..]` — a gathered patch
+    /// (`d_row_stride = n·lanes`) or a window of the blocked image itself
+    /// (`d_row_stride` = its row pitch). Same values, so same `v`.
+    pub fn input_tile_f32_strided(
+        &self,
+        vt: VecTier,
+        d: &[f32],
+        d_base: usize,
+        d_row_stride: usize,
+        v: &mut [f32],
+        s: &mut TransformScratch,
+    ) {
         let n = self.n();
         let lanes = s.lanes;
         // Column pass: the `n` columns of a row are contiguous, so all of
         // them are one call over `n·lanes` lanes.
         self.bt_tape
-            .execute_f32(vt, n * lanes, d, 0, n * lanes, &mut s.tmp, 0, n * lanes);
+            .execute_f32(vt, n * lanes, d, d_base, d_row_stride, &mut s.tmp, 0, n * lanes);
         for i in 0..n {
             self.bt_tape
                 .execute_f32(vt, lanes, &s.tmp, i * n * lanes, lanes, v, i * n * lanes, lanes);
@@ -364,13 +381,13 @@ impl TileTransformer {
         y: &mut [f32],
         s: &mut TransformScratch,
     ) {
-        let (n, m) = (self.n(), self.m());
-        let lanes = s.lanes;
-        self.at_tape
-            .execute_f32(vt, n * lanes, z, 0, n * lanes, &mut s.tmp, 0, n * lanes);
-        for i in 0..m {
-            self.at_tape
-                .execute_f32(vt, lanes, &s.tmp, i * n * lanes, lanes, y, i * m * lanes, lanes);
+        let (m, lanes) = (self.m(), s.lanes);
+        assert!(y.len() >= m * m * lanes);
+        self.output_columns_f32(vt, z, s);
+        // SAFETY: `y` holds the `m` rows of `m·lanes` values at pitch
+        // `m·lanes` (asserted above) and is exclusively borrowed.
+        unsafe {
+            self.output_rows_post_strided(vt, TapePostOps::default(), 0, y.as_mut_ptr(), m * lanes, s);
         }
     }
 
@@ -489,48 +506,27 @@ impl TileTransformer {
     ) {
         let (m, lanes) = (self.m(), s.lanes);
         assert!(y.len() >= m * m * lanes);
+        self.output_columns_dequantized(vt, z, inv_alphas, stride, s);
+        let res_row_stride = m * post.residual.map_or(0, |r| r.2);
         // SAFETY: `y` holds the `m` rows of `m·lanes` values at pitch
         // `m·lanes` (asserted above) and is exclusively borrowed.
-        unsafe {
-            self.output_tile_dequantized_post_strided(
-                vt,
-                z,
-                inv_alphas,
-                stride,
-                post,
-                m * post.residual.map_or(0, |r| r.2),
-                y.as_mut_ptr(),
-                m * lanes,
-                s,
-            );
-        }
+        unsafe { self.output_rows_post_strided(vt, post, res_row_stride, y.as_mut_ptr(), m * lanes, s) }
     }
 
-    /// [`Self::output_tile_dequantized_post`] storing the tile **in
-    /// place**: output row `i` is the `m·lanes` values at
-    /// `y + i·y_row_stride` (a tile buffer, or a window of the blocked
-    /// output image at its row pitch), and row `i` of the residual starts
-    /// `i·res_row_stride` past `post.residual`'s base (its slot stride is
-    /// the pixel pitch, as in [`TapePostOps`]).
-    ///
-    /// # Safety
-    ///
-    /// For every `i < m`, `y + i·y_row_stride` must be valid for `m·lanes`
-    /// writes that no other reference or thread touches during the call.
-    pub unsafe fn output_tile_dequantized_post_strided(
+    /// The column pass of the output transform with the **fused dequantize
+    /// prologue**: `z` is a tile's raw `i32` accumulators, element
+    /// `t = k·n + j` scaled by `inv_alphas[t·stride]` on load (`stride = 0`
+    /// broadcasts one scale). Leaves `Aᵀ·Z` in the scratch for
+    /// [`Self::output_rows_post_strided`].
+    pub fn output_columns_dequantized(
         &self,
         vt: VecTier,
         z: &[i32],
         inv_alphas: &[f32],
         stride: usize,
-        post: TapePostOps<'_>,
-        res_row_stride: usize,
-        y: *mut f32,
-        y_row_stride: usize,
         s: &mut TransformScratch,
     ) {
-        let (n, m) = (self.n(), self.m());
-        let lanes = s.lanes;
+        let (n, lanes) = (self.n(), s.lanes);
         debug_assert!(stride == 0 || inv_alphas.len() >= n * n);
         for j in 0..n {
             self.at_tape.execute_dequant_f32(
@@ -547,6 +543,39 @@ impl TileTransformer {
                 n * lanes,
             );
         }
+    }
+
+    /// The column pass of the output transform over f32 sums, loaded as
+    /// they are. The `n` columns of a row are contiguous, so all of them are
+    /// one call over `n·lanes` lanes.
+    pub fn output_columns_f32(&self, vt: VecTier, z: &[f32], s: &mut TransformScratch) {
+        let (n, lanes) = (self.n(), s.lanes);
+        self.at_tape
+            .execute_f32(vt, n * lanes, z, 0, n * lanes, &mut s.tmp, 0, n * lanes);
+    }
+
+    /// The row pass of the output transform over the column pass's result
+    /// in the scratch, with the **post-op epilogue** fused and the tile
+    /// stored **in place**: output row `i` is the `m·lanes` values at
+    /// `y + i·y_row_stride` (a tile buffer, or a window of the blocked
+    /// output image at its row pitch), and row `i` of the residual starts
+    /// `i·res_row_stride` past `post.residual`'s base (its slot stride is
+    /// the pixel pitch, as in [`TapePostOps`]).
+    ///
+    /// # Safety
+    ///
+    /// For every `i < m`, `y + i·y_row_stride` must be valid for `m·lanes`
+    /// writes that no other reference or thread touches during the call.
+    pub unsafe fn output_rows_post_strided(
+        &self,
+        vt: VecTier,
+        post: TapePostOps<'_>,
+        res_row_stride: usize,
+        y: *mut f32,
+        y_row_stride: usize,
+        s: &mut TransformScratch,
+    ) {
+        let (n, m, lanes) = (self.n(), self.m(), s.lanes);
         for i in 0..m {
             // SAFETY: the caller's contract — row `i` is `m·lanes` writable
             // values nothing else touches.
