@@ -28,19 +28,15 @@ cargo run -q --release --offline -p lowino-winograd --bin gen_kernels -- --check
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
-# The zero-steady-state-allocation audits count allocations process-wide,
-# so their tests serialise on `lowino_testkit::alloc::audit()`. Prove the
-# count does not depend on how many harness threads the host offers.
+# The whole suite again, serially and with more harness threads than
+# cores: the zero-steady-state-allocation audits count allocations
+# process-wide (their tests serialise on `lowino_testkit::alloc::audit()`),
+# and the fault-injection and trace-counter cases arm process-global state
+# behind reader/writer gates — none of it may depend on how many harness
+# threads the host offers.
 for threads in 1 8; do
-    echo "==> allocation audits (--test-threads=$threads)"
-    cargo test -q --offline -p lowino-conv --test steady_state_alloc -- --test-threads="$threads"
-    cargo test -q --offline -p lowino-nn --test graph_alloc -- --test-threads="$threads"
-    # LoWino's two schedules against each other: its fault-injection and
-    # trace-counter cases arm process-global state behind a reader/writer
-    # gate, which must hold serially and with more harness threads than
-    # cores alike.
-    echo "==> LoWino staged vs depth-first (--test-threads=$threads)"
-    cargo test -q --offline -p lowino-conv --test lowino_chained -- --test-threads="$threads"
+    echo "==> cargo test --offline (--test-threads=$threads)"
+    cargo test -q --offline --workspace -- --test-threads="$threads"
 done
 
 # Re-run the suite pinned to each narrower vector tier the host supports
@@ -74,10 +70,12 @@ for forced in scalar avx2 avx512vnni; do
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_in_place
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-winograd --test tape_equivalence
         # The depth-first schedule (tile blocks through ① → ② → ③ in one
-        # worker's L2) must equal the staged one and the three-fork-join
-        # reference bit for bit on every tier: the block GEMM entry point
-        # and the cache-allocating store kind dispatch on it too.
-        echo "==> LoWino staged vs depth-first identity (LOWINO_FORCE_TIER=$forced)"
+        # worker's L2) must equal the staged one bit for bit on every tier,
+        # for every scheme that chains — LoWino (and its three-fork-join
+        # reference) and WinogradF32 (and its pinned outputs): the block
+        # GEMM entry point and the cache-allocating store kind dispatch on
+        # it too.
+        echo "==> staged vs depth-first identity, every chaining scheme (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino-conv --test lowino_chained
         # The four Winograd schemes are one executor: every scheme's output
         # must still hash to what the four separate executors produced
@@ -233,10 +231,13 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # GEMMs' private drivers and the caller-supplied FP32 accumulator: every
 # element type plans the one GemmTasks. And the four Winograd executors are
 # one: the pool-less fork-join entry points, the resilient ladder's private
-# planner and the baselines' tile hand-off type went with them. Fail if any
-# of the names comes back (this line excepted).
+# planner and the baselines' tile hand-off type went with them. Each GEMM
+# operand is one panel type generic over the element, planned by the one
+# GemmTasks::plan and packed by the one filter packer; the pre-ledger
+# bench snapshots are folded into EXPERIMENTS.md. Fail if any of the names
+# comes back (this line excepted).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
     exit 1

@@ -9,8 +9,8 @@
 //!   full-lattice-sweep winner (PR 8 acceptance table in EXPERIMENTS.md);
 //! * **graph overhead** — the graph engine with its default per-conv
 //!   health policy vs health checks disabled vs the per-layer
-//!   interpreter, isolating the ~3–6% graph-vs-per_layer gap seen in
-//!   BENCH_PR7.json (diagnosis in EXPERIMENTS.md).
+//!   interpreter, isolating the ~3–6% graph-vs-per_layer gap of the
+//!   `models` bench (numbers and diagnosis in EXPERIMENTS.md).
 //!
 //! Run with `cargo bench --bench ablations`; set
 //! `LOWINO_BENCH_JSON=BENCH_ablations.json` to accumulate a JSON-line log.
@@ -183,8 +183,8 @@ fn ablation_tuned_vs_default() {
     }
 }
 
-/// Isolate the graph-vs-per_layer gap (BENCH_PR7.json shows graph ~3–6%
-/// behind): the graph engine wraps every conv in a `ResilientConv` whose
+/// Isolate the graph-vs-per_layer gap (the `models` bench reads graph
+/// ~3–6% behind, EXPERIMENTS.md "Pre-ledger snapshots"): the graph engine wraps every conv in a `ResilientConv` whose
 /// default health policy scans the quantized intermediates for
 /// saturation and the output for non-finite values on every execute; the
 /// per-layer interpreter does neither. Benching the same compiled graph

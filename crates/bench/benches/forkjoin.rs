@@ -20,7 +20,7 @@
 //! reading the same.
 //!
 //! Run with `cargo bench --bench forkjoin`; set
-//! `LOWINO_BENCH_JSON=BENCH_PR2.json` to accumulate the JSON-line log and
+//! `LOWINO_BENCH_JSON=<path>` to accumulate the JSON-line log and
 //! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration.
 
 use lowino_bench::layers::layer_by_name;

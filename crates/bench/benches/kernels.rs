@@ -8,8 +8,8 @@
 //! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration.
 
 use lowino_gemm::{
-    Element, GemmCostModel, GemmShape, GemmTasks, UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32,
-    VPanelI16, ZPanel, ZPanelF32,
+    Element, GemmCostModel, GemmShape, GemmTasks, UPanel, UPanelOf, VPanel, VPanelOf, ZPanel,
+    ZPanelOf, F32, I16,
 };
 use lowino_parallel::StaticPool;
 use lowino_simd::{dpbusd, dpwssd, quantize_f32_lanes_i8, SimdTier};
@@ -104,12 +104,12 @@ fn bench_gemm_elements() {
     let tasks = GemmTasks::plan(tier, &shape, &seed(Element::U8I8), &v, &u, &mut z);
     group.bench_function("u8i8/yolo_b_f4", || tasks.run(&mut pool));
 
-    let (v, u, mut z) = (VPanelI16::new(t, n, c), UPanelI16::new(t, c, k), ZPanel::new(t, n, k));
-    let tasks = GemmTasks::plan_i16(tier, &shape, &seed(Element::I16), &v, &u, &mut z);
+    let (v, u, mut z) = (VPanelOf::<I16>::new(t, n, c), UPanelOf::<I16>::new(t, c, k), ZPanel::new(t, n, k));
+    let tasks = GemmTasks::plan(tier, &shape, &seed(Element::I16), &v, &u, &mut z);
     group.bench_function("i16/yolo_b_f4", || tasks.run(&mut pool));
 
-    let (v, u, mut z) = (VPanelF32::new(t, n, c), UPanelF32::new(t, c, k), ZPanelF32::new(t, n, k));
-    let tasks = GemmTasks::plan_f32(tier, &shape, &seed(Element::F32), &v, &u, &mut z);
+    let (v, u, mut z) = (VPanelOf::<F32>::new(t, n, c), UPanelOf::<F32>::new(t, c, k), ZPanelOf::new(t, n, k));
+    let tasks = GemmTasks::plan(tier, &shape, &seed(Element::F32), &v, &u, &mut z);
     group.bench_function("f32/yolo_b_f4", || tasks.run(&mut pool));
 }
 

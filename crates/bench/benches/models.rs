@@ -9,7 +9,7 @@
 //! `"gelems_per_s":0.0000`.
 //!
 //! Run with `cargo bench --bench models`; set
-//! `LOWINO_BENCH_JSON=BENCH_PR7.json` to accumulate the JSON-line log and
+//! `LOWINO_BENCH_JSON=<path>` to accumulate the JSON-line log and
 //! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration (one
 //! MiniResNet cell). With `LOWINO_TRACE=<path>` the smoke run also emits
 //! whole-model `graph/execute` + `graph/layer` spans for `trace_check`.

@@ -27,9 +27,9 @@
 //! wall-clock tails on shared runners are too noisy for a hard gate.
 //!
 //! Run with `cargo bench --bench serve`; `LOWINO_BENCH_JSON=<path>`
-//! accumulates the JSON-line log (BENCH_PR10.json is this bench's
-//! snapshot) and `LOWINO_BENCH_SMOKE=1` selects a seconds-long CI
-//! configuration.
+//! accumulates the JSON-line log (earlier numbers: EXPERIMENTS.md,
+//! "Pre-ledger snapshots") and `LOWINO_BENCH_SMOKE=1` selects a
+//! seconds-long CI configuration.
 
 use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};

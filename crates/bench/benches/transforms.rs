@@ -20,7 +20,7 @@
 //!   fused column pass with the scale folded into the i32→f32 loads.
 //!
 //! Run with `cargo bench --bench transforms`; set
-//! `LOWINO_BENCH_JSON=BENCH_PR3.json` to accumulate the JSON-line log and
+//! `LOWINO_BENCH_JSON=<path>` to accumulate the JSON-line log and
 //! `LOWINO_BENCH_SMOKE=1` for a seconds-long CI smoke configuration (the
 //! `driver` groups of all three tile sizes, the tile groups of `F(4,3)`).
 

@@ -13,6 +13,8 @@
 //!    the combined compensation row), then `Z` is de-quantized into the
 //!    blocked output.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use lowino_gemm::kernel::{microkernel, Seed, Store};
 use lowino_gemm::{Blocking, Element, GemmShape, UPanel, ZPanel};
 use lowino_quant::QParams;
@@ -20,7 +22,7 @@ use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_lanes, quantize_lanes, store::stream_fence, stream_store_u8_64};
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, Tensor4, LANES};
 
-use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor};
+use crate::algo::{check_io, note_saturation, resolve_blocking, Algorithm, ConvExecutor};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_direct_i8;
@@ -40,6 +42,9 @@ pub struct DirectInt8Conv {
     qbuf: AlignedBuf<u8>,
     z_panel: ZPanel,
     cp: usize,
+    /// Saturated quantized values of the last execute, tallied line by line
+    /// as phase ① produces them.
+    saturated: AtomicU64,
     /// The GEMM blocking: set by [`Self::set_blocking`], else resolved by
     /// the first execute ([`resolve_blocking`]) and kept.
     blocking: Option<Blocking>,
@@ -84,6 +89,7 @@ impl DirectInt8Conv {
             qbuf,
             z_panel: ZPanel::new(1, n, spec.out_c),
             cp,
+            saturated: AtomicU64::new(0),
             blocking: None,
         })
     }
@@ -149,6 +155,8 @@ impl ConvExecutor for DirectInt8Conv {
         let inv = self.alpha_in.product_dequant(&self.alpha_w);
         let out_ref: &BlockedImage = output;
         let k_blocks = out_ref.c_blocks();
+        let saturated = &self.saturated;
+        saturated.store(0, Ordering::Relaxed);
 
         let totals = [
             spec.batch * spec.h,
@@ -160,9 +168,8 @@ impl ConvExecutor for DirectInt8Conv {
             // -- Phase ①: quantize the input once into the padded u8 buffer.
             0 => {
                 let _span = lowino_trace::span("direct_i8/quantize_input");
-                let tracing = lowino_trace::enabled();
-                let mut saturated = 0u64;
-                let mut values = 0u64;
+                let values = range.len() * spec.w * c_blocks * LANES;
+                let mut sat = 0u64;
                 let mut q = [0u8; LANES];
                 for row in range {
                     let b = row / spec.h;
@@ -175,10 +182,7 @@ impl ConvExecutor for DirectInt8Conv {
                                 &[0.0; LANES]
                             };
                             quantize_lanes(vt, lanes, alpha, true, &mut q);
-                            if tracing {
-                                saturated += lowino_quant::count_saturated_u8(&q);
-                                values += LANES as u64;
-                            }
+                            sat += lowino_quant::count_saturated_u8(&q);
                             let off = ((b * hp + y + spec.pad) * wp + x + spec.pad) * cp
                                 + cb * LANES;
                             // SAFETY: each (b, y) row is owned by one task;
@@ -191,10 +195,7 @@ impl ConvExecutor for DirectInt8Conv {
                         }
                     }
                 }
-                if tracing {
-                    lowino_trace::counter("quant/saturated", saturated);
-                    lowino_trace::counter("quant/values", values);
-                }
+                note_saturation(Some(saturated), sat, values);
                 stream_fence();
             }
             // -- Phase ②: r² shifted-pointer GEMM passes accumulating
@@ -252,7 +253,7 @@ impl ConvExecutor for DirectInt8Conv {
                                                 v_ptr,
                                                 cp,
                                                 u_ptr,
-                                                up.c4_stride(),
+                                                up.word_stride(),
                                                 cp / 4,
                                                 seed,
                                                 z_ptr,
@@ -299,15 +300,14 @@ impl ConvExecutor for DirectInt8Conv {
         })
     }
 
-    /// Saturation over the persistent quantized input buffer. Padding
-    /// pixels and padded channels hold the compensated zero (128), which
-    /// [`lowino_quant::count_saturated_u8`] ignores, so only real input
-    /// values can count as saturated; the denominator is the real value
-    /// count.
+    /// Saturation of the last execute's quantized input, counted as phase ①
+    /// produced it. Padded channels quantize to the compensated zero (128),
+    /// which [`lowino_quant::count_saturated_u8`] ignores, so only real
+    /// input values can count as saturated; the denominator is the real
+    /// value count.
     fn saturation(&self) -> Option<(u64, u64)> {
         let spec = &self.spec;
-        let sat = lowino_quant::count_saturated_u8(self.qbuf.as_slice());
-        Some((sat, (spec.batch * spec.in_c * spec.h * spec.w) as u64))
+        Some((self.saturated.load(Ordering::Relaxed), (spec.batch * spec.in_c * spec.h * spec.w) as u64))
     }
 
     fn gemm_shape(&self) -> Option<GemmShape> {
@@ -399,6 +399,36 @@ mod tests {
             DirectInt8Conv::new(spec, &Tensor4::zeros(4, 4, 3, 3), QParams::UNIT),
             Err(ConvError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn saturation_is_tallied_in_phase_one_and_equals_a_buffer_scan() {
+        // Calibrated on a quiet input, executed on one 40× louder: most
+        // values clip. Padded channels (C = 70) and the halo never do.
+        let spec = ConvShape::same(2, 70, 8, 9, 3).validate().unwrap();
+        let quiet = BlockedImage::from_nchw(&Tensor4::from_fn(2, 70, 9, 9, |b, c, y, x| {
+            ((b * 7 + c * 3 + y * 5 + x) as f32 * 0.29).sin()
+        }));
+        let mut loud = quiet.clone();
+        loud.data_mut().iter_mut().for_each(|v| *v *= 40.0);
+        let weights = Tensor4::from_fn(8, 70, 3, 3, |k, c, y, x| ((k + c + y + x) as f32 * 0.6).cos());
+        let cal = calibrate_spatial(std::slice::from_ref(&quiet)).unwrap();
+        let mut out = BlockedImage::zeros(2, 8, 9, 9);
+        for threads in [1, 3] {
+            let mut conv = DirectInt8Conv::new(spec, &weights, cal).unwrap();
+            assert_eq!(conv.saturation(), Some((0, 2 * 70 * 81)), "nothing executed yet");
+            let mut ctx = ConvContext::new(threads);
+            // Twice: the tally is per execute, not cumulative.
+            for _ in 0..2 {
+                conv.execute(&loud, &mut out, &mut ctx).unwrap();
+                let scanned = lowino_quant::count_saturated_u8(conv.qbuf.as_slice());
+                assert!(scanned > 2 * 70 * 81 / 4, "the loud input must clip ({scanned})");
+                assert_eq!(conv.saturation(), Some((scanned, 2 * 70 * 81)), "threads={threads}");
+            }
+            conv.execute(&quiet, &mut out, &mut ctx).unwrap();
+            let scanned = lowino_quant::count_saturated_u8(conv.qbuf.as_slice());
+            assert_eq!(conv.saturation().unwrap().0, scanned, "threads={threads}");
+        }
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //! blocking (`N_blk`/`K_blk` of one L2-resident partition), fixed at plan
 //! time in place of the tuner's seed, unless the caller overrides it.
 
-use lowino_gemm::{Blocking, GemmShape};
+use lowino_gemm::{Blocking, GemmShape, U8I8};
 use lowino_quant::QParams;
 use lowino_tensor::{ConvShape, Tensor4};
 use lowino_winograd::range_growth_2d;
 
-use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv, U8I8};
+use crate::algo::lowino::lowino_filters;
+use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv};
 use crate::algo::Algorithm;
 use crate::error::ConvError;
-use crate::filter::pack_filters_lowino;
 
 /// The down-scaling scheme: INT8 tiles, transform-domain down-scale back to
 /// u8, u8×i8 GEMM.
@@ -64,7 +64,8 @@ impl DownScaleConv {
         let (spec, geom, tt) = plan_tiles(spec, m)?;
         // Filters follow the same Winograd-domain max-abs path as LoWino
         // (weights are fully known offline; this matches oneDNN).
-        let (u_panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, weights)?;
+        let (u_panel, alpha_u) = lowino_filters(&spec, &geom, &tt, weights, false)?;
+        let alpha_u = alpha_u[0];
         let alpha_ds = 1.0 / range_growth_2d(m, spec.r)? as f32;
         // Effective input scale is α_in·α_ds (the spatial scale times the
         // transform down-scale).

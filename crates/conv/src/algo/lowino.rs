@@ -19,25 +19,41 @@
 //! the bytes of an INT8 load — the §5.3 transformation-time trade-off) and
 //! no precision is lost to transform-domain rescaling; unlike the
 //! up-casting baseline, the multiply stage runs at full `vpdpbusd`
-//! throughput. And with no pre-pass to wait for, it is the one scheme that
-//! may run depth-first ([`chain_block`]).
+//! throughput. And with no pre-pass to wait for, it may run depth-first
+//! ([`chain_block`]) — on every layer whose `U` leaves room in the L2.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use lowino_gemm::{batched_gemm_u8i8, VPanel, ZPanel};
+use lowino_gemm::{batched_gemm_u8i8, UPanel, VPanel, ZPanel, U8I8};
 use lowino_quant::{count_saturated_u8, QParams};
 use lowino_simd::{quantize_f32_lanes_i8, store::stream_fence, stream_store_u8_64};
-use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
+use lowino_tensor::{BlockedImage, ConvShape, Tensor4, TileGeometry, LANES};
+use lowino_winograd::TileTransformer;
 
 pub use crate::algo::winograd::chain_block;
-use crate::algo::winograd::{plan_tiles, staged_panels, Scheme, WinogradConv, U8I8};
+use crate::algo::winograd::{plan_tiles, staged_panels, Scheme, WinogradConv};
 use crate::algo::{check_io, Algorithm};
 use crate::context::{ConvContext, NonFinitePolicy};
 use crate::error::ConvError;
-use crate::filter::{pack_filters_lowino, pack_filters_lowino_per_position};
+use crate::filter::pack_filters;
 use crate::stats::StageTimings;
 use crate::tiles::{gather_patch, scatter_output_tile, tile_coords, tile_origin};
+
+/// LoWino's filters (and the down-scaling baseline's): quantized **in the
+/// Winograd domain** with max-abs scales `α_U` — one per tile position or
+/// one for all — then the compensation rows.
+pub(super) fn lowino_filters(
+    spec: &ConvShape,
+    geom: &TileGeometry,
+    tt: &TileTransformer,
+    weights: &Tensor4,
+    per_position: bool,
+) -> Result<(UPanel, Vec<QParams>), ConvError> {
+    let (mut u_panel, alpha_u) = pack_filters::<U8I8>(spec, geom, tt, weights, per_position, |a, u| a.quantize(u))?;
+    u_panel.finalize_compensation();
+    Ok((u_panel, alpha_u))
+}
 
 /// The LoWino scheme: f32 tiles, Winograd-domain quantization, u8×i8 GEMM.
 pub struct LoWino;
@@ -68,11 +84,7 @@ impl LoWinoConv {
         weights: &Tensor4,
         input_scale: QParams,
     ) -> Result<Self, ConvError> {
-        let (spec, geom, tt) = plan_tiles(spec, m)?;
-        let (u_panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, weights)?;
-        let t_count = geom.t();
-        let inv = vec![1.0 / (input_scale.alpha * alpha_u.alpha); t_count];
-        Ok(Self::assemble(spec, geom, tt, u_panel, None, vec![input_scale.alpha; t_count], inv))
+        Self::with_scales(spec, m, weights, &[input_scale])
     }
 
     /// Plan with **per-tile-position** scales (the scale-granularity
@@ -85,17 +97,24 @@ impl LoWinoConv {
         weights: &Tensor4,
         input_scales: &[QParams],
     ) -> Result<Self, ConvError> {
-        let (spec, geom, tt) = plan_tiles(spec, m)?;
-        if input_scales.len() != geom.t() {
+        let t_count = spec.validate()?.tiles(m)?.t();
+        if input_scales.len() != t_count {
             return Err(ConvError::Calibration(format!(
-                "expected {} per-position scales, got {}",
-                geom.t(),
+                "expected {t_count} per-position scales, got {}",
                 input_scales.len()
             )));
         }
-        let (u_panel, alpha_u) = pack_filters_lowino_per_position(&spec, &geom, &tt, weights)?;
-        let inv = input_scales.iter().zip(&alpha_u).map(|(v, u)| 1.0 / (v.alpha * u.alpha)).collect();
-        let quant = input_scales.iter().map(|q| q.alpha).collect();
+        Self::with_scales(spec, m, weights, input_scales)
+    }
+
+    /// Plan with one `α_V` for all tile positions or one for each: the
+    /// filters get the same granularity (per tensor is the one-scale case).
+    fn with_scales(spec: ConvShape, m: usize, weights: &Tensor4, input_scales: &[QParams]) -> Result<Self, ConvError> {
+        let (spec, geom, tt) = plan_tiles(spec, m)?;
+        let (u_panel, alpha_u) = lowino_filters(&spec, &geom, &tt, weights, input_scales.len() > 1)?;
+        let scale = |t: usize| input_scales[t % input_scales.len()].alpha;
+        let quant = (0..geom.t()).map(scale).collect();
+        let inv = (0..geom.t()).map(|t| 1.0 / (scale(t) * alpha_u[t].alpha)).collect();
         Ok(Self::assemble(spec, geom, tt, u_panel, None, quant, inv))
     }
 

@@ -8,6 +8,8 @@ pub mod upcast;
 pub mod wino_f32;
 pub mod winograd;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use lowino_tensor::{BlockedImage, ConvShape, LANES};
 
 use crate::context::{ConvContext, NonFinitePolicy};
@@ -242,6 +244,20 @@ pub trait ConvExecutor {
     /// report a shape from [`Self::gemm_shape`] accept it; everyone else
     /// ignores it.
     fn set_blocking(&mut self, _b: lowino_gemm::Blocking) {}
+}
+
+/// Flush one phase body's saturation tally: into the executor's
+/// per-execute count when this is its health signal (what `saturation()`
+/// reports) and, under tracing, the `quant/saturated` / `quant/values`
+/// counters.
+pub(crate) fn note_saturation(total: Option<&AtomicU64>, saturated: u64, values: usize) {
+    if let Some(total) = total {
+        total.fetch_add(saturated, Ordering::Relaxed);
+    }
+    if lowino_trace::enabled() {
+        lowino_trace::counter("quant/saturated", saturated);
+        lowino_trace::counter("quant/values", values as u64);
+    }
 }
 
 /// The blocking a GEMM-backed executor runs `shape` with: the one it was

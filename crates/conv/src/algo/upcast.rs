@@ -16,14 +16,15 @@
 //! by `growth(m)`, so `growth(m)·127` must fit in i16 — true for `m ≤ 4`,
 //! false for `m = 6`, which is exactly why ncnn only ships small tiles.
 
+use lowino_gemm::I16;
 use lowino_quant::QParams;
 use lowino_tensor::{ConvShape, Tensor4};
 use lowino_winograd::range_growth_2d;
 
-use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv, I16};
+use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv};
 use crate::algo::Algorithm;
 use crate::error::ConvError;
-use crate::filter::pack_filters_upcast;
+use crate::filter::pack_filters;
 
 /// The up-casting scheme: INT8 tiles, exact INT16 `V`, `vpdpwssd` GEMM.
 pub struct UpCast;
@@ -66,8 +67,11 @@ impl UpCastConv {
         // What fits INT16 is far inside f32's exact range, so ① never needs the
         // interpreted integer codelets.
         debug_assert!(tt.input_exact_in_f32(127));
-        let (u_panel, alpha_u) = pack_filters_upcast(&spec, &geom, &tt, weights)?;
-        let inv = 1.0 / (input_scale.alpha * alpha_u.alpha);
+        // Filters quantized to INT8 in the Winograd domain like LoWino's,
+        // *widened to INT16* for the `vpdpwssd` multiply stage.
+        let (u_panel, alpha_u) =
+            pack_filters::<I16>(&spec, &geom, &tt, weights, false, |a, u| i16::from(a.quantize(u)))?;
+        let inv = 1.0 / (input_scale.alpha * alpha_u[0].alpha);
         let spatial = SpatialInt8::new(&spec, &geom, &tt, input_scale.alpha);
         Ok(Self::assemble(spec, geom, tt, u_panel, Some(spatial), Vec::new(), vec![inv]))
     }

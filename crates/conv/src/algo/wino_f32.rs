@@ -3,16 +3,19 @@
 //!
 //! Same pipeline as LoWino with no quantizer anywhere: tiles are cut from
 //! the f32 image, `V` lines keep the row pass's f32 values, the GEMM — the
-//! same blocked driver and register-tiled kernel, over f32 words — runs at
+//! same blocked driver and register-tiled kernel, over f32 words, and
+//! depth-first where the 4×-wider `U` still leaves room in the L2 — runs at
 //! FP32 throughput (16 lanes/instr vs. VNNI's 64 MACs/instr — the 4×
 //! theoretical gap of paper §2.1), and ③'s column pass loads `Z` as is.
 
 use lowino_tensor::{ConvShape, Tensor4};
 
-use crate::algo::winograd::{plan_tiles, Scheme, WinogradConv, F32};
+use lowino_gemm::F32;
+
+use crate::algo::winograd::{plan_tiles, Scheme, WinogradConv};
 use crate::algo::Algorithm;
 use crate::error::ConvError;
-use crate::filter::pack_filters_f32;
+use crate::filter::pack_filters;
 
 /// The full-precision scheme.
 pub struct WinogradF32;
@@ -34,7 +37,7 @@ impl WinogradF32Conv {
     /// Plan an FP32 `F(m×m, r×r)` Winograd convolution.
     pub fn new(spec: ConvShape, m: usize, weights: &Tensor4) -> Result<Self, ConvError> {
         let (spec, geom, tt) = plan_tiles(spec, m)?;
-        let u_panel = pack_filters_f32(&spec, &geom, &tt, weights)?;
+        let (u_panel, _) = pack_filters::<F32>(&spec, &geom, &tt, weights, false, |_, u| u)?;
         Ok(Self::assemble(spec, geom, tt, u_panel, None, Vec::new(), Vec::new()))
     }
 }

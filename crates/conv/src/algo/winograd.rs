@@ -11,8 +11,8 @@
 //!    [`SpatialInt8`]) and the *row-pass epilogue*
 //!    ([`GemmElem::lines_from_f32`]: quantize with `α[t]` + 128 → u8, exact
 //!    cast → i16, none → f32);
-//! 2. **the GEMM element** ([`GemmElem`]): the panel family, the
-//!    [`GemmTasks`] constructor and `Z`'s lane type;
+//! 2. **the GEMM element** ([`GemmElem`], over `lowino_gemm::Operands`): the
+//!    lane types of the generic `V`/`U`/`Z` panels and the kernel's fold;
 //! 3. **the column-pass prologue of ③** ([`ZLane`]): `i32 · inv[t]` with
 //!    stride 1 (per-position scales) or 0 (one scale), or f32 as is.
 //!
@@ -28,28 +28,30 @@
 //!   whole-layer `V` and `Z` panels from one to the next;
 //! * **depth-first**: one pool phase over blocks of `nb` consecutive tiles;
 //!   a worker takes a block through ① → ② → ③ in its own `V`/`Z` blocks,
-//!   which together with the shared `U` sit in that core's L2. It needs the
-//!   block GEMM (`lowino_gemm::BlockGemm`, u8×i8 only) and a tile that does
-//!   not wait for a pre-pass, so it is LoWino's alone, chosen per layer by
-//!   [`chain_block`] from the shapes and the host's cache — never by a switch.
+//!   which together with the shared `U` sit in that core's L2, multiplied by
+//!   the block GEMM (`lowino_gemm::BlockGemm`, any element). A tile must not
+//!   wait for a pre-pass, so every scheme without one (LoWino, WinogradF32)
+//!   may run it, chosen per layer by [`chain_block`] on the word-equivalent
+//!   u8×i8 shape and the host's cache — never by a switch.
 
 use core::marker::PhantomData;
 use core::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lowino_gemm::panels::{Lane, ZPanelOf};
+use lowino_gemm::panels::Lane;
 use lowino_gemm::{
-    normalize_for, BlockGemm, Blocking, Element, GemmShape, GemmTasks, UPanel, UPanelF32,
-    UPanelI16, VPanel, VPanelF32, VPanelI16,
+    normalize_for, BlockGemm, Blocking, GemmShape, GemmTasks, Operands, UPanelOf, VPanelOf, ZPanelOf,
+    F32, I16, U8I8,
 };
 use lowino_quant::{count_saturated_i8, count_saturated_u8};
 use lowino_simd::vecf32::{requantize_i32_lanes, VecTier};
 use lowino_simd::{store::stream_fence, stream_store_u8_64, SimdTier};
+use lowino_tensor::align::cast_slice_mut;
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, TileGeometry, LANES};
 use lowino_winograd::{TapePostOps, TileTransformer, TransformScratch};
 
-use crate::algo::{check_io, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
+use crate::algo::{check_io, note_saturation, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::scratch::{ensure_f32, ensure_i32, ensure_u8, ScratchArena, WorkerScratch};
@@ -115,6 +117,21 @@ pub struct VLines<L> {
 }
 
 impl<L> VLines<L> {
+    /// The lines of `(tile, cb)` in the staged panel `v`.
+    ///
+    /// # Safety
+    ///
+    /// `tile` and `cb` must be inside the panel, and no two live [`VLines`]
+    /// of one `(tile, cb)` may be written concurrently.
+    unsafe fn staged<E: Operands<V = L>>(v: &VPanelOf<E>, tile: usize, cb: usize) -> Self {
+        debug_assert!((cb + 1) * LANES <= v.cp());
+        // SAFETY: `tile < N` and `cb·64 + 64 ≤ C_p` (the caller's contract)
+        // keep line `t` inside row `(t, tile)`; rows are `N·C_p` lanes apart
+        // and 64-byte aligned.
+        let base = unsafe { v.row_ptr_shared(0, tile).add(cb * LANES) };
+        VLines { base, t_stride: v.dims().1 * v.cp(), stream: true }
+    }
+
     /// Line `t`.
     ///
     /// # Safety
@@ -154,46 +171,15 @@ impl VLines<u8> {
 }
 
 /// The staged schedule's whole-layer panels of one element.
-pub type Panels<E> = (<E as GemmElem>::V, ZPanelOf<<E as GemmElem>::Z>);
+pub type Panels<E> = (VPanelOf<E>, ZPanelOf<<E as Operands>::Z>);
 
-/// Strategy point 2 — the GEMM element: panel family, plan constructor and
-/// `Z` lane — and the lane-typed half of point 1, the row-pass epilogue that
-/// turns a transformed tile into `V` lines of that family.
-pub trait GemmElem: Sized + Send + Sync + 'static {
-    /// The kernel's element.
-    const ELEMENT: Element;
+/// Strategy point 2 — the GEMM element, whose lane types fix the panels —
+/// and the lane-typed half of point 1, the row-pass epilogue that turns a
+/// transformed tile into `V` lines of that element.
+pub trait GemmElem: Operands<Z: ZLane> {
     /// Whether ①'s epilogue quantizes (then its clamps are the scheme's
     /// saturation signal; otherwise the pre-pass's are).
     const QUANTIZED_V: bool = false;
-    /// `V`'s lane type.
-    type Lane: Copy + Send + Sync + 'static;
-    /// Transformed-input panel.
-    type V: Send + Sync;
-    /// Transformed-filter panel.
-    type U: Send + Sync;
-    /// `Z`'s lane type (strategy point 3).
-    type Z: ZLane;
-
-    /// A zeroed `V` panel for `shape`.
-    fn v_panel(shape: &GemmShape) -> Self::V;
-
-    /// The lines of `(tile, cb)` in the staged panel.
-    ///
-    /// # Safety
-    ///
-    /// `tile` and `cb` must be inside the panel, and no two live [`VLines`]
-    /// of one `(tile, cb)` may be written concurrently.
-    unsafe fn v_lines(v: &Self::V, tile: usize, cb: usize) -> VLines<Self::Lane>;
-
-    /// Plan stage ② over this element's panels.
-    fn plan<'a>(
-        tier: SimdTier,
-        shape: &GemmShape,
-        blocking: &Blocking,
-        v: &'a Self::V,
-        u: &'a Self::U,
-        z: &'a mut ZPanelOf<Self::Z>,
-    ) -> GemmTasks<'a, Self::Z>;
 
     /// ①'s transform of the f32 tile `src`, epilogue included, every finished
     /// line stored to `lines`. Returns the saturated values.
@@ -206,7 +192,7 @@ pub trait GemmElem: Sized + Send + Sync + 'static {
         src: TileSrc<'_>,
         transform: &mut TransformScratch,
         tile: &mut [f32],
-        lines: VLines<Self::Lane>,
+        lines: VLines<Self::V>,
     ) -> u64;
 
     /// The same epilogue over an integer-transformed tile `v` — exact
@@ -216,151 +202,72 @@ pub trait GemmElem: Sized + Send + Sync + 'static {
     /// # Safety
     ///
     /// As [`VLines::line`] for every `t < T`.
-    unsafe fn lines_from_i32(_b: &TileBodies<'_, Self>, _v: &[i32], _lines: VLines<Self::Lane>) -> u64 {
+    unsafe fn lines_from_i32(_b: &TileBodies<'_, Self>, _v: &[i32], _lines: VLines<Self::V>) -> u64 {
         unreachable!("only the down-scaling epilogue follows an integer transform")
     }
-
-    /// Run the layer: staged, unless the element overrides.
-    fn run(
-        bodies: &TileBodies<'_, Self>,
-        u: &Self::U,
-        panels: &mut Option<Panels<Self>>,
-        shape: &GemmShape,
-        blocking: &Blocking,
-        ctx: &mut ConvContext,
-    ) -> Result<StageTimings, ExecError> {
-        run_staged(bodies, u, panels, shape, blocking, ctx)
-    }
 }
 
-macro_rules! gemm_elem {
-    ($(#[$doc:meta])* $name:ident: $lane:ty, $v:ty, $u:ty, $z:ty, $plan:ident { $($items:tt)* }) => {
-        $(#[$doc])*
-        pub struct $name;
+/// `u8 × i8 → i32`: ①'s row pass quantizes each line in-register with `α[t]`
+/// and the +128 compensation (Eq. 4, §4.2.1).
+impl GemmElem for U8I8 {
+    const QUANTIZED_V: bool = true;
 
-        impl GemmElem for $name {
-            const ELEMENT: Element = Element::$name;
-            type Lane = $lane;
-            type V = $v;
-            type U = $u;
-            type Z = $z;
-
-            fn v_panel(shape: &GemmShape) -> $v {
-                <$v>::new(shape.t, shape.n, shape.c)
-            }
-
-            unsafe fn v_lines(v: &$v, tile: usize, cb: usize) -> VLines<$lane> {
-                debug_assert!((cb + 1) * LANES <= v.cp());
-                // SAFETY: `tile < N` and `cb·64 + 64 ≤ C_p` (the caller's
-                // contract) keep line `t` inside row `(t, tile)`; rows are
-                // `N·C_p` lanes apart and 64-byte aligned.
-                let base = unsafe { v.row_ptr_shared(0, tile).add(cb * LANES) };
-                VLines { base, t_stride: v.dims().1 * v.cp(), stream: true }
-            }
-
-            fn plan<'a>(
-                tier: SimdTier,
-                shape: &GemmShape,
-                blocking: &Blocking,
-                v: &'a $v,
-                u: &'a $u,
-                z: &'a mut ZPanelOf<$z>,
-            ) -> GemmTasks<'a, $z> {
-                GemmTasks::$plan(tier, shape, blocking, v, u, z)
-            }
-
-            $($items)*
-        }
-    };
-}
-
-gemm_elem! {
-    /// `u8 × i8 → i32` under `vpdpbusd`: ①'s row pass quantizes each line
-    /// in-register with `α[t]` and the +128 compensation (Eq. 4, §4.2.1).
-    U8I8: u8, VPanel, UPanel, i32, plan {
-        const QUANTIZED_V: bool = true;
-
-        unsafe fn lines_from_f32(
-            b: &TileBodies<'_, Self>,
-            src: TileSrc<'_>,
-            transform: &mut TransformScratch,
-            _tile: &mut [f32],
-            lines: VLines<u8>,
-        ) -> u64 {
-            let mut saturated = 0;
-            // The f32 `V` tile is never materialized.
-            let sink = |t: usize, line: &[u8]| {
-                // SAFETY: the caller's contract.
-                saturated += unsafe { lines.put(b.tier, t, line) };
-            };
-            b.tt.input_tile_quantized_with(b.vt, src.d, src.base, src.row_stride, b.quant, true, transform, sink);
-            saturated
-        }
-
-        unsafe fn lines_from_i32(b: &TileBodies<'_, Self>, v: &[i32], lines: VLines<u8>) -> u64 {
-            let mut q = [0u8; LANES];
-            let mut saturated = 0;
-            for (t, lanes) in v.chunks_exact(LANES).enumerate() {
-                requantize_i32_lanes(b.vt, lanes, b.quant[t], true, &mut q);
-                // SAFETY: the caller's contract.
-                saturated += unsafe { lines.put(b.tier, t, &q) };
-            }
-            saturated
-        }
-
-        /// Depth-first where the tile needs no pre-pass and [`chain_block`]
-        /// finds a block that fits the L2; staged otherwise.
-        fn run(
-            bodies: &TileBodies<'_, Self>,
-            u: &UPanel,
-            panels: &mut Option<Panels<Self>>,
-            shape: &GemmShape,
-            blocking: &Blocking,
-            ctx: &mut ConvContext,
-        ) -> Result<StageTimings, ExecError> {
-            let chain = match bodies.spatial {
-                None => chain_block(shape, blocking.row_blk, ctx.threads(), ctx.cache.l2_bytes),
-                Some(_) => None,
-            };
-            match chain {
-                Some(nb) => run_chained(bodies, &BlockGemm::plan(bodies.tier, shape, blocking, u), nb, ctx),
-                None => run_staged(bodies, u, panels, shape, blocking, ctx),
-            }
-        }
-    }
-}
-
-gemm_elem! {
-    /// `i16 × i16 → i32` under `vpdpwssd`: the integer transform of an INT8
-    /// tile is kept exactly, in a wider lane (Fig. 2a ❶).
-    I16: i16, VPanelI16, UPanelI16, i32, plan_i16 {
-        unsafe fn lines_from_f32(
-            b: &TileBodies<'_, Self>,
-            src: TileSrc<'_>,
-            transform: &mut TransformScratch,
-            tile: &mut [f32],
-            lines: VLines<i16>,
-        ) -> u64 {
-            // SAFETY: the caller's contract. Exact: capacity is checked at
-            // plan time.
-            unsafe { exact_lines(b, src, transform, tile, lines, |x| x as i16) }
-        }
-    }
-}
-
-gemm_elem! {
-    /// `f32 × f32 → f32`: no quantizer anywhere.
-    F32: f32, VPanelF32, UPanelF32, f32, plan_f32 {
-        unsafe fn lines_from_f32(
-            b: &TileBodies<'_, Self>,
-            src: TileSrc<'_>,
-            transform: &mut TransformScratch,
-            tile: &mut [f32],
-            lines: VLines<f32>,
-        ) -> u64 {
+    unsafe fn lines_from_f32(
+        b: &TileBodies<'_, Self>,
+        src: TileSrc<'_>,
+        transform: &mut TransformScratch,
+        _tile: &mut [f32],
+        lines: VLines<u8>,
+    ) -> u64 {
+        let mut saturated = 0;
+        // The f32 `V` tile is never materialized.
+        let sink = |t: usize, line: &[u8]| {
             // SAFETY: the caller's contract.
-            unsafe { exact_lines(b, src, transform, tile, lines, |x| x) }
+            saturated += unsafe { lines.put(b.tier, t, line) };
+        };
+        b.tt.input_tile_quantized_with(b.vt, src.d, src.base, src.row_stride, b.quant, true, transform, sink);
+        saturated
+    }
+
+    unsafe fn lines_from_i32(b: &TileBodies<'_, Self>, v: &[i32], lines: VLines<u8>) -> u64 {
+        let mut q = [0u8; LANES];
+        let mut saturated = 0;
+        for (t, lanes) in v.chunks_exact(LANES).enumerate() {
+            requantize_i32_lanes(b.vt, lanes, b.quant[t], true, &mut q);
+            // SAFETY: the caller's contract.
+            saturated += unsafe { lines.put(b.tier, t, &q) };
         }
+        saturated
+    }
+}
+
+/// `i16 × i16 → i32`: the integer transform of an INT8 tile is kept exactly,
+/// in a wider lane (Fig. 2a ❶).
+impl GemmElem for I16 {
+    unsafe fn lines_from_f32(
+        b: &TileBodies<'_, Self>,
+        src: TileSrc<'_>,
+        transform: &mut TransformScratch,
+        tile: &mut [f32],
+        lines: VLines<i16>,
+    ) -> u64 {
+        // SAFETY: the caller's contract. Exact: capacity is checked at plan
+        // time.
+        unsafe { exact_lines(b, src, transform, tile, lines, |x| x as i16) }
+    }
+}
+
+/// `f32 × f32 → f32`: no quantizer anywhere.
+impl GemmElem for F32 {
+    unsafe fn lines_from_f32(
+        b: &TileBodies<'_, Self>,
+        src: TileSrc<'_>,
+        transform: &mut TransformScratch,
+        tile: &mut [f32],
+        lines: VLines<f32>,
+    ) -> u64 {
+        // SAFETY: the caller's contract.
+        unsafe { exact_lines(b, src, transform, tile, lines, |x| x) }
     }
 }
 
@@ -375,8 +282,8 @@ unsafe fn exact_lines<E: GemmElem>(
     src: TileSrc<'_>,
     transform: &mut TransformScratch,
     tile: &mut [f32],
-    lines: VLines<E::Lane>,
-    cast: impl Fn(f32) -> E::Lane,
+    lines: VLines<E::V>,
+    cast: impl Fn(f32) -> E::V,
 ) -> u64 {
     b.tt.input_tile_f32_strided(b.vt, src.d, src.base, src.row_stride, tile, transform);
     for (t, lanes) in tile.chunks_exact(LANES).enumerate() {
@@ -558,7 +465,7 @@ impl<E: GemmElem> TileBodies<'_, E> {
         tile: usize,
         cb: usize,
         bufs: &mut TileBufs<'_>,
-        lines: VLines<E::Lane>,
+        lines: VLines<E::V>,
     ) -> u64 {
         let (n, input) = (self.geom.n, self.input);
         let (b, ty, tx) = tile_coords(&self.geom, tile);
@@ -663,7 +570,7 @@ pub struct WinogradConv<S: Scheme> {
     pub(super) spec: ConvShape,
     pub(super) geom: TileGeometry,
     pub(super) tt: TileTransformer,
-    pub(super) u_panel: <S::Elem as GemmElem>::U,
+    pub(super) u_panel: UPanelOf<S::Elem>,
     /// The spatially-quantized input image, for the schemes whose tiles are
     /// cut from it (their jobs get the pre-pass phase that fills it).
     pub(super) spatial: Option<SpatialInt8>,
@@ -699,7 +606,7 @@ impl<S: Scheme> WinogradConv<S> {
         spec: ConvShape,
         geom: TileGeometry,
         tt: TileTransformer,
-        u_panel: <S::Elem as GemmElem>::U,
+        u_panel: UPanelOf<S::Elem>,
         spatial: Option<SpatialInt8>,
         quant: Vec<f32>,
         inv: Vec<f32>,
@@ -730,9 +637,9 @@ impl<S: Scheme> WinogradConv<S> {
     }
 
     /// The staged schedule's `V` panel as the last staged execute left it;
-    /// `None` before the first one, and for a LoWino layer whose every
-    /// execute so far ran depth-first.
-    pub fn v_panel(&self) -> Option<&<S::Elem as GemmElem>::V> {
+    /// `None` before the first one, and for a layer whose every execute so
+    /// far ran depth-first.
+    pub fn v_panel(&self) -> Option<&VPanelOf<S::Elem>> {
         self.panels.as_ref().map(|(v, _)| v)
     }
 
@@ -749,8 +656,9 @@ impl<S: Scheme> WinogradConv<S> {
     }
 
     /// The single-fork-join body of `execute` (`post` empty) and
-    /// `execute_post`: validate, resolve the blocking, and run the element's
-    /// schedule over the tile bodies.
+    /// `execute_post`: validate, resolve the blocking, and run the tile
+    /// bodies depth-first where the tile needs no pre-pass and
+    /// [`chain_block`] finds a block that fits the L2, staged otherwise.
     fn execute_impl(
         &mut self,
         input: &BlockedImage,
@@ -788,7 +696,15 @@ impl<S: Scheme> WinogradConv<S> {
             vt: VecTier::for_simd(ctx.tier),
             _elem: PhantomData,
         };
-        S::Elem::run(&bodies, &self.u_panel, &mut self.panels, &shape, &blocking, ctx)
+        let words = shape.as_u8i8(S::Elem::ELEMENT);
+        let chain = match bodies.spatial {
+            None => chain_block(&words, blocking.row_blk, ctx.threads(), ctx.cache.l2_bytes),
+            Some(_) => None,
+        };
+        match chain {
+            Some(nb) => run_chained(&bodies, &BlockGemm::plan(ctx.tier, &shape, &blocking, &self.u_panel), nb, ctx),
+            None => run_staged(&bodies, &self.u_panel, &mut self.panels, &shape, &blocking, ctx),
+        }
     }
 }
 
@@ -798,20 +714,7 @@ pub(super) fn staged_panels<'p, E: GemmElem>(
     panels: &'p mut Option<Panels<E>>,
     shape: &GemmShape,
 ) -> &'p mut Panels<E> {
-    panels.get_or_insert_with(|| (E::v_panel(shape), ZPanelOf::new(shape.t, shape.n, shape.k)))
-}
-
-/// Flush one body's saturation tally: into the executor's count when this
-/// is the scheme's health signal (what `saturation()` reports) and, under
-/// tracing, the trace counters.
-fn note_saturation(total: Option<&AtomicU64>, saturated: u64, values: usize) {
-    if let Some(total) = total {
-        total.fetch_add(saturated, Ordering::Relaxed);
-    }
-    if lowino_trace::enabled() {
-        lowino_trace::counter("quant/saturated", saturated);
-        lowino_trace::counter("quant/values", values as u64);
-    }
+    panels.get_or_insert_with(|| (VPanelOf::new(shape.t, shape.n, shape.c), ZPanelOf::new(shape.t, shape.n, shape.k)))
 }
 
 /// The staged schedule (paper §4.4): the phases of one pool job, separated
@@ -820,17 +723,17 @@ fn note_saturation(total: Option<&AtomicU64>, saturated: u64, values: usize) {
 /// pre-pass that fills it as one more phase in front.
 fn run_staged<E: GemmElem>(
     bodies: &TileBodies<'_, E>,
-    u: &E::U,
+    u: &UPanelOf<E>,
     panels: &mut Option<Panels<E>>,
     shape: &GemmShape,
     blocking: &Blocking,
     ctx: &mut ConvContext,
 ) -> Result<StageTimings, ExecError> {
     let (v_panel, z_panel) = staged_panels::<E>(panels, shape);
-    let vp: &E::V = v_panel;
+    let vp: &VPanelOf<E> = v_panel;
     // The plan's exclusive borrow of `Z` lives through the whole fork-join
     // (phase ③ reads it via `z()`).
-    let gemm = E::plan(bodies.tier, shape, blocking, vp, u, z_panel);
+    let gemm = GemmTasks::plan(bodies.tier, shape, blocking, vp, u, z_panel);
     let (spec, geom, spans, saturated) = (&bodies.spec, bodies.geom, bodies.spans, bodies.saturated);
     let (c_blocks, k_blocks) = (bodies.input.c_blocks(), bodies.output.c_blocks());
     // Split the context so the pool (`&mut`) and the shared arena can be
@@ -864,7 +767,7 @@ fn run_staged<E: GemmElem>(
                 // panel; each (t, tile, cb) line is written by exactly one
                 // task of this phase, and nothing reads V before the phase
                 // barrier.
-                sat += unsafe { bodies.input_tile(tile, cb, &mut bufs, E::v_lines(vp, tile, cb)) };
+                sat += unsafe { bodies.input_tile(tile, cb, &mut bufs, VLines::staged(vp, tile, cb)) };
             }
             if E::QUANTIZED_V {
                 note_saturation(Some(saturated), sat, values);
@@ -910,9 +813,11 @@ const MAX_CHAIN_BLOCK: usize = 96;
 /// The depth-first schedule's tile-block size for a layer, or `None` when
 /// the layer keeps the staged schedule.
 ///
-/// A pure function of what the executor can see. A worker's working set is
-/// the shared `U` panel plus its own blocks — per tile `T·C_p` bytes of `V`
-/// and `T·K_p` i32 of `Z` — and must fit **¾ of one core's L2**: past the
+/// A pure function of what the executor can see. `shape` is the u8×i8
+/// problem the element's words amount to ([`GemmShape::as_u8i8`]), so its
+/// channels count bytes. A worker's working set is the shared `U` panel plus
+/// its own blocks — per tile `T·C_p` bytes of `V` and `T·K_p` lanes of `Z`
+/// — and must fit **¾ of one core's L2**: past the
 /// L2 a quarter of the gain is gone, and a `U` that does not fit on its own
 /// would be re-streamed from memory for every block (EXPERIMENTS.md
 /// "PR 13"). Within that budget the block is cut so every thread gets
@@ -948,10 +853,11 @@ pub fn chain_block(
 /// split of the layer's CPU time, whose sum is at most the wall time. A
 /// stage of one block lasts microseconds, so the trace gets one
 /// `lowino/chain` span per task range and the same split as three
-/// `lowino/*_ns` counters, not three spans per block.
-fn run_chained(
-    bodies: &TileBodies<'_, U8I8>,
-    gemm: &BlockGemm<'_>,
+/// `lowino/*_ns` counters, not three spans per block (the names of the
+/// schedule's first scheme, whichever scheme runs it).
+fn run_chained<E: GemmElem>(
+    bodies: &TileBodies<'_, E>,
+    gemm: &BlockGemm<'_, E>,
     nb: usize,
     ctx: &mut ConvContext,
 ) -> Result<StageTimings, ExecError> {
@@ -967,8 +873,8 @@ fn run_chained(
         let _span = lowino_trace::span("lowino/chain");
         let mut ws = scratch.worker(worker);
         let (mut bufs, v_block, z_block) = bodies.bufs(&mut ws);
-        let v = ensure_u8(v_block, gemm.v_len(nb));
-        let z = ensure_i32(z_block, gemm.z_len(nb));
+        let v: &mut [E::V] = cast_slice_mut(ensure_u8(v_block, gemm.v_len(nb) * size_of::<E::V>()));
+        let z: &mut [E::Z] = cast_slice_mut(ensure_i32(z_block, gemm.z_len(nb)));
         debug_assert_eq!(gemm.v_len(nb), t_count * nb * cp);
         let mut ns = [0u64; 3];
         let (mut sat, mut tiles) = (0u64, 0usize);
@@ -979,9 +885,9 @@ fn run_chained(
             let t0 = Instant::now();
             for cb in 0..c_blocks {
                 for i in 0..rows {
-                    // SAFETY: line `t` of tile `i < nb`, group `cb`, is bytes
+                    // SAFETY: line `t` of tile `i < nb`, group `cb`, is lanes
                     // `(t·nb + i)·C_p + cb·64 ..+ 64` of the V block —
-                    // inside its `T·nb·C_p` bytes, 64-byte aligned like the
+                    // inside its `T·nb·C_p` lanes, 64-byte aligned like the
                     // buffer, written once per block — and the block is
                     // this worker's alone.
                     sat += unsafe {
@@ -1018,7 +924,9 @@ fn run_chained(
         for (total, ns) in stage_ns.iter().zip(ns) {
             total.fetch_add(ns, Ordering::Relaxed);
         }
-        note_saturation(Some(bodies.saturated), sat, tiles * c_blocks * t_count * LANES);
+        if E::QUANTIZED_V {
+            note_saturation(Some(bodies.saturated), sat, tiles * c_blocks * t_count * LANES);
+        }
         if lowino_trace::enabled() {
             lowino_trace::counter("gemm/panel_bytes", panel_bytes);
             lowino_trace::counter("gemm/dpbusd_macs", macs);

@@ -3,10 +3,11 @@
 //! Filters are known ahead of inference, so everything here runs offline
 //! and is excluded from the reported stage timings. For the Winograd
 //! algorithms each `r×r` filter channel is transformed to `U = G g Gᵀ`
-//! (n×n), quantized (scheme-dependent), and reorganised into the VNNI
-//! interleave together with the compensation rows of Eq. 9.
+//! (n×n), converted to the scheme's `U` lane (quantized or not), and
+//! reorganised into the element's word interleave — for u8×i8 the VNNI one,
+//! together with the compensation rows of Eq. 9.
 
-use lowino_gemm::{UPanel, UPanelF32, UPanelI16};
+use lowino_gemm::{Operands, UPanel, UPanelOf};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
 use lowino_simd::{saturate_to_i8, SimdTier};
@@ -56,115 +57,47 @@ pub fn transform_filters_f32(
     Ok(out)
 }
 
-/// LoWino filter packing: transform in f32, quantize **in the Winograd
-/// domain** with a per-tensor max-abs scale `α_U` (the filters are fully
-/// known, so max-abs is exact — no calibration needed), interleave, and
-/// compute the compensation rows.
-pub fn pack_filters_lowino(
+/// The Winograd filter packer of every scheme: transform the filters in f32
+/// ([`transform_filters_f32`]), take their Winograd-domain max-abs scales
+/// `α_U[t]` — each position's own, or (`per_position = false`) the one for
+/// the whole tensor: `QParams::from_max_abs` of every value is
+/// `from_threshold` of the largest per-position max — and store
+/// `to(α_U[t], u)` of every transformed value `u = U[t][c][k]` in `E`'s
+/// panel. The filters are fully known, so max-abs is exact — no calibration
+/// needed. Returns the panel (a u8×i8 one still wants
+/// [`UPanel::finalize_compensation`]) and `α_U[t]` for every `t`.
+pub fn pack_filters<E: Operands>(
     spec: &ConvShape,
     geom: &TileGeometry,
     tt: &TileTransformer,
     weights: &Tensor4,
-) -> Result<(UPanel, QParams), ConvError> {
-    let transformed = transform_filters_f32(spec, tt, weights)?;
-    let alpha_u = QParams::from_max_abs(&transformed);
-    let t_count = geom.t();
-    let (kk, cc) = (spec.out_c, spec.in_c);
-    let mut panel = UPanel::new(t_count, cc, kk);
-    for k in 0..kk {
-        for c in 0..cc {
-            let base = (k * cc + c) * t_count;
-            for t in 0..t_count {
-                panel.set(t, c, k, alpha_u.quantize(transformed[base + t]));
-            }
-        }
-    }
-    panel.finalize_compensation();
-    Ok((panel, alpha_u))
-}
-
-/// LoWino filter packing with **per-tile-position** scales: one max-abs
-/// `α_U[t]` per position `t`. Required for large tiles (see
-/// [`crate::calibrate::calibrate_winograd_domain_per_position`]).
-pub fn pack_filters_lowino_per_position(
-    spec: &ConvShape,
-    geom: &TileGeometry,
-    tt: &TileTransformer,
-    weights: &Tensor4,
-) -> Result<(UPanel, Vec<QParams>), ConvError> {
+    per_position: bool,
+    to: impl Fn(QParams, f32) -> E::U,
+) -> Result<(UPanelOf<E>, Vec<QParams>), ConvError> {
     let transformed = transform_filters_f32(spec, tt, weights)?;
     let t_count = geom.t();
+    let mut max = vec![0f32; t_count];
+    for channel in transformed.chunks_exact(t_count) {
+        for (m, u) in max.iter_mut().zip(channel) {
+            *m = m.max(u.abs());
+        }
+    }
+    if !per_position {
+        let all = max.iter().fold(0f32, |m, &x| m.max(x));
+        max.fill(all);
+    }
+    let alphas: Vec<QParams> = max.into_iter().map(QParams::from_threshold).collect();
     let (kk, cc) = (spec.out_c, spec.in_c);
-    let mut alphas = vec![0f32; t_count];
+    let mut panel = UPanelOf::new(t_count, cc, kk);
     for k in 0..kk {
         for c in 0..cc {
             let base = (k * cc + c) * t_count;
-            for t in 0..t_count {
-                alphas[t] = alphas[t].max(transformed[base + t].abs());
+            for (t, &alpha) in alphas.iter().enumerate() {
+                panel.set(t, c, k, to(alpha, transformed[base + t]));
             }
         }
     }
-    let alphas: Vec<QParams> = alphas
-        .into_iter()
-        .map(QParams::from_threshold)
-        .collect();
-    let mut panel = UPanel::new(t_count, cc, kk);
-    for k in 0..kk {
-        for c in 0..cc {
-            let base = (k * cc + c) * t_count;
-            for t in 0..t_count {
-                panel.set(t, c, k, alphas[t].quantize(transformed[base + t]));
-            }
-        }
-    }
-    panel.finalize_compensation();
     Ok((panel, alphas))
-}
-
-/// FP32 Winograd filter packing (no quantization).
-pub fn pack_filters_f32(
-    spec: &ConvShape,
-    geom: &TileGeometry,
-    tt: &TileTransformer,
-    weights: &Tensor4,
-) -> Result<UPanelF32, ConvError> {
-    let transformed = transform_filters_f32(spec, tt, weights)?;
-    let t_count = geom.t();
-    let (kk, cc) = (spec.out_c, spec.in_c);
-    let mut panel = UPanelF32::new(t_count, cc, kk);
-    for k in 0..kk {
-        for c in 0..cc {
-            let base = (k * cc + c) * t_count;
-            for t in 0..t_count {
-                panel.row_mut(t, c)[k] = transformed[base + t];
-            }
-        }
-    }
-    Ok(panel)
-}
-
-/// Up-casting filter packing (ncnn-style): transform in f32, quantize to
-/// INT8 range, *widen to INT16* for the `vpdpwssd` multiply stage.
-pub fn pack_filters_upcast(
-    spec: &ConvShape,
-    geom: &TileGeometry,
-    tt: &TileTransformer,
-    weights: &Tensor4,
-) -> Result<(UPanelI16, QParams), ConvError> {
-    let transformed = transform_filters_f32(spec, tt, weights)?;
-    let alpha_u = QParams::from_max_abs(&transformed);
-    let t_count = geom.t();
-    let (kk, cc) = (spec.out_c, spec.in_c);
-    let mut panel = UPanelI16::new(t_count, cc, kk);
-    for k in 0..kk {
-        for c in 0..cc {
-            let base = (k * cc + c) * t_count;
-            for t in 0..t_count {
-                panel.set(t, c, k, i16::from(alpha_u.quantize(transformed[base + t])));
-            }
-        }
-    }
-    Ok((panel, alpha_u))
 }
 
 /// Direct-INT8 filter packing: spatial-domain max-abs quantization into an
@@ -201,6 +134,14 @@ pub fn quantize_pin_check(x: f32) -> i8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowino_gemm::{I16, U8I8};
+
+    /// LoWino's packing: per-tensor scale, quantized, compensated.
+    fn lowino(spec: &ConvShape, geom: &TileGeometry, tt: &TileTransformer, w: &Tensor4) -> (UPanel, QParams) {
+        let (mut panel, alpha_u) = pack_filters::<U8I8>(spec, geom, tt, w, false, |a, x| a.quantize(x)).unwrap();
+        panel.finalize_compensation();
+        (panel, alpha_u[0])
+    }
 
     fn spec_and_weights() -> (ConvShape, Tensor4) {
         let spec = ConvShape::same(1, 4, 6, 8, 3).validate().unwrap();
@@ -255,7 +196,7 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "F({m},3) transformed filters");
             // α_U and the packed panel are functions of those values alone.
-            let (panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, &w).unwrap();
+            let (panel, alpha_u) = lowino(&spec, &geom, &tt, &w);
             assert_eq!(alpha_u.alpha.to_bits(), QParams::from_max_abs(&want).alpha.to_bits());
             for k in 0..5 {
                 for c in 0..70 {
@@ -273,7 +214,7 @@ mod tests {
         let (spec, w) = spec_and_weights();
         let tt = TileTransformer::new(4, 3).unwrap();
         let geom = spec.tiles(4).unwrap();
-        let (panel, alpha_u) = pack_filters_lowino(&spec, &geom, &tt, &w).unwrap();
+        let (panel, alpha_u) = lowino(&spec, &geom, &tt, &w);
         let tf = transform_filters_f32(&spec, &tt, &w).unwrap();
         // The max transformed magnitude maps to ±127.
         let max = tf.iter().fold(0f32, |m, &v| m.max(v.abs()));
@@ -298,9 +239,10 @@ mod tests {
         let (spec, w) = spec_and_weights();
         let tt = TileTransformer::new(2, 3).unwrap();
         let geom = spec.tiles(2).unwrap();
-        let (panel, alpha_u) = pack_filters_upcast(&spec, &geom, &tt, &w).unwrap();
-        let (p8, a8) = pack_filters_lowino(&spec, &geom, &tt, &w).unwrap();
-        assert_eq!(alpha_u.alpha, a8.alpha);
+        let (panel, alpha_u) =
+            pack_filters::<I16>(&spec, &geom, &tt, &w, false, |a, x| i16::from(a.quantize(x))).unwrap();
+        let (p8, a8) = lowino(&spec, &geom, &tt, &w);
+        assert_eq!(alpha_u[0].alpha, a8.alpha);
         for k in 0..6 {
             for c in 0..4 {
                 for t in 0..16 {

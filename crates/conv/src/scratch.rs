@@ -35,9 +35,10 @@ use lowino_winograd::TransformScratch;
 /// * `acc_f` — spare FP32 buffer (no executor grows it; the ledger sums it);
 /// * `patch_i` — gathered INT8→i32 patch (integer-transform baselines);
 /// * `tile_i` — integer-transformed tile;
-/// * `v_block` / `z_block` — the depth-first LoWino schedule's per-worker
-///   slice of the Winograd domain: the `V` lines and `Z` sums of the tile
-///   block in flight, sized to sit in this core's L2 next to `U`.
+/// * `v_block` / `z_block` — the depth-first schedule's per-worker slice of
+///   the Winograd domain: the `V` lines and `Z` sums of the tile block in
+///   flight, sized to sit in this core's L2 next to `U` (viewed as the
+///   element's own lanes: u8, i16 or f32 `V`; i32 or f32 `Z`).
 #[derive(Default)]
 pub struct WorkerScratch {
     /// Winograd transform temporaries.
@@ -59,7 +60,7 @@ pub struct WorkerScratch {
     /// every element type (grown by `GemmTasks::run_range` on first use,
     /// then reused).
     pub gemm_pack: PanelScratch,
-    /// Quantized `V` block `[T][nb][C_p]` of the tile block in flight.
+    /// `V` block `[T][nb][C_p]` of the tile block in flight, in bytes.
     pub v_block: AlignedBuf<u8>,
     /// `Z` block `[K_p/64][nb][T][64]` of the tile block in flight.
     pub z_block: AlignedBuf<i32>,

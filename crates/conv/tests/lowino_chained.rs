@@ -1,13 +1,15 @@
-//! LoWino's depth-first schedule against the staged one and the reference.
+//! The depth-first schedule against the staged one and the reference.
 //!
-//! `LoWinoConv::execute` picks its schedule from the shapes and the
-//! context's cache model: depth-first over L2-resident tile blocks
-//! ("chained") where `U` plus one worker's `V`/`Z` blocks fit the L2 share,
-//! the three staged phases otherwise. The tests pin the choice through the
-//! machine description — a cache model with no L2 forces staged, one with a
-//! vast L2 forces chained — and hold both to the retained
-//! `execute_three_fork_join` (gather everything, interpreted codelets, own
-//! panels) **bit for bit**: same per-lane arithmetic, so not one ulp apart.
+//! Every Winograd scheme without a pre-pass — LoWino and WinogradF32 —
+//! picks its schedule from the shapes and the context's cache model:
+//! depth-first over L2-resident tile blocks ("chained") where `U` plus one
+//! worker's `V`/`Z` blocks fit the L2 share, the three staged phases
+//! otherwise. The tests pin the choice through the machine description — a
+//! cache model with no L2 forces staged, one with a vast L2 forces chained —
+//! and hold LoWino's both to the retained `execute_three_fork_join` (gather
+//! everything, interpreted codelets, own panels) and WinogradF32's both to
+//! the output hashes pinned in `winograd_schemes.rs`, **bit for bit**: same
+//! per-lane arithmetic, so not one ulp apart.
 //!
 //! The `scratch/grow` fault site and the trace recorder are process-global,
 //! so the two tests that arm or drain them take `EXCLUSIVE` for writing and
@@ -20,9 +22,9 @@ use lowino_conv::algo::lowino::chain_block;
 use lowino_conv::calibrate::calibrate_winograd_domain_per_position;
 use lowino_conv::{
     apply_post_ops, calibrate_winograd_domain, ConvContext, ConvExecutor, ConvPostOps, ExecError,
-    LoWinoConv,
+    LoWinoConv, WinogradF32Conv,
 };
-use lowino_gemm::{CacheModel, GemmShape};
+use lowino_gemm::{CacheModel, Element, GemmShape};
 use lowino_quant::{count_saturated_u8, QParams};
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4, LANES};
 use lowino_testkit::faults::SCRATCH_GROW;
@@ -307,6 +309,55 @@ fn chain_rule_table() {
     // A stem: 3 → 128 channels, F(2,3) on 4 × 32×32 — tiny `U`, chained.
     let stem = GemmShape { t: 16, n: 4 * 16 * 16, c: 3, k: 128 };
     assert!(chains(&stem, L2));
+    // WinogradF32 is budgeted on the u8×i8 problem its words amount to: a
+    // 4×-wider `U`. A 64 → 64 layer at 64×64 still fits (0.6 MB) ...
+    let f32_words = |shape: GemmShape| shape.as_u8i8(Element::F32);
+    assert!(chains(&f32_words(f43(1, 64, 64, 64)), L2), "64->64 f32 must chain at 2 MiB");
+    // ... YOLOv3_b's (4.7 MB) and ResNet-50_b's (9.4 MB) do not.
+    for (name, shape) in [("YOLOv3_b", f43(1, 128, 256, 32)), ("ResNet-50_b", f43(64, 256, 256, 14))] {
+        assert!(!chains(&f32_words(shape), L2), "{name}: its f32 `U` must stay staged at 2 MiB");
+    }
+}
+
+/// The output hashes `winograd_schemes.rs` pins for WinogradF32 on two of
+/// its layers (same image, weights and FNV-1a hash as there).
+#[test]
+fn wino_f32_chained_and_staged_equal_the_pinned_outputs() {
+    let _shared = shared();
+    let layers = [
+        ("8->8 10x10", ConvShape::same(1, 8, 8, 10, 3), [0xe236a36114121b7a, 0xddcb10fe3e17ead1, 0xaeb2a545ea30feb7]),
+        ("70->66 11x11", ConvShape::same(1, 70, 66, 11, 3), [0xcaa17bcad24e3489, 0xbb263711560c2d4e, 0x22aab3b695963764]),
+    ];
+    let hash = |out: &BlockedImage| {
+        out.data().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    };
+    for (name, spec, pinned) in layers {
+        let spec = spec.validate().unwrap();
+        let img = BlockedImage::from_nchw(&Tensor4::from_fn(spec.batch, spec.in_c, spec.h, spec.w, |b, c, y, x| {
+            ((b * 37 + c * 13 + y * 7 + x * 3) as f32 * 0.21).sin() * 1.25
+        }));
+        let weights = Tensor4::from_fn(spec.out_c, spec.in_c, spec.r, spec.r, |k, c, y, x| {
+            ((k * 19 + c * 5 + y * 3 + x) as f32 * 0.47).cos() * 0.25
+        });
+        for (m, want) in [2, 4, 6].into_iter().zip(pinned) {
+            for threads in [1, 3] {
+                let mut outs = Vec::new();
+                for cache in [NO_L2, VAST_L2] {
+                    let mut conv = WinogradF32Conv::new(spec, m, &weights).unwrap();
+                    let mut out = BlockedImage::zeros(spec.batch, spec.out_c, spec.out_h(), spec.out_w());
+                    out.data_mut().fill(f32::NAN);
+                    conv.execute(&img, &mut out, &mut context(threads, cache)).unwrap();
+                    let case = format!("{name} F({m},3) threads={threads} l2_bytes={}", cache.l2_bytes);
+                    assert_eq!(conv.v_panel().is_none(), cache.l2_bytes > 0, "{case}: schedule");
+                    assert_eq!(hash(&out), want, "{case}");
+                    outs.push(bits(&out));
+                }
+                assert!(outs[0] == outs[1], "{name} F({m},3) threads={threads}: staged vs chained");
+            }
+        }
+    }
 }
 
 #[test]

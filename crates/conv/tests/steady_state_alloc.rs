@@ -5,7 +5,8 @@
 //!   panels), repeated executes perform **zero heap allocations** — on
 //!   LoWino's staged and depth-first schedules alike;
 //! * every Winograd scheme allocates its panels in its first staged execute
-//!   and nothing in executes 2…5;
+//!   and nothing in executes 2…5, and a depth-first one never allocates
+//!   them;
 //! * every executor issues exactly **one** pool fork-join per `execute`;
 //! * the fused LoWino schedule is bitwise identical to the retained
 //!   three-fork-join reference path.
@@ -200,7 +201,8 @@ fn unseeded_executors_resolve_their_blocking_once_and_then_allocate_nothing() {
 
 /// The four Winograd schemes are one executor: each allocates its
 /// whole-layer `V`/`Z` panels in the first staged execute — none at plan
-/// time — and executes 2…5 allocate nothing.
+/// time — and executes 2…5 allocate nothing; a depth-first one never
+/// allocates them.
 #[test]
 fn every_scheme_allocates_its_panels_in_the_first_execute_and_nothing_after() {
     let audit = audit();
@@ -233,6 +235,21 @@ fn every_scheme_allocates_its_panels_in_the_first_execute_and_nothing_after() {
     check!("downscale", DownScaleConv::new(spec, 4, &weights, spatial));
     check!("upcast", UpCastConv::new(spec, 4, &weights, spatial));
     check!("wino_f32", WinogradF32Conv::new(spec, 4, &weights));
+
+    // WinogradF32 has no pre-pass, so where its `U` leaves room in the L2 it
+    // runs depth-first like LoWino: it never allocates the staged panels,
+    // and once its first execute has grown the per-worker blocks, executes
+    // 2…5 allocate nothing.
+    ctx.cache = CacheModel { l2_bytes: 1 << 30, ..ctx.cache };
+    let mut conv = WinogradF32Conv::new(spec, 4, &weights).unwrap();
+    conv.execute(&img, &mut out, &mut ctx).unwrap();
+    let rest = audit.count(|| {
+        for _ in 1..5 {
+            conv.execute(&img, &mut out, &mut ctx).unwrap();
+        }
+    });
+    assert!(conv.v_panel().is_none(), "chained wino_f32: a depth-first layer owns no staged panels");
+    assert_eq!(rest, 0, "chained wino_f32: executes 2..5 must not touch the heap");
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //!           microkernel (Fig. 7)
 //! ```
 //!
-//! One driver serves all three element types ([`Element`]): it addresses
-//! the operands as 32-bit words (`VWords` / `UWords`), and a word of
-//! 4 u8, 2 i16 or 1 f32 channels differs only in the kernel's fold. A
+//! One driver serves all three element types ([`Operands`]): it addresses
+//! the operands as 32-bit words, and a word of 4 u8, 2 i16 or 1 f32
+//! channels differs only in the kernel's fold ([`Element`]). A
 //! blocking is always in the units of the u8×i8 problem with the same words
 //! ([`GemmShape::as_u8i8`]): `c_blk` counts bytes of a `V` row.
 //!
@@ -30,7 +30,7 @@
 //! The `(k0, c0)` cache-block walk is *software-pipelined*: each executing
 //! worker owns a [`PanelScratch`] of two packing slots, and while the
 //! micro-kernel consumes the packed copy of cache block `i` from one slot,
-//! the driver prefetches and then packs block `i+1` of the `UPanel` into
+//! the driver prefetches and then packs block `i+1` of the `U` panel into
 //! the other. Packing is a straight per-4-channel-group copy into a
 //! contiguous buffer — the kernel reads exactly the bytes it would have
 //! read in place, in the same order, so `Z` is bitwise identical to the
@@ -52,7 +52,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::kernel::{microkernel, Blocking, Element, Seed, Store, MAX_COL_BLK, MAX_ROW_BLK};
-use crate::panels::{Lane, UPanel, UWords, VPanel, VWords, ZPanel, ZPanelOf};
+use crate::panels::{Operands, UPanel, UPanelOf, VPanel, VPanelOf, ZPanel, ZPanelOf, U8I8};
 
 /// Logical dimensions of a batched Winograd GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -144,31 +144,29 @@ impl PanelScratch {
 /// A planned batched GEMM whose task ranges can be executed from any
 /// thread — the job-body form used by the executors' single-fork-join path:
 /// the GEMM runs as one *phase* of a `StaticPool::run_phases` job instead of
-/// issuing its own fork-join. `T` is the lane type of `Z`: `i32` for the
-/// u8×i8 ([`Self::plan`]) and i16 (`plan_i16`) elements, `f32` for `plan_f32`.
+/// issuing its own fork-join, over the panels of any element `E`.
 ///
 /// Tasks enumerate the `T × ⌈N/N_blk⌉` grid; each task owns a disjoint
 /// `(t, n-range)` region of `Z`, so any partition of `0..total()` is safe to
 /// run concurrently.
-pub struct GemmTasks<'a, T: Lane = i32> {
+pub struct GemmTasks<'a, E: Operands = U8I8> {
     tier: SimdTier,
-    elem: Element,
     shape: GemmShape,
     b: Blocking,
     /// Bytes of each `V` row the walk covers: four per word of real channels.
     c_walk: usize,
-    kp: usize,
     n_chunks: usize,
-    v: VWords<'a>,
-    u: UWords<'a>,
-    z: &'a ZPanelOf<T>,
+    v: &'a VPanelOf<E>,
+    u: &'a UPanelOf<E>,
+    z: &'a ZPanelOf<E::Z>,
 }
 
-impl<'a> GemmTasks<'a> {
-    /// Plan `Z[t] = V̄[t] × U[t] + Z̄[t]` over the u8×i8 panels: validate
-    /// them against `shape`, normalize the blocking, and build the task
-    /// grid. Takes `z` mutably — exclusivity is held by the plan for its
-    /// whole lifetime even though writes go through shared-scatter pointers.
+impl<'a, E: Operands> GemmTasks<'a, E> {
+    /// Plan `Z[t] = V[t] × U[t]` (plus `Z̄[t]` where `U` carries it): validate
+    /// the panels against `shape` (in channels), normalize the blocking (in
+    /// the units of [`GemmShape::as_u8i8`]), and build the task grid. Takes
+    /// `z` mutably — exclusivity is held by the plan for its whole lifetime
+    /// even though writes go through shared-scatter pointers.
     ///
     /// # Panics
     ///
@@ -178,39 +176,22 @@ impl<'a> GemmTasks<'a> {
         tier: SimdTier,
         shape: &GemmShape,
         blocking: &Blocking,
-        v: &'a VPanel,
-        u: &'a UPanel,
-        z: &'a mut ZPanel,
+        v: &'a VPanelOf<E>,
+        u: &'a UPanelOf<E>,
+        z: &'a mut ZPanelOf<E::Z>,
     ) -> Self {
-        Self::over(tier, Element::U8I8, shape, blocking, v.words(), u.words(), z)
-    }
-}
-
-impl<'a, T: Lane> GemmTasks<'a, T> {
-    /// The plan behind every element's constructor: `v` and `u` are word
-    /// views of `elem` panels, `shape` counts channels, and `blocking` is in
-    /// the units of [`GemmShape::as_u8i8`].
-    pub(crate) fn over(
-        tier: SimdTier,
-        elem: Element,
-        shape: &GemmShape,
-        blocking: &Blocking,
-        v: VWords<'a>,
-        u: UWords<'a>,
-        z: &'a mut ZPanelOf<T>,
-    ) -> Self {
-        let (vt, vn, vc, vcp) = v.dims;
-        let (ut, uc, ucp, uk, ukp) = u.dims;
+        let (vt, vn, vc, vcp) = v.dims();
+        let (ut, uc, ucp, uk, _) = u.dims();
         let (zt, zn, zk, _) = z.dims();
         assert_eq!((vt, vn, vc), (shape.t, shape.n, shape.c), "V panel shape");
         assert_eq!((ut, uc, uk), (shape.t, shape.c, shape.k), "U panel shape");
         assert_eq!((zt, zn, zk), (shape.t, shape.n, shape.k), "Z panel shape");
         assert_eq!(vcp, ucp, "V/U channel padding");
-        let words = shape.as_u8i8(elem);
+        let words = shape.as_u8i8(E::ELEMENT);
         let b = normalize_blocking(blocking, &words);
         b.validate().expect("invalid blocking");
         let n_chunks = shape.n.div_ceil(b.n_blk).max(1);
-        Self { tier, elem, shape: *shape, b, c_walk: words.c, kp: ukp, n_chunks, v, u, z }
+        Self { tier, shape: *shape, b, c_walk: words.c, n_chunks, v, u, z }
     }
 
     /// Number of independent tasks (`T × ⌈N/N_blk⌉`).
@@ -225,7 +206,7 @@ impl<'a, T: Lane> GemmTasks<'a, T> {
 
     /// Read access to the output panel (for the phase *after* the GEMM —
     /// the borrow on `z` stays alive through the plan).
-    pub fn z(&self) -> &ZPanelOf<T> {
+    pub fn z(&self) -> &ZPanelOf<E::Z> {
         self.z
     }
 
@@ -257,7 +238,7 @@ impl<'a, T: Lane> GemmTasks<'a, T> {
             let n_end = (n0 + self.b.n_blk).min(self.shape.n);
             if tracing {
                 let (bytes, task_macs) =
-                    product_traffic(self.elem, n_end - n0, self.shape.c, self.kp);
+                    product_traffic(E::ELEMENT, n_end - n0, self.shape.c, self.u.kp());
                 panel_bytes += bytes;
                 macs += task_macs;
             }
@@ -336,48 +317,54 @@ fn product_traffic(elem: Element, rows: usize, c: usize, kp: usize) -> (u64, u64
     )
 }
 
-/// Stage ② of the depth-first LoWino schedule: all `T` products of **one
-/// block of tiles**, out of and into one worker's cache-resident blocks.
+/// Stage ② of the depth-first schedule: all `T` products of **one block of
+/// tiles**, out of and into one worker's cache-resident blocks.
 ///
 /// The operands are not panels but two plain buffers the executing worker
-/// owns — `V` as `[T][nb][C_p]` u8 and `Z` as `[K_p/64][nb][T][64]` i32
-/// (per tile the `T × 64` layout [`ZPanel::tile_block`] hands the output
+/// owns — `V` as `[T][nb][C_p]` and `Z` as `[K_p/64][nb][T][64]` (per tile
+/// the `T × 64` layout [`ZPanelOf::tile_block`] hands the output
 /// transform) — so the stores are cache-allocating ([`Store::Cached`]) and
-/// nothing is fenced. Each micro-kernel call runs the full `round_up(C, 4)`
-/// depth out of `U[t]` in place: the accumulators never leave the
+/// nothing is fenced. Each micro-kernel call runs the full depth of the
+/// layer's words out of `U[t]` in place: the accumulators never leave the
 /// registers half-summed, and `U` — small enough to share L2 with the
 /// blocks, or this schedule is not chosen — is neither packed nor
-/// re-streamed. Per-element arithmetic is the staged driver's (same `Z̄`
-/// seed, exact i32 sums), so `Z` is bit-identical.
-pub struct BlockGemm<'a> {
+/// re-streamed. Per-element arithmetic is the staged driver's (same seed,
+/// same channel order), so `Z` is bit-identical.
+///
+/// A driver of its own rather than a mode of [`GemmTasks`]: it reads
+/// `U[t]` in place and stores cache-allocating into worker-private blocks,
+/// where the staged walk packs `U` and streams into a shared panel — folded
+/// together, the staged driver would branch on its caller.
+pub struct BlockGemm<'a, E: Operands = U8I8> {
     tier: SimdTier,
-    u: &'a UPanel,
+    u: &'a UPanelOf<E>,
     c: usize,
     row_blk: usize,
     col_blk: usize,
 }
 
-impl<'a> BlockGemm<'a> {
-    /// Validate `u` against `shape` and take the register tile of the
-    /// (normalized) `blocking`; its cache-block sizes do not apply here.
+impl<'a, E: Operands> BlockGemm<'a, E> {
+    /// Validate `u` against `shape` (in channels) and take the register tile
+    /// of the (normalized) `blocking`; its cache-block sizes do not apply
+    /// here.
     ///
     /// # Panics
     ///
     /// Panics if the panel disagrees with `shape` or the blocking is invalid.
-    pub fn plan(tier: SimdTier, shape: &GemmShape, blocking: &Blocking, u: &'a UPanel) -> Self {
+    pub fn plan(tier: SimdTier, shape: &GemmShape, blocking: &Blocking, u: &'a UPanelOf<E>) -> Self {
         let (ut, uc, _, uk, _) = u.dims();
         assert_eq!((ut, uc, uk), (shape.t, shape.c, shape.k), "U panel shape");
-        let b = normalize_blocking(blocking, shape);
+        let b = normalize_blocking(blocking, &shape.as_u8i8(E::ELEMENT));
         b.validate().expect("invalid blocking");
         Self { tier, u, c: shape.c, row_blk: b.row_blk, col_blk: b.col_blk }
     }
 
-    /// Bytes of a `V` block with room for `nb` tiles.
+    /// `V` lanes of a block with room for `nb` tiles.
     pub fn v_len(&self, nb: usize) -> usize {
         self.u.dims().0 * nb * self.u.cp()
     }
 
-    /// `i32` elements of a `Z` block with room for `nb` tiles.
+    /// `Z` lanes of a block with room for `nb` tiles.
     pub fn z_len(&self, nb: usize) -> usize {
         self.u.dims().0 * nb * self.u.kp()
     }
@@ -386,29 +373,30 @@ impl<'a> BlockGemm<'a> {
     /// `rows` tiles, for the caller's trace counters.
     pub fn traffic(&self, rows: usize) -> (u64, u64) {
         let t = self.u.dims().0 as u64;
-        let (bytes, macs) = product_traffic(Element::U8I8, rows, self.c, self.u.kp());
+        let (bytes, macs) = product_traffic(E::ELEMENT, rows, self.c, self.u.kp());
         (t * bytes, t * macs)
     }
 
-    /// `Z[t] = V̄[t] × U[t] + Z̄[t]` for every `t`, over the first `rows`
-    /// tiles of blocks laid out for `nb`.
+    /// `Z[t] = V[t] × U[t]` (plus `Z̄[t]` where `U` carries it) for every
+    /// `t`, over the first `rows` tiles of blocks laid out for `nb`.
     ///
     /// # Panics
     ///
     /// Panics if `rows > nb` or a block is shorter than
     /// [`Self::v_len`]/[`Self::z_len`] of `nb`.
-    pub fn run(&self, nb: usize, rows: usize, v: &[u8], z: &mut [i32]) {
+    pub fn run(&self, nb: usize, rows: usize, v: &[E::V], z: &mut [E::Z]) {
         let (t_count, _, cp, _, kp) = self.u.dims();
         assert!(rows <= nb, "{rows} tiles in a block of {nb}");
         assert!(v.len() >= self.v_len(nb) && z.len() >= self.z_len(nb), "block too short");
-        let c4_count = round_up(self.c, 4) / 4;
+        let words = E::ELEMENT.words(self.c);
+        let v_stride = cp * size_of::<E::V>();
         let z_stride = t_count * LANES;
         // `col_blk ∈ {1, 2, 4}` ZMM columns divide a 64-lane group, so a
         // register tile never straddles two `Z` channel groups.
         let k_step = self.col_blk * 16;
         debug_assert!(LANES.is_multiple_of(k_step) && kp.is_multiple_of(LANES));
         for t in 0..t_count {
-            let zbar = self.u.zbar(t);
+            let zbar = self.u.compensation(t);
             // K outer, tiles inner: one `col_blk`-wide strip of `U[t]`
             // stays in L1 while the block's rows stream past it.
             for k1 in (0..kp).step_by(k_step) {
@@ -418,31 +406,35 @@ impl<'a> BlockGemm<'a> {
                     let rb = (rows - n1).min(self.row_blk);
                     let v_off = (t * nb + n1) * cp;
                     let z_off = ((kg * nb + n1) * t_count + t) * LANES + kl;
-                    debug_assert!(v_off + (rb - 1) * cp + c4_count * 4 <= v.len());
+                    debug_assert!(v_off + (rb - 1) * cp + words * 4 / size_of::<E::V>() <= v.len());
                     debug_assert!(z_off + (rb - 1) * z_stride + k_step <= z.len());
-                    debug_assert!(k1 + k_step <= zbar.len());
-                    // SAFETY: `rb` rows of `C_p ≥ 4·c4_count` bytes at pitch
-                    // `C_p` from row `(t, n1)` lie inside the `V` block and
-                    // `rb` rows of `k_step` lanes `T·64` apart from
+                    debug_assert!(zbar.is_none_or(|zbar| k1 + k_step <= zbar.len()));
+                    // SAFETY: `rb` rows of the layer's `words` words at pitch
+                    // `C_p` lanes from row `(t, n1)` lie inside the `V` block
+                    // and `rb` rows of `k_step` lanes `T·64` apart from
                     // `(kg, n1, t, kl)` inside the `Z` block (lengths
-                    // asserted above, `n1 + rb ≤ rows ≤ nb`); `U[t]` holds
-                    // `C_p/4 ≥ c4_count` groups of `K_p·4` bytes, so
+                    // asserted above, `n1 + rb ≤ rows ≤ nb`); `U[t]` holds at
+                    // least `words` word-rows of `K_p·4` bytes, so
                     // `col_blk·64` bytes from `k1` stay inside each; `Z̄[t]`
                     // holds `K_p ≥ k1 + k_step` sums; `z` is exclusively
-                    // borrowed.
+                    // borrowed, and a `Z` lane is 32 bits whatever its type.
                     unsafe {
+                        let seed = match zbar {
+                            Some(zbar) => Seed::Zbar(zbar.as_ptr().add(k1)),
+                            None => Seed::Zero,
+                        };
                         microkernel(
                             self.tier,
-                            Element::U8I8,
+                            E::ELEMENT,
                             rb,
                             self.col_blk,
-                            v.as_ptr().add(v_off),
-                            cp,
+                            v.as_ptr().add(v_off) as *const u8,
+                            v_stride,
                             self.u.block_ptr(t, k1),
-                            self.u.c4_stride(),
-                            c4_count,
-                            Seed::Zbar(zbar.as_ptr().add(k1)),
-                            z.as_mut_ptr().add(z_off),
+                            self.u.word_stride(),
+                            words,
+                            seed,
+                            z.as_mut_ptr().add(z_off) as *mut i32,
                             z_stride,
                             Store::Cached,
                         );
@@ -454,7 +446,7 @@ impl<'a> BlockGemm<'a> {
     }
 }
 
-impl<T: Lane> GemmTasks<'_, T> {
+impl<E: Operands> GemmTasks<'_, E> {
     /// One (t, N-chunk) task — everything below here is single-threaded.
     ///
     /// The cache-block walk is software-pipelined through the two
@@ -475,12 +467,13 @@ impl<T: Lane> GemmTasks<'_, T> {
         pack_ns: &mut u64,
     ) {
         let (tier, b, v, u, z, kp, c_walk) =
-            (self.tier, &self.b, &self.v, &self.u, self.z, self.kp, self.c_walk);
-        let zbar = u.zbar(t);
+            (self.tier, &self.b, self.v, self.u, self.z, self.u.kp(), self.c_walk);
+        let zbar = u.compensation(t);
         let z_stride = z.n_stride();
+        let v_row = |n: usize| v.row_ptr(t, n) as *const u8;
         // The (k0, c0) cache blocks in walk order: k outer, c inner — over
         // the `c_walk` bytes of real channels only (see the module docs).
-        debug_assert!(c_walk.is_multiple_of(4) && c_walk <= v.row_bytes);
+        debug_assert!(c_walk.is_multiple_of(4) && c_walk <= v.row_bytes());
         let c_chunks = c_walk.div_ceil(b.c_blk);
         let blocks = kp.div_ceil(b.k_blk) * c_chunks;
         let bounds = |i: usize| {
@@ -513,7 +506,7 @@ impl<T: Lane> GemmTasks<'_, T> {
             // And this block's V rows at the current channel offset (the
             // kernel itself only reaches one register-row block ahead).
             // SAFETY: (t, n0) is a valid row and c0 < its bytes.
-            prefetch_panel_rows(tier, unsafe { v.row_ptr(t, n0).add(c0) }, v.row_bytes, n_end - n0);
+            prefetch_panel_rows(tier, unsafe { v_row(n0).add(c0) }, v.row_bytes(), n_end - n0);
             let mut n1 = n0;
             while n1 < n_end {
                 let rb = (n_end - n1).min(b.row_blk);
@@ -538,11 +531,11 @@ impl<T: Lane> GemmTasks<'_, T> {
                     unsafe {
                         microkernel(
                             tier,
-                            self.elem,
+                            E::ELEMENT,
                             rb,
                             cb,
-                            v.row_ptr(t, n1).add(c0),
-                            v.row_bytes,
+                            v_row(n1).add(c0),
+                            v.row_bytes(),
                             packed.add((k1 - k0) * 4),
                             packed_stride,
                             words,
@@ -570,8 +563,8 @@ impl<T: Lane> GemmTasks<'_, T> {
 /// into `dst`: word-row `w`'s K run — `(k_end-k0)·4` bytes, contiguous in
 /// the source because K is the fastest dimension within a word-row — lands
 /// at offset `w·(k_end-k0)·4`. One straight copy per word-row.
-fn pack_block(
-    u: &UWords<'_>,
+fn pack_block<E: Operands>(
+    u: &UPanelOf<E>,
     t: usize,
     (k0, k_end, c0, c_end): (usize, usize, usize, usize),
     dst: &mut [i8],
@@ -602,7 +595,8 @@ fn pack_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::reference_gemm;
+    use crate::panels::{F32, I16};
+    use crate::reference::{reference_gemm, reference_gemm_f32, reference_gemm_i16};
 
     fn fill_panels(shape: &GemmShape, seed: u64) -> (VPanel, UPanel) {
         let mut s = seed | 1;
@@ -700,49 +694,123 @@ mod tests {
         }
     }
 
+    /// Random panels of another element: `value` maps a random word to one
+    /// `V` and one `U` value.
+    fn other_panels<E: Operands>(
+        shape: &GemmShape,
+        seed: u64,
+        value: impl Fn(u64) -> (E::V, E::U),
+    ) -> (VPanelOf<E>, UPanelOf<E>) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            value(s)
+        };
+        let (mut v, mut u) = (VPanelOf::new(shape.t, shape.n, shape.c), UPanelOf::new(shape.t, shape.c, shape.k));
+        for t in 0..shape.t {
+            for c in 0..shape.c {
+                (0..shape.n).for_each(|n| v.set(t, n, c, next().0));
+                (0..shape.k).for_each(|k| u.set(t, c, k, next().1));
+            }
+        }
+        (v, u)
+    }
+
+    /// Poison channels `from..C_p` of both operands (as [`poison_padding`]).
+    fn poison_other<E: Operands>(
+        v: &mut VPanelOf<E>,
+        u: &mut UPanelOf<E>,
+        shape: &GemmShape,
+        from: usize,
+        (pv, pu): (E::V, E::U),
+    ) {
+        for t in 0..shape.t {
+            for c in from..u.cp() {
+                (0..shape.n).for_each(|n| v.set(t, n, c, pv));
+                (0..u.kp()).for_each(|k| u.set(t, c, k, pu));
+            }
+        }
+    }
+
+    /// The depth-first entry point on a tile block cut out of the middle of
+    /// a panel of element `E`, against `want` (the reference, as bits).
+    #[allow(clippy::too_many_arguments)]
+    fn block_case<E: Operands>(
+        tier: SimdTier,
+        shape: &GemmShape,
+        (v, u): (&VPanelOf<E>, &UPanelOf<E>),
+        want: &[u32],
+        (v_fill, z_fill): (E::V, E::Z),
+        bits: fn(E::Z) -> u32,
+        (row_blk, col_blk): (usize, usize),
+    ) {
+        let (c, k) = (shape.c, shape.k);
+        let blocking = Blocking { n_blk: 96, c_blk: 512, k_blk: 64, row_blk, col_blk };
+        let gemm = BlockGemm::plan(tier, shape, &blocking, u);
+        let (nb, tile0) = (12, 5);
+        for rows in [12, 7, 1] {
+            let cp = v.cp();
+            let mut vb = vec![v_fill; gemm.v_len(nb)];
+            for t in 0..shape.t {
+                for i in 0..rows {
+                    vb[(t * nb + i) * cp..][..cp].copy_from_slice(v.row(t, tile0 + i));
+                }
+            }
+            let mut zb = vec![z_fill; gemm.z_len(nb)];
+            gemm.run(nb, rows, &vb, &mut zb);
+            for t in 0..shape.t {
+                for i in 0..rows {
+                    for k in 0..shape.k {
+                        let at = (((k / LANES) * nb + i) * shape.t + t) * LANES + k % LANES;
+                        assert_eq!(
+                            bits(zb[at]),
+                            want[(t * shape.n + tile0 + i) * shape.k + k],
+                            "{:?} tier={tier} c={c} k={k} rows={rows} t={t} i={i}",
+                            E::ELEMENT
+                        );
+                    }
+                }
+            }
+            // Tiles past `rows` are not this call's to write.
+            let beyond = ((nb - 1) * shape.t) * LANES;
+            assert!(rows == nb || bits(zb[beyond]) == bits(z_fill));
+        }
+        let (bytes, macs) = gemm.traffic(5);
+        let cw = E::ELEMENT.channels_per_word();
+        assert_eq!(macs, (shape.t * 5 * round_up(c, cw) * round_up(k, 64)) as u64);
+        assert!(bytes > macs / round_up(c, cw) as u64);
+    }
+
     #[test]
     fn block_gemm_matches_reference_all_tiers() {
         // The depth-first entry point on a tile block cut out of the middle
-        // of a panel: full and short blocks, C and K off every grid, every
-        // register tile shape, U padding poisoned as above.
+        // of a panel, for every element: full and short blocks, C and K off
+        // every grid, every register tile shape, padding poisoned as above.
         for tier in SimdTier::available() {
             for (c, k, row_blk, col_blk) in [(3, 16, 6, 4), (8, 64, 8, 2), (37, 70, 3, 1), (70, 130, 5, 4)] {
                 let shape = GemmShape { t: 3, n: 23, c, k };
+                let tile = (row_blk, col_blk);
                 let (mut v, mut u) = fill_panels(&shape, 0xB10C ^ (c * k) as u64);
-                let want = reference_gemm(&v, &u, &shape);
+                let want: Vec<u32> = reference_gemm(&v, &u, &shape).into_iter().map(|x| x as u32).collect();
                 poison_padding(&mut v, &mut u, &shape);
-                let blocking = Blocking { n_blk: 96, c_blk: 512, k_blk: 64, row_blk, col_blk };
-                let gemm = BlockGemm::plan(tier, &shape, &blocking, &u);
-                let (nb, tile0) = (12, 5);
-                for rows in [12, 7, 1] {
-                    let cp = v.cp();
-                    let mut vb = vec![0xEEu8; gemm.v_len(nb)];
-                    for t in 0..shape.t {
-                        for i in 0..rows {
-                            vb[(t * nb + i) * cp..][..cp].copy_from_slice(v.row(t, tile0 + i));
-                        }
-                    }
-                    let mut zb = vec![i32::MIN; gemm.z_len(nb)];
-                    gemm.run(nb, rows, &vb, &mut zb);
-                    for t in 0..shape.t {
-                        for i in 0..rows {
-                            for k in 0..shape.k {
-                                let at = (((k / LANES) * nb + i) * shape.t + t) * LANES + k % LANES;
-                                assert_eq!(
-                                    zb[at],
-                                    want[(t * shape.n + tile0 + i) * shape.k + k],
-                                    "tier={tier} c={c} k={k} rows={rows} t={t} i={i}"
-                                );
-                            }
-                        }
-                    }
-                    // Tiles past `rows` are not this call's to write.
-                    let beyond = ((nb - 1) * shape.t) * LANES;
-                    assert!(rows == nb || zb[beyond] == i32::MIN);
-                }
-                let (bytes, macs) = gemm.traffic(5);
-                assert_eq!(macs, (shape.t * 5 * round_up(c, 4) * round_up(k, 64)) as u64);
-                assert!(bytes > macs / round_up(c, 4) as u64);
+                block_case(tier, &shape, (&v, &u), &want, (0xEE, i32::MIN), |z| z as u32, tile);
+
+                let (mut v, mut u) = other_panels::<I16>(&shape, 0x16 ^ (c * k) as u64, |s| {
+                    ((s % 25401) as i16 - 12700, (s >> 20) as i16 % 128)
+                });
+                let want: Vec<u32> =
+                    reference_gemm_i16(&v, &u, &shape).into_iter().map(|x| x as u32).collect();
+                poison_other(&mut v, &mut u, &shape, round_up(c, 2), (111, -77));
+                block_case(tier, &shape, (&v, &u), &want, (0x5EEE, i32::MIN), |z| z as u32, tile);
+
+                let (mut v, mut u) = other_panels::<F32>(&shape, 0xF32 ^ (c * k) as u64, |s| {
+                    ((s % 2001) as f32 * 0.04 - 40.0, (s >> 20) as u16 as f32 / 21845.0 - 1.5)
+                });
+                let want: Vec<u32> = reference_gemm_f32(&v, &u, &shape).into_iter().map(f32::to_bits).collect();
+                poison_other(&mut v, &mut u, &shape, c, (f32::NAN, 3.0));
+                block_case(tier, &shape, (&v, &u), &want, (f32::NAN, f32::NAN), f32::to_bits, tile);
             }
         }
     }

@@ -24,13 +24,11 @@
 //! * the **autotuner** (§4.3.4): an analytic cost model ranking the
 //!   blocking lattice ([`cost`]), and offline measured tuning whose winners
 //!   persist in tier- and shape-class-keyed wisdom ([`tune`]);
-//! * the same driver and kernel over INT16 ([`int16`]) and FP32
-//!   ([`f32gemm`]) words ([`Element`]) for the up-casting and full-precision
-//!   baselines.
+//! * the same panels, driver and kernel over INT16 ([`I16`]) and FP32
+//!   ([`F32`]) words for the up-casting and full-precision baselines: one
+//!   panel type per operand, generic over the element ([`Operands`]).
 
 pub mod cost;
-pub mod f32gemm;
-pub mod int16;
 pub mod kernel;
 pub mod panels;
 pub mod reference;
@@ -42,7 +40,7 @@ pub use cost::{candidate_lattice, CacheModel, GemmCostModel};
 pub use driver::{batched_gemm_u8i8, BlockGemm, GemmShape, GemmTasks, PanelScratch};
 pub use driver::normalize_blocking as normalize_for;
 pub use kernel::{Blocking, Element, MAX_COL_BLK, MAX_ROW_BLK};
-pub use panels::{UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32, VPanelI16, ZPanel, ZPanelF32};
+pub use panels::{Operands, UPanel, UPanelOf, VPanel, VPanelOf, ZPanel, ZPanelOf, F32, I16, U8I8};
 pub use tune::{
     measure_candidates, tune_blocking, tune_blocking_full, Measurement, SeedSource, ShapeClass,
     Wisdom, TUNE_TOP_K,

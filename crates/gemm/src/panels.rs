@@ -1,127 +1,129 @@
-//! GEMM operand panels in the customised layouts of paper Table 1.
+//! GEMM operand panels in the customised layouts of paper Table 1 — one
+//! panel per operand, generic over the element ([`Operands`]):
 //!
-//! * [`VPanel`] — transformed inputs: per tile position `t`, an `N × C_p`
-//!   row-major u8 matrix (`C_p = C` rounded up to 64 so every channel block
-//!   is one aligned cache line; padding channels are zero bytes, which the
-//!   compensation algebra renders inert).
-//! * [`UPanel`] — transformed filters: per `t`, the VNNI interleave
-//!   `[C_p/4] × [K_p × 4]` i8 (paper §4.3.2: *"a sub-matrix u is stored in a
-//!   specific layout, which has been reordered to the size of
-//!   (C_blk/4) × (K_blk × 4)"*), plus the compensation row
-//!   `Z̄[t][k] = −128·Σ_c U[t][c][k]` (Eq. 9).
-//! * [`ZPanel`] — GEMM outputs scattered for the output transform: layout
-//!   `[K_p/64] × [N] × [T] × 64` i32, so stage ③ reads each tile's `T × 64`
-//!   block contiguously (the paper's scatter-with-non-temporal-stores
+//! * [`VPanelOf`] — transformed inputs: per tile position `t`, an `N × C_p`
+//!   row-major matrix (`C_p = C` rounded up to 64, so every 64-channel block
+//!   of a u8 row is one aligned cache line; padding channels are zero, which
+//!   the compensation algebra renders inert).
+//! * [`UPanelOf`] — transformed filters: per `t`, the word interleave
+//!   `[C_p/w] × [K_p] × [w]` with `w = 4 / size_of::<E::U>()` channels of one
+//!   `k` per 32-bit word — for i8 the VNNI layout of paper §4.3.2 (*"a
+//!   sub-matrix u is stored in a specific layout, which has been reordered
+//!   to the size of (C_blk/4) × (K_blk × 4)"*), for i16 the `vpdpwssd`
+//!   pair, for f32 plain k-major rows — plus, for u8×i8 only, the
+//!   compensation rows `Z̄[t][k] = −128·Σ_c U[t][c][k]` (Eq. 9).
+//! * [`ZPanelOf`] — GEMM outputs scattered for the output transform: layout
+//!   `[K_p/64] × [N] × [T] × 64` 32-bit lanes, so stage ③ reads each tile's
+//!   `T × 64` block contiguously (the paper's scatter-with-non-temporal-stores
 //!   design, §4.2.3/§4.3).
 //!
-//! FP32 and INT16 sibling panels serve the full-precision and up-casting
-//! baselines with identical geometry — and, seen as 32-bit words, identical
-//! layouts: every `V` is `[T][N]` rows of words, every `U` is `[T]` blocks of
-//! word-rows of `K_p·4` bytes (a word holding 4 u8, 2 i16 or 1 f32 channels
-//! of one `k`), every `Z` is `[K_p/64][N][T][64]` 32-bit lanes. `VWords` and
-//! `UWords` are those views; the one GEMM driver walks nothing else.
-
-use core::marker::PhantomData;
+//! Seen as 32-bit words the layouts are the same for every element: a `V`
+//! row is `C_p` channels of words, a `U` word-row is `K_p` words (4 u8, 2
+//! i16 or 1 f32 channels of one `k` each). The one GEMM driver walks
+//! nothing else.
 
 use lowino_tensor::align::Pod;
 use lowino_tensor::{round_up, AlignedBuf, LANES};
 
-/// `C` padding granularity for the u8/i8 panels (one cache line).
+use crate::kernel::Element;
+
+/// `C` padding granularity (one cache line of u8 channels).
 pub const C_ALIGN: usize = LANES; // 64
 /// `K` padding granularity (one ZMM of i32 lanes × 4 groups = 64).
 pub const K_ALIGN: usize = LANES; // 64
 
-// ------------------------------------------------------------ word views
+// -------------------------------------------------------------- elements
 
-/// Read-only view of a transformed-input panel of any element type as
-/// `[T][N]` rows of 32-bit words, `row_bytes` apart.
+/// The 32-bit lane types a `Z` panel holds: `i32` sums of the integer
+/// elements, `f32` sums of the FP32 one.
+pub trait Lane: Pod {}
+impl Lane for i32 {}
+impl Lane for f32 {}
+
+/// A GEMM element type: the lane types of its three operands and the
+/// kernel's fold over them.
+pub trait Operands: Sized + Send + Sync + 'static {
+    /// What one 32-bit word holds, and so the micro-kernel's fold.
+    const ELEMENT: Element;
+    /// `V`'s lane.
+    type V: Pod;
+    /// `U`'s lane; `4 / size_of` of it share a word.
+    type U: Pod;
+    /// `Z`'s lane.
+    type Z: Lane;
+}
+
+/// `u8 × i8 → i32` under `vpdpbusd` — LoWino's GEMM: `V` is +128
+/// compensated, so `U` carries the `Z̄` rows that make the unsigned product
+/// exact (Eq. 9).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct VWords<'a> {
-    base: *const u8,
-    /// (T, N, C, C_p) in the panel's own elements.
-    pub(crate) dims: (usize, usize, usize, usize),
-    pub(crate) row_bytes: usize,
-    _panel: PhantomData<&'a [u8]>,
-}
+pub struct U8I8;
 
-impl VWords<'_> {
-    /// Byte pointer to row `(t, n)`.
-    #[inline]
-    pub(crate) fn row_ptr(&self, t: usize, n: usize) -> *const u8 {
-        debug_assert!(t < self.dims.0 && n < self.dims.1);
-        // SAFETY: the row lies inside the panel the view was taken from.
-        unsafe { self.base.add((t * self.dims.1 + n) * self.row_bytes) }
-    }
-}
-
-/// Read-only view of a transformed-filter panel of any element type as
-/// `[T]` blocks of word-rows, each `K_p·4` bytes (`K_p` words, one per `k`).
+/// `i16 × i16 → i32` under `vpdpwssd` — the up-casting baseline (paper
+/// §2.3, ncnn-style). Widening the transformed operands to INT16 avoids
+/// transform overflow but forces the multiply stage onto `vpdpwssd`: 32
+/// multiplies per 512-bit instruction instead of `vpdpbusd`'s 64. That
+/// architectural 2× is the whole difference — a word holds 2 channels
+/// instead of 4, and the same driver and kernel walk twice as many words.
+/// Signed, so no compensation.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct UWords<'a> {
-    base: *const i8,
-    /// (T, C, C_p, K, K_p) in the panel's own elements.
-    pub(crate) dims: (usize, usize, usize, usize, usize),
-    t_bytes: usize,
-    /// The `[T][K_p]` compensation rows (u8×i8 panels only).
-    zbar: Option<&'a [i32]>,
+pub struct I16;
+
+/// `f32 × f32 → f32` — the full-precision Winograd baseline: 16 MACs per
+/// multiply-add pair against `vpdpbusd`'s 64, the 4× theoretical gap of
+/// paper §2.1 and the reference point for the §5.1 claim that LoWino
+/// reaches 1.9×/2.6× over the best FP32 implementation.
+///
+/// Rounding rule: each output is `acc += v·u` over the channels in
+/// ascending order from `+0.0`, the product rounded before the add — on
+/// every tier, under every blocking (a partial sum parked in `Z` between
+/// `C` chunks is the same f32). A fused multiply-add would round once and
+/// change bits.
+#[derive(Clone, Copy, Debug)]
+pub struct F32;
+
+impl Operands for U8I8 {
+    const ELEMENT: Element = Element::U8I8;
+    type V = u8;
+    type U = i8;
+    type Z = i32;
 }
 
-impl<'a> UWords<'a> {
-    /// Byte pointer to word `k` of word-row 0 of `U[t]`; the next word-row
-    /// is [`Self::word_stride`] bytes on.
-    #[inline]
-    pub(crate) fn block_ptr(&self, t: usize, k: usize) -> *const i8 {
-        debug_assert!(t < self.dims.0 && k < self.dims.4);
-        // SAFETY: the offset lies inside the panel the view was taken from.
-        unsafe { self.base.add(t * self.t_bytes + k * 4) }
-    }
-
-    /// Bytes between consecutive word-rows.
-    #[inline]
-    pub(crate) fn word_stride(&self) -> usize {
-        self.dims.4 * 4
-    }
-
-    /// `Z̄[t]`, when the panel carries compensation rows.
-    #[inline]
-    pub(crate) fn zbar(&self, t: usize) -> Option<&'a [i32]> {
-        let kp = self.dims.4;
-        self.zbar.map(|z| &z[t * kp..(t + 1) * kp])
-    }
+impl Operands for I16 {
+    const ELEMENT: Element = Element::I16;
+    type V = i16;
+    type U = i16;
+    type Z = i32;
 }
 
-// SAFETY: both views are read-only addresses into a panel borrowed for
-// `'a`; the panels are `Sync` (plain `AlignedBuf`s), so sharing or sending
-// a view is sharing `&Panel`.
-unsafe impl Send for VWords<'_> {}
-unsafe impl Sync for VWords<'_> {}
-unsafe impl Send for UWords<'_> {}
-unsafe impl Sync for UWords<'_> {}
+impl Operands for F32 {
+    const ELEMENT: Element = Element::F32;
+    type V = f32;
+    type U = f32;
+    type Z = f32;
+}
 
 // ---------------------------------------------------------------- VPanel
 
-/// Transformed-input panel: `[T] × [N] × [C_p]` u8.
+/// Transformed-input panel: `[T] × [N] × [C_p]` of `E::V`.
 #[derive(Clone, Debug)]
-pub struct VPanel {
-    buf: AlignedBuf<u8>,
+pub struct VPanelOf<E: Operands> {
+    buf: AlignedBuf<E::V>,
     t: usize,
     n: usize,
     c: usize,
     cp: usize,
 }
 
-impl VPanel {
+/// The u8 `V` panel of the u8×i8 GEMM.
+pub type VPanel = VPanelOf<U8I8>;
+
+impl<E: Operands> VPanelOf<E> {
     /// Allocate a zeroed panel for `t` tile positions, `n` tiles, `c`
     /// logical input channels.
     pub fn new(t: usize, n: usize, c: usize) -> Self {
         let cp = round_up(c, C_ALIGN);
-        Self {
-            buf: AlignedBuf::zeroed(t * n * cp),
-            t,
-            n,
-            c,
-            cp,
-        }
+        Self { buf: AlignedBuf::zeroed(t * n * cp), t, n, c, cp }
     }
 
     /// (T, N, C, C_p).
@@ -135,6 +137,12 @@ impl VPanel {
         self.cp
     }
 
+    /// Bytes of one row.
+    #[inline]
+    pub(crate) fn row_bytes(&self) -> usize {
+        self.cp * size_of::<E::V>()
+    }
+
     #[inline]
     fn row_offset(&self, t: usize, n: usize) -> usize {
         debug_assert!(t < self.t && n < self.n);
@@ -143,28 +151,28 @@ impl VPanel {
 
     /// One tile row (all padded channels) — 64-byte aligned.
     #[inline]
-    pub fn row(&self, t: usize, n: usize) -> &[u8] {
+    pub fn row(&self, t: usize, n: usize) -> &[E::V] {
         let o = self.row_offset(t, n);
         &self.buf.as_slice()[o..o + self.cp]
     }
 
     /// Mutable tile row.
     #[inline]
-    pub fn row_mut(&mut self, t: usize, n: usize) -> &mut [u8] {
+    pub fn row_mut(&mut self, t: usize, n: usize) -> &mut [E::V] {
         let o = self.row_offset(t, n);
         &mut self.buf.as_mut_slice()[o..o + self.cp]
     }
 
     /// Single element accessor (tests / reference paths).
     #[inline]
-    pub fn get(&self, t: usize, n: usize, c: usize) -> u8 {
+    pub fn get(&self, t: usize, n: usize, c: usize) -> E::V {
         debug_assert!(c < self.cp);
         self.buf.as_slice()[self.row_offset(t, n) + c]
     }
 
     /// Single element setter (tests / reference paths).
     #[inline]
-    pub fn set(&mut self, t: usize, n: usize, c: usize, v: u8) {
+    pub fn set(&mut self, t: usize, n: usize, c: usize, v: E::V) {
         debug_assert!(c < self.cp);
         let o = self.row_offset(t, n) + c;
         self.buf.as_mut_slice()[o] = v;
@@ -172,19 +180,9 @@ impl VPanel {
 
     /// Raw pointer to a row start (for the unsafe micro-kernels).
     #[inline]
-    pub fn row_ptr(&self, t: usize, n: usize) -> *const u8 {
-        // SAFETY of later arithmetic relies on row_offset bounds checks.
+    pub fn row_ptr(&self, t: usize, n: usize) -> *const E::V {
+        // SAFETY: `row_offset` is inside the buffer (debug-asserted).
         unsafe { self.buf.as_ptr().add(self.row_offset(t, n)) }
-    }
-
-    /// Zero the whole panel (workspace reuse between layers).
-    pub fn clear(&mut self) {
-        self.buf.zero_fill();
-    }
-
-    /// The panel as rows of 32-bit words (4 channels each).
-    pub(crate) fn words(&self) -> VWords<'_> {
-        VWords { base: self.buf.as_ptr(), dims: self.dims(), row_bytes: self.cp, _panel: PhantomData }
     }
 
     /// Raw mutable row pointer through a shared reference — used by the
@@ -195,18 +193,20 @@ impl VPanel {
     ///
     /// Callers must not create overlapping concurrent writes.
     #[inline]
-    pub unsafe fn row_ptr_shared(&self, t: usize, n: usize) -> *mut u8 {
-        self.buf.as_ptr().add(self.row_offset(t, n)) as *mut u8
+    pub unsafe fn row_ptr_shared(&self, t: usize, n: usize) -> *mut E::V {
+        self.row_ptr(t, n) as *mut E::V
     }
 }
 
 // ---------------------------------------------------------------- UPanel
 
-/// Transformed-filter panel: `[T] × [C_p/4] × [K_p] × [4]` i8, plus the
-/// per-position compensation rows `Z̄`.
+/// Transformed-filter panel: `[T] × [C_p/w] × [K_p] × [w]` of `E::U`, `w`
+/// channels per 32-bit word, plus the per-position compensation rows `Z̄`
+/// where `E` is u8×i8.
 #[derive(Clone, Debug)]
-pub struct UPanel {
-    buf: AlignedBuf<i8>,
+pub struct UPanelOf<E: Operands> {
+    buf: AlignedBuf<E::U>,
+    /// `[T][K_p]` compensation rows; empty for the signed elements.
     zbar: AlignedBuf<i32>,
     t: usize,
     c: usize,
@@ -215,20 +215,19 @@ pub struct UPanel {
     kp: usize,
 }
 
-impl UPanel {
+/// The interleaved i8 `U` panel (with `Z̄`) of the u8×i8 GEMM.
+pub type UPanel = UPanelOf<U8I8>;
+
+impl<E: Operands> UPanelOf<E> {
+    /// Channels per 32-bit word.
+    const W: usize = 4 / size_of::<E::U>();
+
     /// Allocate a zeroed panel.
     pub fn new(t: usize, c: usize, k: usize) -> Self {
         let cp = round_up(c, C_ALIGN);
         let kp = round_up(k, K_ALIGN);
-        Self {
-            buf: AlignedBuf::zeroed(t * (cp / 4) * kp * 4),
-            zbar: AlignedBuf::zeroed(t * kp),
-            t,
-            c,
-            cp,
-            k,
-            kp,
-        }
+        let zbar = if E::ELEMENT == Element::U8I8 { t * kp } else { 0 };
+        Self { buf: AlignedBuf::zeroed(t * cp * kp), zbar: AlignedBuf::zeroed(zbar), t, c, cp, k, kp }
     }
 
     /// (T, C, C_p, K, K_p).
@@ -251,35 +250,55 @@ impl UPanel {
     #[inline]
     fn offset(&self, t: usize, c: usize, k: usize) -> usize {
         debug_assert!(t < self.t && c < self.cp && k < self.kp);
-        ((t * (self.cp / 4) + c / 4) * self.kp + k) * 4 + (c % 4)
+        ((t * (self.cp / Self::W) + c / Self::W) * self.kp + k) * Self::W + c % Self::W
     }
 
     /// Logical element accessor (`U[t][c][k]`).
     #[inline]
-    pub fn get(&self, t: usize, c: usize, k: usize) -> i8 {
+    pub fn get(&self, t: usize, c: usize, k: usize) -> E::U {
         self.buf.as_slice()[self.offset(t, c, k)]
     }
 
-    /// Logical element setter. Call [`finalize_compensation`] afterwards.
-    ///
-    /// [`finalize_compensation`]: UPanel::finalize_compensation
+    /// Logical element setter; a u8×i8 panel wants
+    /// [`UPanel::finalize_compensation`] afterwards.
     #[inline]
-    pub fn set(&mut self, t: usize, c: usize, k: usize, v: i8) {
+    pub fn set(&mut self, t: usize, c: usize, k: usize, v: E::U) {
         let o = self.offset(t, c, k);
         self.buf.as_mut_slice()[o] = v;
     }
 
+    /// Byte pointer to word `k` of word-row 0 of `U[t]`. Within the returned
+    /// region the micro-kernel advances [`Self::word_stride`] bytes per
+    /// word-row and reads 64-byte rows of 16 `k` words.
+    #[inline]
+    pub fn block_ptr(&self, t: usize, k: usize) -> *const i8 {
+        debug_assert!(t < self.t && k < self.kp);
+        // SAFETY: the offset is in bounds by construction.
+        unsafe { (self.buf.as_ptr() as *const i8).add(t * self.cp * self.kp * size_of::<E::U>() + k * 4) }
+    }
+
+    /// Bytes between consecutive word-rows.
+    #[inline]
+    pub fn word_stride(&self) -> usize {
+        self.kp * 4
+    }
+
+    /// `Z̄[t]`, where the panel carries compensation rows.
+    #[inline]
+    pub(crate) fn compensation(&self, t: usize) -> Option<&[i32]> {
+        let z = self.zbar.as_slice();
+        (!z.is_empty()).then(|| &z[t * self.kp..(t + 1) * self.kp])
+    }
+}
+
+impl UPanel {
     /// Recompute the compensation rows `Z̄[t][k] = −128·Σ_c U[t][c][k]`
     /// (paper Eq. 9 — computed in the offline filter-transformation stage).
     pub fn finalize_compensation(&mut self) {
         for t in 0..self.t {
             for k in 0..self.kp {
-                let mut s = 0i32;
-                for c in 0..self.cp {
-                    s += i32::from(self.get(t, c, k));
-                }
-                let o = t * self.kp + k;
-                self.zbar.as_mut_slice()[o] = -128 * s;
+                let s: i32 = (0..self.cp).map(|c| i32::from(self.get(t, c, k))).sum();
+                self.zbar.as_mut_slice()[t * self.kp + k] = -128 * s;
             }
         }
     }
@@ -289,44 +308,9 @@ impl UPanel {
     pub fn zbar(&self, t: usize) -> &[i32] {
         &self.zbar.as_slice()[t * self.kp..(t + 1) * self.kp]
     }
-
-    /// Raw pointer to the interleaved block `(t, c4 = 0, k)`.
-    ///
-    /// Within the returned region the micro-kernel advances by
-    /// `k_p·4` bytes per 4-channel group and reads 64-byte rows of
-    /// `16 k-lanes × 4 channel bytes`.
-    #[inline]
-    pub fn block_ptr(&self, t: usize, k: usize) -> *const i8 {
-        debug_assert!(t < self.t && k < self.kp);
-        let o = (t * (self.cp / 4)) * self.kp * 4 + k * 4;
-        // SAFETY: offset is in bounds by construction.
-        unsafe { self.buf.as_ptr().add(o) }
-    }
-
-    /// Stride in bytes between consecutive 4-channel groups.
-    #[inline]
-    pub fn c4_stride(&self) -> usize {
-        self.kp * 4
-    }
-
-    /// The panel as word-rows (4 channels of one `k` per word) plus `Z̄`.
-    pub(crate) fn words(&self) -> UWords<'_> {
-        UWords {
-            base: self.buf.as_ptr(),
-            dims: self.dims(),
-            t_bytes: self.cp * self.kp,
-            zbar: Some(self.zbar.as_slice()),
-        }
-    }
 }
 
 // ---------------------------------------------------------------- ZPanel
-
-/// The 32-bit lane types a `Z` panel holds: `i32` sums of the integer
-/// elements, `f32` sums of the FP32 one.
-pub trait Lane: Pod {}
-impl Lane for i32 {}
-impl Lane for f32 {}
 
 /// GEMM-output panel: `[K_p/64] × [N] × [T] × [64]` 32-bit lanes.
 #[derive(Clone, Debug)]
@@ -340,8 +324,6 @@ pub struct ZPanelOf<T: Lane> {
 
 /// The `i32` output panel of the u8×i8 and i16 GEMMs.
 pub type ZPanel = ZPanelOf<i32>;
-/// The FP32 GEMM's output panel — same scatter geometry.
-pub type ZPanelF32 = ZPanelOf<f32>;
 
 impl<T: Lane> ZPanelOf<T> {
     /// Allocate a zeroed panel.
@@ -424,231 +406,6 @@ impl<T: Lane> ZPanelOf<T> {
     }
 }
 
-// ------------------------------------------------- FP32 / INT16 variants
-
-macro_rules! simple_v_panel {
-    ($vname:ident, $elem:ty, $calign:expr) => {
-        /// Transformed-input panel (`[T] × [N] × [C_p]`).
-        #[derive(Clone, Debug)]
-        pub struct $vname {
-            buf: AlignedBuf<$elem>,
-            t: usize,
-            n: usize,
-            c: usize,
-            cp: usize,
-        }
-
-        impl $vname {
-            /// Allocate a zeroed panel.
-            pub fn new(t: usize, n: usize, c: usize) -> Self {
-                let cp = round_up(c, $calign);
-                Self {
-                    buf: AlignedBuf::zeroed(t * n * cp),
-                    t,
-                    n,
-                    c,
-                    cp,
-                }
-            }
-
-            /// (T, N, C, C_p).
-            pub fn dims(&self) -> (usize, usize, usize, usize) {
-                (self.t, self.n, self.c, self.cp)
-            }
-
-            /// Padded channel stride.
-            #[inline]
-            pub fn cp(&self) -> usize {
-                self.cp
-            }
-
-            /// One tile row.
-            #[inline]
-            pub fn row(&self, t: usize, n: usize) -> &[$elem] {
-                let o = (t * self.n + n) * self.cp;
-                &self.buf.as_slice()[o..o + self.cp]
-            }
-
-            /// Mutable tile row.
-            #[inline]
-            pub fn row_mut(&mut self, t: usize, n: usize) -> &mut [$elem] {
-                let o = (t * self.n + n) * self.cp;
-                &mut self.buf.as_mut_slice()[o..o + self.cp]
-            }
-
-            /// Raw mutable row pointer through a shared reference (parallel
-            /// input transform; disjoint writes per static schedule).
-            ///
-            /// # Safety
-            ///
-            /// Callers must not create overlapping concurrent writes.
-            #[inline]
-            pub unsafe fn row_ptr_shared(&self, t: usize, n: usize) -> *mut $elem {
-                debug_assert!(t < self.t && n < self.n);
-                self.buf.as_ptr().add((t * self.n + n) * self.cp) as *mut $elem
-            }
-
-            /// The panel as rows of 32-bit words.
-            pub(crate) fn words(&self) -> VWords<'_> {
-                VWords {
-                    base: self.buf.as_ptr() as *const u8,
-                    dims: self.dims(),
-                    row_bytes: self.cp * core::mem::size_of::<$elem>(),
-                    _panel: PhantomData,
-                }
-            }
-        }
-    };
-}
-
-macro_rules! simple_u_panel {
-    ($uname:ident, $elem:ty, $calign:expr) => {
-        /// Transformed-filter panel (`[T] × [C_p] × [K_p]`, k-major rows).
-        #[derive(Clone, Debug)]
-        pub struct $uname {
-            buf: AlignedBuf<$elem>,
-            t: usize,
-            c: usize,
-            cp: usize,
-            k: usize,
-            kp: usize,
-        }
-
-        impl $uname {
-            /// Allocate a zeroed panel.
-            pub fn new(t: usize, c: usize, k: usize) -> Self {
-                let cp = round_up(c, $calign);
-                let kp = round_up(k, K_ALIGN);
-                Self {
-                    buf: AlignedBuf::zeroed(t * cp * kp),
-                    t,
-                    c,
-                    cp,
-                    k,
-                    kp,
-                }
-            }
-
-            /// (T, C, C_p, K, K_p).
-            pub fn dims(&self) -> (usize, usize, usize, usize, usize) {
-                (self.t, self.c, self.cp, self.k, self.kp)
-            }
-
-            /// Padded K stride.
-            #[inline]
-            pub fn kp(&self) -> usize {
-                self.kp
-            }
-
-            /// The K-major row for `(t, c)`.
-            #[inline]
-            pub fn row(&self, t: usize, c: usize) -> &[$elem] {
-                debug_assert!(t < self.t && c < self.cp);
-                let o = (t * self.cp + c) * self.kp;
-                &self.buf.as_slice()[o..o + self.kp]
-            }
-
-            /// Mutable K-major row.
-            #[inline]
-            pub fn row_mut(&mut self, t: usize, c: usize) -> &mut [$elem] {
-                debug_assert!(t < self.t && c < self.cp);
-                let o = (t * self.cp + c) * self.kp;
-                &mut self.buf.as_mut_slice()[o..o + self.kp]
-            }
-
-            /// The panel as word-rows: one channel row of `K_p` words each.
-            pub(crate) fn words(&self) -> UWords<'_> {
-                const { assert!(core::mem::size_of::<$elem>() == 4) };
-                UWords {
-                    base: self.buf.as_ptr() as *const i8,
-                    dims: self.dims(),
-                    t_bytes: self.cp * self.kp * 4,
-                    zbar: None,
-                }
-            }
-        }
-    };
-}
-
-simple_v_panel!(VPanelF32, f32, 64);
-simple_u_panel!(UPanelF32, f32, 64);
-simple_v_panel!(VPanelI16, i16, 64);
-
-/// INT16 transformed-filter panel for the up-casting baseline:
-/// `[T] × [C_p/2] × [K_p] × [2]` — the `vpdpwssd` pair interleave (the
-/// INT16 analogue of [`UPanel`]'s 4-byte interleave).
-#[derive(Clone, Debug)]
-pub struct UPanelI16 {
-    buf: AlignedBuf<i16>,
-    t: usize,
-    c: usize,
-    cp: usize,
-    k: usize,
-    kp: usize,
-}
-
-impl UPanelI16 {
-    /// Allocate a zeroed panel.
-    pub fn new(t: usize, c: usize, k: usize) -> Self {
-        let cp = round_up(c, C_ALIGN);
-        let kp = round_up(k, K_ALIGN);
-        Self {
-            buf: AlignedBuf::zeroed(t * (cp / 2) * kp * 2),
-            t,
-            c,
-            cp,
-            k,
-            kp,
-        }
-    }
-
-    /// (T, C, C_p, K, K_p).
-    pub fn dims(&self) -> (usize, usize, usize, usize, usize) {
-        (self.t, self.c, self.cp, self.k, self.kp)
-    }
-
-    /// Padded K stride.
-    #[inline]
-    pub fn kp(&self) -> usize {
-        self.kp
-    }
-
-    /// Padded C stride.
-    #[inline]
-    pub fn cp(&self) -> usize {
-        self.cp
-    }
-
-    #[inline]
-    fn offset(&self, t: usize, c: usize, k: usize) -> usize {
-        debug_assert!(t < self.t && c < self.cp && k < self.kp);
-        ((t * (self.cp / 2) + c / 2) * self.kp + k) * 2 + (c % 2)
-    }
-
-    /// Logical element accessor (`U[t][c][k]`).
-    #[inline]
-    pub fn get(&self, t: usize, c: usize, k: usize) -> i16 {
-        self.buf.as_slice()[self.offset(t, c, k)]
-    }
-
-    /// Logical element setter.
-    #[inline]
-    pub fn set(&mut self, t: usize, c: usize, k: usize, v: i16) {
-        let o = self.offset(t, c, k);
-        self.buf.as_mut_slice()[o] = v;
-    }
-
-    /// The panel as word-rows (a channel pair of one `k` per word).
-    pub(crate) fn words(&self) -> UWords<'_> {
-        UWords {
-            base: self.buf.as_ptr() as *const i8,
-            dims: self.dims(),
-            t_bytes: self.cp / 2 * self.kp * 4,
-            zbar: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,8 +426,6 @@ mod tests {
         v.set(1, 3, 7, 200);
         assert_eq!(v.get(1, 3, 7), 200);
         assert_eq!(v.get(1, 3, 6), 0);
-        v.clear();
-        assert_eq!(v.get(1, 3, 7), 0);
     }
 
     #[test]
@@ -688,7 +443,7 @@ mod tests {
         assert_eq!(first, &[1, 2, 3, 4]);
         // Channel 4 lives one c4-stride further.
         let second: &[i8] =
-            unsafe { core::slice::from_raw_parts(p.add(u.c4_stride()), 1) };
+            unsafe { core::slice::from_raw_parts(p.add(u.word_stride()), 1) };
         assert_eq!(second, &[5]);
     }
 
@@ -736,15 +491,20 @@ mod tests {
 
     #[test]
     fn f32_panels() {
-        let mut v = VPanelF32::new(2, 3, 17);
+        let mut v = VPanelOf::<F32>::new(2, 3, 17);
         assert_eq!(v.dims(), (2, 3, 17, 64));
         v.row_mut(1, 2)[16] = 1.5;
         assert_eq!(v.row(1, 2)[16], 1.5);
-        let mut u = UPanelF32::new(2, 17, 30);
+        let mut u = UPanelOf::<F32>::new(2, 17, 30);
         assert_eq!(u.dims(), (2, 17, 64, 30, 64));
-        u.row_mut(0, 16)[29] = -2.0;
-        assert_eq!(u.row(0, 16)[29], -2.0);
-        let mut z = ZPanelF32::new(4, 2, 65);
+        u.set(0, 16, 29, -2.0);
+        assert_eq!(u.get(0, 16, 29), -2.0);
+        // One channel per word: the row of channel 16 is word-row 16.
+        let p = u.block_ptr(0, 29);
+        // SAFETY: reading one word inside the allocation.
+        let word = unsafe { *(p.add(16 * u.word_stride()) as *const f32) };
+        assert_eq!(word, -2.0);
+        let mut z = ZPanelOf::<f32>::new(4, 2, 65);
         z.set(3, 1, 64, 7.0);
         assert_eq!(z.get(3, 1, 64), 7.0);
         assert_eq!(z.tile_block(1, 1)[3 * 64], 7.0);
@@ -752,11 +512,18 @@ mod tests {
 
     #[test]
     fn i16_panels() {
-        let mut v = VPanelI16::new(1, 2, 3);
+        let mut v = VPanelOf::<I16>::new(1, 2, 3);
         assert_eq!(v.dims(), (1, 2, 3, 64));
         v.row_mut(0, 1)[2] = -300;
         assert_eq!(v.row(0, 1)[2], -300);
-        let u = UPanelI16::new(1, 3, 20);
+        let mut u = UPanelOf::<I16>::new(1, 3, 20);
         assert_eq!(u.dims(), (1, 3, 64, 20, 64));
+        // Channel pairs per word: channel 2 opens the second word-row.
+        u.set(0, 2, 5, -7);
+        let p = u.block_ptr(0, 5);
+        // SAFETY: reading one word inside the allocation.
+        let pair = unsafe { *(p.add(u.word_stride()) as *const [i16; 2]) };
+        assert_eq!(pair, [-7, 0]);
+        assert!(u.compensation(0).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! Naive reference GEMM used to validate the optimised drivers.
 
 use crate::driver::GemmShape;
-use crate::panels::{UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32, VPanelI16};
+use crate::panels::{UPanel, UPanelOf, VPanel, VPanelOf, F32, I16};
 
 /// Naive `Z[t] = V̄[t]×U[t] + Z̄[t]` over the padded operands, returned as a
 /// `[t][n][k]` (logical `k`) row-major vector.
@@ -24,7 +24,7 @@ pub fn reference_gemm(v: &VPanel, u: &UPanel, shape: &GemmShape) -> Vec<i32> {
 }
 
 /// Naive f32 reference.
-pub fn reference_gemm_f32(v: &VPanelF32, u: &UPanelF32, shape: &GemmShape) -> Vec<f32> {
+pub fn reference_gemm_f32(v: &VPanelOf<F32>, u: &UPanelOf<F32>, shape: &GemmShape) -> Vec<f32> {
     let (_, _, _, cp) = v.dims();
     let mut out = vec![0f32; shape.t * shape.n * shape.k];
     for t in 0..shape.t {
@@ -33,7 +33,7 @@ pub fn reference_gemm_f32(v: &VPanelF32, u: &UPanelF32, shape: &GemmShape) -> Ve
             for k in 0..shape.k {
                 let mut acc = 0f32;
                 for (c, &vv) in row.iter().enumerate().take(cp) {
-                    acc += vv * u.row(t, c)[k];
+                    acc += vv * u.get(t, c, k);
                 }
                 out[(t * shape.n + n) * shape.k + k] = acc;
             }
@@ -43,7 +43,7 @@ pub fn reference_gemm_f32(v: &VPanelF32, u: &UPanelF32, shape: &GemmShape) -> Ve
 }
 
 /// Naive i16 reference (exact in i32).
-pub fn reference_gemm_i16(v: &VPanelI16, u: &UPanelI16, shape: &GemmShape) -> Vec<i32> {
+pub fn reference_gemm_i16(v: &VPanelOf<I16>, u: &UPanelOf<I16>, shape: &GemmShape) -> Vec<i32> {
     let (_, _, _, cp) = v.dims();
     let mut out = vec![0i32; shape.t * shape.n * shape.k];
     for t in 0..shape.t {

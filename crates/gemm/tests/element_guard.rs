@@ -7,8 +7,8 @@
 use std::time::{Duration, Instant};
 
 use lowino_gemm::{
-    Element, GemmCostModel, GemmShape, GemmTasks, UPanel, UPanelF32, UPanelI16, VPanel, VPanelF32,
-    VPanelI16, ZPanel, ZPanelF32,
+    Element, GemmCostModel, GemmShape, GemmTasks, UPanel, UPanelOf, VPanel, VPanelOf, ZPanel,
+    ZPanelOf, F32, I16,
 };
 use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
@@ -37,11 +37,11 @@ fn i16_and_f32_gemms_stay_within_their_instruction_ratio_of_u8i8() {
     // timings; zeroed panels keep the guard about the loop structure.
     let (v8, mut u8_, mut z8) = (VPanel::new(t, n, c), UPanel::new(t, c, k), ZPanel::new(t, n, k));
     u8_.finalize_compensation();
-    let (v16, u16_, mut z16) = (VPanelI16::new(t, n, c), UPanelI16::new(t, c, k), ZPanel::new(t, n, k));
-    let (vf, uf, mut zf) = (VPanelF32::new(t, n, c), UPanelF32::new(t, c, k), ZPanelF32::new(t, n, k));
+    let (v16, u16_, mut z16) = (VPanelOf::<I16>::new(t, n, c), UPanelOf::<I16>::new(t, c, k), ZPanel::new(t, n, k));
+    let (vf, uf, mut zf) = (VPanelOf::<F32>::new(t, n, c), UPanelOf::<F32>::new(t, c, k), ZPanelOf::new(t, n, k));
     let g8 = GemmTasks::plan(tier, &shape, &seed(Element::U8I8), &v8, &u8_, &mut z8);
-    let g16 = GemmTasks::plan_i16(tier, &shape, &seed(Element::I16), &v16, &u16_, &mut z16);
-    let gf = GemmTasks::plan_f32(tier, &shape, &seed(Element::F32), &vf, &uf, &mut zf);
+    let g16 = GemmTasks::plan(tier, &shape, &seed(Element::I16), &v16, &u16_, &mut z16);
+    let gf = GemmTasks::plan(tier, &shape, &seed(Element::F32), &vf, &uf, &mut zf);
 
     let mut best = [Duration::MAX; 3];
     for round in 0..12 {

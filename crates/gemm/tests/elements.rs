@@ -1,7 +1,7 @@
 //! One differential battery for the one driver: every element type through
 //! `GemmTasks` against its naive reference, **bit for bit** (`==` on the i32
 //! sums, `to_bits()` on the f32 ones — the FP32 rounding rule of
-//! `f32gemm.rs` makes equality the bar there too).
+//! `lowino_gemm::F32` makes equality the bar there too).
 //!
 //! Element {u8×i8, i16, f32} × ragged `N`, `C` off every word grid, `K` off
 //! the 64 grid × blockings {the cost model's seed, `c_blk < C` (partial sums
@@ -14,32 +14,36 @@
 
 use lowino_gemm::reference::{reference_gemm, reference_gemm_f32, reference_gemm_i16};
 use lowino_gemm::{
-    Blocking, Element, GemmCostModel, GemmShape, GemmTasks, UPanel, UPanelF32, UPanelI16, VPanel,
-    VPanelF32, VPanelI16, ZPanel, ZPanelF32,
+    Blocking, Element, GemmCostModel, GemmShape, GemmTasks, Operands, UPanelOf, VPanelOf, ZPanelOf, F32,
+    I16, U8I8,
 };
 use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
 use lowino_testkit::Rng;
 
-/// One element type's panels, reference and driver entry point; outputs are
-/// compared as the bit patterns of `Z[t][n][k]` over the logical `k`.
-trait Family {
-    const ELEM: Element;
-    type V;
-    type U;
-    fn fill(shape: &GemmShape, rng: &mut Rng) -> (Self::V, Self::U);
-    fn reference(v: &Self::V, u: &Self::U, shape: &GemmShape) -> Vec<u32>;
+/// One element type's operand values and reference; outputs are compared
+/// as the bit patterns of `Z[t][n][k]` over the logical `k`.
+trait Family: Operands {
+    fn fill(shape: &GemmShape, rng: &mut Rng) -> (VPanelOf<Self>, UPanelOf<Self>);
+    fn reference(v: &VPanelOf<Self>, u: &UPanelOf<Self>, shape: &GemmShape) -> Vec<u32>;
     /// Overwrite channels `from..C_p` of both operands with values that
     /// change (or poison) any sum they enter.
-    fn poison(v: &mut Self::V, u: &mut Self::U, shape: &GemmShape, from: usize);
-    fn run(
-        tier: SimdTier,
-        shape: &GemmShape,
-        blocking: &Blocking,
-        v: &Self::V,
-        u: &Self::U,
-        pool: &mut StaticPool,
-    ) -> Vec<u32>;
+    fn poison(v: &mut VPanelOf<Self>, u: &mut UPanelOf<Self>, shape: &GemmShape, from: usize);
+    fn bits(z: Self::Z) -> u32;
+}
+
+/// `Z = V × U` through the one driver, as bit patterns.
+fn run<F: Family>(
+    tier: SimdTier,
+    s: &GemmShape,
+    b: &Blocking,
+    v: &VPanelOf<F>,
+    u: &UPanelOf<F>,
+    pool: &mut StaticPool,
+) -> Vec<u32> {
+    let mut z = ZPanelOf::new(s.t, s.n, s.k);
+    GemmTasks::plan(tier, s, b, v, u, &mut z).run(pool);
+    logical(s, |t, n, k| F::bits(z.get(t, n, k)))
 }
 
 fn logical<T: Copy>(shape: &GemmShape, get: impl Fn(usize, usize, usize) -> T) -> Vec<T> {
@@ -54,13 +58,9 @@ fn logical<T: Copy>(shape: &GemmShape, get: impl Fn(usize, usize, usize) -> T) -
     out
 }
 
-struct U8I8;
 impl Family for U8I8 {
-    const ELEM: Element = Element::U8I8;
-    type V = VPanel;
-    type U = UPanel;
-    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanel, UPanel) {
-        let (mut v, mut u) = (VPanel::new(s.t, s.n, s.c), UPanel::new(s.t, s.c, s.k));
+    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanelOf<U8I8>, UPanelOf<U8I8>) {
+        let (mut v, mut u) = (VPanelOf::new(s.t, s.n, s.c), UPanelOf::new(s.t, s.c, s.k));
         for t in 0..s.t {
             for c in 0..s.c {
                 (0..s.n).for_each(|n| v.set(t, n, c, rng.u8()));
@@ -70,10 +70,10 @@ impl Family for U8I8 {
         u.finalize_compensation();
         (v, u)
     }
-    fn reference(v: &VPanel, u: &UPanel, s: &GemmShape) -> Vec<u32> {
+    fn reference(v: &VPanelOf<U8I8>, u: &UPanelOf<U8I8>, s: &GemmShape) -> Vec<u32> {
         reference_gemm(v, u, s).into_iter().map(|x| x as u32).collect()
     }
-    fn poison(v: &mut VPanel, u: &mut UPanel, s: &GemmShape, from: usize) {
+    fn poison(v: &mut VPanelOf<U8I8>, u: &mut UPanelOf<U8I8>, s: &GemmShape, from: usize) {
         for t in 0..s.t {
             for c in from..u.cp() {
                 (0..s.n).for_each(|n| v.set(t, n, c, 128));
@@ -81,20 +81,14 @@ impl Family for U8I8 {
             }
         }
     }
-    fn run(tier: SimdTier, s: &GemmShape, b: &Blocking, v: &VPanel, u: &UPanel, pool: &mut StaticPool) -> Vec<u32> {
-        let mut z = ZPanel::new(s.t, s.n, s.k);
-        GemmTasks::plan(tier, s, b, v, u, &mut z).run(pool);
-        logical(s, |t, n, k| z.get(t, n, k) as u32)
+    fn bits(z: i32) -> u32 {
+        z as u32
     }
 }
 
-struct I16;
 impl Family for I16 {
-    const ELEM: Element = Element::I16;
-    type V = VPanelI16;
-    type U = UPanelI16;
-    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanelI16, UPanelI16) {
-        let (mut v, mut u) = (VPanelI16::new(s.t, s.n, s.c), UPanelI16::new(s.t, s.c, s.k));
+    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanelOf<I16>, UPanelOf<I16>) {
+        let (mut v, mut u) = (VPanelOf::new(s.t, s.n, s.c), UPanelOf::new(s.t, s.c, s.k));
         for t in 0..s.t {
             for c in 0..s.c {
                 // Bounded like the up-cast operands: growth(4)·127 and ±127.
@@ -104,10 +98,10 @@ impl Family for I16 {
         }
         (v, u)
     }
-    fn reference(v: &VPanelI16, u: &UPanelI16, s: &GemmShape) -> Vec<u32> {
+    fn reference(v: &VPanelOf<I16>, u: &UPanelOf<I16>, s: &GemmShape) -> Vec<u32> {
         reference_gemm_i16(v, u, s).into_iter().map(|x| x as u32).collect()
     }
-    fn poison(v: &mut VPanelI16, u: &mut UPanelI16, s: &GemmShape, from: usize) {
+    fn poison(v: &mut VPanelOf<I16>, u: &mut UPanelOf<I16>, s: &GemmShape, from: usize) {
         for t in 0..s.t {
             for c in from..u.cp() {
                 (0..s.n).for_each(|n| v.row_mut(t, n)[c] = 111);
@@ -115,20 +109,14 @@ impl Family for I16 {
             }
         }
     }
-    fn run(tier: SimdTier, s: &GemmShape, b: &Blocking, v: &VPanelI16, u: &UPanelI16, pool: &mut StaticPool) -> Vec<u32> {
-        let mut z = ZPanel::new(s.t, s.n, s.k);
-        GemmTasks::plan_i16(tier, s, b, v, u, &mut z).run(pool);
-        logical(s, |t, n, k| z.get(t, n, k) as u32)
+    fn bits(z: i32) -> u32 {
+        z as u32
     }
 }
 
-struct F32;
 impl Family for F32 {
-    const ELEM: Element = Element::F32;
-    type V = VPanelF32;
-    type U = UPanelF32;
-    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanelF32, UPanelF32) {
-        let (mut v, mut u) = (VPanelF32::new(s.t, s.n, s.c), UPanelF32::new(s.t, s.c, s.k));
+    fn fill(s: &GemmShape, rng: &mut Rng) -> (VPanelOf<F32>, UPanelOf<F32>) {
+        let (mut v, mut u) = (VPanelOf::new(s.t, s.n, s.c), UPanelOf::new(s.t, s.c, s.k));
         for t in 0..s.t {
             for c in 0..s.c {
                 // Mixed magnitudes and exact zeros: sums that round at every
@@ -136,27 +124,25 @@ impl Family for F32 {
                 (0..s.n).for_each(|n| {
                     v.row_mut(t, n)[c] = if rng.range_i32(0, 8) == 0 { 0.0 } else { rng.f32_range(-40.0, 40.0) }
                 });
-                (0..s.k).for_each(|k| u.row_mut(t, c)[k] = rng.f32_range(-1.5, 1.5));
+                (0..s.k).for_each(|k| u.set(t, c, k, rng.f32_range(-1.5, 1.5)));
             }
         }
         (v, u)
     }
-    fn reference(v: &VPanelF32, u: &UPanelF32, s: &GemmShape) -> Vec<u32> {
+    fn reference(v: &VPanelOf<F32>, u: &UPanelOf<F32>, s: &GemmShape) -> Vec<u32> {
         reference_gemm_f32(v, u, s).into_iter().map(f32::to_bits).collect()
     }
-    fn poison(v: &mut VPanelF32, u: &mut UPanelF32, s: &GemmShape, from: usize) {
+    fn poison(v: &mut VPanelOf<F32>, u: &mut UPanelOf<F32>, s: &GemmShape, from: usize) {
         let cp = v.cp();
         for t in 0..s.t {
             for c in from..cp {
                 (0..s.n).for_each(|n| v.row_mut(t, n)[c] = f32::NAN);
-                u.row_mut(t, c).fill(3.0);
+                (0..u.kp()).for_each(|k| u.set(t, c, k, 3.0));
             }
         }
     }
-    fn run(tier: SimdTier, s: &GemmShape, b: &Blocking, v: &VPanelF32, u: &UPanelF32, pool: &mut StaticPool) -> Vec<u32> {
-        let mut z = ZPanelF32::new(s.t, s.n, s.k);
-        GemmTasks::plan_f32(tier, s, b, v, u, &mut z).run(pool);
-        logical(s, |t, n, k| z.get(t, n, k).to_bits())
+    fn bits(z: f32) -> u32 {
+        z.to_bits()
     }
 }
 
@@ -185,26 +171,27 @@ fn blockings(tier: SimdTier, shape: &GemmShape, elem: Element) -> Vec<(String, B
 }
 
 fn battery<F: Family>() {
-    let mut rng = Rng::seed_from_u64(0xE1E ^ F::ELEM as u64);
-    for (c, k) in [(3, 40), (37, 70), (70, 130)] {
+    let mut rng = Rng::seed_from_u64(0xE1E ^ F::ELEMENT as u64);
+    // C = 8 fills whole words of every element: no half-filled last word.
+    for (c, k) in [(3, 40), (37, 70), (70, 130), (8, 40)] {
         // N = 19 is ragged against every n_blk and row_blk above.
         let shape = GemmShape { t: 2, n: 19, c, k };
         let (mut v, mut u) = F::fill(&shape, &mut rng);
         let want = F::reference(&v, &u, &shape);
         // Everything past the layer's own words is padding.
-        let from = F::ELEM.words(c) * F::ELEM.channels_per_word();
+        let from = F::ELEMENT.words(c) * F::ELEMENT.channels_per_word();
         F::poison(&mut v, &mut u, &shape, from);
         for tier in SimdTier::available() {
-            for (name, blocking) in blockings(tier, &shape, F::ELEM) {
+            for (name, blocking) in blockings(tier, &shape, F::ELEMENT) {
                 for threads in [1, 3] {
                     let mut pool = StaticPool::new(threads);
-                    let got = F::run(tier, &shape, &blocking, &v, &u, &mut pool);
+                    let got = run(tier, &shape, &blocking, &v, &u, &mut pool);
                     let first = got.iter().zip(&want).position(|(g, w)| g != w);
                     assert_eq!(
                         first, None,
                         "{:?} tier={tier} threads={threads} {shape:?} blocking {name} = {blocking:?}: \
                          first differing (t·N + n)·K + k",
-                        F::ELEM
+                        F::ELEMENT
                     );
                 }
             }
@@ -225,4 +212,23 @@ fn i16_equals_reference_bit_for_bit() {
 #[test]
 fn f32_equals_reference_bit_for_bit() {
     battery::<F32>();
+}
+
+#[test]
+fn zero_operands_sum_to_positive_zero() {
+    // Zeroed panels of every element (`Z̄` finalized, so zero too): every
+    // lane of `Z` is the all-zero bit pattern — `+0.0` for f32, whose
+    // products `+0·+0` and sums from the `+0.0` seed never turn negative.
+    fn zeros<F: Family>() {
+        let shape = GemmShape { t: 2, n: 5, c: 4, k: 64 };
+        let (v, u) = (VPanelOf::<F>::new(2, 5, 4), UPanelOf::<F>::new(2, 4, 64));
+        for tier in SimdTier::available() {
+            let blocking = GemmCostModel::new().seed(tier, &shape.as_u8i8(F::ELEMENT));
+            let got = run(tier, &shape, &blocking, &v, &u, &mut StaticPool::new(1));
+            assert!(got.iter().all(|&b| b == 0), "{:?} tier={tier}", F::ELEMENT);
+        }
+    }
+    zeros::<U8I8>();
+    zeros::<I16>();
+    zeros::<F32>();
 }

@@ -146,6 +146,23 @@ impl<T: Pod> AlignedBuf<T> {
     }
 }
 
+/// View a slice of one plain-old-data type as another (a byte buffer as
+/// `i16` or `f32` lanes, an `i32` one as `f32`).
+///
+/// # Panics
+///
+/// Panics if `src` is not aligned for `B` or its byte length is not a
+/// multiple of `B`'s size.
+pub fn cast_slice_mut<A: Pod, B: Pod>(src: &mut [A]) -> &mut [B] {
+    let bytes = core::mem::size_of_val(src);
+    assert!(src.as_ptr().cast::<B>().is_aligned(), "misaligned cast");
+    assert!(bytes.is_multiple_of(core::mem::size_of::<B>()), "ragged cast");
+    // SAFETY: same allocation and byte length, aligned for `B` (asserted),
+    // and every bit pattern is a valid `B` (the `Pod` contract); the borrow
+    // of `src` carries over.
+    unsafe { core::slice::from_raw_parts_mut(src.as_mut_ptr().cast::<B>(), bytes / core::mem::size_of::<B>()) }
+}
+
 impl<T: Pod> Drop for AlignedBuf<T> {
     fn drop(&mut self) {
         if self.len != 0 {
