@@ -28,13 +28,14 @@ cargo run -q --release --offline -p lowino-winograd --bin gen_kernels -- --check
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
-# The whole suite again, serially and with more harness threads than
-# cores: the zero-steady-state-allocation audits count allocations
-# process-wide (their tests serialise on `lowino_testkit::alloc::audit()`),
-# and the fault-injection and trace-counter cases arm process-global state
-# behind reader/writer gates — none of it may depend on how many harness
-# threads the host offers.
-for threads in 1 8; do
+# The whole suite again, serially, at two harness threads and with more
+# harness threads than cores: the zero-steady-state-allocation audits count
+# allocations process-wide (their tests serialise on
+# `lowino_testkit::alloc::audit()`), and the fault-injection and
+# trace-counter cases arm process-global state behind reader/writer gates —
+# none of it may depend on how many harness threads the host offers. (A
+# shuffled test order needs nightly's `-Z unstable-options`; not run here.)
+for threads in 1 2 8; do
     echo "==> cargo test --offline (--test-threads=$threads)"
     cargo test -q --offline --workspace -- --test-threads="$threads"
 done
@@ -51,9 +52,10 @@ for forced in scalar avx2 avx512vnni; do
         echo "==> cargo test --offline (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline --workspace
         # Re-assert the whole-model differential battery by name: the graph
-        # engine must stay bitwise identical to the per-layer path on every
-        # tier (the workspace pass above runs it too; the explicit run makes
-        # a tier-specific regression name itself in the log).
+        # engine — its ladder and every pinned Table 3 algorithm — must stay
+        # bitwise identical to the per-layer test oracle on every tier (the
+        # workspace pass above runs it too; the explicit run makes a
+        # tier-specific regression name itself in the log).
         echo "==> graph identity (LOWINO_FORCE_TIER=$forced)"
         LOWINO_FORCE_TIER="$forced" cargo test -q --offline -p lowino --test graph_identity
         # The pipelined GEMM driver (double-buffered packing + prefetch)
@@ -219,7 +221,7 @@ cargo test -q --release --offline -p lowino-gemm --test element_guard -- --ignor
 
 # PR-8 ablation regression guard (also timing-sensitive, release-only):
 # the graph engine's accepted ~2-4% per-op bookkeeping overhead versus
-# the per-layer interpreter must not silently widen (bound and rationale
+# the per-layer test oracle must not silently widen (bound and rationale
 # in tests/graph_overhead.rs and EXPERIMENTS.md).
 echo "==> graph overhead guard (release, --ignored)"
 cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignored
@@ -234,10 +236,12 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # planner and the baselines' tile hand-off type went with them. Each GEMM
 # operand is one panel type generic over the element, planned by the one
 # GemmTasks::plan and packed by the one filter packer; the pre-ledger
-# bench snapshots are folded into EXPERIMENTS.md. Fail if any of the names
-# comes back (this line excepted).
+# bench snapshots are folded into EXPERIMENTS.md. The graph engine is the
+# one model runtime: the per-layer interpreter lives on only as a test
+# oracle, and the graph has two constructors plus `quantize`. Fail if any
+# of the names comes back (this line excepted).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
     exit 1

@@ -8,9 +8,9 @@
 //!   planner default vs pure cost-model seed vs measured top-K winner vs
 //!   full-lattice-sweep winner (PR 8 acceptance table in EXPERIMENTS.md);
 //! * **graph overhead** — the graph engine with its default per-conv
-//!   health policy vs health checks disabled vs the per-layer
-//!   interpreter, isolating the ~3–6% graph-vs-per_layer gap of the
-//!   `models` bench (numbers and diagnosis in EXPERIMENTS.md).
+//!   health policy vs health checks disabled, which attributes the cost of
+//!   the health scans (numbers in EXPERIMENTS.md; the graph's per-op
+//!   overhead itself is guarded in release by `tests/graph_overhead.rs`).
 //!
 //! Run with `cargo bench --bench ablations`; set
 //! `LOWINO_BENCH_JSON=BENCH_ablations.json` to accumulate a JSON-line log.
@@ -183,17 +183,14 @@ fn ablation_tuned_vs_default() {
     }
 }
 
-/// Isolate the graph-vs-per_layer gap (the `models` bench reads graph
-/// ~3–6% behind, EXPERIMENTS.md "Pre-ledger snapshots"): the graph engine wraps every conv in a `ResilientConv` whose
-/// default health policy scans the quantized intermediates for
-/// saturation and the output for non-finite values on every execute; the
-/// per-layer interpreter does neither. Benching the same compiled graph
-/// with health checks disabled attributes the gap.
+/// The cost of the health scans: the graph engine wraps every conv in a
+/// `ResilientConv` whose default health policy scans the quantized
+/// intermediates for saturation and the output for non-finite values on
+/// every execute. Benching the same compiled graph with health checks
+/// disabled attributes it (EXPERIMENTS.md, "Graph-vs-per_layer gap").
 fn ablation_graph_overhead() {
-    use lowino::{Algorithm, HealthPolicy, Tensor4};
-    use lowino_nn::{
-        mini_vgg, CompiledGraph, GraphSpec, QuantizedModel, QuantizedSpec,
-    };
+    use lowino::{HealthPolicy, Tensor4};
+    use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
     use lowino_testkit::Rng;
 
     let (batch, threads) = (4usize, 2usize);
@@ -207,21 +204,10 @@ fn ablation_graph_overhead() {
     let mut graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("compile");
     let mut model = mini_vgg(3, 8, 3, 31);
     let health_off = HealthPolicy { max_saturation_ratio: 2.0, check_output_finite: false };
+    let engine = Engine::new(threads);
     let mut graph_no_health =
-        CompiledGraph::compile_with_health(&mut model, &calib, &spec, health_off)
+        CompiledGraph::compile_with_engine(engine, &mut model, &calib, &spec, health_off)
             .expect("compile health-off");
-    let mut model = mini_vgg(3, 8, 3, 31);
-    let mut per_layer = QuantizedModel::from_model(
-        &mut model,
-        &calib,
-        &QuantizedSpec {
-            algorithm: Algorithm::LoWino { m: 2 },
-            per_position: false,
-            batch,
-            threads,
-        },
-    )
-    .expect("convert per-layer model");
 
     let mut logits = Tensor4::zeros(batch, 3, 1, 1);
     graph.execute(&x, &mut logits).expect("warm-up");
@@ -235,10 +221,6 @@ fn ablation_graph_overhead() {
     group.bench_function("graph_health_off", || {
         graph_no_health.execute(&x, &mut logits).expect("bench rep");
         black_box(logits.data()[0]);
-    });
-    group.bench_function("per_layer", || {
-        let out = per_layer.logits(&x);
-        black_box(out.data()[0]);
     });
 }
 

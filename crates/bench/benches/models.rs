@@ -1,7 +1,6 @@
 //! Whole-model bench for the graph engine: MiniResNet and MiniVGG driven
 //! end-to-end through [`lowino_nn::CompiledGraph::execute`] (liveness-
-//! planned arena, fused conv epilogues) against the per-layer
-//! [`lowino_nn::QuantizedModel`] interpreter. `throughput_elements` is the
+//! planned arena, fused conv epilogues). `throughput_elements` is the
 //! multiply-accumulate count of one forward pass (computed by walking the
 //! layer list with a shape tracker), so `gelems_per_s` reads as GMAC/s —
 //! comparable across batch sizes and architectures. The old report used
@@ -14,10 +13,8 @@
 //! MiniResNet cell). With `LOWINO_TRACE=<path>` the smoke run also emits
 //! whole-model `graph/execute` + `graph/layer` spans for `trace_check`.
 
-use lowino::{Algorithm, Tensor4};
-use lowino_nn::{
-    mini_resnet, mini_vgg, CompiledGraph, GraphSpec, Layer, Model, QuantizedModel, QuantizedSpec,
-};
+use lowino::Tensor4;
+use lowino_nn::{mini_resnet, mini_vgg, CompiledGraph, GraphSpec, Layer, Model};
 use lowino_testkit::{black_box, BenchGroup, Rng};
 use std::time::Duration;
 
@@ -87,19 +84,6 @@ fn bench_model(
     // per-worker scratch arenas; afterwards execute is allocation-free.
     graph.execute(&x, &mut logits).expect("warm-up");
 
-    let mut model = build(3, 8, 3, 31);
-    let mut per_layer = QuantizedModel::from_model(
-        &mut model,
-        &calib,
-        &QuantizedSpec {
-            algorithm: Algorithm::LoWino { m: 2 },
-            per_position: false,
-            batch,
-            threads,
-        },
-    )
-    .expect("convert per-layer model");
-
     let mut group = BenchGroup::new(format!("models/{name}/b{batch}/t{threads}"));
     if cfg.smoke {
         group
@@ -113,14 +97,12 @@ fn bench_model(
             .warm_up_time(Duration::from_millis(300));
     }
     // One element = one multiply-accumulate: `gelems_per_s` is GMAC/s.
-    // (Both the graph engine and the per-layer interpreter run the same
-    // layer list, so one MAC count serves both bench functions.)
     group.throughput_elements(model_macs(&model.layers, batch, 8, 8));
 
     // The timed loops run as many passes as the host manages in the window;
     // traced, a fast host wraps the rings and ages the compile-time events
     // out of the smoke's trace. So the smoke times untraced and then
-    // records exactly one pass of each path.
+    // records exactly one pass.
     let trace_one_pass = cfg.smoke && lowino_trace::enabled();
     if trace_one_pass {
         lowino_trace::set_enabled(false);
@@ -129,14 +111,9 @@ fn bench_model(
         graph.execute(&x, &mut logits).expect("bench rep");
         black_box(logits.data()[0]);
     });
-    group.bench_function("per_layer", || {
-        let out = per_layer.logits(&x);
-        black_box(out.data()[0]);
-    });
     if trace_one_pass {
         lowino_trace::set_enabled(true);
         graph.execute(&x, &mut logits).expect("traced pass");
-        black_box(per_layer.logits(&x).data()[0]);
     }
 }
 

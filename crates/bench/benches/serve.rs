@@ -35,7 +35,6 @@ use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use lowino::prelude::HealthPolicy;
 use lowino::Tensor4;
 use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
 use lowino_serve::http::read_response;
@@ -64,9 +63,7 @@ fn build_model(shard: usize) -> GraphModel {
         ((b * 31 + c * 7 + y * 3 + x) as f32 * 0.37).sin()
     });
     let spec = GraphSpec { m: 2, batch: BATCH, threads: 1 };
-    let graph =
-        CompiledGraph::compile_with_health(&mut model, &calib, &spec, HealthPolicy::default())
-            .expect("bench graph compiles");
+    let graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("bench graph compiles");
     GraphModel::new(graph)
 }
 

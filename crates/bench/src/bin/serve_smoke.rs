@@ -22,7 +22,6 @@
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
-use lowino::prelude::HealthPolicy;
 use lowino::Tensor4;
 use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
 use lowino_serve::http::read_response;
@@ -41,9 +40,7 @@ fn build_model(shard: usize) -> GraphModel {
         ((b * 29 + c * 5 + y * 3 + x) as f32 * 0.41).sin()
     });
     let spec = GraphSpec { m: 2, batch: BATCH, threads: 1 };
-    let graph =
-        CompiledGraph::compile_with_health(&mut model, &calib, &spec, HealthPolicy::default())
-            .expect("smoke graph compiles");
+    let graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("smoke graph compiles");
     GraphModel::new(graph)
 }
 

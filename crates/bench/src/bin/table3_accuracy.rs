@@ -21,7 +21,7 @@ use lowino::prelude::*;
 use lowino_bench::runner::{arg, has_flag};
 use lowino_bench::Table;
 use lowino_nn::{
-    evaluate_top1, mini_resnet, mini_vgg, train, Dataset, Model, QuantizedModel, QuantizedSpec,
+    evaluate_top1, mini_resnet, mini_vgg, train, CompiledGraph, Dataset, Model, QuantizedSpec,
     SyntheticSpec, TrainConfig,
 };
 
@@ -140,7 +140,7 @@ fn main() {
 
         for row in &rows {
             eprintln!("  quantizing with {} ({})...", row.method, row.group);
-            let acc = match QuantizedModel::from_model(
+            let acc = match CompiledGraph::quantize(
                 &mut model,
                 &calib,
                 &QuantizedSpec {

@@ -19,6 +19,10 @@
 //! `resilient/demote` trace instant so production traces show exactly when
 //! and why a layer degraded.
 //!
+//! [`ResilientConv::pinned`] is the one-rung case: one algorithm, planned
+//! like a rung, with nothing to demote to — what post-training
+//! quantization of a whole model (paper Table 3) serves from.
+//!
 //! Caller errors do **not** demote: a mismatched tensor
 //! ([`ExecError::IoShape`]) or a rejected non-finite input
 //! ([`ExecError::NonFiniteInput`]) would fail identically on every rung,
@@ -147,8 +151,7 @@ impl ResilientConv {
         samples: Vec<BlockedImage>,
         policy: HealthPolicy,
     ) -> Result<Self, ConvError> {
-        let spec = spec.validate()?;
-        let mut remaining = vec![
+        let ladder = vec![
             Algorithm::LoWino { m },
             // Up-casting is the sturdiest quantized scheme (INT16
             // intermediates), but its integer transform overflows above
@@ -157,12 +160,41 @@ impl ResilientConv {
             Algorithm::WinogradF32 { m },
             Algorithm::DirectF32,
         ];
+        Self::plan(spec, ladder, false, weights, samples, policy)
+    }
+
+    /// A layer pinned to `algo`: exactly one executor, planned like a
+    /// ladder rung (`per_position` asks LoWino for one scale per tile
+    /// position). With nowhere to demote to it runs no health scans
+    /// ([`HealthPolicy::relaxed`]), keeps no copy of the weights or
+    /// samples, and returns a construction failure unchanged.
+    pub fn pinned(
+        spec: ConvShape,
+        algo: Algorithm,
+        per_position: bool,
+        weights: &Tensor4,
+        samples: Vec<BlockedImage>,
+    ) -> Result<Self, ConvError> {
+        Self::plan(spec, vec![algo], per_position, weights, samples, HealthPolicy::relaxed())
+    }
+
+    /// Serve from the first rung of `remaining` that builds; the weights
+    /// and samples are kept only while a rung is left to rebuild from them.
+    fn plan(
+        spec: ConvShape,
+        mut remaining: Vec<Algorithm>,
+        per_position: bool,
+        weights: &Tensor4,
+        samples: Vec<BlockedImage>,
+        policy: HealthPolicy,
+    ) -> Result<Self, ConvError> {
+        let spec = spec.validate()?;
         let mut demotions = Vec::new();
         let mut pending: Option<(Algorithm, ConvError)> = None;
         let mut exec = None;
         while !remaining.is_empty() {
             let algo = remaining.remove(0);
-            let attempt = plan_executor(&spec, weights, algo, &samples, None, false);
+            let attempt = plan_executor(&spec, weights, algo, &samples, None, per_position);
             if let Some((from, err)) = pending.take() {
                 lowino_trace::instant("resilient/demote", demotions.len() as u64);
                 demotions.push(Demotion {
@@ -179,19 +211,24 @@ impl ResilientConv {
                 Err(err) => pending = Some((algo, err)),
             }
         }
-        match exec {
-            Some(exec) => Ok(Self {
-                spec,
-                weights: weights.clone(),
-                samples,
-                policy,
-                remaining,
-                exec,
-                demotions,
-            }),
-            // Even DirectF32 failed: nothing to serve from.
-            None => Err(pending.expect("chain was non-empty").1),
-        }
+        let Some(exec) = exec else {
+            // Even the last rung failed: nothing to serve from.
+            return Err(pending.expect("ladder was non-empty").1);
+        };
+        let (weights, samples) = if remaining.is_empty() {
+            (Tensor4::zeros(0, 0, 0, 0), Vec::new())
+        } else {
+            (weights.clone(), samples)
+        };
+        Ok(Self {
+            spec,
+            weights,
+            samples,
+            policy,
+            remaining,
+            exec,
+            demotions,
+        })
     }
 
     /// The algorithm currently serving this layer.
@@ -479,6 +516,31 @@ mod tests {
             .demotions()
             .iter()
             .any(|d| matches!(d.reason, DemotionReason::NonFiniteOutput { .. })));
+    }
+
+    #[test]
+    fn pinned_layer_serves_one_algorithm_and_returns_its_build_error_unchanged() {
+        let (spec, w, img) = setup(1.0);
+        let mut conv =
+            ResilientConv::pinned(spec, Algorithm::LoWino { m: 4 }, true, &w, vec![img.clone()])
+                .unwrap();
+        assert_eq!(conv.algorithm(), Algorithm::LoWino { m: 4 });
+        assert_eq!(conv.policy().max_saturation_ratio, f64::INFINITY);
+        assert!(!conv.policy().check_output_finite);
+        let mut ctx = ConvContext::new(1);
+        let mut out = BlockedImage::zeros(1, 8, 10, 10);
+        conv.execute(&img, &mut out, &mut ctx).unwrap();
+        assert!(conv.demotions().is_empty());
+        assert!(out.max_abs() > 0.0);
+
+        // F(9,3) has no generated transform: the ladder would demote, a
+        // pinned layer fails with exactly the planner's error.
+        let algo = Algorithm::LoWino { m: 9 };
+        let want = plan_executor(&spec, &w, algo, std::slice::from_ref(&img), None, false)
+            .err()
+            .unwrap();
+        let got = ResilientConv::pinned(spec, algo, false, &w, vec![img]).err().unwrap();
+        assert_eq!(got.to_string(), want.to_string());
     }
 
     #[test]

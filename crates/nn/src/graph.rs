@@ -1,16 +1,18 @@
-//! Whole-model graph engine: compile a [`Model`] into a [`CompiledGraph`]
-//! that runs end-to-end out of one liveness-planned activation arena.
+//! Whole-model graph engine — the one model runtime: compile a [`Model`]
+//! into a [`CompiledGraph`] that runs end-to-end out of one
+//! liveness-planned activation arena.
 //!
-//! [`CompiledGraph::compile`] walks the FP32 model exactly like the
-//! per-layer PTQ pipeline ([`crate::quantized`]) — replaying the FP32
-//! forward pass over the calibration batch so each convolution is
-//! calibrated on uncontaminated reference activations — but lowers the
-//! network into a flat, topologically scheduled op list instead of a
-//! stage-per-layer interpreter:
+//! Compilation is the paper's §3 post-training-quantization pipeline: it
+//! replays the FP32 forward pass over the calibration batch, so each
+//! convolution is calibrated on uncontaminated reference activations, and
+//! lowers the network into a flat, topologically scheduled op list. The
+//! two entry points differ only in how a conv is planned:
+//! [`CompiledGraph::compile`] gives every conv the LoWino-topped demotion
+//! ladder, [`CompiledGraph::quantize`] pins every conv to one algorithm
+//! (the Table 3 rows).
 //!
-//! * every convolution becomes a [`lowino::ResilientConv`] (the
-//!   LoWino-topped demotion ladder) with its **pre-transformed filter
-//!   panels built once here, at compile time**;
+//! * every convolution becomes a [`lowino::ResilientConv`] with its
+//!   **pre-transformed filter panels built once here, at compile time**;
 //! * a ReLU following a conv, the conv's bias, and a residual block's
 //!   skip-add are all folded into the conv's tape epilogue as
 //!   [`lowino::ConvPostOps`] — at inference they cost one fused pass over
@@ -23,10 +25,11 @@
 //!   `tests/graph_alloc.rs`).
 //!
 //! The glue ops that stay in f32 (max-pool, global average pooling, the
-//! linear head, the unfused residual fallback) mirror the per-layer
-//! interpreter's arithmetic **order** exactly, element for element — which
-//! is what makes the whole graph bitwise identical to the per-layer path
-//! (`tests/graph_identity.rs`), not merely close.
+//! linear head, the unfused ReLU and residual) fix their arithmetic
+//! **order** element for element, and every ReLU is spelled
+//! `if v > 0.0 { v } else { 0.0 }` like the fused epilogue — which is what
+//! makes the whole graph bitwise identical to a layer-at-a-time forward
+//! (the per-layer oracle of `tests/graph_identity.rs`), not merely close.
 //!
 //! Tracing: compilation emits the `graph/plan_bytes` counter; execution
 //! wraps each op in a `graph/layer` span (arg = op index) inside a
@@ -38,13 +41,25 @@ use lowino::{AlignedBuf, ConvPostOps, LANES};
 use crate::layers::{Conv2dLayer, Layer};
 use crate::model::Model;
 use crate::plan::{plan_slots, ArenaPlan, SlotReq, PLAN_ALIGN};
-use crate::quantized::rebatch_for_calibration;
 
 /// How to compile the graph.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphSpec {
     /// Winograd tile size `m` for the LoWino rung of every conv ladder.
     pub m: usize,
+    /// Inference batch size (the arena and executors are planned for it).
+    pub batch: usize,
+    /// Thread count for the engine.
+    pub threads: usize,
+}
+
+/// How [`CompiledGraph::quantize`] pins the convolutions.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantizedSpec {
+    /// The convolution algorithm for every conv layer.
+    pub algorithm: Algorithm,
+    /// Use per-tile-position scales (LoWino only).
+    pub per_position: bool,
     /// Inference batch size (the arena and executors are planned for it).
     pub batch: usize,
     /// Thread count for the engine.
@@ -82,7 +97,7 @@ enum GraphOp {
         src: usize,
         dst: usize,
     },
-    /// Standalone `max(v, 0)` in place (only when not fused into a conv).
+    /// Standalone ReLU in place (only when not fused into a conv).
     Relu { slot: usize },
     /// 2×2 stride-2 max pooling.
     MaxPool { src: usize, dst: usize },
@@ -97,7 +112,7 @@ enum GraphOp {
         src: usize,
         dst: usize,
     },
-    /// Unfused residual fallback: `dst = max(skip + body, 0)`.
+    /// Unfused residual fallback: `dst = relu(skip + body)`.
     ResidualAdd { skip: usize, body: usize, dst: usize },
 }
 
@@ -140,18 +155,23 @@ pub struct CompiledGraph {
     output_slot: usize,
 }
 
-/// Intermediate compile state: ops + slot table under construction.
-struct GraphBuilder {
-    spec: GraphSpec,
-    health: HealthPolicy,
+/// Intermediate compile state: ops + slot table under construction. Every
+/// conv is planned by `plan_conv` from its shape, weights and calibration
+/// samples — the only thing the graph's entry points supply differently.
+struct GraphBuilder<F> {
+    batch: usize,
+    plan_conv: F,
     ops: Vec<GraphOp>,
     slots: Vec<SlotInfo>,
 }
 
-impl GraphBuilder {
+impl<F> GraphBuilder<F>
+where
+    F: FnMut(ConvShape, &Tensor4, Vec<BlockedImage>) -> Result<ResilientConv, ConvError>,
+{
     fn add_slot(&mut self, channels: usize, h: usize, w: usize) -> usize {
         self.slots.push(SlotInfo {
-            batch: self.spec.batch,
+            batch: self.batch,
             channels,
             h,
             w,
@@ -160,10 +180,9 @@ impl GraphBuilder {
     }
 
     /// Lower a layer list. `act` carries the FP32 reference activations of
-    /// the *calibration* batch forward (exactly like the per-layer
-    /// converter: quantization error must not contaminate downstream
-    /// calibration); `cur` is the arena slot holding the corresponding
-    /// inference activation. Returns the output slot.
+    /// the *calibration* batch forward (quantization error must not
+    /// contaminate downstream calibration); `cur` is the arena slot holding
+    /// the corresponding inference activation. Returns the output slot.
     fn lower(
         &mut self,
         layers: &mut [Layer],
@@ -263,9 +282,8 @@ impl GraphBuilder {
         Ok(cur)
     }
 
-    /// Plan one convolution: calibrate on the FP32 reference activations
-    /// (identically to the per-layer path) and build the resilient ladder
-    /// — which packs the pre-transformed filter panels right here, once.
+    /// Plan one convolution on the FP32 reference activations — which
+    /// packs the pre-transformed filter panels right here, once.
     fn lower_conv(
         &mut self,
         conv: &Conv2dLayer,
@@ -276,7 +294,7 @@ impl GraphBuilder {
         let (_, c, h, w) = act.dims();
         debug_assert_eq!(c, conv.in_channels());
         let shape = ConvShape {
-            batch: self.spec.batch,
+            batch: self.batch,
             in_c: conv.in_channels(),
             out_c: conv.out_channels(),
             h,
@@ -285,9 +303,8 @@ impl GraphBuilder {
             stride: 1,
             pad: (conv.filter() - 1) / 2,
         };
-        let samples = rebatch_for_calibration(act, self.spec.batch);
-        let resilient =
-            ResilientConv::with_policy(shape, self.spec.m, &conv.weights, samples, self.health)?;
+        let samples = rebatch_for_calibration(act, self.batch);
+        let resilient = (self.plan_conv)(shape, &conv.weights, samples)?;
         let k_blocks = conv.out_channels().div_ceil(LANES);
         let mut bias = vec![0.0f32; k_blocks * LANES];
         bias[..conv.out_channels()].copy_from_slice(&conv.bias);
@@ -336,33 +353,23 @@ impl GraphBuilder {
 
 impl CompiledGraph {
     /// Compile `model` for arena execution, calibrating every conv on
-    /// `calib_x` (a batch of NCHW images) exactly like
-    /// [`crate::QuantizedModel::from_model`] does.
+    /// `calib_x` (a batch of NCHW images) and giving it the demotion
+    /// ladder topped by LoWino `F(spec.m, 3)`.
     pub fn compile(
         model: &mut Model,
         calib_x: &Tensor4,
         spec: &GraphSpec,
     ) -> Result<Self, ConvError> {
-        Self::compile_with_health(model, calib_x, spec, HealthPolicy::default())
-    }
-
-    /// [`Self::compile`] with an explicit per-conv [`HealthPolicy`] —
-    /// ablation benches disable the post-execute health scans with it to
-    /// isolate their cost (see `EXPERIMENTS.md`, PR 8).
-    pub fn compile_with_health(
-        model: &mut Model,
-        calib_x: &Tensor4,
-        spec: &GraphSpec,
-        health: HealthPolicy,
-    ) -> Result<Self, ConvError> {
+        let health = HealthPolicy::default();
         Self::compile_with_engine(Engine::new(spec.threads), model, calib_x, spec, health)
     }
 
-    /// [`Self::compile_with_health`] onto a caller-built [`Engine`] — a
-    /// serving shard configures its engine first (pinned tier, wisdom
-    /// file via [`Engine::builder`]) and hands it over; the
-    /// graph takes ownership. `spec.threads` is ignored in this variant
-    /// (the engine already owns its pool).
+    /// [`Self::compile`] onto a caller-built [`Engine`] with an explicit
+    /// per-conv [`HealthPolicy`] — a serving shard configures its engine
+    /// first (pinned tier, wisdom file via [`Engine::builder`]) and hands
+    /// it over, and the health-off ablation disables the post-execute
+    /// scans. The graph takes ownership; `spec.threads` is ignored (the
+    /// engine already owns its pool).
     pub fn compile_with_engine(
         engine: Engine,
         model: &mut Model,
@@ -370,11 +377,45 @@ impl CompiledGraph {
         spec: &GraphSpec,
         health: HealthPolicy,
     ) -> Result<Self, ConvError> {
+        let m = spec.m;
+        Self::build(engine, model, calib_x, spec.batch, |shape, weights, samples| {
+            ResilientConv::with_policy(shape, m, weights, samples, health)
+        })
+    }
+
+    /// Post-training-quantize `model` (the Table 3 pipeline): every conv
+    /// is pinned to `qspec.algorithm`, calibrated on `calib_x` — per tile
+    /// position when `qspec.per_position` is set — and never demotes. A
+    /// conv the algorithm cannot plan fails the whole model with that
+    /// conv's error.
+    pub fn quantize(
+        model: &mut Model,
+        calib_x: &Tensor4,
+        qspec: &QuantizedSpec,
+    ) -> Result<Self, ConvError> {
+        let QuantizedSpec { algorithm, per_position, batch, threads } = *qspec;
+        Self::build(Engine::new(threads), model, calib_x, batch, |shape, weights, samples| {
+            ResilientConv::pinned(shape, algorithm, per_position, weights, samples)
+        })
+    }
+
+    /// Lower, seed and arena-plan `model` for `batch`, planning each conv
+    /// with `plan_conv`.
+    fn build<F>(
+        engine: Engine,
+        model: &mut Model,
+        calib_x: &Tensor4,
+        batch: usize,
+        plan_conv: F,
+    ) -> Result<Self, ConvError>
+    where
+        F: FnMut(ConvShape, &Tensor4, Vec<BlockedImage>) -> Result<ResilientConv, ConvError>,
+    {
         let _sp = lowino_trace::span("graph/compile");
         let (_, c, h, w) = calib_x.dims();
         let mut builder = GraphBuilder {
-            spec: *spec,
-            health,
+            batch,
+            plan_conv,
             ops: Vec::new(),
             slots: Vec::new(),
         };
@@ -400,7 +441,7 @@ impl CompiledGraph {
             plan,
             arena,
             classes: model.classes(),
-            batch: spec.batch,
+            batch,
             in_dims: (c, h, w),
             input_slot,
             output_slot,
@@ -540,7 +581,7 @@ impl CompiledGraph {
                 GraphOp::Relu { slot } => {
                     let mut img = unsafe { slot_image(base, plan, slots, *slot) };
                     for v in img.data_mut() {
-                        *v = v.max(0.0);
+                        *v = if *v > 0.0 { *v } else { 0.0 };
                     }
                 }
                 GraphOp::MaxPool { src, dst } => unsafe {
@@ -590,8 +631,7 @@ impl CompiledGraph {
     }
 
     /// Predict classes for any number of images (processed in
-    /// planning-sized chunks, tail zero-padded — same contract as
-    /// [`crate::QuantizedModel::predict`]).
+    /// planning-sized chunks, the tail zero-padded).
     pub fn predict(&mut self, x: &Tensor4) -> Vec<usize> {
         let (n, c, h, w) = x.dims();
         assert_eq!((c, h, w), self.in_dims, "input dims");
@@ -672,8 +712,8 @@ fn load_nchw(img: &mut BlockedImage, t: &Tensor4) {
     }
 }
 
-/// 2×2 stride-2 max pool over blocked images. The per-element max chain
-/// follows the per-layer interpreter's order exactly (bitwise contract).
+/// 2×2 stride-2 max pool over blocked images. The per-element max chain is
+/// `((a ⊔ b) ⊔ c) ⊔ d` in row-major window order (bitwise contract).
 fn maxpool2_blocked(src: &BlockedImage, dst: &mut BlockedImage) {
     let (b_n, _, h, w) = src.dims();
     let (db, _, oh, ow) = dst.dims();
@@ -697,7 +737,7 @@ fn maxpool2_blocked(src: &BlockedImage, dst: &mut BlockedImage) {
 }
 
 /// Global average pooling over blocked images (y-major accumulation, then
-/// one multiply by `1/(h·w)` — the per-layer interpreter's order).
+/// one multiply by `1/(h·w)` — the order is part of the bitwise contract).
 fn gap_blocked(src: &BlockedImage, dst: &mut BlockedImage) {
     let (b_n, _, h, w) = src.dims();
     let inv = 1.0 / (h * w) as f32;
@@ -753,8 +793,8 @@ fn linear_blocked(
     }
 }
 
-/// Unfused residual: `dst = max(skip + body, 0)` element-wise, in the
-/// per-layer interpreter's operand order.
+/// Unfused residual: `dst = relu(skip + body)` element-wise (operand order
+/// and ReLU spelling are part of the bitwise contract).
 fn residual_add_blocked(skip: &BlockedImage, body: &BlockedImage, dst: &mut BlockedImage) {
     debug_assert_eq!(skip.dims(), dst.dims());
     debug_assert_eq!(body.dims(), dst.dims());
@@ -764,14 +804,42 @@ fn residual_add_blocked(skip: &BlockedImage, body: &BlockedImage, dst: &mut Bloc
         .zip(skip.data())
         .zip(body.data())
     {
-        *o = (s + bv).max(0.0);
+        let v = s + bv;
+        *o = if v > 0.0 { v } else { 0.0 };
     }
+}
+
+/// Split a calibration activation batch into `BlockedImage`s whose batch
+/// dimension matches the planned shape (the calibrators accept any number
+/// of samples, but each sample's dims must equal the shape's).
+fn rebatch_for_calibration(act: &Tensor4, batch: usize) -> Vec<BlockedImage> {
+    let (n, c, h, w) = act.dims();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < n {
+        let take = (n - i).min(batch);
+        let mut chunk = Tensor4::zeros(batch, c, h, w);
+        for b in 0..take {
+            for cc in 0..c {
+                for y in 0..h {
+                    for xx in 0..w {
+                        *chunk.at_mut(b, cc, y, xx) = act.at(i + b, cc, y, xx);
+                    }
+                }
+            }
+        }
+        out.push(BlockedImage::from_nchw(&chunk));
+        i += take;
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::{Dataset, SyntheticSpec};
     use crate::model::{mini_resnet, mini_vgg};
+    use crate::train::{evaluate_top1, train, TrainConfig};
     use lowino_testkit::Rng;
 
     /// Give every conv/linear a non-trivial bias so the fused epilogue
@@ -867,5 +935,119 @@ mod tests {
             !g.ops.iter().any(|op| matches!(op, GraphOp::Relu { .. })),
             "every ReLU folds into a conv epilogue in MiniResNet"
         );
+    }
+
+    fn trained_setup(resnet: bool) -> (Model, Dataset) {
+        let data = Dataset::generate(&SyntheticSpec {
+            classes: 3,
+            channels: 3,
+            size: 8,
+            train_per_class: 30,
+            test_per_class: 10,
+            noise: 0.1,
+            seed: 13,
+        });
+        let mut model = if resnet {
+            mini_resnet(3, 8, 3, 77)
+        } else {
+            mini_vgg(3, 8, 3, 77)
+        };
+        train(
+            &mut model,
+            &data,
+            &TrainConfig {
+                epochs: 6,
+                batch_size: 10,
+                lr: 0.05,
+                momentum: 0.9,
+                seed: 5,
+            },
+        );
+        (model, data)
+    }
+
+    #[test]
+    fn directf32_passthrough_matches_fp32_model() {
+        let (mut model, data) = trained_setup(false);
+        let fp32_acc = evaluate_top1(&mut model, data.test_x(), data.test_y());
+        let calib = data.gather_batch(&(0..20).collect::<Vec<_>>()).0;
+        let mut q = CompiledGraph::quantize(
+            &mut model,
+            &calib,
+            &QuantizedSpec {
+                algorithm: Algorithm::DirectF32,
+                per_position: false,
+                batch: 8,
+                threads: 1,
+            },
+        )
+        .unwrap();
+        let q_acc = q.evaluate_top1(data.test_x(), data.test_y());
+        assert!(
+            (q_acc - fp32_acc).abs() < 1e-9,
+            "fp32 {fp32_acc} vs passthrough {q_acc}"
+        );
+    }
+
+    #[test]
+    fn lowino_f2_preserves_accuracy() {
+        let (mut model, data) = trained_setup(false);
+        let fp32_acc = evaluate_top1(&mut model, data.test_x(), data.test_y());
+        let calib = data.gather_batch(&(0..20).collect::<Vec<_>>()).0;
+        let mut q = CompiledGraph::quantize(
+            &mut model,
+            &calib,
+            &QuantizedSpec {
+                algorithm: Algorithm::LoWino { m: 2 },
+                per_position: false,
+                batch: 8,
+                threads: 1,
+            },
+        )
+        .unwrap();
+        let q_acc = q.evaluate_top1(data.test_x(), data.test_y());
+        assert!(
+            q_acc >= fp32_acc - 0.15,
+            "fp32 {fp32_acc} vs lowino {q_acc}"
+        );
+    }
+
+    #[test]
+    fn residual_model_quantizes() {
+        let (mut model, data) = trained_setup(true);
+        let calib = data.gather_batch(&(0..12).collect::<Vec<_>>()).0;
+        let mut q = CompiledGraph::quantize(
+            &mut model,
+            &calib,
+            &QuantizedSpec {
+                algorithm: Algorithm::LoWino { m: 2 },
+                per_position: false,
+                batch: 6,
+                threads: 1,
+            },
+        )
+        .unwrap();
+        let acc = q.evaluate_top1(data.test_x(), data.test_y());
+        assert!(acc > 1.0 / 3.0, "acc {acc} at chance level");
+        assert_eq!(q.classes(), 3);
+    }
+
+    #[test]
+    fn predict_handles_ragged_tail() {
+        let (mut model, data) = trained_setup(false);
+        let calib = data.gather_batch(&(0..8).collect::<Vec<_>>()).0;
+        let mut q = CompiledGraph::quantize(
+            &mut model,
+            &calib,
+            &QuantizedSpec {
+                algorithm: Algorithm::DirectInt8,
+                per_position: false,
+                batch: 7, // deliberately not dividing the test-set size
+                threads: 1,
+            },
+        )
+        .unwrap();
+        let preds = q.predict(data.test_x());
+        assert_eq!(preds.len(), data.test_y().len());
     }
 }

@@ -15,14 +15,15 @@
 //!   **MiniResNet** (residual blocks), the small-scale analogues of the
 //!   paper's two networks;
 //! * [`train()`] — SGD with momentum + cross-entropy;
-//! * [`quantized`] — the PTQ pipeline: capture per-layer calibration
-//!   activations with the FP32 model, plan a `lowino` executor per conv
-//!   layer (any [`lowino::Algorithm`]), and evaluate INT8 top-1 accuracy;
-//! * [`plan`]/[`graph`] — the whole-model graph engine: compile a model
-//!   into a topologically scheduled [`CompiledGraph`] whose activations
-//!   live in one liveness-planned arena, with persistent pre-transformed
-//!   filter panels and bias/ReLU/residual-add folded into the conv tape
-//!   epilogues — bitwise identical to the per-layer path and
+//! * [`plan`]/[`graph`] — the one model runtime and the PTQ pipeline:
+//!   capture each conv's calibration activations with the FP32 model,
+//!   plan a `lowino` executor per conv — the demotion ladder
+//!   ([`CompiledGraph::compile`]) or one pinned [`lowino::Algorithm`]
+//!   ([`CompiledGraph::quantize`], the Table 3 rows) — and compile a
+//!   topologically scheduled [`CompiledGraph`] whose activations live in
+//!   one liveness-planned arena, with persistent pre-transformed filter
+//!   panels and bias/ReLU/residual-add folded into the conv tape
+//!   epilogues — bitwise identical to a layer-at-a-time forward and
 //!   allocation-free in steady state.
 //!
 //! The Table 3 phenomenon — LoWino ≈ FP32 at `F(2,3)` *and* `F(4,3)`,
@@ -35,15 +36,13 @@ pub mod graph;
 pub mod layers;
 pub mod model;
 pub mod plan;
-pub mod quantized;
 pub mod train;
 
 pub use data::{Dataset, SyntheticSpec};
-pub use graph::{CompiledGraph, GraphSpec};
+pub use graph::{CompiledGraph, GraphSpec, QuantizedSpec};
 pub use layers::{Conv2dLayer, Layer};
 pub use model::{mini_resnet, mini_vgg, Model};
 pub use plan::{plan_slots, ArenaPlan, SlotReq, PLAN_ALIGN};
-pub use quantized::{QuantizedModel, QuantizedSpec};
 pub use train::{evaluate_top1, train, TrainConfig};
 
 #[cfg(test)]

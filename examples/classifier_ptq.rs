@@ -8,7 +8,7 @@
 
 use lowino::prelude::*;
 use lowino_nn::{
-    evaluate_top1, mini_vgg, train, Dataset, QuantizedModel, QuantizedSpec, SyntheticSpec,
+    evaluate_top1, mini_vgg, train, CompiledGraph, Dataset, QuantizedSpec, SyntheticSpec,
     TrainConfig,
 };
 
@@ -54,7 +54,7 @@ fn main() {
         ("Down-scaling F(4x4)    ", Algorithm::DownScale { m: 4 }),
         ("LoWino F(4x4)          ", Algorithm::LoWino { m: 4 }),
     ] {
-        let acc = match QuantizedModel::from_model(
+        let acc = match CompiledGraph::quantize(
             &mut model,
             &calib,
             &QuantizedSpec {

@@ -5,7 +5,7 @@ use lowino::prelude::*;
 use lowino_conv::algo::direct_f32::reference_conv_nchw;
 use lowino_conv::calibrate::calibrate_winograd_domain_per_position;
 use lowino_nn::{
-    evaluate_top1, mini_vgg, train, Dataset, QuantizedModel, QuantizedSpec, SyntheticSpec,
+    evaluate_top1, mini_vgg, train, CompiledGraph, Dataset, QuantizedSpec, SyntheticSpec,
     TrainConfig,
 };
 
@@ -160,7 +160,7 @@ fn end_to_end_accuracy_collapse() {
 
     let calib = data.gather_batch(&(0..24).collect::<Vec<_>>()).0;
     let mut acc = |algo: Algorithm, per_position: bool| -> f64 {
-        QuantizedModel::from_model(
+        CompiledGraph::quantize(
             &mut model,
             &calib,
             &QuantizedSpec {

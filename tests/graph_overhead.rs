@@ -1,14 +1,16 @@
 //! Regression guard for the PR-8 ablation finding: the graph engine's
 //! per-op bookkeeping (arena view construction, epilogue dispatch, the
-//! op-table walk) costs ~2–4% over the per-layer interpreter on
+//! op-table walk) costs ~2–4% over a layer-at-a-time interpreter on
 //! MiniVGG-sized layers, and that gap was **accepted** rather than
 //! optimised (see EXPERIMENTS.md, "Graph-vs-per_layer gap"). This test
 //! pins the acceptance: if a future change silently widens the gap past
 //! the bound below, the guard trips and the regression has to be
-//! re-justified instead of riding in unnoticed.
+//! re-justified instead of riding in unnoticed. The baseline is the
+//! per-layer test oracle (`common/per_layer.rs`), whose glue is kept lean
+//! for exactly this comparison.
 //!
-//! Methodology matches the `ablation/graph_overhead` bench: identical
-//! weights and input, same batch/threads, and the two paths are timed
+//! Methodology: identical weights and input, same batch/threads, and the
+//! two paths are timed
 //! **interleaved** (one rep each, alternating) so drift — thermal,
 //! frequency, a noisy neighbour on the CI host — lands on both sides
 //! equally. Medians over 31 reps; debug-build timings are meaningless,
@@ -16,9 +18,13 @@
 
 use std::time::Instant;
 
+#[path = "common/per_layer.rs"]
+mod per_layer;
+
 use lowino::{Algorithm, Tensor4};
-use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec, QuantizedModel, QuantizedSpec};
+use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec, QuantizedSpec};
 use lowino_testkit::Rng;
+use per_layer::PerLayer;
 
 /// Accepted graph-engine overhead over the per-layer interpreter.
 /// EXPERIMENTS.md puts the real gap at ~2–4%; the bound leaves headroom
@@ -45,7 +51,7 @@ fn graph_engine_overhead_stays_within_accepted_bound() {
     let mut graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("compile graph");
 
     let mut model = mini_vgg(3, 8, 3, 31);
-    let mut per_layer = QuantizedModel::from_model(
+    let mut per_layer = PerLayer::quantize(
         &mut model,
         &calib,
         &QuantizedSpec {
@@ -90,7 +96,7 @@ fn graph_engine_overhead_stays_within_accepted_bound() {
         ratio <= MAX_OVERHEAD,
         "graph engine overhead regressed: {g} ns vs per-layer {p} ns \
          (ratio {ratio:.4} > {MAX_OVERHEAD}); the ~2-4% accepted gap from the PR-8 \
-         ablation (EXPERIMENTS.md) has widened — re-run ablation/graph_overhead \
+         ablation (EXPERIMENTS.md) has widened — profile the graph's per-op path \
          and either fix the bookkeeping or re-justify the bound"
     );
 }

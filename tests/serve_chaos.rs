@@ -36,7 +36,6 @@ use std::io::{BufReader, Write};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use lowino::prelude::HealthPolicy;
 use lowino::Tensor4;
 use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
 use lowino_serve::http::read_response;
@@ -63,9 +62,7 @@ fn build_model(shard: usize, wisdom: &std::path::Path) -> GraphModel {
         ((b * 31 + c * 7 + y * 3 + x) as f32 * 0.37).sin()
     });
     let spec = GraphSpec { m: 2, batch: BATCH, threads: 2 };
-    let graph =
-        CompiledGraph::compile_with_health(&mut model, &calib, &spec, HealthPolicy::default())
-            .expect("chaos graph compiles");
+    let graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("chaos graph compiles");
     GraphModel::new(graph).with_wisdom_path(wisdom.join(format!("shard{shard}.wisdom")))
 }
 
