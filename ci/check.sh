@@ -238,10 +238,15 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # GemmTasks::plan and packed by the one filter packer; the pre-ledger
 # bench snapshots are folded into EXPERIMENTS.md. The graph engine is the
 # one model runtime: the per-layer interpreter lives on only as a test
-# oracle, and the graph has two constructors plus `quantize`. Fail if any
-# of the names comes back (this line excepted).
+# oracle, and the graph has two constructors plus `quantize`. Serve state
+# has one owner each: brownout's degraded bit is a flag every worker reads
+# (no shard message, no blocking mailbox send and its space condvar), the
+# per-shard counters live in the shard slot, the env-var serving config is
+# gone (ServeConfig is built in code), and the benches name algorithms with
+# `lowino::Algorithm` plus one `label`. Fail if any of the names comes back
+# (this line excepted).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health|ShardMsg|SetDegraded|ShardStats|space_cv|BenchAlgo|ServeConfig::from_env|LOWINO_SERVE_(SHARDS|BATCH|DEADLINE_US|QUEUE|TIMEOUT_US|WEDGE_US|MAX_RESTARTS)' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
     exit 1

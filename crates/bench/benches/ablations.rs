@@ -18,7 +18,7 @@
 use lowino::prelude::*;
 use lowino::{Blocking, SimdTier};
 use lowino_bench::layers::layer_by_name;
-use lowino_bench::{build_executor, synth_input, synth_weights, BenchAlgo};
+use lowino_bench::{build_executor, synth_input, synth_weights};
 use lowino_testkit::{black_box, BenchGroup};
 use std::time::Duration;
 
@@ -39,8 +39,8 @@ fn ablation_tile_size() {
     let mut out = engine.alloc_output(&spec);
     let mut group = common("ablation/tile_size");
     for m in [2usize, 4, 6] {
-        let mut l =
-            build_executor(BenchAlgo::LoWino(m), &spec, &weights, &input, &engine).expect("plan");
+        let mut l = build_executor(Algorithm::LoWino { m }, &spec, &weights, &input, &engine)
+            .expect("plan");
         group.bench_function(format!("lowino_m/{m}"), || {
             let t = engine.execute(&mut l, &input, &mut out).expect("bench rep");
             black_box(t.total());
@@ -94,8 +94,9 @@ fn ablation_blocking() {
                 black_box(t.total());
             });
         } else {
-            let mut l = build_executor(BenchAlgo::LoWino(4), &spec, &weights, &input, &engine)
-                .expect("plan");
+            let mut l =
+                build_executor(Algorithm::LoWino { m: 4 }, &spec, &weights, &input, &engine)
+                    .expect("plan");
             group.bench_function(format!("blocking/{name}"), || {
                 let t = engine.execute(&mut l, &input, &mut out).expect("bench rep");
                 black_box(t.total());
@@ -113,8 +114,8 @@ fn ablation_simd_tier() {
     for tier in SimdTier::available() {
         let mut engine = Engine::with_tier(1, tier);
         let mut out = engine.alloc_output(&spec);
-        let mut l =
-            build_executor(BenchAlgo::LoWino(4), &spec, &weights, &input, &engine).expect("plan");
+        let mut l = build_executor(Algorithm::LoWino { m: 4 }, &spec, &weights, &input, &engine)
+            .expect("plan");
         group.bench_function(tier, || {
             let t = engine.execute(&mut l, &input, &mut out).expect("bench rep");
             black_box(t.total());
@@ -131,8 +132,8 @@ fn ablation_scheduling() {
     for threads in [1usize, 2, 4] {
         let mut engine = Engine::new(threads);
         let mut out = engine.alloc_output(&spec);
-        let mut l =
-            build_executor(BenchAlgo::LoWino(4), &spec, &weights, &input, &engine).expect("plan");
+        let mut l = build_executor(Algorithm::LoWino { m: 4 }, &spec, &weights, &input, &engine)
+            .expect("plan");
         group.bench_function(format!("static/{threads}"), || {
             let t = engine.execute(&mut l, &input, &mut out).expect("bench rep");
             black_box(t.total());

@@ -8,7 +8,7 @@
 
 use lowino::prelude::*;
 use lowino_bench::layers::layer_by_name;
-use lowino_bench::{build_executor, synth_input, synth_weights, BenchAlgo};
+use lowino_bench::{build_executor, label, synth_input, synth_weights};
 use lowino_testkit::{black_box, BenchGroup};
 use std::time::Duration;
 
@@ -27,13 +27,13 @@ fn bench_layer(name: &str, batch_div: usize, hw_div: usize) {
         .warm_up_time(Duration::from_millis(300))
         .throughput_elements(spec.direct_macs());
     for algo in [
-        BenchAlgo::DirectInt8,
-        BenchAlgo::DownScale(2),
-        BenchAlgo::LoWino(2),
-        BenchAlgo::LoWino(4),
+        Algorithm::DirectInt8,
+        Algorithm::DownScale { m: 2 },
+        Algorithm::LoWino { m: 2 },
+        Algorithm::LoWino { m: 4 },
     ] {
         let mut l = build_executor(algo, &spec, &weights, &input, &engine).expect("plan");
-        group.bench_function(algo.label(), || {
+        group.bench_function(label(algo), || {
             let t = engine.execute(&mut l, &input, &mut out).expect("bench rep");
             black_box(t.total());
         });

@@ -18,7 +18,7 @@ use lowino::prelude::*;
 use lowino_bench::layers::layer_by_name;
 use lowino_bench::report::fmt_duration;
 use lowino_bench::runner::arg;
-use lowino_bench::{build_executor, run_timed, synth_input, synth_weights, BenchAlgo, Table};
+use lowino_bench::{build_executor, label, run_timed, synth_input, synth_weights, Table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,7 +47,7 @@ fn main() {
         let mut out = engine.alloc_output(&spec);
 
         let mut results = Vec::new();
-        for algo in [BenchAlgo::DownScale(2), BenchAlgo::LoWino(2)] {
+        for algo in [Algorithm::DownScale { m: 2 }, Algorithm::LoWino { m: 2 }] {
             let mut l = build_executor(algo, &spec, &weights, &input, &engine)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let t = run_timed(&mut l, &input, &mut out, engine.context_mut(), reps);
@@ -57,7 +57,7 @@ fn main() {
         for (algo, t) in results {
             table.row(vec![
                 name.to_string(),
-                algo.label(),
+                label(algo),
                 format!(
                     "{:.2} ({})",
                     t.gemm.as_secs_f64() / base,

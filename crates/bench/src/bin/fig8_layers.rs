@@ -17,7 +17,9 @@
 use lowino::prelude::*;
 use lowino_bench::report::fmt_duration;
 use lowino_bench::runner::{arg, has_flag};
-use lowino_bench::{build_executor, paper_layers, run_timed, synth_input, synth_weights, BenchAlgo, Table};
+use lowino_bench::{
+    build_executor, label, paper_layers, run_timed, synth_input, synth_weights, Table,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,20 +32,20 @@ fn main() {
     let with_m6 = has_flag(&args, "--m6");
 
     let mut algos = vec![
-        BenchAlgo::DirectInt8,
-        BenchAlgo::DownScale(2),
-        BenchAlgo::LoWino(2),
-        BenchAlgo::LoWino(4),
+        Algorithm::DirectInt8,
+        Algorithm::DownScale { m: 2 },
+        Algorithm::LoWino { m: 2 },
+        Algorithm::LoWino { m: 4 },
     ];
     if with_m6 {
-        algos.push(BenchAlgo::LoWino(6));
+        algos.push(Algorithm::LoWino { m: 6 });
     }
     if with_fp32 {
         // The paper compares against "the best full-precision implementation
         // in oneDNN"; our best FP32 implementations are the blocked Winograd
         // paths (the naive FP32 direct reference is for correctness only).
-        algos.push(BenchAlgo::WinogradF32(2));
-        algos.push(BenchAlgo::WinogradF32(4));
+        algos.push(Algorithm::WinogradF32 { m: 2 });
+        algos.push(Algorithm::WinogradF32 { m: 4 });
     }
 
     println!("== Figure 8: normalized execution time per layer ==");
@@ -53,7 +55,7 @@ fn main() {
     );
 
     let mut header: Vec<String> = vec!["layer".into()];
-    header.extend(algos.iter().map(|a| a.label()));
+    header.extend(algos.iter().copied().map(label));
     header.push("LoWino F4 speedup".into());
     let mut table = Table::new(header);
 
@@ -76,7 +78,7 @@ fn main() {
             let mut l = match build_executor(algo, &spec, &weights, &input, &engine) {
                 Ok(l) => l,
                 Err(e) => {
-                    eprintln!("{}: {}: {e}", layer.name, algo.label());
+                    eprintln!("{}: {}: {e}", layer.name, label(algo));
                     times.push(f64::NAN);
                     continue;
                 }

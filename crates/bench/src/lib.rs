@@ -25,4 +25,4 @@ pub mod runner;
 
 pub use layers::{paper_layers, LayerSpec};
 pub use report::Table;
-pub use runner::{build_executor, run_timed, synth_input, synth_weights, BenchAlgo};
+pub use runner::{build_executor, label, run_timed, synth_input, synth_weights};

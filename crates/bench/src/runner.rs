@@ -4,46 +4,16 @@ use lowino::prelude::*;
 use lowino::{ConvContext, ConvError};
 use lowino_testkit::Rng;
 
-/// The algorithm set compared in the figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchAlgo {
-    /// FP32 direct convolution (§5.1 full-precision reference).
-    DirectF32,
-    /// FP32 Winograd.
-    WinogradF32(usize),
-    /// INT8 direct ("INT8 Direct Convolution – oneDNN").
-    DirectInt8,
-    /// Down-scaling INT8 Winograd ("INT8 Winograd F(2x2,3x3) – oneDNN").
-    DownScale(usize),
-    /// LoWino.
-    LoWino(usize),
-    /// Up-casting INT16 Winograd (ncnn-style).
-    UpCast(usize),
-}
-
-impl BenchAlgo {
-    /// Column label used in the reports (matches the paper's legends).
-    pub fn label(&self) -> String {
-        match self {
-            BenchAlgo::DirectF32 => "FP32 Direct".into(),
-            BenchAlgo::WinogradF32(m) => format!("FP32 Winograd F({m}x{m})"),
-            BenchAlgo::DirectInt8 => "INT8 Direct (oneDNN-like)".into(),
-            BenchAlgo::DownScale(m) => format!("INT8 Winograd F({m}x{m}) (oneDNN-like)"),
-            BenchAlgo::LoWino(m) => format!("INT8 Winograd F({m}x{m}) LoWino"),
-            BenchAlgo::UpCast(m) => format!("INT16 Winograd F({m}x{m}) (ncnn-like)"),
-        }
-    }
-
-    /// The underlying algorithm enum.
-    pub fn algorithm(&self) -> Algorithm {
-        match *self {
-            BenchAlgo::DirectF32 => Algorithm::DirectF32,
-            BenchAlgo::WinogradF32(m) => Algorithm::WinogradF32 { m },
-            BenchAlgo::DirectInt8 => Algorithm::DirectInt8,
-            BenchAlgo::DownScale(m) => Algorithm::DownScale { m },
-            BenchAlgo::LoWino(m) => Algorithm::LoWino { m },
-            BenchAlgo::UpCast(m) => Algorithm::UpCast { m },
-        }
+/// Column label of an algorithm in the reports (matches the paper's
+/// legends).
+pub fn label(algo: Algorithm) -> String {
+    match algo {
+        Algorithm::DirectF32 => "FP32 Direct".into(),
+        Algorithm::WinogradF32 { m } => format!("FP32 Winograd F({m}x{m})"),
+        Algorithm::DirectInt8 => "INT8 Direct (oneDNN-like)".into(),
+        Algorithm::DownScale { m } => format!("INT8 Winograd F({m}x{m}) (oneDNN-like)"),
+        Algorithm::LoWino { m } => format!("INT8 Winograd F({m}x{m}) LoWino"),
+        Algorithm::UpCast { m } => format!("INT16 Winograd F({m}x{m}) (ncnn-like)"),
     }
 }
 
@@ -71,14 +41,14 @@ pub fn synth_weights(spec: &ConvShape, seed: u64) -> Tensor4 {
 /// Plan an executor for one benchmark algorithm (calibrating on the given
 /// input, which the figures also use as the measured workload).
 pub fn build_executor(
-    algo: BenchAlgo,
+    algo: Algorithm,
     spec: &ConvShape,
     weights: &Tensor4,
     input: &BlockedImage,
     engine: &Engine,
 ) -> Result<Layer, ConvError> {
     LayerBuilder::new(*spec, weights)
-        .algorithm(AlgoChoice::Fixed(algo.algorithm()))
+        .algorithm(AlgoChoice::Fixed(algo))
         .calibration_samples(vec![input.clone()])
         .build(engine)
 }
@@ -148,10 +118,13 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(BenchAlgo::LoWino(4).label(), "INT8 Winograd F(4x4) LoWino");
         assert_eq!(
-            BenchAlgo::DownScale(2).algorithm(),
-            Algorithm::DownScale { m: 2 }
+            label(Algorithm::LoWino { m: 4 }),
+            "INT8 Winograd F(4x4) LoWino"
+        );
+        assert_eq!(
+            label(Algorithm::DownScale { m: 2 }),
+            "INT8 Winograd F(2x2) (oneDNN-like)"
         );
     }
 
@@ -172,7 +145,8 @@ mod tests {
         let w = synth_weights(&spec, 1);
         let input = BlockedImage::from_nchw(&synth_input(&spec, 2));
         let mut engine = Engine::new(1);
-        let mut layer = build_executor(BenchAlgo::LoWino(2), &spec, &w, &input, &engine).unwrap();
+        let mut layer =
+            build_executor(Algorithm::LoWino { m: 2 }, &spec, &w, &input, &engine).unwrap();
         let mut out = engine.alloc_output(&spec);
         let ctx = engine.context_mut();
         let t = run_timed(&mut layer, &input, &mut out, ctx, 2);

@@ -75,6 +75,29 @@ pub struct Pending<T> {
     pub payload: T,
 }
 
+impl<T> Pending<T> {
+    /// Has the deadline passed at `now_ns`? (Expiry is inclusive: a
+    /// request *at* its deadline is shed.)
+    pub(crate) fn is_expired(&self, now_ns: u64) -> bool {
+        self.deadline_ns != NO_DEADLINE && now_ns >= self.deadline_ns
+    }
+}
+
+/// Split every request that has expired at `now_ns` off `batch`, keeping
+/// the live ones in order — the one deadline split: the queue's sheds,
+/// the dispatcher's in-hand batch and the shard's last-line check all
+/// run it. Allocation-free when nothing has expired.
+pub(crate) fn split_expired<T>(batch: &mut Vec<Pending<T>>, now_ns: u64) -> Vec<Pending<T>> {
+    if !batch.iter().any(|p| p.is_expired(now_ns)) {
+        return Vec::new();
+    }
+    let (expired, live) = std::mem::take(batch)
+        .into_iter()
+        .partition(|p| p.is_expired(now_ns));
+    *batch = live;
+    expired
+}
+
 /// Counters the batcher maintains as it runs (snapshot via
 /// [`BatcherCore::stats`]; `/stats` reports them).
 #[derive(Debug, Clone, Copy, Default)]
@@ -234,23 +257,12 @@ impl<T> BatcherCore<T> {
     /// answers 504). Shedding can un-ready the batcher — expired
     /// requests no longer count toward the size bound.
     pub fn shed_expired(&mut self, now_ns: u64) -> Vec<Pending<T>> {
-        if self
-            .queue
-            .iter()
-            .all(|p| p.deadline_ns == NO_DEADLINE || now_ns < p.deadline_ns)
-        {
+        if !self.queue.iter().any(|p| p.is_expired(now_ns)) {
             return Vec::new();
         }
-        let mut expired = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.queue.len());
-        for p in self.queue.drain(..) {
-            if p.deadline_ns != NO_DEADLINE && now_ns >= p.deadline_ns {
-                expired.push(p);
-            } else {
-                keep.push_back(p);
-            }
-        }
-        self.queue = keep;
+        let mut queue = Vec::from(std::mem::take(&mut self.queue));
+        let expired = split_expired(&mut queue, now_ns);
+        self.queue = queue.into();
         self.stats.shed += expired.len() as u64;
         expired
     }

@@ -30,12 +30,14 @@
 //! * [`model`] — the [`model::BatchModel`] trait the shards execute, and
 //!   [`model::GraphModel`] adapting a compiled graph to it (including
 //!   the brownout `set_degraded` hook over `HealthPolicy`).
-//! * [`supervisor`] — the shard-slot machinery: bounded mailboxes,
-//!   heartbeats, the epoch-guarded *active batch* slot that makes
-//!   steal-vs-reply exactly-once, and restart backoff.
+//! * [`supervisor`] — the shard slot, sole owner of one shard's state:
+//!   its bounded batch mailbox (`try_send` never waits), heartbeats, the
+//!   epoch-guarded *active batch* cell that makes steal-vs-reply
+//!   exactly-once, restart backoff and its `/stats` counters.
 //! * [`brownout`] — the pure hysteretic overload controller stepping
-//!   `max_batch`/`max_delay_ns` down under queue or latency pressure
-//!   (and relaxing shard health policies at the last rung).
+//!   `max_batch`/`max_delay_ns` down under queue or latency pressure; its
+//!   last rung is a `degraded` flag every shard worker reads on each wake
+//!   to relax (or restore) its model's health policy.
 //! * [`server`] — the threaded composition: connection handlers feed the
 //!   shared batcher, a dispatcher flushes ready batches to the
 //!   shortest-backlog live shard, a supervisor detects dead/wedged
@@ -43,7 +45,9 @@
 //!   respawns them with exponential backoff; admission control returns
 //!   503 when the bounded queue overflows, expired requests get 504
 //!   before costing shard work, `/healthz` turns 503 when every shard is
-//!   dead, and `/stats` reports the full picture as JSON.
+//!   dead, and `/stats` reports the full picture as JSON. An accepted
+//!   request's reply is a consume-once ticket; a ticket dropped
+//!   unanswered is its 503.
 //! * [`clock`] — the `Clock` abstraction ([`clock::SystemClock`] in
 //!   production, the testkit `VirtualClock` in tests).
 //!

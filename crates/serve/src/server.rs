@@ -11,10 +11,16 @@
 //! ```text
 //! conn threads ──offer──▶ BatcherCore (Mutex) ◀──take── dispatcher ──▶ shard slot 0 ─ worker 0
 //!      ▲                        │ Condvar                    │          shard slot 1 ─ worker 1 …
-//!      └──── oneshot reply ◀────┤                            │ (min-depth pick)
+//!      └──── Ticket (oneshot) ◀─┤                            │ (min-depth pick)
 //!                               │    supervisor ──heartbeats/steal/respawn──▶ slots
 //!                               └──requeue_front── supervisor (replay)
 //! ```
+//!
+//! Each piece of state has one owner: `Shared` holds the normalised
+//! [`ServeConfig`] once, each [`ShardSlot`] holds its shard's mailbox,
+//! health and `/stats` counters, and the brownout rung (with its
+//! "degraded" bit) is published by the supervisor and *read* by every
+//! worker on each wake — a respawned worker picks it up like any other.
 //!
 //! Guarantees the tests pin down:
 //!
@@ -23,10 +29,12 @@
 //!   queue up into 503s); an *accepted* request always gets exactly one
 //!   response — 200, 500, 504 or 503 — including across shard deaths,
 //!   wedges and shutdown: `accepted == completed + failed + timed_out +
-//!   unavailable`.
+//!   unavailable`. This holds by construction: an accepted request owns
+//!   a [`Ticket`] that `answer` consumes, and a ticket dropped
+//!   unanswered reads as the 503.
 //! * **deadlines** — requests carry an absolute deadline
-//!   (`X-Lowino-Deadline-Us`, default `LOWINO_SERVE_TIMEOUT_US`); an
-//!   expired request is shed with a 504 *before* it costs shard work.
+//!   (`X-Lowino-Deadline-Us`, default [`ServeConfig::default_deadline_ns`]);
+//!   an expired request is shed with a 504 *before* it costs shard work.
 //! * **self-healing** — shard workers heartbeat; the supervisor abandons
 //!   a wedged worker (stale heartbeat with work pending), steals its
 //!   in-flight batch, replays it FIFO, and respawns via the model
@@ -34,8 +42,9 @@
 //!   routed to survivors) after `max_restarts`.
 //! * **brownout** — under queue-depth or p99-vs-deadline pressure the
 //!   [`BrownoutPolicy`] steps `max_batch`/`max_delay_ns` down (and, at
-//!   the last rung, relaxes shard health policies), hysteretically
-//!   stepping back up when pressure clears.
+//!   the last rung, raises the shared `degraded` flag that relaxes every
+//!   worker's health policy), hysteretically stepping back up when
+//!   pressure clears.
 //! * **panic isolation** — each connection handler runs under
 //!   `catch_unwind` (counted in `/stats`), and shard inference panics
 //!   are converted into 500 responses rather than hangs.
@@ -50,12 +59,12 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::batcher::{BatchConfig, BatcherCore, Pending, NO_DEADLINE};
+use crate::batcher::{split_expired, BatchConfig, BatcherCore, Pending, Taken, NO_DEADLINE};
 use crate::brownout::{BrownoutConfig, BrownoutInput, BrownoutPolicy, BrownoutStep};
 use crate::clock::{Clock, SystemClock};
 use crate::http::{self, HttpError, HttpLimits};
@@ -85,7 +94,7 @@ const SHUTDOWN_STAGNANT_TICKS: u32 = 200;
 /// Recent-latency window feeding the brownout p99 estimate.
 const LATENCY_WINDOW: usize = 512;
 
-/// Server configuration (see `README.md` for the matching env vars).
+/// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Engine shards: independent models, each with its own thread pool.
@@ -137,55 +146,7 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// Defaults overridden by `LOWINO_SERVE_SHARDS`, `LOWINO_SERVE_BATCH`,
-    /// `LOWINO_SERVE_DEADLINE_US`, `LOWINO_SERVE_QUEUE`,
-    /// `LOWINO_SERVE_TIMEOUT_US`, `LOWINO_SERVE_WEDGE_US` and
-    /// `LOWINO_SERVE_MAX_RESTARTS`. Unparseable values panic loudly — a
-    /// half-applied serving config is worse than no server.
-    pub fn from_env() -> Self {
-        fn env_u64(name: &str, default: u64) -> u64 {
-            match std::env::var(name) {
-                Ok(v) => v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{name}={v:?} is not a number")),
-                Err(_) => default,
-            }
-        }
-        let d = Self::default();
-        Self {
-            shards: (env_u64("LOWINO_SERVE_SHARDS", d.shards as u64) as usize).max(1),
-            threads_per_shard: d.threads_per_shard,
-            max_batch: (env_u64("LOWINO_SERVE_BATCH", d.max_batch as u64) as usize).max(1),
-            max_delay_ns: env_u64("LOWINO_SERVE_DEADLINE_US", d.max_delay_ns / 1_000) * 1_000,
-            queue_cap: (env_u64("LOWINO_SERVE_QUEUE", d.queue_cap as u64) as usize).max(1),
-            shard_queue: d.shard_queue,
-            limits: HttpLimits::default(),
-            // 0 (or absent) = no default deadline.
-            default_deadline_ns: match env_u64("LOWINO_SERVE_TIMEOUT_US", 0) {
-                0 => NO_DEADLINE,
-                us => us.saturating_mul(1_000),
-            },
-            wedge_timeout_ns: env_u64("LOWINO_SERVE_WEDGE_US", d.wedge_timeout_ns / 1_000)
-                .saturating_mul(1_000),
-            max_restarts: env_u64("LOWINO_SERVE_MAX_RESTARTS", d.max_restarts),
-            restart_backoff_ns: d.restart_backoff_ns,
-            brownout: BrownoutConfig::default(),
-        }
-    }
-
-    fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            max_batch: self.max_batch,
-            max_delay_ns: self.max_delay_ns,
-            queue_cap: self.queue_cap,
-            ..BatchConfig::default()
-        }
-    }
-}
-
-/// The response a shard (or the lifecycle machinery) owes a request.
+/// An answer a shard owes a request (a 503 is a dropped [`Ticket`]).
 enum Reply {
     /// Inference output → 200.
     Output(Vec<f32>),
@@ -193,36 +154,45 @@ enum Reply {
     Failed(String),
     /// Deadline expired before execution → 504.
     Expired,
-    /// No shard could run it (all dead, or stolen at shutdown) → 503.
-    Unavailable,
 }
 
-/// One queued inference: decoded input plus the reply channel back to
-/// the connection thread.
+/// The right to answer one accepted request, consumed by
+/// [`Ticket::answer`]. Dropping it unanswered (every shard dead, or
+/// stolen at shutdown) closes the channel, which the connection reads as
+/// a 503 counted in [`StatsSnapshot::unavailable`]: every accepted
+/// request has exactly one fate without any call site remembering it.
+struct Ticket(SyncSender<Reply>);
+
+impl Ticket {
+    /// A ticket and the end its connection waits on.
+    fn new() -> (Self, Receiver<Reply>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (Self(tx), rx)
+    }
+
+    fn answer(self, reply: Reply) {
+        // The connection may be gone (client hung up); nothing is owed.
+        let _ = self.0.send(reply);
+    }
+}
+
+/// One queued inference: decoded input plus the ticket back to the
+/// connection thread.
 struct Job {
     input: Vec<f32>,
-    resp: SyncSender<Reply>,
+    ticket: Ticket,
 }
 
 type Batch = Vec<Pending<Job>>;
 
-/// What the dispatcher and supervisor put in a shard's mailbox.
-enum ShardMsg {
-    /// A batch to execute.
-    Batch(Batch),
-    /// Brownout toggle: relax/restore the model's health policy.
-    SetDegraded(bool),
-}
+type Slot = ShardSlot<Batch>;
 
-type Slot = ShardSlot<ShardMsg, Batch>;
-
-#[derive(Default)]
-struct ShardStats {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    demotions: AtomicU64,
-    wisdom_errors: AtomicU64,
-    algorithms: Mutex<Vec<String>>,
+/// Split off what has expired at `now_ns` and answer it 504, keeping
+/// the rest of `batch` in order.
+fn time_out_expired(batch: &mut Batch, now_ns: u64) {
+    for p in split_expired(batch, now_ns) {
+        p.payload.ticket.answer(Reply::Expired);
+    }
 }
 
 /// What the supervisor observed (virtual-clock timestamps — the
@@ -255,13 +225,9 @@ struct Shared {
     dispatch_cv: Condvar,
     clock: Arc<dyn Clock>,
     shutdown: AtomicBool,
-    limits: HttpLimits,
-    default_deadline_ns: u64,
-    wedge_timeout_ns: u64,
-    max_restarts: u64,
-    restart_backoff_ns: u64,
-    shard_queue: usize,
-    queue_cap: usize,
+    /// The configuration, normalised once at start (positive timeouts,
+    /// backoff and mailbox bound).
+    cfg: ServeConfig,
     /// `(input_len, output_len)` reported by the shard models.
     dims: OnceLock<(usize, usize)>,
     completed: AtomicU64,
@@ -273,12 +239,17 @@ struct Shared {
     shutdown_rejects: AtomicU64,
     deadline_rejects: AtomicU64,
     open_conns: AtomicUsize,
-    shards: Vec<ShardStats>,
     slots: Vec<Slot>,
     /// Recent end-to-end latencies (brownout p99 input).
     latency: Mutex<VecDeque<u64>>,
     /// Current brownout rung, published for `/stats`.
     brownout_rung: AtomicU64,
+    /// Is the brownout at its last rung? Every worker compares this with
+    /// what its model last applied on each wake and calls
+    /// [`BatchModel::set_degraded`] when they differ. Stored (`Release`)
+    /// before the batcher limits change; loaded (`Acquire`) by workers
+    /// after a mailbox pop, so a batch those limits release sees it.
+    degraded: AtomicBool,
     sup_stop: Mutex<bool>,
     sup_cv: Condvar,
     events: Mutex<Vec<SupervisorEvent>>,
@@ -477,15 +448,14 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         (b.stats(), b.depth())
     };
     let per_shard: Vec<ShardSnapshot> = shared
-        .shards
+        .slots
         .iter()
-        .zip(&shared.slots)
-        .map(|(s, slot)| ShardSnapshot {
-            requests: s.requests.load(Ordering::Acquire),
-            batches: s.batches.load(Ordering::Acquire),
-            demotions: s.demotions.load(Ordering::Acquire),
-            wisdom_errors: s.wisdom_errors.load(Ordering::Acquire),
-            algorithms: s
+        .map(|slot| ShardSnapshot {
+            requests: slot.requests.load(Ordering::Acquire),
+            batches: slot.batches.load(Ordering::Acquire),
+            demotions: slot.demotions.load(Ordering::Acquire),
+            wisdom_errors: slot.wisdom_errors.load(Ordering::Acquire),
+            algorithms: slot
                 .algorithms
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -558,19 +528,23 @@ impl Server {
         F: Fn(usize) -> M + Send + Sync + 'static,
     {
         assert!(cfg.shards >= 1, "need at least one shard");
+        let cfg = ServeConfig {
+            wedge_timeout_ns: cfg.wedge_timeout_ns.max(1),
+            restart_backoff_ns: cfg.restart_backoff_ns.max(1),
+            shard_queue: cfg.shard_queue.max(1),
+            ..cfg
+        };
         let now = clock.now_ns();
         let shared = Arc::new(Shared {
-            batcher: Mutex::new(BatcherCore::new(cfg.batch_config())),
+            batcher: Mutex::new(BatcherCore::new(BatchConfig {
+                max_batch: cfg.max_batch,
+                max_delay_ns: cfg.max_delay_ns,
+                queue_cap: cfg.queue_cap,
+                ..BatchConfig::default()
+            })),
             dispatch_cv: Condvar::new(),
             clock,
             shutdown: AtomicBool::new(false),
-            limits: cfg.limits,
-            default_deadline_ns: cfg.default_deadline_ns,
-            wedge_timeout_ns: cfg.wedge_timeout_ns.max(1),
-            max_restarts: cfg.max_restarts,
-            restart_backoff_ns: cfg.restart_backoff_ns.max(1),
-            shard_queue: cfg.shard_queue.max(1),
-            queue_cap: cfg.queue_cap,
             dims: OnceLock::new(),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -581,14 +555,16 @@ impl Server {
             shutdown_rejects: AtomicU64::new(0),
             deadline_rejects: AtomicU64::new(0),
             open_conns: AtomicUsize::new(0),
-            shards: (0..cfg.shards).map(|_| ShardStats::default()).collect(),
             slots: (0..cfg.shards).map(|_| Slot::new()).collect(),
             latency: Mutex::new(VecDeque::new()),
             brownout_rung: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
             sup_stop: Mutex::new(false),
             sup_cv: Condvar::new(),
             events: Mutex::new(Vec::new()),
+            cfg,
         });
+        let cfg = &shared.cfg;
         // Heartbeat stamps start at "now" so a fresh shard is never
         // instantly stale under a virtual clock far from zero.
         for slot in &shared.slots {
@@ -654,10 +630,9 @@ impl Server {
 
         let shared2 = Arc::clone(&shared);
         let factory2 = Arc::clone(&factory);
-        let brownout = BrownoutPolicy::new(cfg.brownout, cfg.max_batch, cfg.max_delay_ns);
         let supervisor = std::thread::Builder::new()
             .name("lowino-supervise".into())
-            .spawn(move || supervisor_loop(shared2, factory2, brownout))
+            .spawn(move || supervisor_loop(shared2, factory2))
             .map_err(|e| format!("spawning supervisor: {e}"))?;
 
         Ok(Self {
@@ -897,95 +872,80 @@ fn run_shard<M, F>(
     // a batch sent into a ~100ms model build would just sit there).
     slot.beat(shared.clock.now_ns());
     slot.set_warming(false);
-    let stats = &shared.shards[idx];
     let mut inputs = vec![0f32; cap * il];
     let mut outputs = vec![0f32; cap * ol];
     let mut last_demotions = usize::MAX; // force one initial algorithms publish
+    let mut degraded = false; // a fresh model runs its default health policy
     loop {
-        match slot.recv(my_epoch, HEARTBEAT_PERIOD) {
+        let mut live = match slot.recv(my_epoch, HEARTBEAT_PERIOD) {
             Recv::Stop => break,
-            Recv::Idle => slot.beat(shared.clock.now_ns()),
-            Recv::Msg(ShardMsg::SetDegraded(d)) => {
-                model.set_degraded(d);
-                slot.beat(shared.clock.now_ns());
-            }
-            Recv::Msg(ShardMsg::Batch(batch)) => {
-                let now = shared.clock.now_ns();
-                slot.beat(now);
-                // Last line of deadline defense: anything that expired
-                // while riding the mailbox is shed, not executed.
-                let mut live: Batch = Vec::with_capacity(batch.len());
-                for p in batch {
-                    if p.deadline_ns != NO_DEADLINE && now >= p.deadline_ns {
-                        let _ = p.payload.resp.send(Reply::Expired);
-                    } else {
-                        live.push(p);
-                    }
-                }
-                if live.is_empty() {
-                    continue;
-                }
-                let n = live.len();
-                debug_assert!(n <= cap, "dispatcher respects max_batch");
-                for (i, p) in live.iter().enumerate() {
-                    inputs[i * il..(i + 1) * il].copy_from_slice(&p.payload.input);
-                }
-                // Park the batch where the supervisor can steal it, then
-                // probe the wedge fault: a triggered wedge stops
-                // heartbeating and holds the batch until abandoned —
-                // exactly what a model stuck in native code looks like.
-                slot.set_active(live);
-                if SHARD_WEDGE.fire() {
-                    while slot.current_epoch() == my_epoch {
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
-                    return; // abandoned; the batch was stolen for replay
-                }
-                let _sp = lowino_trace::span_arg("serve/batch", n as u64);
-                // A panic inside inference (an armed fault the ladder
-                // could not absorb) must not strand the batch's callers.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    model.infer(&inputs[..n * il], n, &mut outputs[..n * ol])
-                }))
-                .unwrap_or_else(|_| Err("inference panicked".into()));
-                // Reclaim the batch. `None` means the supervisor stole
-                // it mid-flight (we were declared wedged): the thief
-                // owns the replies now — exit without answering.
-                let Some(live) = slot.take_active_if_current(my_epoch) else {
-                    return;
-                };
-                match result {
-                    Ok(()) => {
-                        for (i, p) in live.into_iter().enumerate() {
-                            let _ = p
-                                .payload
-                                .resp
-                                .send(Reply::Output(outputs[i * ol..(i + 1) * ol].to_vec()));
-                        }
-                    }
-                    Err(msg) => {
-                        for p in live {
-                            let _ = p.payload.resp.send(Reply::Failed(msg.clone()));
-                        }
-                    }
-                }
-                stats.requests.fetch_add(n as u64, Ordering::AcqRel);
-                stats.batches.fetch_add(1, Ordering::AcqRel);
-                let demos = model.demotions();
-                stats.demotions.store(demos as u64, Ordering::Release);
-                if demos != last_demotions {
-                    last_demotions = demos;
-                    *stats.algorithms.lock().unwrap_or_else(|e| e.into_inner()) =
-                        model.algorithms();
-                }
-                slot.beat(shared.clock.now_ns());
-            }
+            Recv::Idle => Vec::new(),
+            Recv::Batch(batch) => batch,
+        };
+        let now = shared.clock.now_ns();
+        slot.beat(now);
+        // Follow the published brownout flag on every wake, before
+        // executing anything (a respawned worker included).
+        let want = shared.degraded.load(Ordering::Acquire);
+        if want != degraded {
+            model.set_degraded(want);
+            degraded = want;
         }
+        // Last line of deadline defense: anything that expired while
+        // riding the mailbox is shed, not executed.
+        time_out_expired(&mut live, now);
+        if live.is_empty() {
+            continue;
+        }
+        let n = live.len();
+        debug_assert!(n <= cap, "dispatcher respects max_batch");
+        for (i, p) in live.iter().enumerate() {
+            inputs[i * il..(i + 1) * il].copy_from_slice(&p.payload.input);
+        }
+        // Park the batch where the supervisor can steal it, then probe
+        // the wedge fault: a triggered wedge stops heartbeating and holds
+        // the batch until abandoned — exactly what a model stuck in
+        // native code looks like.
+        slot.set_active(live);
+        if SHARD_WEDGE.fire() {
+            while slot.current_epoch() == my_epoch {
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            return; // abandoned; the batch was stolen for replay
+        }
+        let _sp = lowino_trace::span_arg("serve/batch", n as u64);
+        // A panic inside inference (an armed fault the ladder could not
+        // absorb) must not strand the batch's callers.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            model.infer(&inputs[..n * il], n, &mut outputs[..n * ol])
+        }))
+        .unwrap_or_else(|_| Err("inference panicked".into()));
+        // Reclaim the batch. `None` means the supervisor stole it
+        // mid-flight (we were declared wedged): the thief owns the
+        // tickets now — exit without answering.
+        let Some(live) = slot.take_active_if_current(my_epoch) else {
+            return;
+        };
+        for (i, p) in live.into_iter().enumerate() {
+            p.payload.ticket.answer(match &result {
+                Ok(()) => Reply::Output(outputs[i * ol..(i + 1) * ol].to_vec()),
+                Err(msg) => Reply::Failed(msg.clone()),
+            });
+        }
+        slot.requests.fetch_add(n as u64, Ordering::AcqRel);
+        slot.batches.fetch_add(1, Ordering::AcqRel);
+        let demos = model.demotions();
+        slot.demotions.store(demos as u64, Ordering::Release);
+        if demos != last_demotions {
+            last_demotions = demos;
+            *slot.algorithms.lock().unwrap_or_else(|e| e.into_inner()) = model.algorithms();
+        }
+        slot.beat(shared.clock.now_ns());
     }
     // Clean drain exit only (an abandoned worker must not race the
     // replacement's wisdom writes).
     if slot.current_epoch() == my_epoch && model.on_shutdown().is_err() {
-        stats.wisdom_errors.fetch_add(1, Ordering::AcqRel);
+        slot.wisdom_errors.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -1016,7 +976,7 @@ where
 fn handle_connection<S: Read + Write>(shared: &Arc<Shared>, stream: S) {
     let mut reader = BufReader::new(stream);
     loop {
-        let req = match http::read_request(&mut reader, &shared.limits) {
+        let req = match http::read_request(&mut reader, &shared.cfg.limits) {
             Ok(r) => r,
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => break,
             Err(HttpError::Bad { status, reason }) => {
@@ -1073,7 +1033,7 @@ fn handle_infer<S: Read + Write>(
     reader: &mut BufReader<S>,
     req: &http::Request,
 ) -> bool {
-    let (il, ol) = *shared.dims.get().expect("dims set before serving");
+    let (il, _) = *shared.dims.get().expect("dims set before serving");
     let keep = req.keep_alive;
     if req.body.len() != il * 4 {
         shared.http_errors.fetch_add(1, Ordering::AcqRel);
@@ -1093,8 +1053,7 @@ fn handle_infer<S: Read + Write>(
     let start = shared.clock.now_ns();
     let deadline_ns = match req.deadline_us {
         Some(us) => start.saturating_add(us.saturating_mul(1_000)),
-        None if shared.default_deadline_ns == NO_DEADLINE => NO_DEADLINE,
-        None => start.saturating_add(shared.default_deadline_ns),
+        None => start.saturating_add(shared.cfg.default_deadline_ns),
     };
     if deadline_ns != NO_DEADLINE && start >= deadline_ns {
         // `X-Lowino-Deadline-Us: 0` — expired on arrival; shed at
@@ -1105,57 +1064,62 @@ fn handle_infer<S: Read + Write>(
         lowino_trace::instant("serve/deadline_shed", 1);
         return http::write_error(reader.get_mut(), 504, "deadline expired", keep).is_ok();
     }
-    let (tx, rx) = mpsc::sync_channel::<Reply>(1);
-    let job = Job { input, resp: tx };
-    let verdict = {
+    let (ticket, rx) = Ticket::new();
+    let job = Job { input, ticket };
+    let accepted = {
         let mut b = shared.batcher.lock().unwrap_or_else(|e| e.into_inner());
         if shared.shutdown.load(Ordering::Acquire) {
             shared.shutdown_rejects.fetch_add(1, Ordering::AcqRel);
-            Err(())
+            false
         } else {
-            let r = b.offer(job, start, deadline_ns).map(|_| ()).map_err(|_| ());
+            let ok = b.offer(job, start, deadline_ns).is_ok();
             lowino_trace::instant("serve/queue_depth", b.depth() as u64);
-            r
+            ok
         }
     };
-    if verdict.is_err() {
+    if !accepted {
         return http::write_error(reader.get_mut(), 503, "queue full", keep).is_ok();
     }
     lowino_trace::counter("serve/requests", 1);
     // The batch this request joined may now be full — wake the
     // dispatcher so the size bound triggers without waiting a deadline.
     shared.dispatch_cv.notify_all();
-    let reply = rx.recv().unwrap_or(Reply::Unavailable);
-    shared.record_latency(shared.clock.age_ns(start));
+    respond(shared, reader.get_mut(), rx, start, keep)
+}
+
+/// Wait for an accepted request's one reply, count its outcome and write
+/// it. A ticket dropped unanswered is the 503. Returns false when the
+/// write failed.
+fn respond<W: Write>(
+    shared: &Shared,
+    w: &mut W,
+    rx: Receiver<Reply>,
+    start_ns: u64,
+    keep: bool,
+) -> bool {
+    let reply = rx.recv();
+    shared.record_latency(shared.clock.age_ns(start_ns));
     match reply {
-        Reply::Output(out) => {
-            debug_assert_eq!(out.len(), ol);
+        Ok(Reply::Output(out)) => {
             let mut bytes = Vec::with_capacity(out.len() * 4);
             for v in &out {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
             shared.completed.fetch_add(1, Ordering::AcqRel);
-            http::write_response(
-                reader.get_mut(),
-                200,
-                "application/octet-stream",
-                &bytes,
-                keep,
-            )
-            .is_ok()
+            http::write_response(w, 200, "application/octet-stream", &bytes, keep).is_ok()
         }
-        Reply::Failed(msg) => {
+        Ok(Reply::Failed(msg)) => {
             shared.failed.fetch_add(1, Ordering::AcqRel);
-            http::write_error(reader.get_mut(), 500, &msg, keep).is_ok()
+            http::write_error(w, 500, &msg, keep).is_ok()
         }
-        Reply::Expired => {
+        Ok(Reply::Expired) => {
             shared.timed_out.fetch_add(1, Ordering::AcqRel);
             lowino_trace::instant("serve/deadline_shed", 1);
-            http::write_error(reader.get_mut(), 504, "deadline exceeded", keep).is_ok()
+            http::write_error(w, 504, "deadline exceeded", keep).is_ok()
         }
-        Reply::Unavailable => {
+        Err(_) => {
             shared.unavailable.fetch_add(1, Ordering::AcqRel);
-            http::write_error(reader.get_mut(), 503, "shard unavailable", keep).is_ok()
+            http::write_error(w, 503, "shard unavailable", keep).is_ok()
         }
     }
 }
@@ -1170,44 +1134,34 @@ fn handle_infer<S: Read + Write>(
 /// single-digit milliseconds. An empty order therefore means "retry
 /// shortly", which the caller's requeue path already handles.
 fn pick_order(shared: &Shared, rr: usize, order: &mut Vec<usize>) {
-    order.clear();
     let n = shared.slots.len();
-    // (load, rr-rotated position) ascending.
-    let mut keyed: Vec<((usize, usize), usize)> = Vec::with_capacity(n);
-    for k in 0..n {
-        let i = (rr + k) % n;
+    order.clear();
+    order.extend((0..n).map(|k| (rr + k) % n).filter(|&i| {
         let slot = &shared.slots[i];
-        if !slot.is_alive() || slot.is_warming() {
-            continue;
-        }
-        let load = slot.depth() + slot.has_active() as usize;
-        keyed.push(((load, k), i));
-    }
-    keyed.sort_unstable_by_key(|&(key, _)| key);
-    order.extend(keyed.into_iter().map(|(_, i)| i));
+        slot.is_alive() && !slot.is_warming()
+    }));
+    // A stable sort: equal loads keep the rotated order.
+    order.sort_by_cached_key(|&i| shared.slots[i].depth() + shared.slots[i].has_active() as usize);
 }
 
 fn dispatcher_loop(shared: Arc<Shared>) {
     let mut rr = 0usize;
     'outer: loop {
         let mut flushing = false;
-        let taken = {
+        let (mut taken, now) = {
             let mut b = shared.batcher.lock().unwrap_or_else(|e| e.into_inner());
             loop {
+                let now = shared.clock.now_ns();
                 if shared.shutdown.load(Ordering::Acquire) {
                     // Force-flush: accepted requests are answered even
                     // though their coalescing deadline hasn't expired
                     // (expired ones get their 504 at the shard).
                     flushing = true;
-                    break crate::batcher::Taken {
-                        batch: b.force_take(),
-                        expired: Vec::new(),
-                    };
+                    break (Taken { batch: b.force_take(), expired: Vec::new() }, now);
                 }
-                let now = shared.clock.now_ns();
                 let t = b.take_batch(now);
                 if !t.batch.is_empty() || !t.expired.is_empty() {
-                    break t;
+                    break (t, now);
                 }
                 // Sleep to the deadline, capped so virtual-clock tests
                 // (where wall sleeps don't advance "now") still poll.
@@ -1223,9 +1177,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
             }
         };
         // Queue sheds: the 504s are owed *now*, before any dispatch.
-        for p in taken.expired {
-            let _ = p.payload.resp.send(Reply::Expired);
-        }
+        time_out_expired(&mut taken.expired, now);
         let mut batch = taken.batch;
         if batch.is_empty() {
             if flushing {
@@ -1239,13 +1191,11 @@ fn dispatcher_loop(shared: Arc<Shared>) {
             pick_order(&shared, rr, &mut order);
             if order.is_empty() {
                 // No live worker. Permanently dead (or shutting down
-                // with nothing coming back): answer 503. Otherwise the
-                // supervisor is mid-restart — put the batch back (ids
-                // intact) and retry shortly.
+                // with nothing coming back): drop the tickets — 503.
+                // Otherwise the supervisor is mid-restart — put the batch
+                // back (ids intact) and retry shortly.
                 if shared.all_dead() || shared.shutdown.load(Ordering::Acquire) {
-                    for p in batch {
-                        let _ = p.payload.resp.send(Reply::Unavailable);
-                    }
+                    drop(batch);
                 } else {
                     shared
                         .batcher
@@ -1265,10 +1215,9 @@ fn dispatcher_loop(shared: Arc<Shared>) {
             // cap do we wait: that is genuine backpressure, and the
             // admission queue upstream is what turns it into 503s.
             for &idx in &order {
-                match shared.slots[idx].try_send(ShardMsg::Batch(batch), shared.shard_queue) {
+                match shared.slots[idx].try_send(batch, shared.cfg.shard_queue) {
                     Ok(()) => break 'send,
-                    Err(ShardMsg::Batch(b)) => batch = b,
-                    Err(ShardMsg::SetDegraded(_)) => unreachable!("sent a batch"),
+                    Err(b) => batch = b,
                 }
             }
             // Stalled on backpressure — but the 504s owed elsewhere
@@ -1278,21 +1227,13 @@ fn dispatcher_loop(shared: Arc<Shared>) {
             // blocks that client's connection, compounding the stall
             // into its later requests).
             let now = shared.clock.now_ns();
-            let queue_expired = shared
+            let mut queue_expired = shared
                 .batcher
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .shed_expired(now);
-            for p in queue_expired {
-                let _ = p.payload.resp.send(Reply::Expired);
-            }
-            let (live, expired): (Vec<_>, Vec<_>) = batch.into_iter().partition(|p| {
-                p.deadline_ns == crate::batcher::NO_DEADLINE || now < p.deadline_ns
-            });
-            for p in expired {
-                let _ = p.payload.resp.send(Reply::Expired);
-            }
-            batch = live;
+            time_out_expired(&mut queue_expired, now);
+            time_out_expired(&mut batch, now);
             if batch.is_empty() {
                 continue 'outer;
             }
@@ -1303,29 +1244,17 @@ fn dispatcher_loop(shared: Arc<Shared>) {
 
 /// Steal a gone worker's in-flight batch and queued mailbox, and give
 /// the requests their future: replay through the batcher (ids and FIFO
-/// order intact), or a direct 503 during shutdown when nothing will
-/// come back up.
+/// order intact), or — during shutdown, when nothing will come back up —
+/// drop their tickets (503).
 fn steal_and_replay(shared: &Shared, idx: usize, shutting_down: bool) {
     let slot = &shared.slots[idx];
     let (active, queued) = slot.steal_work();
-    let mut pending: Batch = Vec::new();
-    if let Some(b) = active {
-        pending.extend(b);
-    }
-    for msg in queued {
-        if let ShardMsg::Batch(b) = msg {
-            pending.extend(b);
-        }
-    }
+    let pending: Batch = active.into_iter().chain(queued).flatten().collect();
     if pending.is_empty() {
         return;
     }
     slot.count_replayed(pending.len() as u64);
-    if shutting_down {
-        for p in pending {
-            let _ = p.payload.resp.send(Reply::Unavailable);
-        }
-    } else {
+    if !shutting_down {
         shared
             .batcher
             .lock()
@@ -1339,14 +1268,14 @@ fn steal_and_replay(shared: &Shared, idx: usize, shutting_down: bool) {
 /// backoff) or declare the shard `Dead` when the budget is spent.
 fn schedule_or_give_up(shared: &Shared, idx: usize, now: u64) {
     let slot = &shared.slots[idx];
-    if slot.restarts() >= shared.max_restarts {
+    if slot.restarts() >= shared.cfg.max_restarts {
         slot.set_state(ShardState::Dead);
         shared.log_event(idx, SupervisorEventKind::GaveUp, now);
         // Wake the dispatcher: if this was the last shard, waiting
         // batches must be answered 503, not parked forever.
         shared.dispatch_cv.notify_all();
     } else {
-        let backoff = backoff_ns(shared.restart_backoff_ns, slot.restarts(), BACKOFF_CAP_NS);
+        let backoff = backoff_ns(shared.cfg.restart_backoff_ns, slot.restarts(), BACKOFF_CAP_NS);
         slot.set_next_restart_at_ns(now.saturating_add(backoff));
         slot.set_state(ShardState::Restarting);
     }
@@ -1354,11 +1283,13 @@ fn schedule_or_give_up(shared: &Shared, idx: usize, now: u64) {
 
 /// The supervisor: wall-paced detection loop reading clock-stamped
 /// heartbeats, plus the brownout controller.
-fn supervisor_loop<M, F>(shared: Arc<Shared>, factory: Arc<F>, mut brownout: BrownoutPolicy)
+fn supervisor_loop<M, F>(shared: Arc<Shared>, factory: Arc<F>)
 where
     M: BatchModel + 'static,
     F: Fn(usize) -> M + Send + Sync + 'static,
 {
+    let cfg = &shared.cfg;
+    let mut brownout = BrownoutPolicy::new(cfg.brownout, cfg.max_batch, cfg.max_delay_ns);
     // One rung-0 instant up front so a traced healthy run still shows
     // the controller existed.
     lowino_trace::instant("serve/brownout", 0);
@@ -1419,7 +1350,7 @@ where
                 };
                 let stale_clock = !warming
                     && pending
-                    && now.saturating_sub(slot.last_beat_ns()) > shared.wedge_timeout_ns;
+                    && now.saturating_sub(slot.last_beat_ns()) > cfg.wedge_timeout_ns;
                 let stale_wall = shutting_down && pending && stagnant[idx] > SHUTDOWN_STAGNANT_TICKS;
                 if stale_clock || stale_wall {
                     slot.set_state(ShardState::Wedged);
@@ -1466,12 +1397,6 @@ where
                                         now,
                                     );
                                     lowino_trace::instant("serve/shard_restart", 1);
-                                    if brownout.degraded() {
-                                        let _ = slot.send(
-                                            ShardMsg::SetDegraded(true),
-                                            shared.shard_queue + 2,
-                                        );
-                                    }
                                     shared.dispatch_cv.notify_all();
                                 }
                                 Err(_) => {
@@ -1491,41 +1416,25 @@ where
             let b = shared.batcher.lock().unwrap_or_else(|e| e.into_inner());
             b.depth()
         };
-        let was_degraded = brownout.degraded();
         let step = brownout.tick(BrownoutInput {
             depth,
-            queue_cap: shared.queue_cap,
+            queue_cap: cfg.queue_cap,
             p99_ns: shared.latency_p99(),
-            deadline_ns: if shared.default_deadline_ns == NO_DEADLINE {
-                None
-            } else {
-                Some(shared.default_deadline_ns)
-            },
+            deadline_ns: Some(cfg.default_deadline_ns).filter(|&d| d != NO_DEADLINE),
         });
         if step != BrownoutStep::Hold {
+            // Publish the rung before the limits it implies, so a batch
+            // the new limits release already finds its worker's flag set.
+            let rung = brownout.rung();
+            shared.brownout_rung.store(rung as u64, Ordering::Release);
+            shared.degraded.store(brownout.degraded(), Ordering::Release);
+            lowino_trace::instant("serve/brownout", rung as u64);
             let (max_batch, max_delay_ns) = brownout.limits();
             shared
                 .batcher
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .set_limits(max_batch, max_delay_ns);
-            shared
-                .brownout_rung
-                .store(brownout.rung() as u64, Ordering::Release);
-            lowino_trace::instant("serve/brownout", brownout.rung() as u64);
-            if brownout.degraded() != was_degraded {
-                // Crossing the last rung: flip shard health policies.
-                // cap+2 leaves headroom over the dispatcher's bound, so
-                // this never blocks the supervisor.
-                for slot in &shared.slots {
-                    if slot.is_alive() {
-                        let _ = slot.send(
-                            ShardMsg::SetDegraded(brownout.degraded()),
-                            shared.shard_queue + 2,
-                        );
-                    }
-                }
-            }
             shared.dispatch_cv.notify_all();
         }
     }
@@ -1687,6 +1596,23 @@ mod tests {
             snap.completed + snap.failed + snap.timed_out + snap.unavailable,
             "the accepted identity holds even with admission sheds"
         );
+    }
+
+    #[test]
+    fn dropped_ticket_is_one_503_counted_once() {
+        let server = Server::start(ServeConfig::default(), |_| EchoModel { il: 2, fail: false })
+            .unwrap();
+        let shared = &server.shared;
+        let (ticket, rx) = Ticket::new();
+        drop(ticket); // never answered: no shard could run it
+        let mut wire = Vec::new();
+        assert!(respond(shared, &mut wire, rx, shared.clock.now_ns(), true));
+        let mut wire = &wire[..];
+        assert_eq!(http::read_response(&mut wire).unwrap().status, 503);
+        assert!(wire.is_empty(), "exactly one response on the wire");
+        let snap = server.shutdown();
+        assert_eq!(snap.unavailable, 1);
+        assert_eq!((snap.completed, snap.failed, snap.timed_out), (0, 0, 0));
     }
 
     #[test]

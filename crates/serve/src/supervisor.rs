@@ -1,5 +1,6 @@
-//! Shard supervision primitives: the mailbox, health, and lifecycle
-//! state one shard worker shares with the supervisor thread.
+//! Shard supervision primitives: the batch mailbox, health, lifecycle
+//! state and `/stats` counters one shard worker shares with the
+//! dispatcher and the supervisor thread.
 //!
 //! The design goal is **structural exactly-once**: a batch a shard is
 //! executing lives in the slot's [`active`] cell, and either the worker
@@ -76,9 +77,9 @@ impl ShardState {
 
 /// What a worker's mailbox `recv` produced.
 #[derive(Debug)]
-pub enum Recv<M> {
-    /// A message to process.
-    Msg(M),
+pub enum Recv<B> {
+    /// A batch to execute.
+    Batch(B),
     /// Timed out empty — heartbeat and wait again.
     Idle,
     /// Mailbox closed and drained (clean shutdown), or this worker's
@@ -87,19 +88,17 @@ pub enum Recv<M> {
     Stop,
 }
 
-struct Mailbox<M> {
-    queue: VecDeque<M>,
+struct Mailbox<B> {
+    queue: VecDeque<B>,
     closed: bool,
 }
 
 /// Everything one shard shares between its worker thread, the
 /// dispatcher, and the supervisor.
-pub struct ShardSlot<M, B> {
-    mailbox: Mutex<Mailbox<M>>,
+pub struct ShardSlot<B> {
+    mailbox: Mutex<Mailbox<B>>,
     /// Signals the worker: work arrived / mailbox closed / epoch bumped.
     work_cv: Condvar,
-    /// Signals the dispatcher: mailbox has space again.
-    space_cv: Condvar,
     /// The batch the worker is currently executing. The worker parks it
     /// here *before* running inference and takes it back (epoch-checked)
     /// to reply; the supervisor steals it from a dead or wedged worker
@@ -130,21 +129,32 @@ pub struct ShardSlot<M, B> {
     /// Earliest instant (supervisor clock) the next respawn may happen.
     next_restart_at_ns: AtomicU64,
     handle: Mutex<Option<JoinHandle<()>>>,
+    /// Requests this shard answered. This and the four fields below are
+    /// `/stats` counters its workers publish: no invariant, hence open to
+    /// the crate.
+    pub(crate) requests: AtomicU64,
+    /// Batches this shard executed.
+    pub(crate) batches: AtomicU64,
+    /// Demotions its current model's ladders have taken.
+    pub(crate) demotions: AtomicU64,
+    /// Failed shutdown wisdom saves.
+    pub(crate) wisdom_errors: AtomicU64,
+    /// Active algorithm per conv, in op order.
+    pub(crate) algorithms: Mutex<Vec<String>>,
 }
 
-impl<M, B> Default for ShardSlot<M, B> {
+impl<B> Default for ShardSlot<B> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M, B> ShardSlot<M, B> {
+impl<B> ShardSlot<B> {
     /// A fresh slot in `Healthy` state with an open, empty mailbox.
     pub fn new() -> Self {
         Self {
             mailbox: Mutex::new(Mailbox { queue: VecDeque::new(), closed: false }),
             work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
             active: Mutex::new(None),
             epoch: AtomicU64::new(0),
             progress: AtomicU64::new(0),
@@ -156,79 +166,51 @@ impl<M, B> ShardSlot<M, B> {
             replayed: AtomicU64::new(0),
             next_restart_at_ns: AtomicU64::new(0),
             handle: Mutex::new(None),
+            requests: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            demotions: AtomicU64::new(0),
+            wisdom_errors: AtomicU64::new(0),
+            algorithms: Mutex::new(Vec::new()),
         }
     }
 
     // ---- dispatcher side -------------------------------------------------
 
-    /// Queued message count (the weighted dispatcher picks the minimum).
+    /// Queued batch count (the weighted dispatcher picks the minimum).
     pub fn depth(&self) -> usize {
         self.mailbox.lock().unwrap().queue.len()
     }
 
-    /// Bounded send: blocks while the mailbox is at `cap` and the worker
-    /// is alive; hands the message back if the mailbox is closed or the
-    /// worker is gone (the dispatcher then re-picks a shard).
-    pub fn send(&self, msg: M, cap: usize) -> Result<(), M> {
-        let mut mb = self.mailbox.lock().unwrap();
-        loop {
-            if mb.closed || !self.alive.load(Ordering::Acquire) {
-                return Err(msg);
-            }
-            if mb.queue.len() < cap {
-                mb.queue.push_back(msg);
-                self.work_cv.notify_one();
-                return Ok(());
-            }
-            let (next, _) = self
-                .space_cv
-                .wait_timeout(mb, Duration::from_millis(2))
-                .unwrap();
-            mb = next;
-        }
-    }
-
-    /// Non-blocking bounded send: hands the message straight back when
-    /// the mailbox is full, closed, or the worker is gone. The
-    /// dispatcher uses this so one unresponsive shard (mailbox at cap,
-    /// worker secretly wedged but not yet detected) can never hold the
-    /// whole dispatch loop hostage — it just tries the next shard.
-    pub fn try_send(&self, msg: M, cap: usize) -> Result<(), M> {
+    /// Bounded send that never waits: hands the batch straight back when
+    /// the mailbox is at `cap`, closed, or the worker is gone. One
+    /// unresponsive shard (mailbox at cap, worker secretly wedged but not
+    /// yet detected) therefore never holds the dispatch loop hostage —
+    /// the dispatcher just tries the next shard.
+    pub fn try_send(&self, batch: B, cap: usize) -> Result<(), B> {
         let mut mb = self.mailbox.lock().unwrap();
         if mb.closed || !self.alive.load(Ordering::Acquire) || mb.queue.len() >= cap {
-            return Err(msg);
+            return Err(batch);
         }
-        mb.queue.push_back(msg);
+        mb.queue.push_back(batch);
         self.work_cv.notify_one();
         Ok(())
     }
 
     // ---- worker side -----------------------------------------------------
 
-    /// Worker mailbox wait: pops a message, or times out (heartbeat and
+    /// Worker mailbox wait: pops a batch, or times out (heartbeat and
     /// call again), or reports `Stop` when the mailbox is closed-and-
     /// drained or `my_epoch` went stale (this worker was abandoned).
-    pub fn recv(&self, my_epoch: u64, timeout: Duration) -> Recv<M> {
+    pub fn recv(&self, my_epoch: u64, timeout: Duration) -> Recv<B> {
         let mut mb = self.mailbox.lock().unwrap();
-        if self.epoch.load(Ordering::Acquire) != my_epoch {
-            return Recv::Stop;
+        if mb.queue.is_empty() && !mb.closed {
+            mb = self.work_cv.wait_timeout(mb, timeout).unwrap().0;
         }
-        if let Some(msg) = mb.queue.pop_front() {
-            self.space_cv.notify_one();
-            return Recv::Msg(msg);
-        }
-        if mb.closed {
-            return Recv::Stop;
-        }
-        let (mut mb, _) = self.work_cv.wait_timeout(mb, timeout).unwrap();
         if self.epoch.load(Ordering::Acquire) != my_epoch {
             return Recv::Stop;
         }
         match mb.queue.pop_front() {
-            Some(msg) => {
-                self.space_cv.notify_one();
-                Recv::Msg(msg)
-            }
+            Some(batch) => Recv::Batch(batch),
             None if mb.closed => Recv::Stop,
             None => Recv::Idle,
         }
@@ -272,7 +254,6 @@ impl<M, B> ShardSlot<M, B> {
     pub fn bump_epoch(&self) -> u64 {
         let e = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.work_cv.notify_all();
-        self.space_cv.notify_all();
         e
     }
 
@@ -282,13 +263,10 @@ impl<M, B> ShardSlot<M, B> {
     }
 
     /// Steal the in-flight batch (if the worker has not already taken
-    /// it back) and every queued mailbox message, for replay.
-    pub fn steal_work(&self) -> (Option<B>, Vec<M>) {
+    /// it back) and every queued batch, oldest first, for replay.
+    pub fn steal_work(&self) -> (Option<B>, Vec<B>) {
         let active = self.active.lock().unwrap().take();
-        let mut mb = self.mailbox.lock().unwrap();
-        let queued: Vec<M> = mb.queue.drain(..).collect();
-        drop(mb);
-        self.space_cv.notify_all();
+        let queued = self.mailbox.lock().unwrap().queue.drain(..).collect();
         (active, queued)
     }
 
@@ -297,12 +275,6 @@ impl<M, B> ShardSlot<M, B> {
     pub fn close(&self) {
         self.mailbox.lock().unwrap().closed = true;
         self.work_cv.notify_all();
-        self.space_cv.notify_all();
-    }
-
-    /// Has `close` been called?
-    pub fn is_closed(&self) -> bool {
-        self.mailbox.lock().unwrap().closed
     }
 
     // ---- health bookkeeping ---------------------------------------------
@@ -321,8 +293,6 @@ impl<M, B> ShardSlot<M, B> {
             self.alive.store(false, Ordering::Release);
             self.warming.store(false, Ordering::Release);
         }
-        self.work_cv.notify_all();
-        self.space_cv.notify_all();
     }
 
     /// Supervisor-side: force the flag down when abandoning a wedged
@@ -331,7 +301,6 @@ impl<M, B> ShardSlot<M, B> {
         self.alive.store(false, Ordering::Release);
         self.warming.store(false, Ordering::Release);
         self.work_cv.notify_all();
-        self.space_cv.notify_all();
     }
 
     /// Is the worker thread still running?
@@ -418,53 +387,71 @@ pub fn backoff_ns(base_ns: u64, restarts: u64, cap_ns: u64) -> u64 {
 mod tests {
     use super::*;
 
-    type Slot = ShardSlot<u32, Vec<u32>>;
+    type Slot = ShardSlot<Vec<u32>>;
+
+    fn recv_now(s: &Slot, epoch: u64) -> Recv<Vec<u32>> {
+        s.recv(epoch, Duration::from_millis(1))
+    }
 
     #[test]
     fn mailbox_send_recv_fifo_and_depth() {
         let s: Slot = Slot::new();
         s.mark_alive();
-        s.send(1, 4).unwrap();
-        s.send(2, 4).unwrap();
+        s.try_send(vec![1], 4).unwrap();
+        s.try_send(vec![2], 4).unwrap();
         assert_eq!(s.depth(), 2);
         let e = s.current_epoch();
-        match s.recv(e, Duration::from_millis(1)) {
-            Recv::Msg(1) => {}
+        match recv_now(&s, e) {
+            Recv::Batch(b) if b == [1] => {}
             other => panic!("{other:?}"),
         }
-        match s.recv(e, Duration::from_millis(1)) {
-            Recv::Msg(2) => {}
+        match recv_now(&s, e) {
+            Recv::Batch(b) if b == [2] => {}
             other => panic!("{other:?}"),
         }
-        assert!(matches!(s.recv(e, Duration::from_millis(1)), Recv::Idle));
+        assert!(matches!(recv_now(&s, e), Recv::Idle));
     }
 
     #[test]
     fn bounded_send_rejects_when_closed_or_dead() {
         let s: Slot = Slot::new();
-        // Worker never spawned → not alive → send hands the message back.
-        assert_eq!(s.send(7, 4), Err(7));
+        // Worker never spawned → not alive → send hands the batch back.
+        assert_eq!(s.try_send(vec![7], 4), Err(vec![7]));
         s.mark_alive();
-        s.send(8, 4).unwrap();
+        s.try_send(vec![8], 4).unwrap();
         s.close();
-        assert_eq!(s.send(9, 4), Err(9));
-        // The queued message still drains before Stop.
+        assert_eq!(s.try_send(vec![9], 4), Err(vec![9]));
+        // The queued batch still drains before Stop.
         let e = s.current_epoch();
-        assert!(matches!(s.recv(e, Duration::from_millis(1)), Recv::Msg(8)));
-        assert!(matches!(s.recv(e, Duration::from_millis(1)), Recv::Stop));
+        assert!(matches!(recv_now(&s, e), Recv::Batch(b) if b == [8]));
+        assert!(matches!(recv_now(&s, e), Recv::Stop));
+    }
+
+    #[test]
+    fn try_send_hands_the_batch_back_at_cap() {
+        let s: Slot = Slot::new();
+        s.mark_alive();
+        s.try_send(vec![1], 2).unwrap();
+        s.try_send(vec![2], 2).unwrap();
+        assert_eq!(s.try_send(vec![3], 2), Err(vec![3]), "mailbox at cap");
+        assert_eq!(s.depth(), 2, "the refused batch was not queued");
+        // Draining one frees exactly one place.
+        assert!(matches!(recv_now(&s, s.current_epoch()), Recv::Batch(b) if b == [1]));
+        s.try_send(vec![3], 2).unwrap();
+        assert_eq!(s.try_send(vec![4], 2), Err(vec![4]));
     }
 
     #[test]
     fn stale_epoch_stops_the_worker_without_touching_work() {
         let s: Slot = Slot::new();
         s.mark_alive();
-        s.send(5, 4).unwrap();
+        s.try_send(vec![5], 4).unwrap();
         let old = s.current_epoch();
         s.bump_epoch();
-        assert!(matches!(s.recv(old, Duration::from_millis(1)), Recv::Stop));
+        assert!(matches!(recv_now(&s, old), Recv::Stop));
         assert_eq!(s.depth(), 1, "abandoned worker left the mailbox alone");
-        // The replacement (current epoch) gets the message.
-        assert!(matches!(s.recv(s.current_epoch(), Duration::from_millis(1)), Recv::Msg(5)));
+        // The replacement (current epoch) gets the batch.
+        assert!(matches!(recv_now(&s, s.current_epoch()), Recv::Batch(b) if b == [5]));
     }
 
     #[test]
@@ -492,11 +479,11 @@ mod tests {
         let s: Slot = Slot::new();
         s.mark_alive();
         s.set_active(vec![0]);
-        s.send(1, 8).unwrap();
-        s.send(2, 8).unwrap();
+        s.try_send(vec![1], 8).unwrap();
+        s.try_send(vec![2], 8).unwrap();
         let (active, queued) = s.steal_work();
         assert_eq!(active.unwrap(), [0]);
-        assert_eq!(queued, [1, 2]);
+        assert_eq!(queued, [vec![1], vec![2]]);
         assert_eq!(s.depth(), 0);
     }
 

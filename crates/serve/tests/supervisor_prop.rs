@@ -14,18 +14,23 @@
 //! * the restart backoff schedule is exact and exponential
 //!   (`base << restarts`), and respawns never fire early;
 //! * after `max_restarts` the shard goes `Dead`: `/healthz` turns 503
-//!   and accepted requests get clean 503s instead of hanging.
+//!   and accepted requests get clean 503s instead of hanging;
+//! * brownout's last rung relaxes every live shard's health policy — a
+//!   shard respawned while degraded included, before its first batch —
+//!   and clearing the pressure restores them all.
 //!
 //! The fault sites are process-global statics, so tests that arm them
 //! serialize on one mutex.
 
 use std::io::{BufReader, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lowino_serve::http;
 use lowino_serve::{
-    BatchModel, DuplexStream, ServeConfig, Server, ShardState, SupervisorEventKind, NO_DEADLINE,
+    BatchModel, BrownoutConfig, DuplexStream, ServeConfig, Server, ShardState, SupervisorEventKind,
+    NO_DEADLINE,
 };
 use lowino_testkit::faults::{disarm_all, SHARD_SPAWN, SHARD_WEDGE};
 use lowino_testkit::VirtualClock;
@@ -336,4 +341,156 @@ fn spawn_death_at_startup_is_respawned_not_fatal() {
     );
     assert!(res.is_err(), "a shard dying during construction fails startup");
     disarm_all();
+}
+
+/// A model call the brownout test records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Degraded(bool),
+    Infer,
+}
+
+/// `(instance, shard, call)`: instances are numbered 0, 1, … in spawn
+/// order.
+type CallLog = Arc<Mutex<Vec<(usize, usize, Call)>>>;
+
+/// [`EchoModel`] that logs its `set_degraded` and `infer` calls.
+struct Recorder {
+    instance: usize,
+    shard: usize,
+    log: CallLog,
+}
+
+impl Recorder {
+    fn record(&self, call: Call) {
+        self.log.lock().unwrap().push((self.instance, self.shard, call));
+    }
+}
+
+impl BatchModel for Recorder {
+    fn input_len(&self) -> usize {
+        2
+    }
+    fn output_len(&self) -> usize {
+        1
+    }
+    fn max_batch(&self) -> usize {
+        8
+    }
+    fn infer(&mut self, inputs: &[f32], count: usize, outputs: &mut [f32]) -> Result<(), String> {
+        self.record(Call::Infer);
+        EchoModel { il: 2 }.infer(inputs, count, outputs)
+    }
+    fn set_degraded(&mut self, degraded: bool) {
+        self.record(Call::Degraded(degraded));
+    }
+}
+
+#[test]
+fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_them() {
+    let _g = fault_guard();
+    const WEDGE_NS: u64 = 10_000_000;
+    let clock = Arc::new(VirtualClock::new());
+    let log: CallLog = Arc::new(Mutex::new(Vec::new()));
+    let spawned = Arc::new(AtomicUsize::new(0));
+    let cfg = ServeConfig {
+        shards: 2,
+        queue_cap: 16,
+        // One rung, so the first step down is the last rung. Five queued
+        // requests (5/16) are pressure; only an empty queue is clear.
+        brownout: BrownoutConfig {
+            rungs: 1,
+            enter_depth: 0.3,
+            exit_depth: 0.0,
+            clear_ticks: 1,
+            ..BrownoutConfig::default()
+        },
+        ..cfg(8, WEDGE_NS, 5)
+    };
+    let (log2, spawned2) = (Arc::clone(&log), Arc::clone(&spawned));
+    let server = Server::start_with_clock(
+        cfg,
+        move |shard| Recorder {
+            instance: spawned2.fetch_add(1, Ordering::SeqCst),
+            shard,
+            log: Arc::clone(&log2),
+        },
+        clock.clone(),
+    )
+    .unwrap();
+    let calls = |instance: usize| -> Vec<Call> {
+        let log = log.lock().unwrap();
+        log.iter().filter(|e| e.0 == instance).map(|e| e.2).collect()
+    };
+    let shard_of = |instance: usize| {
+        let log = log.lock().unwrap();
+        log.iter().find(|e| e.0 == instance).expect("instance logged").1
+    };
+
+    // Queue pressure. At max_batch 8 under a frozen clock nothing
+    // dispatches, so five requests wait in the queue. The step to the
+    // last rung halves max_batch to 4, which releases four of them as one
+    // batch and leaves one queued: neither pressure nor clear, so the
+    // rung holds. That batch wedges its worker.
+    let wedges = SHARD_WEDGE.hits();
+    SHARD_WEDGE.arm();
+    let mut clients: Vec<_> =
+        (0..5).map(|i| spawn_infer(server.connect(), vec![i as f32, 1.0])).collect();
+    wait_until("the last rung", || server.stats().brownout_rung == 1);
+    wait_until("the wedged batch", || SHARD_WEDGE.hits() > wedges);
+    wait_until("every live shard relaxed", || {
+        (0..2).all(|i| calls(i).contains(&Call::Degraded(true)))
+    });
+    for i in 0..2 {
+        assert_eq!(calls(i), [Call::Degraded(true)], "instance {i}");
+    }
+
+    // Respawn while degraded. Let the idle shard heartbeat at the wedge
+    // timeout first, so one nanosecond later only the wedged one is stale.
+    clock.advance_to(WEDGE_NS);
+    wait_until("the idle shard's heartbeat", || {
+        server.stats().per_shard.iter().any(|s| s.heartbeat_age_ns == 0)
+    });
+    clock.advance(1);
+    wait_until("wedge detection", || {
+        !events_of(&server, SupervisorEventKind::WedgeDetected).is_empty()
+    });
+    clock.advance(1_000_000);
+    wait_until("the respawn", || {
+        !events_of(&server, SupervisorEventKind::Respawned).is_empty()
+    });
+    assert_eq!(server.stats().brownout_rung, 1, "still degraded at the respawn");
+    wait_until("the respawned shard relaxed", || !calls(2).is_empty());
+    assert_eq!(
+        calls(2)[0],
+        Call::Degraded(true),
+        "a shard respawned while degraded starts relaxed, before its first batch"
+    );
+    let survivor = (0..2).find(|&i| shard_of(i) != shard_of(2)).unwrap();
+
+    // Clear the pressure: three more requests make a batch of four with
+    // the queued one, the empty queue is clear, the rung steps back up,
+    // and every live shard restores its policy.
+    clients.extend((0..3).map(|i| spawn_infer(server.connect(), vec![i as f32, 2.0])));
+    for c in clients {
+        assert_eq!(c.join().unwrap().0, 200);
+    }
+    wait_until("the rung to clear", || server.stats().brownout_rung == 0);
+    // (A batch may run after the restore: the flag is read on each wake.)
+    let policy = |i: usize| {
+        calls(i).iter().rev().find_map(|c| match c {
+            Call::Degraded(d) => Some(*d),
+            Call::Infer => None,
+        })
+    };
+    wait_until("every live shard restored", || {
+        [survivor, 2].iter().all(|&i| policy(i) == Some(false))
+    });
+
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, 8);
+    assert_eq!(
+        snap.accepted,
+        snap.completed + snap.failed + snap.timed_out + snap.unavailable
+    );
 }
