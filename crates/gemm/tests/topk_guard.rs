@@ -3,11 +3,15 @@
 //! candidates, so that set must contain a blocking within 10 % of the
 //! full-lattice sweep's best.
 
-use lowino_gemm::{tune_blocking, tune_blocking_full, GemmShape, TUNE_TOP_K};
+use lowino_gemm::{tune_blocking, tune_blocking_full, Blocking, GemmShape, TUNE_TOP_K};
 use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
 
-/// Acceptance guard (ISSUE 8): on the three bench GEMM shapes, measuring
+/// Head-to-head rounds between the two finalists (odd, so the median is
+/// one round's ratio).
+const DUEL_ROUNDS: usize = 11;
+
+/// Acceptance guard: on the three bench GEMM shapes, measuring
 /// only the cost model's top-K must reach ≥90% of the full-lattice-sweep
 /// winner's throughput. Timing-sensitive, so it is `#[ignore]`d under the
 /// plain (debug) test run and executed release-mode by `ci/check.sh`.
@@ -33,13 +37,33 @@ fn topk_pruning_keeps_at_least_90_percent_of_full_sweep_throughput() {
             continue;
         }
         // The sweeps time each candidate best-of-3 — too noisy on a
-        // shared core to decide a 90% bar between two near-equal
-        // blockings. Re-measure only the two finalists head-to-head at
-        // higher repeats and judge on that.
-        let (_, duel) =
-            lowino_gemm::measure_candidates(tier, &shape, &[full_best, topk_best], &mut pool, 7);
-        let ratio = duel[1].time.as_secs_f64() / duel[0].time.as_secs_f64();
-        println!("{name}: full winner {full_best:?}, top-K winner {topk_best:?} ({ratio:.3}x)");
+        // shared host to decide a 90% bar between two near-equal
+        // blockings, and so is one head-to-head: a noisy phase that hits
+        // one side of it decides the verdict. Re-measure the two
+        // finalists in interleaved rounds, alternating which goes first,
+        // and judge the median per-round ratio.
+        let mut ratios: Vec<f64> = (0..DUEL_ROUNDS)
+            .map(|round| {
+                let mut pair = [full_best, topk_best];
+                if round % 2 == 1 {
+                    pair.reverse();
+                }
+                let (_, m) = lowino_gemm::measure_candidates(tier, &shape, &pair, &mut pool, 3);
+                let secs = |b: Blocking| {
+                    let hit = m.iter().find(|x| x.blocking == b).expect("measured");
+                    hit.time.as_secs_f64()
+                };
+                secs(topk_best) / secs(full_best)
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let ratio = ratios[DUEL_ROUNDS / 2];
+        println!(
+            "{name}: full winner {full_best:?}, top-K winner {topk_best:?} \
+             (median {ratio:.3}x over {DUEL_ROUNDS} rounds, {:.3}x..{:.3}x)",
+            ratios[0],
+            ratios[DUEL_ROUNDS - 1]
+        );
         assert!(
             ratio <= 1.0 / 0.9,
             "{name}: top-K winner reaches only {:.1}% of full-sweep throughput",

@@ -2,7 +2,8 @@
 //! server, kept **pure** so it is exhaustively testable.
 //!
 //! [`BatcherCore`] never reads a clock, never touches a socket, never
-//! blocks: every transition takes an explicit `now_ns`. The threaded
+//! blocks: every transition takes an explicit `now_ns` (and a release
+//! takes whether a shard is idle, which the caller observes). The threaded
 //! server wraps it in a mutex and feeds it real time; the property tests
 //! (`tests/batcher_prop.rs`) feed it a virtual clock and seeded Poisson
 //! arrivals and check the invariants the server's guarantees rest on:
@@ -10,11 +11,14 @@
 //! * **admission** — [`BatcherCore::offer`] accepts iff the queue is
 //!   below its bound; a rejected payload is handed back (the server
 //!   turns it into a 503, never silently dropping it);
-//! * **dispatch** — [`BatcherCore::take_batch`] releases a batch only
-//!   when it is *ready*: either `max_batch` requests are waiting (size
-//!   bound), the oldest has waited `max_delay_ns` (coalescing deadline),
-//!   or the most urgent queued request is within `expiry_margin_ns` of
-//!   its *request* deadline (stop coalescing rather than blow it);
+//! * **dispatch** — work-conserving: [`BatcherCore::take_batch`] is
+//!   told whether a shard is *idle* (mailbox empty, worker holding no
+//!   batch) and then releases whatever is queued, up to `max_batch`, at
+//!   once. While every shard is busy it coalesces: a batch is *ready*
+//!   only when `max_batch` requests are waiting (size bound), the oldest
+//!   has waited `max_delay_ns` (coalescing deadline), or the most urgent
+//!   queued request is within `expiry_margin_ns` of its *request*
+//!   deadline (stop coalescing rather than blow it);
 //! * **deadlines** — every request carries an absolute `deadline_ns`;
 //!   [`BatcherCore::take_batch`] sheds expired requests instead of ever
 //!   including one in a batch (the server answers 504 — a request is
@@ -37,9 +41,10 @@ pub struct BatchConfig {
     /// Dispatch as soon as this many requests are queued (must be ≥ 1 and
     /// ≤ the model's planned batch capacity).
     pub max_batch: usize,
-    /// Dispatch when the oldest queued request is this old, even if the
-    /// batch is not full — the latency the server is willing to spend
-    /// waiting for co-riders.
+    /// While every shard is busy, dispatch when the oldest queued request
+    /// is this old, even if the batch is not full — the latency the
+    /// server is willing to spend waiting for co-riders. A request that
+    /// finds a shard idle does not wait for it.
     pub max_delay_ns: u64,
     /// Admission bound: offers beyond this queue depth are rejected.
     pub queue_cap: usize,
@@ -245,11 +250,14 @@ impl<T> BatcherCore<T> {
         }
     }
 
-    /// Is a batch releasable at `now_ns`? True when `max_batch` requests
-    /// are queued, the oldest has aged past `max_delay_ns`, or any
-    /// queued request is within `expiry_margin_ns` of its deadline.
-    pub fn ready(&self, now_ns: u64) -> bool {
-        self.queue.len() >= self.cfg.max_batch
+    /// Is a batch releasable at `now_ns`, given whether a shard is `idle`?
+    /// With an idle shard, any queued request is. While every shard is
+    /// busy, only when `max_batch` requests are queued, the oldest has
+    /// aged past `max_delay_ns`, or any queued request is within
+    /// `expiry_margin_ns` of its deadline. An empty queue never is.
+    pub fn ready(&self, now_ns: u64, idle: bool) -> bool {
+        (idle && !self.queue.is_empty())
+            || self.queue.len() >= self.cfg.max_batch
             || self.next_deadline().is_some_and(|d| now_ns >= d)
     }
 
@@ -268,11 +276,12 @@ impl<T> BatcherCore<T> {
     }
 
     /// Shed expired requests, then release the oldest up-to-`max_batch`
-    /// live requests if a batch is (still) ready at `now_ns`. The batch
-    /// never contains a request past its deadline.
-    pub fn take_batch(&mut self, now_ns: u64) -> Taken<T> {
+    /// live requests if a batch is (still) [`ready`](Self::ready) at
+    /// `now_ns` with a shard `idle` or not. The batch never contains a
+    /// request past its deadline.
+    pub fn take_batch(&mut self, now_ns: u64, idle: bool) -> Taken<T> {
         let expired = self.shed_expired(now_ns);
-        let batch = if self.ready(now_ns) { self.force_take() } else { Vec::new() };
+        let batch = if self.ready(now_ns, idle) { self.force_take() } else { Vec::new() };
         Taken { batch, expired }
     }
 
@@ -305,11 +314,11 @@ mod tests {
         let mut b = BatcherCore::new(cfg(3, 1_000_000, 10));
         assert!(b.offer("a", 0, NO_DEADLINE).is_ok());
         assert!(b.offer("b", 1, NO_DEADLINE).is_ok());
-        assert!(!b.ready(2), "two of three queued");
-        assert!(b.take_batch(2).batch.is_empty());
+        assert!(!b.ready(2, false), "two of three queued");
+        assert!(b.take_batch(2, false).batch.is_empty());
         assert!(b.offer("c", 2, NO_DEADLINE).is_ok());
-        assert!(b.ready(2), "size bound reached");
-        let t = b.take_batch(2);
+        assert!(b.ready(2, false), "size bound reached");
+        let t = b.take_batch(2, false);
         assert_eq!(t.batch.len(), 3);
         assert!(t.expired.is_empty());
         assert_eq!(t.batch.iter().map(|p| p.id).collect::<Vec<_>>(), [0, 1, 2]);
@@ -322,9 +331,9 @@ mod tests {
         b.offer(1u32, 50, NO_DEADLINE).unwrap();
         b.offer(2u32, 60, NO_DEADLINE).unwrap();
         assert_eq!(b.next_deadline(), Some(150));
-        assert!(!b.ready(149));
-        assert!(b.ready(150), "oldest aged past max_delay");
-        let t = b.take_batch(150);
+        assert!(!b.ready(149, false));
+        assert!(b.ready(150, false), "oldest aged past max_delay");
+        let t = b.take_batch(150, false);
         assert_eq!(t.batch.len(), 2, "partial batch at deadline");
         assert_eq!(b.next_deadline(), None);
     }
@@ -349,10 +358,10 @@ mod tests {
         for i in 0..5 {
             b.offer(i, 0, NO_DEADLINE).unwrap();
         }
-        assert_eq!(b.take_batch(0).batch.len(), 2, "size-ready despite young age");
-        assert_eq!(b.take_batch(0).batch.len(), 2);
-        assert!(b.take_batch(0).batch.is_empty(), "one left, not aged");
-        assert_eq!(b.take_batch(1_000).batch.len(), 1, "deadline flushes the tail");
+        assert_eq!(b.take_batch(0, false).batch.len(), 2, "size-ready despite young age");
+        assert_eq!(b.take_batch(0, false).batch.len(), 2);
+        assert!(b.take_batch(0, false).batch.is_empty(), "one left, not aged");
+        assert_eq!(b.take_batch(1_000, false).batch.len(), 1, "deadline flushes the tail");
         let s = b.stats();
         assert_eq!((s.dispatched, s.batches), (5, 3));
         assert_eq!(s.max_depth, 5);
@@ -364,17 +373,17 @@ mod tests {
         b.offer("lives", 0, 500).unwrap();
         b.offer("dies", 10, 100).unwrap();
         // At t=100 the second request is exactly at its deadline: shed.
-        let t = b.take_batch(100);
+        let t = b.take_batch(100, false);
         assert_eq!(t.expired.len(), 1);
         assert_eq!(t.expired[0].payload, "dies");
         // The survivor is within its expiry margin at t=500 → dispatched,
         // never after its deadline.
         assert!(t.batch.is_empty(), "one live young request is not ready");
-        let t = b.take_batch(499);
+        let t = b.take_batch(499, false);
         assert!(t.expired.is_empty());
         assert!(t.batch.is_empty(), "t=499 < deadline-with-zero-margin");
         // (t=500 is the deadline itself: shed, not dispatched.)
-        let t = b.take_batch(500);
+        let t = b.take_batch(500, false);
         assert_eq!(t.expired.len(), 1);
         assert!(t.batch.is_empty());
         let s = b.stats();
@@ -393,9 +402,9 @@ mod tests {
         b.offer("urgent", 0, 200).unwrap();
         // Far from the coalescing deadline (1ms) but within margin of the
         // request deadline at t=150.
-        assert!(!b.ready(149));
-        assert!(b.ready(150), "deadline - margin reached");
-        let t = b.take_batch(150);
+        assert!(!b.ready(149, false));
+        assert!(b.ready(150, false), "deadline - margin reached");
+        let t = b.take_batch(150, false);
         assert_eq!(t.batch.len(), 1, "dispatched before expiry, not shed");
         assert!(t.expired.is_empty());
     }
@@ -405,8 +414,8 @@ mod tests {
         let mut b = BatcherCore::new(cfg(2, 1_000_000, 10));
         b.offer("a", 0, 10).unwrap();
         b.offer("b", 0, NO_DEADLINE).unwrap();
-        assert!(b.ready(50), "two queued hits the size bound");
-        let t = b.take_batch(50);
+        assert!(b.ready(50, false), "two queued hits the size bound");
+        let t = b.take_batch(50, false);
         assert_eq!(t.expired.len(), 1, "a expired");
         assert!(t.batch.is_empty(), "b alone is below the size bound and young");
         assert_eq!(b.depth(), 1);
@@ -418,12 +427,12 @@ mod tests {
         for name in ["a", "b", "c", "d"] {
             b.offer(name, 0, NO_DEADLINE).unwrap();
         }
-        let t = b.take_batch(0);
+        let t = b.take_batch(0, false);
         assert_eq!(t.batch.iter().map(|p| p.id).collect::<Vec<_>>(), [0, 1, 2]);
         // The shard died holding [a,b,c]; replay puts them back ahead of d.
         b.requeue_front(t.batch);
         assert_eq!(b.depth(), 4);
-        let t = b.take_batch(0);
+        let t = b.take_batch(0, false);
         assert_eq!(t.batch.iter().map(|p| p.id).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(t.batch.iter().map(|p| p.payload).collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(b.stats().replayed, 3);
@@ -432,14 +441,66 @@ mod tests {
     }
 
     #[test]
+    fn idle_shard_releases_a_lone_request_at_once() {
+        let mut b = BatcherCore::new(cfg(4, 1_000_000, 10));
+        b.offer("a", 0, NO_DEADLINE).unwrap();
+        assert!(!b.ready(0, false), "busy shards: one young request coalesces");
+        assert!(b.ready(0, true), "an idle shard takes it now");
+        let t = b.take_batch(0, true);
+        assert_eq!(t.batch.len(), 1);
+        assert!(t.expired.is_empty());
+        assert_eq!(b.depth(), 0);
+    }
+
+    #[test]
+    fn idle_shard_takes_at_most_max_batch() {
+        let mut b = BatcherCore::new(cfg(2, 1_000_000, 10));
+        for i in 0..3 {
+            b.offer(i, 0, NO_DEADLINE).unwrap();
+        }
+        assert_eq!(b.take_batch(0, true).batch.len(), 2, "size bound still caps");
+        assert_eq!(b.take_batch(0, true).batch.len(), 1, "the rest goes at once");
+        let s = b.stats();
+        assert_eq!((s.dispatched, s.batches), (3, 2));
+    }
+
+    #[test]
+    fn empty_queue_is_never_ready() {
+        let mut b: BatcherCore<u32> = BatcherCore::new(cfg(1, 0, 10));
+        assert!(!b.ready(0, true));
+        assert!(!b.ready(u64::MAX, true));
+        let t = b.take_batch(0, true);
+        assert!(t.batch.is_empty() && t.expired.is_empty());
+        assert_eq!(b.stats().batches, 0, "no empty batch is counted");
+    }
+
+    #[test]
+    fn idle_shard_sheds_expired_requests_instead_of_dispatching_them() {
+        let mut b = BatcherCore::new(cfg(4, 1_000_000, 10));
+        b.offer("dies", 0, 100).unwrap();
+        b.offer("lives", 0, NO_DEADLINE).unwrap();
+        let t = b.take_batch(100, true);
+        assert_eq!(t.expired.len(), 1);
+        assert_eq!(t.expired[0].payload, "dies");
+        assert_eq!(t.batch.iter().map(|p| p.payload).collect::<Vec<_>>(), ["lives"]);
+        // Only expired requests queued: shed, and no batch at all.
+        b.offer("late", 200, 300).unwrap();
+        let t = b.take_batch(300, true);
+        assert_eq!(t.expired.len(), 1);
+        assert!(t.batch.is_empty());
+        let s = b.stats();
+        assert_eq!((s.shed, s.dispatched, s.batches), (2, 1, 1));
+    }
+
+    #[test]
     fn set_limits_applies_live() {
         let mut b = BatcherCore::new(cfg(4, 1_000_000, 10));
         b.offer("a", 0, NO_DEADLINE).unwrap();
         b.offer("b", 0, NO_DEADLINE).unwrap();
-        assert!(!b.ready(10), "below size bound, young");
+        assert!(!b.ready(10, false), "below size bound, young");
         b.set_limits(2, 1_000_000);
-        assert!(b.ready(10), "brownout-shrunk size bound reached");
+        assert!(b.ready(10, false), "brownout-shrunk size bound reached");
         b.set_limits(4, 5);
-        assert_eq!(b.take_batch(10).batch.len(), 2, "shrunk coalescing delay");
+        assert_eq!(b.take_batch(10, false).batch.len(), 2, "shrunk coalescing delay");
     }
 }

@@ -2,22 +2,27 @@
 //! whole-model graph engine, std-only like the rest of the workspace.
 //!
 //! The server answers `POST /infer` requests (raw little-endian `f32`
-//! tensors) by **coalescing** concurrent requests into batches — up to a
-//! size bound or a deadline, whichever comes first — and dispatching each
-//! batch to one of N engine *shards*, each a [`lowino_nn::CompiledGraph`]
-//! owning its own thread pool. Batching is where the paper's Winograd
-//! wins compound: tile counts per fork-join grow with batch size,
-//! amortizing the barrier costs that dominate small shapes.
+//! tensors) by dispatching them to one of N engine *shards*, each a
+//! [`lowino_nn::CompiledGraph`] owning its own thread pool. A request
+//! that finds a shard idle goes at once; while every shard is busy,
+//! concurrent requests are **coalesced** into batches — up to a size
+//! bound or a deadline, whichever comes first. Batching is where the
+//! paper's Winograd wins compound: tile counts per fork-join grow with
+//! batch size, amortizing the barrier costs that dominate small shapes.
 //!
 //! Architecture (one type per concern, composed in [`server`]):
 //!
 //! * [`batcher`] — the coalescing/deadline/backpressure state machine.
 //!   **Pure**: it never reads a clock or touches a socket; every
-//!   transition takes an explicit `now_ns`, so the property tests drive
-//!   it under a virtual clock with seeded Poisson arrivals. Requests
-//!   carry absolute deadlines: expired ones are **shed** (never
-//!   dispatched), coalescing stops early when a member nears expiry, and
-//!   stolen batches can be re-enqueued at the front with ids intact.
+//!   transition takes an explicit `now_ns`, and a release takes whether
+//!   a shard is idle, so the property tests drive it under a virtual
+//!   clock with seeded Poisson arrivals. Dispatch is work-conserving: an
+//!   idle shard gets what is queued (up to `max_batch`) at once;
+//!   `max_delay_ns` bounds the wait for co-riders only while every shard
+//!   is busy. Requests carry absolute deadlines: expired ones are
+//!   **shed** (never dispatched), coalescing stops early when a member
+//!   nears expiry, and stolen batches can be re-enqueued at the front
+//!   with ids intact.
 //! * [`http`] — a minimal, hardened HTTP/1.1 subset: request parsing
 //!   with hard limits (line length, header count, body size), keep-alive
 //!   and pipelining, the `X-Lowino-Deadline-Us` request header, and
@@ -31,7 +36,8 @@
 //!   [`model::GraphModel`] adapting a compiled graph to it (including
 //!   the brownout `set_degraded` hook over `HealthPolicy`).
 //! * [`supervisor`] — the shard slot, sole owner of one shard's state:
-//!   its bounded batch mailbox (`try_send` never waits), heartbeats, the
+//!   its bounded batch mailbox (`try_send` never waits) and whether its
+//!   worker holds a batch (so idleness is exact), heartbeats, the
 //!   epoch-guarded *active batch* cell that makes steal-vs-reply
 //!   exactly-once, restart backoff and its `/stats` counters.
 //! * [`brownout`] — the pure hysteretic overload controller stepping
@@ -40,7 +46,7 @@
 //!   to relax (or restore) its model's health policy.
 //! * [`server`] — the threaded composition: connection handlers feed the
 //!   shared batcher, a dispatcher flushes ready batches to the
-//!   shortest-backlog live shard, a supervisor detects dead/wedged
+//!   shortest-backlog live shard (a worker going idle wakes it), a supervisor detects dead/wedged
 //!   workers, steals their in-flight work for exactly-once replay and
 //!   respawns them with exponential backoff; admission control returns
 //!   503 when the bounded queue overflows, expired requests get 504

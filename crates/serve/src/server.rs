@@ -1,10 +1,11 @@
 //! The threaded server: connection handlers feed one shared
 //! [`BatcherCore`], a dispatcher thread releases ready batches to the
-//! shortest-backlog shard, each shard runs its own [`BatchModel`] on its
-//! own engine (and thread pool), and a supervisor thread keeps the
-//! shards alive: it detects dead and wedged workers, steals their
-//! in-flight work for exactly-once replay, respawns them with
-//! exponential backoff, and runs the overload-brownout controller.
+//! shortest-backlog shard — at once while some shard is idle, coalescing
+//! only while every shard is busy — each shard runs its own
+//! [`BatchModel`] on its own engine (and thread pool), and a supervisor
+//! thread keeps the shards alive: it detects dead and wedged workers,
+//! steals their in-flight work for exactly-once replay, respawns them
+//! with exponential backoff, and runs the overload-brownout controller.
 //!
 //! Thread/ownership layout:
 //!
@@ -103,8 +104,9 @@ pub struct ServeConfig {
     pub threads_per_shard: usize,
     /// Batch size bound (must be ≤ the model's planned batch capacity).
     pub max_batch: usize,
-    /// Coalescing deadline: dispatch a partial batch once its oldest
-    /// request is this old.
+    /// Coalescing deadline while every shard is busy: dispatch a partial
+    /// batch once its oldest request is this old. A request that finds a
+    /// live, warmed shard idle is dispatched at once.
     pub max_delay_ns: u64,
     /// Admission bound on the shared queue (503 beyond).
     pub queue_cap: usize,
@@ -872,15 +874,16 @@ fn run_shard<M, F>(
     // a batch sent into a ~100ms model build would just sit there).
     slot.beat(shared.clock.now_ns());
     slot.set_warming(false);
+    wake_dispatcher_if_queued(&shared);
     let mut inputs = vec![0f32; cap * il];
     let mut outputs = vec![0f32; cap * ol];
     let mut last_demotions = usize::MAX; // force one initial algorithms publish
     let mut degraded = false; // a fresh model runs its default health policy
     loop {
-        let mut live = match slot.recv(my_epoch, HEARTBEAT_PERIOD) {
+        let (held, mut live) = match slot.recv(my_epoch, HEARTBEAT_PERIOD) {
             Recv::Stop => break,
-            Recv::Idle => Vec::new(),
-            Recv::Batch(batch) => batch,
+            Recv::Idle => (false, Vec::new()),
+            Recv::Batch(batch) => (true, batch),
         };
         let now = shared.clock.now_ns();
         slot.beat(now);
@@ -895,6 +898,9 @@ fn run_shard<M, F>(
         // riding the mailbox is shed, not executed.
         time_out_expired(&mut live, now);
         if live.is_empty() {
+            if held && slot.done(my_epoch) {
+                wake_dispatcher_if_queued(&shared);
+            }
             continue;
         }
         let n = live.len();
@@ -941,11 +947,25 @@ fn run_shard<M, F>(
             *slot.algorithms.lock().unwrap_or_else(|e| e.into_inner()) = model.algorithms();
         }
         slot.beat(shared.clock.now_ns());
+        if slot.done(my_epoch) {
+            wake_dispatcher_if_queued(&shared);
+        }
     }
     // Clean drain exit only (an abandoned worker must not race the
     // replacement's wisdom writes).
     if slot.current_epoch() == my_epoch && model.on_shutdown().is_err() {
         slot.wisdom_errors.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+/// A shard just went idle: wake the dispatcher if requests are queued,
+/// so they go now rather than at the coalescing deadline. Notifying under
+/// the batcher lock cannot be lost: the dispatcher tests idleness and
+/// starts waiting under that same lock.
+fn wake_dispatcher_if_queued(shared: &Shared) {
+    let b = shared.batcher.lock().unwrap_or_else(|e| e.into_inner());
+    if b.depth() > 0 {
+        shared.dispatch_cv.notify_all();
     }
 }
 
@@ -1081,8 +1101,9 @@ fn handle_infer<S: Read + Write>(
         return http::write_error(reader.get_mut(), 503, "queue full", keep).is_ok();
     }
     lowino_trace::counter("serve/requests", 1);
-    // The batch this request joined may now be full — wake the
-    // dispatcher so the size bound triggers without waiting a deadline.
+    // A shard may be idle, or the batch this request joined may now be
+    // full — wake the dispatcher so either goes without waiting a
+    // deadline.
     shared.dispatch_cv.notify_all();
     respond(shared, reader.get_mut(), rx, start, keep)
 }
@@ -1124,24 +1145,32 @@ fn respond<W: Write>(
     }
 }
 
+/// Can this shard take traffic — alive and warmed?
+fn serving(slot: &Slot) -> bool {
+    slot.is_alive() && !slot.is_warming()
+}
+
+/// Is some serving shard idle — mailbox empty, worker holding no batch?
+/// Then the batcher releases what is queued at once.
+fn any_idle(shared: &Shared) -> bool {
+    shared.slots.iter().any(|s| serving(s) && s.load() == 0)
+}
+
 /// Queue-depth-weighted dispatch order: every *alive and warmed* slot,
 /// cheapest load first (mailbox backlog plus the batch the worker
-/// currently executes), round-robin tie-broken so equal-load shards
-/// share traffic. Warming shards (alive, but still rebuilding their
-/// model after a respawn — ~100ms) get no traffic at all: their empty
-/// mailbox makes them look ideal by depth, yet a batch routed there
-/// rots for the whole build while warmed survivors free up in
-/// single-digit milliseconds. An empty order therefore means "retry
-/// shortly", which the caller's requeue path already handles.
+/// holds), round-robin tie-broken so equal-load shards share traffic.
+/// Warming shards (alive, but still rebuilding their model after a
+/// respawn — ~100ms) get no traffic at all: their empty mailbox makes
+/// them look ideal by depth, yet a batch routed there rots for the whole
+/// build while warmed survivors free up in single-digit milliseconds.
+/// An empty order therefore means "retry shortly", which the caller's
+/// requeue path already handles.
 fn pick_order(shared: &Shared, rr: usize, order: &mut Vec<usize>) {
     let n = shared.slots.len();
     order.clear();
-    order.extend((0..n).map(|k| (rr + k) % n).filter(|&i| {
-        let slot = &shared.slots[i];
-        slot.is_alive() && !slot.is_warming()
-    }));
+    order.extend((0..n).map(|k| (rr + k) % n).filter(|&i| serving(&shared.slots[i])));
     // A stable sort: equal loads keep the rotated order.
-    order.sort_by_cached_key(|&i| shared.slots[i].depth() + shared.slots[i].has_active() as usize);
+    order.sort_by_cached_key(|&i| shared.slots[i].load());
 }
 
 fn dispatcher_loop(shared: Arc<Shared>) {
@@ -1159,12 +1188,15 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     flushing = true;
                     break (Taken { batch: b.force_take(), expired: Vec::new() }, now);
                 }
-                let t = b.take_batch(now);
+                // Idleness is read under the batcher lock, which a worker
+                // going idle takes to wake us: no wake-up is lost.
+                let t = b.take_batch(now, any_idle(&shared));
                 if !t.batch.is_empty() || !t.expired.is_empty() {
                     break (t, now);
                 }
-                // Sleep to the deadline, capped so virtual-clock tests
-                // (where wall sleeps don't advance "now") still poll.
+                // Every shard is busy (or nothing is queued): sleep to the
+                // deadline, capped so virtual-clock tests (where wall
+                // sleeps don't advance "now") still poll.
                 let wait_ns = match b.next_deadline() {
                     Some(dl) => dl.saturating_sub(now).clamp(100_000, 5_000_000),
                     None => 50_000_000,
@@ -1443,6 +1475,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowino_testkit::{Gate, VirtualClock};
 
     /// Identity-ish model: output = [sum of inputs]; optional failure.
     struct EchoModel {
@@ -1500,6 +1533,141 @@ mod tests {
         conn.get_mut().write_all(head.as_bytes()).unwrap();
         conn.get_mut().write_all(&body).unwrap();
         http::read_response(conn).unwrap()
+    }
+
+    /// [`EchoModel`] (`il` 2) whose every `infer` passes a [`Gate`] first:
+    /// a held call keeps its shard busy.
+    struct GatedEcho {
+        gate: Arc<Gate>,
+    }
+
+    impl BatchModel for GatedEcho {
+        fn input_len(&self) -> usize {
+            2
+        }
+        fn output_len(&self) -> usize {
+            1
+        }
+        fn max_batch(&self) -> usize {
+            4
+        }
+        fn infer(
+            &mut self,
+            inputs: &[f32],
+            count: usize,
+            outputs: &mut [f32],
+        ) -> Result<(), String> {
+            self.gate.pass();
+            EchoModel { il: 2, fail: false }.infer(inputs, count, outputs)
+        }
+    }
+
+    /// One shard under a frozen virtual clock with a coalescing deadline
+    /// it never reaches: only an idle shard or the size bound can release
+    /// a batch.
+    fn frozen_server<M: BatchModel + 'static>(
+        max_batch: usize,
+        factory: impl Fn(usize) -> M + Send + Sync + 'static,
+    ) -> (Server, Arc<VirtualClock>) {
+        let clock = Arc::new(VirtualClock::new());
+        let cfg = ServeConfig { max_batch, max_delay_ns: 60_000_000_000, ..ServeConfig::default() };
+        let server = Server::start_with_clock(cfg, factory, clock.clone()).unwrap();
+        (server, clock)
+    }
+
+    /// `post_infer` on a fresh connection from its own thread; the reply
+    /// arrives on the returned channel.
+    fn spawn_post(server: &Server, vals: Vec<f32>) -> Receiver<http::Response> {
+        let (tx, rx) = mpsc::channel();
+        let mut conn = BufReader::new(server.connect());
+        std::thread::spawn(move || {
+            let _ = tx.send(post_infer(&mut conn, &vals));
+        });
+        rx
+    }
+
+    /// A reply within a generous wall bound (a request held for a
+    /// deadline the frozen clock never reaches would never come).
+    fn reply(rx: &Receiver<http::Response>, what: &str) -> http::Response {
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("no reply: {what}"))
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn lone_request_to_an_idle_shard_is_answered_with_the_clock_frozen() {
+        let (server, clock) = frozen_server(4, |_| EchoModel { il: 2, fail: false });
+        let r = reply(&spawn_post(&server, vec![1.0, 2.0]), "a lone request to an idle shard");
+        assert_eq!(r.status, 200);
+        assert_eq!(f32::from_le_bytes([r.body[0], r.body[1], r.body[2], r.body[3]]), 3.0);
+        assert_eq!(clock.now_ns(), 0, "served without waiting out max_delay");
+        let snap = server.shutdown();
+        assert_eq!((snap.batches, snap.dispatched, snap.completed), (1, 1, 1));
+    }
+
+    #[test]
+    fn busy_shard_coalesces_max_batch_requests_into_one_batch() {
+        let gate = Arc::new(Gate::new());
+        let g = Arc::clone(&gate);
+        let (server, clock) = frozen_server(3, move |_| GatedEcho { gate: Arc::clone(&g) });
+        let holder = spawn_post(&server, vec![0.5, 0.5]);
+        wait_until("the holder inside the model", || gate.arrived() == 1);
+        let queued: Vec<_> = (0..3).map(|i| spawn_post(&server, vec![i as f32, 1.0])).collect();
+        wait_until("the size-bound batch", || server.stats().batches == 2);
+
+        let mut conn = BufReader::new(server.connect());
+        conn.get_mut().write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
+        let json = String::from_utf8(http::read_response(&mut conn).unwrap().body).unwrap();
+        for field in ["\"batches\":2", "\"dispatched\":4", "\"mean_occupancy\":2.000"] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
+        assert_eq!(server.stats().per_shard[0].queue_depth, 1, "one batch behind the holder");
+
+        gate.allow(usize::MAX);
+        assert_eq!(reply(&holder, "the holder").status, 200);
+        for (i, rx) in queued.iter().enumerate() {
+            let r = reply(rx, "a coalesced request");
+            assert_eq!(r.status, 200);
+            assert_eq!(
+                f32::from_le_bytes([r.body[0], r.body[1], r.body[2], r.body[3]]),
+                i as f32 + 1.0
+            );
+        }
+        assert_eq!(clock.now_ns(), 0);
+        drop(conn);
+        let snap = server.shutdown();
+        assert_eq!((snap.batches, snap.completed), (2, 4));
+        assert_eq!(snap.per_shard[0].batches, 2);
+    }
+
+    #[test]
+    fn opening_the_gate_dispatches_the_partial_batch_behind_it_with_the_clock_frozen() {
+        let gate = Arc::new(Gate::new());
+        let g = Arc::clone(&gate);
+        let (server, clock) = frozen_server(4, move |_| GatedEcho { gate: Arc::clone(&g) });
+        let holder = spawn_post(&server, vec![0.5, 0.5]);
+        wait_until("the holder inside the model", || gate.arrived() == 1);
+        let queued: Vec<_> = (0..2).map(|i| spawn_post(&server, vec![i as f32, 2.0])).collect();
+        wait_until("two requests queued", || server.stats().queue_depth == 2);
+        std::thread::sleep(Duration::from_millis(20));
+        let s = server.stats();
+        assert_eq!((s.queue_depth, s.batches), (2, 1), "a busy shard: the partial batch waits");
+
+        gate.allow(usize::MAX);
+        assert_eq!(reply(&holder, "the holder").status, 200);
+        for rx in &queued {
+            assert_eq!(reply(rx, "the partial batch behind the holder").status, 200);
+        }
+        assert_eq!(clock.now_ns(), 0, "dispatched when the shard went idle, not at max_delay");
+        let snap = server.shutdown();
+        assert_eq!((snap.batches, snap.dispatched), (2, 3), "the two queued went as one batch");
     }
 
     #[test]

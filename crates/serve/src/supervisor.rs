@@ -24,6 +24,12 @@
 //!                                          Dead   (traffic routes to survivors)
 //! ```
 //!
+//! Idleness is exact: the mailbox lock also guards whether the worker
+//! holds a batch (from [`ShardSlot::recv`]'s pop to [`ShardSlot::done`]),
+//! so [`ShardSlot::load`] never reads 0 for a batch in transit between
+//! the mailbox and the [`active`] cell — the dispatcher serves an idle
+//! shard at once, and must not mistake a busy one for it.
+//!
 //! Heartbeats are a relaxed-atomic progress counter plus a clock stamp:
 //! the worker bumps them every mailbox wake and every batch, the
 //! supervisor reads them with the virtual-clock `now` so the whole
@@ -91,6 +97,11 @@ pub enum Recv<B> {
 struct Mailbox<B> {
     queue: VecDeque<B>,
     closed: bool,
+    /// The worker holds a batch: set by the pop in [`ShardSlot::recv`],
+    /// cleared by [`ShardSlot::done`] or a steal. Set under the same lock
+    /// as the pop, so a batch leaving the queue is counted all the way —
+    /// one popped but not yet parked by `set_active` still reads as busy.
+    held: bool,
 }
 
 /// Everything one shard shares between its worker thread, the
@@ -153,7 +164,7 @@ impl<B> ShardSlot<B> {
     /// A fresh slot in `Healthy` state with an open, empty mailbox.
     pub fn new() -> Self {
         Self {
-            mailbox: Mutex::new(Mailbox { queue: VecDeque::new(), closed: false }),
+            mailbox: Mutex::new(Mailbox { queue: VecDeque::new(), closed: false, held: false }),
             work_cv: Condvar::new(),
             active: Mutex::new(None),
             epoch: AtomicU64::new(0),
@@ -176,9 +187,17 @@ impl<B> ShardSlot<B> {
 
     // ---- dispatcher side -------------------------------------------------
 
-    /// Queued batch count (the weighted dispatcher picks the minimum).
+    /// Queued batch count (`/stats` reports it).
     pub fn depth(&self) -> usize {
         self.mailbox.lock().unwrap().queue.len()
+    }
+
+    /// Batches this shard owes: queued, plus the one its worker holds.
+    /// The weighted dispatcher picks the minimum; 0 means *idle*, and an
+    /// idle shard is served at once.
+    pub fn load(&self) -> usize {
+        let mb = self.mailbox.lock().unwrap();
+        mb.queue.len() + mb.held as usize
     }
 
     /// Bounded send that never waits: hands the batch straight back when
@@ -200,7 +219,8 @@ impl<B> ShardSlot<B> {
 
     /// Worker mailbox wait: pops a batch, or times out (heartbeat and
     /// call again), or reports `Stop` when the mailbox is closed-and-
-    /// drained or `my_epoch` went stale (this worker was abandoned).
+    /// drained or `my_epoch` went stale (this worker was abandoned). A
+    /// popped batch is *held* until [`done`](Self::done).
     pub fn recv(&self, my_epoch: u64, timeout: Duration) -> Recv<B> {
         let mut mb = self.mailbox.lock().unwrap();
         if mb.queue.is_empty() && !mb.closed {
@@ -210,10 +230,27 @@ impl<B> ShardSlot<B> {
             return Recv::Stop;
         }
         match mb.queue.pop_front() {
-            Some(batch) => Recv::Batch(batch),
+            Some(batch) => {
+                mb.held = true;
+                Recv::Batch(batch)
+            }
             None if mb.closed => Recv::Stop,
             None => Recv::Idle,
         }
+    }
+
+    /// The worker is done with the batch `recv` handed it (answered, or
+    /// shed as expired). Returns whether the shard is now idle — mailbox
+    /// empty — so the worker can wake a dispatcher that holds requests
+    /// back. A stale worker changes nothing: the steal that abandoned it
+    /// cleared the hold, which its replacement may own by now.
+    pub fn done(&self, my_epoch: u64) -> bool {
+        let mut mb = self.mailbox.lock().unwrap();
+        if self.epoch.load(Ordering::Acquire) != my_epoch {
+            return false;
+        }
+        mb.held = false;
+        mb.queue.is_empty()
     }
 
     /// Record a heartbeat at `now_ns` (the supervisor's clock domain).
@@ -263,10 +300,13 @@ impl<B> ShardSlot<B> {
     }
 
     /// Steal the in-flight batch (if the worker has not already taken
-    /// it back) and every queued batch, oldest first, for replay.
+    /// it back) and every queued batch, oldest first, for replay. The
+    /// abandoned worker's hold goes with them.
     pub fn steal_work(&self) -> (Option<B>, Vec<B>) {
         let active = self.active.lock().unwrap().take();
-        let queued = self.mailbox.lock().unwrap().queue.drain(..).collect();
+        let mut mb = self.mailbox.lock().unwrap();
+        mb.held = false;
+        let queued = mb.queue.drain(..).collect();
         (active, queued)
     }
 
@@ -485,6 +525,50 @@ mod tests {
         assert_eq!(active.unwrap(), [0]);
         assert_eq!(queued, [vec![1], vec![2]]);
         assert_eq!(s.depth(), 0);
+    }
+
+    #[test]
+    fn a_popped_batch_reads_busy_before_set_active_until_done() {
+        let s: Slot = Slot::new();
+        s.mark_alive();
+        assert_eq!(s.load(), 0, "a fresh slot is idle");
+        s.try_send(vec![1], 4).unwrap();
+        assert_eq!(s.load(), 1);
+        let e = s.current_epoch();
+        assert!(matches!(recv_now(&s, e), Recv::Batch(b) if b == [1]));
+        assert_eq!(s.depth(), 0, "the mailbox is empty");
+        assert_eq!(s.load(), 1, "popped, not yet parked by set_active: busy");
+        s.set_active(vec![1]);
+        assert_eq!(s.take_active_if_current(e).unwrap(), [1]);
+        assert_eq!(s.load(), 1, "answering still counts as busy");
+        assert!(s.done(e), "done with an empty mailbox: idle");
+        assert_eq!(s.load(), 0);
+
+        // Done with more queued: the worker is free, the shard is not idle.
+        s.try_send(vec![2], 4).unwrap();
+        s.try_send(vec![3], 4).unwrap();
+        assert!(matches!(recv_now(&s, e), Recv::Batch(_)));
+        assert!(!s.done(e), "a batch is still queued");
+        assert_eq!(s.load(), 1);
+    }
+
+    #[test]
+    fn steal_clears_the_hold_and_a_stale_done_changes_nothing() {
+        let s: Slot = Slot::new();
+        s.mark_alive();
+        s.try_send(vec![1], 4).unwrap();
+        let old = s.current_epoch();
+        assert!(matches!(recv_now(&s, old), Recv::Batch(_)));
+        s.bump_epoch();
+        let (active, queued) = s.steal_work();
+        assert!(active.is_none() && queued.is_empty());
+        assert_eq!(s.load(), 0, "the abandoned worker's hold was stolen");
+        // The replacement pops a batch; the old worker finishing late
+        // must not mark the replacement idle.
+        s.try_send(vec![2], 4).unwrap();
+        assert!(matches!(recv_now(&s, s.current_epoch()), Recv::Batch(_)));
+        assert!(!s.done(old));
+        assert_eq!(s.load(), 1);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   duplication), in FIFO order — or, once requests carry deadlines, in
 //!   exactly one batch *or* exactly one shed, never both;
 //! * no batch exceeds the size bound;
-//! * with a free consumer, no request waits past the coalescing deadline
-//!   (and its completion lands within deadline + its batch's service
-//!   time);
+//! * dispatch is work-conserving: a request waits only while the consumer
+//!   is busy, and a free consumer takes everything queued up to the size
+//!   bound — yet under saturation batches still fill;
 //! * a request is **never dispatched at or past its deadline**, and is
 //!   shed **iff** it expired while queued;
 //! * the queue never exceeds its admission bound, and an offer is
@@ -24,10 +24,14 @@ use lowino_serve::batcher::{BatchConfig, BatcherCore, Pending, NO_DEADLINE};
 use lowino_serve::Clock;
 use lowino_testkit::{prop_assert, property, PoissonArrivals, VirtualClock};
 
-/// One dispatched batch: when, and what.
+/// One dispatched batch: when, what, and what it left behind.
 struct Dispatched {
     at_ns: u64,
+    /// When the consumer finished its previous batch (0 before the first).
+    free_at_ns: u64,
     batch: Vec<Pending<usize>>,
+    /// Queue depth right after the take.
+    left: usize,
 }
 
 struct SimOutcome {
@@ -44,9 +48,9 @@ struct SimOutcome {
 /// that takes `service_ns` per batch (0 = always-free consumer). Every
 /// request carries deadline `enqueue + deadline_rel_ns`
 /// ([`NO_DEADLINE`] disables deadlines). The virtual clock is the only
-/// time source; batches are taken at the earliest instant the consumer
-/// is free **and** the batcher is ready — exactly the threaded
-/// dispatcher's contract, minus the threads.
+/// time source; a batch is taken at `max(first queued arrival, consumer
+/// free)`, telling the batcher the consumer is idle — exactly the
+/// threaded dispatcher's contract for one shard, minus the threads.
 fn run_sim(
     seed: u64,
     cfg: BatchConfig,
@@ -67,7 +71,10 @@ fn run_sim(
     let mut busy_until = 0u64;
 
     // Take every batch whose dispatch instant lands before `horizon`
-    // (u64::MAX = drain everything).
+    // (u64::MAX = drain everything). The clock stands at the newest
+    // arrival, which is the oldest queued one whenever the consumer is
+    // free: so `max(now, busy_until)` is `max(first queued arrival,
+    // consumer free)`.
     fn drain(
         b: &mut BatcherCore<usize>,
         clock: &VirtualClock,
@@ -76,35 +83,34 @@ fn run_sim(
         horizon: u64,
         out: &mut SimOutcome,
     ) -> Result<(), String> {
-        loop {
-            let ready_at = if b.depth() >= b.config().max_batch {
-                clock.now_ns()
-            } else {
-                match b.next_deadline() {
-                    Some(d) => d,
-                    None => return Ok(()),
-                }
-            };
-            let at = ready_at.max(*busy_until);
+        while b.depth() > 0 {
+            let at = clock.now_ns().max(*busy_until);
             if at > horizon {
                 return Ok(());
             }
             clock.advance_to(at);
-            let taken = b.take_batch(clock.now_ns());
+            if !b.ready(at, true) {
+                return Err(format!("queued batcher not ready for an idle consumer at t={at}"));
+            }
+            let taken = b.take_batch(at, true);
             if taken.batch.is_empty() && taken.expired.is_empty() {
-                return Err(format!(
-                    "ready batcher returned nothing at t={}",
-                    clock.now_ns()
-                ));
+                return Err(format!("ready batcher returned nothing at t={at}"));
             }
             for p in taken.expired {
                 out.shed.push((at, p));
             }
             if !taken.batch.is_empty() {
+                let free_at_ns = *busy_until;
                 *busy_until = at + service_ns;
-                out.dispatched.push(Dispatched { at_ns: at, batch: taken.batch });
+                out.dispatched.push(Dispatched {
+                    at_ns: at,
+                    free_at_ns,
+                    batch: taken.batch,
+                    left: b.depth(),
+                });
             }
         }
+        Ok(())
     }
 
     for i in 0..n {
@@ -201,11 +207,37 @@ fn check_core_invariants(cfg: &BatchConfig, n: usize, out: &SimOutcome) -> Resul
     Ok(())
 }
 
+/// Work conservation: a request waits only while the consumer is busy —
+/// it goes out at its arrival, or the instant the consumer frees up after
+/// being busy since before it arrived — and a free consumer takes
+/// everything queued up to the size bound.
+fn check_work_conserving(cfg: &BatchConfig, out: &SimOutcome) -> Result<(), String> {
+    for d in &out.dispatched {
+        for p in &d.batch {
+            let waited_for_busy = p.enqueued_ns < d.free_at_ns && d.at_ns == d.free_at_ns;
+            if d.at_ns != p.enqueued_ns && !waited_for_busy {
+                return Err(format!(
+                    "id {} enqueued at {} waited until {} though the consumer was free at {}",
+                    p.id, p.enqueued_ns, d.at_ns, d.free_at_ns
+                ));
+            }
+        }
+        if d.left > 0 && d.batch.len() < cfg.max_batch {
+            return Err(format!(
+                "batch of {} (max {}) left {} queued for a free consumer",
+                d.batch.len(),
+                cfg.max_batch,
+                d.left
+            ));
+        }
+    }
+    Ok(())
+}
+
 property! {
     /// Free consumer (service = 0), no request deadlines: on top of the
-    /// core invariants, no request may wait past the coalescing
-    /// deadline, nothing is ever shed, and every completion lands within
-    /// deadline + its batch's (zero) service time.
+    /// core invariants, no request waits at all (the consumer is never
+    /// busy), and nothing is ever shed.
     #[cases(48)]
     fn free_consumer_never_misses_a_deadline(
         seed in 0u64..1_000_000,
@@ -223,15 +255,15 @@ property! {
         };
         let out = run_sim(seed, cfg, n, mean_gap_us * 1_000, 0, NO_DEADLINE)?;
         check_core_invariants(&cfg, n, &out)?;
+        check_work_conserving(&cfg, &out)?;
         prop_assert!(out.shed.is_empty(), "shed without deadlines");
         for d in &out.dispatched {
             for p in &d.batch {
-                let wait = d.at_ns - p.enqueued_ns;
                 prop_assert!(
-                    wait <= cfg.max_delay_ns,
-                    "id {} waited {wait}ns past enqueue (deadline {}ns)",
+                    d.at_ns == p.enqueued_ns,
+                    "id {} waited {}ns for a free consumer",
                     p.id,
-                    cfg.max_delay_ns
+                    d.at_ns - p.enqueued_ns
                 );
             }
         }
@@ -265,6 +297,7 @@ property! {
         };
         let out = run_sim(seed, cfg, n, mean_gap_us * 1_000, service_us * 1_000, NO_DEADLINE)?;
         check_core_invariants(&cfg, n, &out)?;
+        check_work_conserving(&cfg, &out)?;
         // Sanity on the load model itself: with service >> gap and a
         // deep request stream, the bounded queue must actually have
         // exercised the rejection path at least once.
@@ -308,6 +341,7 @@ property! {
             deadline_us * 1_000,
         )?;
         check_core_invariants(&cfg, n, &out)?;
+        check_work_conserving(&cfg, &out)?;
         for d in &out.dispatched {
             for p in &d.batch {
                 prop_assert!(
@@ -335,6 +369,41 @@ property! {
                 "overwhelmed consumer never shed (n={n}, deadline={deadline_us}us)"
             );
         }
+    }
+}
+
+property! {
+    /// Saturation: service takes at least `2 × max_batch` mean arrival
+    /// gaps and the queue holds two batches, so once it fills, a take
+    /// always leaves a full batch behind. Work conservation must not cost
+    /// batching under load: at least 90 % of batches are full (the first,
+    /// taken by an idle consumer, and the drain's last are the expected
+    /// partial ones).
+    #[cases(32)]
+    fn saturated_consumer_still_fills_batches(
+        seed in 0u64..1_000_000,
+        max_batch in 1usize..9,
+        slack in 0usize..17,
+        n in 600usize..1000,
+        mean_gap_us in 1u64..30,
+        load in 2u64..5,
+    ) {
+        let cfg = BatchConfig {
+            max_batch,
+            max_delay_ns: 1_000_000,
+            queue_cap: 2 * max_batch + slack,
+            ..BatchConfig::default()
+        };
+        let service_ns = load * max_batch as u64 * mean_gap_us * 1_000;
+        let out = run_sim(seed, cfg, n, mean_gap_us * 1_000, service_ns, NO_DEADLINE)?;
+        check_core_invariants(&cfg, n, &out)?;
+        check_work_conserving(&cfg, &out)?;
+        let full = out.dispatched.iter().filter(|d| d.batch.len() == max_batch).count();
+        prop_assert!(
+            full * 10 >= out.dispatched.len() * 9,
+            "only {full} of {} batches full under {load}x load (max_batch {max_batch})",
+            out.dispatched.len()
+        );
     }
 }
 

@@ -19,6 +19,10 @@
 //!   shard respawned while degraded included, before its first batch —
 //!   and clearing the pressure restores them all.
 //!
+//! Dispatch is work-conserving — a request that finds a shard idle goes
+//! at once — so a test that needs requests *queued* first holds every
+//! shard busy inside a [`Gate`]d model.
+//!
 //! The fault sites are process-global statics, so tests that arm them
 //! serialize on one mutex.
 
@@ -33,7 +37,7 @@ use lowino_serve::{
     NO_DEADLINE,
 };
 use lowino_testkit::faults::{disarm_all, SHARD_SPAWN, SHARD_WEDGE};
-use lowino_testkit::VirtualClock;
+use lowino_testkit::{Gate, VirtualClock};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -65,12 +69,34 @@ impl BatchModel for EchoModel {
     }
 }
 
+/// [`EchoModel`] (`il` 2) whose every `infer` passes a [`Gate`] first.
+struct GatedEcho {
+    gate: Arc<Gate>,
+}
+
+impl BatchModel for GatedEcho {
+    fn input_len(&self) -> usize {
+        2
+    }
+    fn output_len(&self) -> usize {
+        1
+    }
+    fn max_batch(&self) -> usize {
+        8
+    }
+    fn infer(&mut self, inputs: &[f32], count: usize, outputs: &mut [f32]) -> Result<(), String> {
+        self.gate.pass();
+        EchoModel { il: 2 }.infer(inputs, count, outputs)
+    }
+}
+
 fn cfg(max_batch: usize, wedge_timeout_ns: u64, max_restarts: u64) -> ServeConfig {
     ServeConfig {
         shards: 1,
         max_batch,
         // Frozen virtual time never reaches a coalescing deadline, so
-        // dispatch triggers purely on the size bound.
+        // while every shard is busy dispatch triggers purely on the size
+        // bound.
         max_delay_ns: 60_000_000_000,
         default_deadline_ns: NO_DEADLINE,
         wedge_timeout_ns,
@@ -198,16 +224,28 @@ fn concurrent_batch_survives_a_wedge_with_every_reply_correctly_paired() {
     let _g = fault_guard();
     const WEDGE_NS: u64 = 5_000_000;
     let clock = Arc::new(VirtualClock::new());
-    let server =
-        Server::start_with_clock(cfg(2, WEDGE_NS, 5), |_| EchoModel { il: 2 }, clock.clone())
-            .unwrap();
+    let gate = Arc::new(Gate::new());
+    let g = Arc::clone(&gate);
+    let server = Server::start_with_clock(
+        cfg(2, WEDGE_NS, 5),
+        move |_| GatedEcho { gate: Arc::clone(&g) },
+        clock.clone(),
+    )
+    .unwrap();
 
+    // A holder request keeps the only shard busy inside the model (past
+    // the wedge probe), so the two below queue behind it.
+    let holder = spawn_infer(server.connect(), vec![0.5, 0.5]);
+    wait_until("the holder inside the model", || gate.arrived() == 1);
     let wedges = SHARD_WEDGE.hits();
     SHARD_WEDGE.arm();
     // Two connections coalesce into one batch (size bound 2; virtual
     // time frozen, so the coalescing deadline can't fire first).
     let a = spawn_infer(server.connect(), vec![1.0, 2.0]);
     let b = spawn_infer(server.connect(), vec![10.0, 20.0]);
+    wait_until("the coalesced batch", || server.stats().batches == 2);
+    gate.allow(usize::MAX);
+    assert_eq!(holder.join().unwrap().0, 200);
     wait_until("the wedged batch", || SHARD_WEDGE.hits() > wedges);
 
     clock.advance_to(WEDGE_NS + 1);
@@ -228,7 +266,7 @@ fn concurrent_batch_survives_a_wedge_with_every_reply_correctly_paired() {
     assert_eq!(f32::from_le_bytes([bb[0], bb[1], bb[2], bb[3]]), 30.0);
 
     let snap = server.shutdown();
-    assert_eq!(snap.completed, 2);
+    assert_eq!(snap.completed, 3);
     assert_eq!(
         snap.per_shard[0].replayed,
         2,
@@ -354,11 +392,13 @@ enum Call {
 /// order.
 type CallLog = Arc<Mutex<Vec<(usize, usize, Call)>>>;
 
-/// [`EchoModel`] that logs its `set_degraded` and `infer` calls.
+/// [`GatedEcho`] that logs its `set_degraded` calls and each `infer` as
+/// it passes the gate.
 struct Recorder {
     instance: usize,
     shard: usize,
     log: CallLog,
+    gate: Arc<Gate>,
 }
 
 impl Recorder {
@@ -378,6 +418,7 @@ impl BatchModel for Recorder {
         8
     }
     fn infer(&mut self, inputs: &[f32], count: usize, outputs: &mut [f32]) -> Result<(), String> {
+        self.gate.pass();
         self.record(Call::Infer);
         EchoModel { il: 2 }.infer(inputs, count, outputs)
     }
@@ -393,9 +434,13 @@ fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_the
     let clock = Arc::new(VirtualClock::new());
     let log: CallLog = Arc::new(Mutex::new(Vec::new()));
     let spawned = Arc::new(AtomicUsize::new(0));
+    let gate = Arc::new(Gate::new());
     let cfg = ServeConfig {
         shards: 2,
         queue_cap: 16,
+        // One batch per mailbox, so a third size-bound batch waits in the
+        // dispatcher's hand — and while it does, the queue only grows.
+        shard_queue: 1,
         // One rung, so the first step down is the last rung. Five queued
         // requests (5/16) are pressure; only an empty queue is clear.
         brownout: BrownoutConfig {
@@ -405,15 +450,16 @@ fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_the
             clear_ticks: 1,
             ..BrownoutConfig::default()
         },
-        ..cfg(8, WEDGE_NS, 5)
+        ..cfg(2, WEDGE_NS, 5)
     };
-    let (log2, spawned2) = (Arc::clone(&log), Arc::clone(&spawned));
+    let (log2, spawned2, gate2) = (Arc::clone(&log), Arc::clone(&spawned), Arc::clone(&gate));
     let server = Server::start_with_clock(
         cfg,
         move |shard| Recorder {
             instance: spawned2.fetch_add(1, Ordering::SeqCst),
             shard,
             log: Arc::clone(&log2),
+            gate: Arc::clone(&gate2),
         },
         clock.clone(),
     )
@@ -427,30 +473,59 @@ fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_the
         log.iter().find(|e| e.0 == instance).expect("instance logged").1
     };
 
-    // Queue pressure. At max_batch 8 under a frozen clock nothing
-    // dispatches, so five requests wait in the queue. The step to the
-    // last rung halves max_batch to 4, which releases four of them as one
-    // batch and leaves one queued: neither pressure nor clear, so the
-    // rung holds. That batch wedges its worker.
+    // Hold both shards busy in the model. The holders go one at a time,
+    // so each finds a shard idle and lands on its own (gate calls 0, 1).
+    let mut clients: Vec<_> = (0..2)
+        .map(|k| {
+            let holder = spawn_infer(server.connect(), vec![k as f32, 0.5]);
+            wait_until("a holder inside the model", || gate.arrived() == k + 1);
+            holder
+        })
+        .collect();
+
+    // Three size-bound batches of two: one behind each holder, one in the
+    // dispatcher's hand.
+    for round in 0..3 {
+        clients.extend((0..2).map(|i| spawn_infer(server.connect(), vec![i as f32, 1.0])));
+        wait_until("a size-bound batch", || server.stats().batches == 3 + round);
+    }
+
+    // Queue pressure. With the dispatcher's hand full, five requests wait
+    // in the queue: the last rung. From then on the queue drains by one
+    // request (the halved max_batch) per mailbox place that frees up —
+    // never to empty, so the rung holds.
     let wedges = SHARD_WEDGE.hits();
     SHARD_WEDGE.arm();
-    let mut clients: Vec<_> =
-        (0..5).map(|i| spawn_infer(server.connect(), vec![i as f32, 1.0])).collect();
+    clients.extend((0..5).map(|i| spawn_infer(server.connect(), vec![i as f32, 2.0])));
     wait_until("the last rung", || server.stats().brownout_rung == 1);
+
+    // Release the first holder: its worker takes the batch behind it,
+    // relaxes, and wedges on it; the batch in hand takes its mailbox place.
+    gate.allow(1);
     wait_until("the wedged batch", || SHARD_WEDGE.hits() > wedges);
+    wait_until("the batch in hand mailed", || {
+        server.stats().per_shard.iter().all(|s| s.queue_depth == 1)
+    });
+
+    // Release the second holder at the wedge timeout: its worker takes
+    // its batch with a heartbeat there (so one nanosecond later only the
+    // wedged shard is stale), relaxes, and holds the batch in the model
+    // (gate call 2).
+    clock.advance_to(WEDGE_NS);
+    gate.allow(2);
     wait_until("every live shard relaxed", || {
         (0..2).all(|i| calls(i).contains(&Call::Degraded(true)))
     });
     for i in 0..2 {
-        assert_eq!(calls(i), [Call::Degraded(true)], "instance {i}");
+        assert_eq!(calls(i), [Call::Infer, Call::Degraded(true)], "instance {i}");
     }
-
-    // Respawn while degraded. Let the idle shard heartbeat at the wedge
-    // timeout first, so one nanosecond later only the wedged one is stale.
-    clock.advance_to(WEDGE_NS);
-    wait_until("the idle shard's heartbeat", || {
+    wait_until("the survivor's heartbeat", || {
         server.stats().per_shard.iter().any(|s| s.heartbeat_age_ns == 0)
     });
+
+    // Respawn while degraded. The stolen batches go back to the queue; the
+    // respawned shard takes the request in hand, and the queue stays
+    // pressured.
     clock.advance(1);
     wait_until("wedge detection", || {
         !events_of(&server, SupervisorEventKind::WedgeDetected).is_empty()
@@ -468,10 +543,10 @@ fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_the
     );
     let survivor = (0..2).find(|&i| shard_of(i) != shard_of(2)).unwrap();
 
-    // Clear the pressure: three more requests make a batch of four with
-    // the queued one, the empty queue is clear, the rung steps back up,
-    // and every live shard restores its policy.
-    clients.extend((0..3).map(|i| spawn_infer(server.connect(), vec![i as f32, 2.0])));
+    // Clear the pressure: open the gate. Every batch runs, the queue
+    // drains into the shards as they fall idle, the empty queue is clear,
+    // the rung steps back up, and every live shard restores its policy.
+    gate.allow(usize::MAX);
     for c in clients {
         assert_eq!(c.join().unwrap().0, 200);
     }
@@ -488,7 +563,7 @@ fn brownout_relaxes_every_live_shard_respawns_included_and_clearing_restores_the
     });
 
     let snap = server.shutdown();
-    assert_eq!(snap.completed, 8);
+    assert_eq!(snap.completed, 13);
     assert_eq!(
         snap.accepted,
         snap.completed + snap.failed + snap.timed_out + snap.unavailable

@@ -8,12 +8,16 @@
 //! Poisson-process arrival stream (exponential inter-arrival gaps), the
 //! standard open-loop load model for sustained-traffic benchmarks.
 //!
-//! Neither type knows about the serving crate: `lowino-serve` defines the
-//! `Clock` trait and implements it for [`VirtualClock`], keeping this
-//! crate dependency-free.
+//! [`Gate`] is the third piece: it holds worker threads at a known point
+//! (a model's inference) so a test can queue work behind busy workers
+//! without racing them.
+//!
+//! None of these types knows about the serving crate: `lowino-serve`
+//! defines the `Clock` trait and implements it for [`VirtualClock`],
+//! keeping this crate dependency-free.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::rng::Rng;
 
@@ -51,6 +55,45 @@ impl VirtualClock {
     /// ignored (time never rewinds). Returns the resulting now.
     pub fn advance_to(&self, t_ns: u64) -> u64 {
         self.ns.fetch_max(t_ns, Ordering::AcqRel).max(t_ns)
+    }
+}
+
+/// A numbered turnstile. Calls to [`Gate::pass`] are numbered 0, 1, … in
+/// arrival order, and call `k` blocks until [`Gate::allow`] has raised
+/// the limit above `k`: a test releases held threads one at a time, in
+/// the order they arrived, or all at once with `usize::MAX`.
+#[derive(Debug, Default)]
+pub struct Gate {
+    arrived: AtomicUsize,
+    allowed: Mutex<usize>,
+    raised: Condvar,
+}
+
+impl Gate {
+    /// A closed gate: no call passes until [`allow`](Self::allow).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Take the next number and block until it is allowed through.
+    pub fn pass(&self) {
+        let k = self.arrived.fetch_add(1, Ordering::AcqRel);
+        let mut allowed = self.allowed.lock().unwrap_or_else(|e| e.into_inner());
+        while k >= *allowed {
+            allowed = self.raised.wait(allowed).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Let every call numbered below `n` through (the limit never drops).
+    pub fn allow(&self, n: usize) {
+        let mut allowed = self.allowed.lock().unwrap_or_else(|e| e.into_inner());
+        *allowed = (*allowed).max(n);
+        self.raised.notify_all();
+    }
+
+    /// Calls that have arrived so far, passed or still held.
+    pub fn arrived(&self) -> usize {
+        self.arrived.load(Ordering::Acquire)
     }
 }
 
@@ -141,6 +184,38 @@ mod tests {
             (8_000.0..12_000.0).contains(&mean),
             "empirical mean gap {mean} vs configured 10000"
         );
+    }
+
+    #[test]
+    fn gate_releases_calls_in_arrival_order() {
+        let gate = Arc::new(Gate::new());
+        let passed = Arc::new(AtomicUsize::new(0));
+        let spawn = || {
+            let (gate, passed) = (Arc::clone(&gate), Arc::clone(&passed));
+            std::thread::spawn(move || {
+                gate.pass();
+                passed.fetch_add(1, Ordering::AcqRel);
+            })
+        };
+        let first = spawn();
+        while gate.arrived() < 1 {
+            std::thread::yield_now();
+        }
+        let second = spawn();
+        while gate.arrived() < 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(passed.load(Ordering::Acquire), 0, "a closed gate holds all");
+        gate.allow(1);
+        first.join().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(passed.load(Ordering::Acquire), 1, "limit 1 holds call 1");
+        gate.allow(usize::MAX);
+        second.join().unwrap();
+        gate.allow(0);
+        gate.pass(); // the limit never drops: an opened gate stays open
+        assert_eq!(gate.arrived(), 3);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! * [`alloc`] — a counting global allocator whose armed sections are
 //!   serialised across a test binary (the zero-steady-state-allocation
 //!   audits);
-//! * [`clock`] — virtual time ([`clock::VirtualClock`]) and a seeded
-//!   Poisson arrival stream ([`clock::PoissonArrivals`]) so the serving
-//!   stack's deadline/batching state machine is testable deterministically.
+//! * [`clock`] — virtual time ([`clock::VirtualClock`]), a seeded
+//!   Poisson arrival stream ([`clock::PoissonArrivals`]) and a numbered
+//!   turnstile ([`clock::Gate`]) so the serving stack's deadline/batching
+//!   state machine is testable deterministically.
 //!
 //! Correctness of the numeric kernels is LoWino's whole claim (bit-exact
 //! integer semantics across SIMD tiers, bounded Winograd-domain
@@ -39,7 +40,7 @@ pub mod prop;
 pub mod rng;
 
 pub use bench::{black_box, percentile_ns, BenchGroup, LoadStats, Stats};
-pub use clock::{PoissonArrivals, VirtualClock};
+pub use clock::{Gate, PoissonArrivals, VirtualClock};
 pub use json::validate_json;
 pub use prop::{one_of, run_property, vec_of, Config, Strategy};
 pub use rng::{splitmix64, Rng};
