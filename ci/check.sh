@@ -33,12 +33,20 @@ cargo test -q --offline --workspace
 # allocations process-wide (their tests serialise on
 # `lowino_testkit::alloc::audit()`), and the fault-injection and
 # trace-counter cases arm process-global state behind reader/writer gates —
-# none of it may depend on how many harness threads the host offers. (A
-# shuffled test order needs nightly's `-Z unstable-options`; not run here.)
+# none of it may depend on how many harness threads the host offers — nor
+# on the order the tests run in (the shuffled pass below).
 for threads in 1 2 8; do
     echo "==> cargo test --offline (--test-threads=$threads)"
     cargo test -q --offline --workspace -- --test-threads="$threads"
 done
+
+# The whole suite once more in a shuffled order. Libtest's `--shuffle` is
+# unstable, but RUSTC_BOOTSTRAP=1 unlocks it on the stable toolchain (and
+# changes nothing that is compiled). A fresh seed per run, printed, so a
+# failing order can be replayed with the echoed command.
+shuffle_seed=$(( (RANDOM << 15) | RANDOM ))
+echo "==> RUSTC_BOOTSTRAP=1 cargo test -q --offline --workspace -- -Z unstable-options --shuffle --shuffle-seed $shuffle_seed"
+RUSTC_BOOTSTRAP=1 cargo test -q --offline --workspace -- -Z unstable-options --shuffle --shuffle-seed "$shuffle_seed"
 
 # Re-run the suite pinned to each narrower vector tier the host supports
 # (LOWINO_FORCE_TIER caps dispatch below the native probe). The generated
@@ -244,11 +252,19 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # per-shard counters live in the shard slot, the env-var serving config is
 # gone (ServeConfig is built in code), and the benches name algorithms with
 # `lowino::Algorithm` plus one `label`. Fail if any of the names comes back
-# (this line excepted).
+# (this line excepted). Output health is checked where values are produced:
+# every executor tallies its non-finite stores and the resilient ladder reads
+# that count, and the graph loads its input with
+# `BlockedImage::fill_from_nchw` — so neither serial pass (an `is_finite`
+# scan in the ladder, the graph's private `load_nchw`) may return either.
 echo "==> deleted-names gate"
 if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health|ShardMsg|SetDegraded|ShardStats|space_cv|BenchAlgo|ServeConfig::from_env|LOWINO_SERVE_(SHARDS|BATCH|DEADLINE_US|QUEUE|TIMEOUT_US|WEDGE_US|MAX_RESTARTS)' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
+    exit 1
+fi
+if grep -n 'is_finite' crates/core/src/resilient.rs || grep -n 'fn load_nchw' crates/nn/src/graph.rs; then
+    echo "a serial pass over the output or the input is back (see above)" >&2
     exit 1
 fi
 

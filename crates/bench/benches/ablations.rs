@@ -9,7 +9,7 @@
 //!   full-lattice-sweep winner (PR 8 acceptance table in EXPERIMENTS.md);
 //! * **graph overhead** — the graph engine with its default per-conv
 //!   health policy vs health checks disabled, which attributes the cost of
-//!   the health scans (numbers in EXPERIMENTS.md; the graph's per-op
+//!   the health checks (numbers in EXPERIMENTS.md; the graph's per-op
 //!   overhead itself is guarded in release by `tests/graph_overhead.rs`).
 //!
 //! Run with `cargo bench --bench ablations`; set
@@ -184,10 +184,10 @@ fn ablation_tuned_vs_default() {
     }
 }
 
-/// The cost of the health scans: the graph engine wraps every conv in a
-/// `ResilientConv` whose default health policy scans the quantized
-/// intermediates for saturation and the output for non-finite values on
-/// every execute. Benching the same compiled graph with health checks
+/// The cost of the health checks: the graph engine wraps every conv in a
+/// `ResilientConv` whose default health policy reads the saturation and
+/// non-finite-output counts its executor tallied while producing the values,
+/// on every execute. Benching the same compiled graph with health checks
 /// disabled attributes it (EXPERIMENTS.md, "Graph-vs-per_layer gap").
 fn ablation_graph_overhead() {
     use lowino::{HealthPolicy, Tensor4};

@@ -5,11 +5,13 @@
 //! is a scalar-broadcast × 64-wide vector FMA over output channels, which
 //! the compiler vectorises; supports arbitrary stride and padding.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lowino_simd::vecf32::VecTier;
 use lowino_tensor::{AlignedBuf, BlockedImage, ConvShape, Tensor4, LANES};
 
-use crate::algo::{check_io, Algorithm, ConvExecutor};
+use crate::algo::{check_io, check_post, store_pixel_post, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::ConvContext;
 use crate::error::{check_weights, ConvError, ExecError};
 use crate::stats::StageTimings;
@@ -20,6 +22,8 @@ pub struct DirectF32Conv {
     /// `[K/64][C][r][r][64]` packed weights (padded K lanes are zero).
     wpack: AlignedBuf<f32>,
     k_blocks: usize,
+    /// Non-finite values the last execute stored, tallied per pixel store.
+    non_finite: AtomicU64,
 }
 
 impl DirectF32Conv {
@@ -45,6 +49,7 @@ impl DirectF32Conv {
             spec,
             wpack,
             k_blocks,
+            non_finite: AtomicU64::new(0),
         })
     }
 }
@@ -58,13 +63,17 @@ impl ConvExecutor for DirectF32Conv {
         Algorithm::DirectF32
     }
 
-    fn execute(
+    /// One pool phase over output rows; each pixel's 64 accumulators get
+    /// the post-ops in registers before their one store.
+    fn execute_post(
         &mut self,
         input: &BlockedImage,
         output: &mut BlockedImage,
+        post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
         check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_post(output, post);
         let start = Instant::now();
         let spec = self.spec;
         let (out_h, out_w) = (spec.out_h(), spec.out_w());
@@ -74,12 +83,16 @@ impl ConvExecutor for DirectF32Conv {
         // Task = (batch, k-block, output row); rows never overlap.
         let tasks = spec.batch * self.k_blocks * out_h;
         let k_blocks = self.k_blocks;
+        let (non_finite, vt) = (&self.non_finite, VecTier::for_simd(ctx.tier));
+        non_finite.store(0, Ordering::Relaxed);
         ctx.pool.run_phases_catching(&[tasks], |_, _, range| {
             let mut acc = [0f32; LANES];
+            let mut bad = 0u64;
             for task in range {
                 let b = task / (k_blocks * out_h);
                 let kb = (task / out_h) % k_blocks;
                 let oy = task % out_h;
+                let bias = post.bias.map(|bias| &bias[kb * LANES..(kb + 1) * LANES]);
                 for ox in 0..out_w {
                     acc.fill(0.0);
                     let iy0 = (oy * spec.stride) as isize - spec.pad as isize;
@@ -108,19 +121,25 @@ impl ConvExecutor for DirectF32Conv {
                             }
                         }
                     }
+                    let res = post.residual.map(|res| res.lanes(b, kb, oy, ox));
                     // SAFETY: each (b, kb, oy) row is owned by one task.
-                    unsafe {
-                        let dst = out_ref.lanes_ptr_shared(b, kb, oy, ox);
-                        core::ptr::copy_nonoverlapping(acc.as_ptr(), dst, LANES);
-                    }
+                    bad += unsafe {
+                        store_pixel_post(vt, acc, bias, res, post.relu, out_ref.lanes_ptr_shared(b, kb, oy, ox))
+                    };
                 }
             }
+            non_finite.fetch_add(bad, Ordering::Relaxed);
         })?;
         Ok(StageTimings {
             input_transform: std::time::Duration::ZERO,
             gemm: start.elapsed(),
             output_transform: std::time::Duration::ZERO,
         })
+    }
+
+    /// Tallied per pixel store, one atomic add per task range.
+    fn non_finite(&self) -> u64 {
+        self.non_finite.load(Ordering::Relaxed)
     }
 }
 

@@ -22,7 +22,9 @@ use lowino_simd::vecf32::VecTier;
 use lowino_simd::{dequantize_lanes, quantize_lanes, store::stream_fence, stream_store_u8_64};
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, Tensor4, LANES};
 
-use crate::algo::{check_io, note_saturation, resolve_blocking, Algorithm, ConvExecutor};
+use crate::algo::{
+    check_io, check_post, note_saturation, resolve_blocking, store_pixel_post, Algorithm, ConvExecutor, ConvPostOps,
+};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::filter::pack_filters_direct_i8;
@@ -45,6 +47,8 @@ pub struct DirectInt8Conv {
     /// Saturated quantized values of the last execute, tallied line by line
     /// as phase ① produces them.
     saturated: AtomicU64,
+    /// Non-finite values the last execute stored, tallied in phase ③.
+    non_finite: AtomicU64,
     /// The GEMM blocking: set by [`Self::set_blocking`], else resolved by
     /// the first execute ([`resolve_blocking`]) and kept.
     blocking: Option<Blocking>,
@@ -90,6 +94,7 @@ impl DirectInt8Conv {
             z_panel: ZPanel::new(1, n, spec.out_c),
             cp,
             saturated: AtomicU64::new(0),
+            non_finite: AtomicU64::new(0),
             blocking: None,
         })
     }
@@ -120,17 +125,20 @@ impl ConvExecutor for DirectInt8Conv {
     }
 
     /// Single-fork-join schedule: quantization, the `r²` GEMM passes and
-    /// de-quantization run as barrier-separated phases of one pool job.
+    /// de-quantization run as barrier-separated phases of one pool job, the
+    /// post-ops applied to each de-quantized pixel before its store.
     /// This executor's phase bodies use only small stack arrays, so —
     /// unlike the Winograd executors — it draws nothing from the scratch
     /// arena; the padded u8 buffer is a planned member already.
-    fn execute(
+    fn execute_post(
         &mut self,
         input: &BlockedImage,
         output: &mut BlockedImage,
+        post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
         check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_post(output, post);
         let spec = self.spec;
         let (out_h, out_w) = (spec.out_h(), spec.out_w());
         let (hp, wp) = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
@@ -155,8 +163,9 @@ impl ConvExecutor for DirectInt8Conv {
         let inv = self.alpha_in.product_dequant(&self.alpha_w);
         let out_ref: &BlockedImage = output;
         let k_blocks = out_ref.c_blocks();
-        let saturated = &self.saturated;
+        let (saturated, non_finite) = (&self.saturated, &self.non_finite);
         saturated.store(0, Ordering::Relaxed);
+        non_finite.store(0, Ordering::Relaxed);
 
         let totals = [
             spec.batch * spec.h,
@@ -273,10 +282,12 @@ impl ConvExecutor for DirectInt8Conv {
                 }
                 stream_fence();
             }
-            // -- Phase ③: de-quantize into the blocked output.
+            // -- Phase ③: de-quantize into the blocked output, post-ops
+            // and the non-finite tally fused into the store.
             _ => {
                 let _span = lowino_trace::span("direct_i8/dequantize_output");
                 let mut f = [0f32; LANES];
+                let mut bad = 0u64;
                 for row in range {
                     let b = row / (out_h * out_w);
                     let oy = (row / out_w) % out_h;
@@ -284,13 +295,15 @@ impl ConvExecutor for DirectInt8Conv {
                     for kg in 0..k_blocks {
                         let block = zp.tile_block(kg, row); // T = 1 -> 64 lanes
                         dequantize_lanes(vt, block, inv, &mut f);
+                        let bias = post.bias.map(|bias| &bias[kg * LANES..(kg + 1) * LANES]);
+                        let res = post.residual.map(|res| res.lanes(b, kg, oy, ox));
                         // SAFETY: one task per output pixel.
-                        unsafe {
-                            let dst = out_ref.lanes_ptr_shared(b, kg, oy, ox);
-                            core::ptr::copy_nonoverlapping(f.as_ptr(), dst, LANES);
-                        }
+                        bad += unsafe {
+                            store_pixel_post(vt, f, bias, res, post.relu, out_ref.lanes_ptr_shared(b, kg, oy, ox))
+                        };
                     }
                 }
+                non_finite.fetch_add(bad, Ordering::Relaxed);
             }
         })?;
         Ok(StageTimings {
@@ -308,6 +321,11 @@ impl ConvExecutor for DirectInt8Conv {
     fn saturation(&self) -> Option<(u64, u64)> {
         let spec = &self.spec;
         Some((self.saturated.load(Ordering::Relaxed), (spec.batch * spec.in_c * spec.h * spec.w) as u64))
+    }
+
+    /// Tallied per output pixel in phase ③, one atomic add per task range.
+    fn non_finite(&self) -> u64 {
+        self.non_finite.load(Ordering::Relaxed)
     }
 
     fn gemm_shape(&self) -> Option<GemmShape> {

@@ -10,6 +10,7 @@ pub mod winograd;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use lowino_simd::vecf32::{count_non_finite, VecTier};
 use lowino_tensor::{BlockedImage, ConvShape, LANES};
 
 use crate::context::{ConvContext, NonFinitePolicy};
@@ -51,8 +52,8 @@ impl ConvPostOps<'_> {
 }
 
 /// Reference application of [`ConvPostOps`] as a separate elementwise pass
-/// — the oracle the fused epilogues are tested against, and the default
-/// path for executors that don't fuse.
+/// over the whole output — the bitwise oracle every executor's fused store
+/// is tested against (no executor calls it).
 ///
 /// # Panics
 ///
@@ -62,19 +63,9 @@ pub fn apply_post_ops(output: &mut BlockedImage, post: &ConvPostOps<'_>) {
     if post.is_empty() {
         return;
     }
+    check_post(output, post);
     let (batch, _, h, w) = output.dims();
     let k_blocks = output.c_blocks();
-    if let Some(bias) = post.bias {
-        assert!(
-            bias.len() >= k_blocks * LANES,
-            "blocked bias too short: {} < {}",
-            bias.len(),
-            k_blocks * LANES
-        );
-    }
-    if let Some(res) = post.residual {
-        assert_eq!(res.dims(), output.dims(), "residual dims mismatch");
-    }
     for b in 0..batch {
         for kg in 0..k_blocks {
             for y in 0..h {
@@ -96,6 +87,62 @@ pub fn apply_post_ops(output: &mut BlockedImage, post: &ConvPostOps<'_>) {
             }
         }
     }
+}
+
+/// The post-op validation every executor runs before any work starts.
+///
+/// # Panics
+///
+/// As [`apply_post_ops`].
+pub(crate) fn check_post(output: &BlockedImage, post: &ConvPostOps<'_>) {
+    if let Some(bias) = post.bias {
+        assert!(
+            bias.len() >= output.c_blocks() * LANES,
+            "blocked bias too short: {} < {}",
+            bias.len(),
+            output.c_blocks() * LANES
+        );
+    }
+    if let Some(res) = post.residual {
+        assert_eq!(res.dims(), output.dims(), "residual dims mismatch");
+    }
+}
+
+/// The direct executors' store epilogue for one output pixel: `post`
+/// applied to its 64 lanes in registers, in [`apply_post_ops`]'s order and
+/// spelling (so bitwise identical to it), then the lanes stored to `dst`.
+/// Returns how many of the stored values are non-finite.
+///
+/// # Safety
+///
+/// `dst` must be valid for 64 writes that no other thread touches.
+#[inline]
+pub(crate) unsafe fn store_pixel_post(
+    vt: VecTier,
+    mut lanes: [f32; LANES],
+    bias: Option<&[f32]>,
+    residual: Option<&[f32]>,
+    relu: bool,
+    dst: *mut f32,
+) -> u64 {
+    if let Some(bias) = bias {
+        for (v, &b) in lanes.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+    if let Some(res) = residual {
+        for (v, &r) in lanes.iter_mut().zip(res) {
+            *v += r;
+        }
+    }
+    if relu {
+        for v in &mut lanes {
+            *v = if *v > 0.0 { *v } else { 0.0 };
+        }
+    }
+    // SAFETY: the caller's contract.
+    unsafe { core::ptr::copy_nonoverlapping(lanes.as_ptr(), dst, LANES) };
+    count_non_finite(vt, &lanes)
 }
 
 /// Algorithm identifiers (the paper's comparison set).
@@ -180,8 +227,16 @@ pub trait ConvExecutor {
     /// Which algorithm this executor implements.
     fn algorithm(&self) -> Algorithm;
 
-    /// Run the convolution. `input` must match the spec's `(B, C, H, W)`;
-    /// `output` must be pre-allocated as `(B, K, H', W')`.
+    /// Run the convolution with [`ConvPostOps`] applied to the output in
+    /// the executor's own store phase — every value is finished in registers
+    /// and stored once, so the activations see no second pass. `input` must
+    /// match the spec's `(B, C, H, W)`; `output` must be pre-allocated as
+    /// `(B, K, H', W')`.
+    ///
+    /// Every implementation meets the bitwise contract documented on
+    /// [`ConvPostOps`] (equal to [`Self::execute`] followed by
+    /// [`apply_post_ops`]), so the `ResilientConv` demotion ladder can swap
+    /// implementations freely.
     ///
     /// Every failure is recoverable: mismatched tensors and rejected
     /// non-finite inputs ([`ExecError::IoShape`] /
@@ -189,32 +244,35 @@ pub trait ConvExecutor {
     /// and a panic inside the fork-join surfaces as
     /// [`ExecError::WorkerPanic`] with the pool, scratch and executor all
     /// still usable (the output buffer contents are then unspecified).
-    fn execute(
-        &mut self,
-        input: &BlockedImage,
-        output: &mut BlockedImage,
-        ctx: &mut ConvContext,
-    ) -> Result<StageTimings, ExecError>;
-
-    /// [`Self::execute`] with [`ConvPostOps`] applied to the output.
     ///
-    /// The default implementation runs the plain convolution and then
-    /// [`apply_post_ops`] as a separate pass; executors with fused
-    /// epilogues (every Winograd scheme: the phase-③ row pass) override this
-    /// to apply the post-ops in-register before the output store. Both must meet
-    /// the bitwise contract documented on [`ConvPostOps`], so the
-    /// `ResilientConv` demotion ladder can swap implementations freely.
+    /// # Panics
+    ///
+    /// As [`apply_post_ops`], before any work starts.
     fn execute_post(
         &mut self,
         input: &BlockedImage,
         output: &mut BlockedImage,
         post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
+    ) -> Result<StageTimings, ExecError>;
+
+    /// [`Self::execute_post`] with no post-ops: the plain convolution.
+    fn execute(
+        &mut self,
+        input: &BlockedImage,
+        output: &mut BlockedImage,
+        ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        let timings = self.execute(input, output, ctx)?;
-        apply_post_ops(output, post);
-        Ok(timings)
+        self.execute_post(input, output, &ConvPostOps::default(), ctx)
     }
+
+    /// NaN / ±inf values the last successful execute stored, post-ops
+    /// applied (a ReLU stores a NaN as 0.0) — tallied in the store phase
+    /// while the values are still in registers or L1. Every stored lane
+    /// counts, channel padding included, and every executor stores every
+    /// lane of the output, so this equals a scan of the whole output buffer.
+    /// The `ResilientConv` output-finiteness guard reads it.
+    fn non_finite(&self) -> u64;
 
     /// Post-execute numeric-health signal: `(saturated, total)` counts of
     /// quantized intermediate values from the last `execute`, if this

@@ -21,7 +21,8 @@
 //! ([`TileBodies`]: interior tiles read in place, full tiles stored straight
 //! into the output with bias / residual / ReLU fused into the row pass,
 //! ragged tiles through `gather_patch` / `scatter_output_tile`), the
-//! saturation tally and the two schedules that run them:
+//! saturation and non-finite-output tallies and the two schedules that run
+//! them:
 //!
 //! * **staged** (the paper's, §4.2.1/§4.3.2): the phases of one pool job
 //!   separated by barriers — an optional pre-pass, then ①, ②, ③ — handing
@@ -45,13 +46,13 @@ use lowino_gemm::{
     F32, I16, U8I8,
 };
 use lowino_quant::{count_saturated_i8, count_saturated_u8};
-use lowino_simd::vecf32::{requantize_i32_lanes, VecTier};
+use lowino_simd::vecf32::{count_non_finite, requantize_i32_lanes, VecTier};
 use lowino_simd::{store::stream_fence, stream_store_u8_64, SimdTier};
 use lowino_tensor::align::cast_slice_mut;
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, TileGeometry, LANES};
 use lowino_winograd::{TapePostOps, TileTransformer, TransformScratch};
 
-use crate::algo::{check_io, note_saturation, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
+use crate::algo::{check_io, check_post, note_saturation, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
 use crate::scratch::{ensure_f32, ensure_i32, ensure_u8, ScratchArena, WorkerScratch};
@@ -422,6 +423,8 @@ pub struct TileBodies<'a, E: GemmElem> {
     post: &'a ConvPostOps<'a>,
     spans: [&'static str; 4],
     saturated: &'a AtomicU64,
+    /// The executor's per-execute tally of non-finite stored values.
+    non_finite: &'a AtomicU64,
     tier: SimdTier,
     vt: VecTier,
     _elem: PhantomData<E>,
@@ -509,13 +512,14 @@ impl<E: GemmElem> TileBodies<'_, E> {
     /// clipped by the ragged edge go through the tile buffer and
     /// `scatter_output_tile`, their residual gathered into the patch buffer
     /// (clipped slots read zeros and are never scattered, so their epilogue
-    /// results are discarded).
+    /// results are discarded). Returns how many of the values it stored are
+    /// non-finite, counted while they are still in L1.
     ///
     /// # Safety
     ///
     /// No other thread may read or write output tile `(tile, kg)` during
     /// the call (output tiles never overlap; one task per tile suffices).
-    unsafe fn output_tile(&self, tile: usize, kg: usize, z: &[E::Z], bufs: &mut TileBufs<'_>) {
+    unsafe fn output_tile(&self, tile: usize, kg: usize, z: &[E::Z], bufs: &mut TileBufs<'_>) -> u64 {
         let m = self.geom.m;
         let (out, post) = (self.output, self.post);
         let (_, _, out_h, out_w) = out.dims();
@@ -536,13 +540,15 @@ impl<E: GemmElem> TileBodies<'_, E> {
             // pitch out_w·64, the last ending at or before the image's
             // end; this call is the tile's only writer (the caller's
             // contract). The residual has the output's dims, so the same
-            // base and pitch address its tile.
-            unsafe {
+            // base and pitch address its tile, and the stored rows are read
+            // back through the same pointer.
+            return unsafe {
                 debug_assert!(base + ((m - 1) * out_w + m) * LANES <= out.data().len());
                 let (y, pitch) = (out.lanes_ptr_shared(b, kg, oy, ox), out_w * LANES);
                 self.tt.output_rows_post_strided(self.vt, tape_post, pitch, y, pitch, bufs.transform);
-            }
-            return;
+                let row = |i: usize| core::slice::from_raw_parts(y.add(i * pitch), m * LANES);
+                (0..m).map(|i| count_non_finite(self.vt, row(i))).sum()
+            };
         }
         let y = &mut bufs.tile[..m * m * LANES];
         let residual = match post.residual {
@@ -562,6 +568,9 @@ impl<E: GemmElem> TileBodies<'_, E> {
             self.tt.output_rows_post_strided(self.vt, tape_post, pitch, y_ptr, pitch, bufs.transform);
             scatter_output_tile(out, b, kg, oy, ox, m, y);
         }
+        // The pixels the scatter wrote: rows and columns inside H'×W'.
+        let (rows, cols) = ((out_h - oy).min(m), (out_w - ox).min(m));
+        y.chunks_exact(m * LANES).take(rows).map(|row| count_non_finite(self.vt, &row[..cols * LANES])).sum()
     }
 }
 
@@ -584,6 +593,8 @@ pub struct WinogradConv<S: Scheme> {
     /// Saturated quantized values of the last execute, counted where they
     /// are produced.
     pub(super) saturated: AtomicU64,
+    /// Non-finite values the last execute stored, counted in phase ③.
+    pub(super) non_finite: AtomicU64,
     /// Stage ②'s blocking, in the units of [`GemmShape::as_u8i8`]: set at
     /// plan time (`set_blocking`, or the scheme's own), else resolved by the
     /// first execute and kept.
@@ -621,6 +632,7 @@ impl<S: Scheme> WinogradConv<S> {
             inv,
             panels: None,
             saturated: AtomicU64::new(0),
+            non_finite: AtomicU64::new(0),
             blocking: None,
         }
     }
@@ -653,58 +665,6 @@ impl<S: Scheme> WinogradConv<S> {
     pub(super) fn resolved_blocking(&mut self, ctx: &ConvContext) -> Blocking {
         let words = self.gemm_shape().as_u8i8(S::Elem::ELEMENT);
         normalize_for(&resolve_blocking(&mut self.blocking, &words, ctx), &words)
-    }
-
-    /// The single-fork-join body of `execute` (`post` empty) and
-    /// `execute_post`: validate, resolve the blocking, and run the tile
-    /// bodies depth-first where the tile needs no pre-pass and
-    /// [`chain_block`] finds a block that fits the L2, staged otherwise.
-    fn execute_impl(
-        &mut self,
-        input: &BlockedImage,
-        output: &mut BlockedImage,
-        post: &ConvPostOps<'_>,
-        ctx: &mut ConvContext,
-    ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
-        if let Some(bias) = post.bias {
-            assert!(
-                bias.len() >= output.c_blocks() * LANES,
-                "blocked bias too short for {} channel groups",
-                output.c_blocks()
-            );
-        }
-        if let Some(res) = post.residual {
-            assert_eq!(res.dims(), output.dims(), "residual dims mismatch");
-        }
-        let shape = self.gemm_shape();
-        let blocking = self.resolved_blocking(ctx);
-        self.saturated.store(0, Ordering::Relaxed);
-        let bodies = TileBodies {
-            spec: self.spec,
-            geom: self.geom,
-            tt: &self.tt,
-            spatial: self.spatial.as_ref(),
-            quant: &self.quant,
-            inv: &self.inv,
-            input,
-            output,
-            post,
-            spans: S::SPANS,
-            saturated: &self.saturated,
-            tier: ctx.tier,
-            vt: VecTier::for_simd(ctx.tier),
-            _elem: PhantomData,
-        };
-        let words = shape.as_u8i8(S::Elem::ELEMENT);
-        let chain = match bodies.spatial {
-            None => chain_block(&words, blocking.row_blk, ctx.threads(), ctx.cache.l2_bytes),
-            Some(_) => None,
-        };
-        match chain {
-            Some(nb) => run_chained(&bodies, &BlockGemm::plan(ctx.tier, &shape, &blocking, &self.u_panel), nb, ctx),
-            None => run_staged(&bodies, &self.u_panel, &mut self.panels, &shape, &blocking, ctx),
-        }
     }
 }
 
@@ -788,13 +748,15 @@ fn run_staged<E: GemmElem>(
             let _span = lowino_trace::span(spans[3]);
             let mut ws = scratch.worker(worker);
             let (mut bufs, ..) = bodies.bufs(&mut ws);
+            let mut non_finite = 0u64;
             for task in range {
                 let (kg, tile) = (task / geom.total, task % geom.total);
                 debug_assert!(kg < k_blocks);
                 // SAFETY: `task < k_blocks · N`, so (kg, tile) is this
                 // task's alone.
-                unsafe { bodies.output_tile(tile, kg, gemm.z().tile_block(kg, tile), &mut bufs) };
+                non_finite += unsafe { bodies.output_tile(tile, kg, gemm.z().tile_block(kg, tile), &mut bufs) };
             }
+            bodies.non_finite.fetch_add(non_finite, Ordering::Relaxed);
         }
     };
     let times = pool.run_phases_catching(&totals[skip..], body)?;
@@ -877,7 +839,7 @@ fn run_chained<E: GemmElem>(
         let z: &mut [E::Z] = cast_slice_mut(ensure_i32(z_block, gemm.z_len(nb)));
         debug_assert_eq!(gemm.v_len(nb), t_count * nb * cp);
         let mut ns = [0u64; 3];
-        let (mut sat, mut tiles) = (0u64, 0usize);
+        let (mut sat, mut non_finite, mut tiles) = (0u64, 0u64, 0usize);
         let (mut panel_bytes, mut macs) = (0u64, 0u64);
         for block in range {
             let tile0 = block * nb;
@@ -909,7 +871,7 @@ fn run_chained<E: GemmElem>(
                     let at = (kg * nb + i) * t_count * LANES;
                     // SAFETY: tile blocks partition `0..N`, so output tile
                     // `tile0 + i` belongs to this task alone.
-                    unsafe { bodies.output_tile(tile0 + i, kg, &z[at..at + t_count * LANES], &mut bufs) };
+                    non_finite += unsafe { bodies.output_tile(tile0 + i, kg, &z[at..at + t_count * LANES], &mut bufs) };
                 }
             }
             let t3 = Instant::now();
@@ -924,6 +886,7 @@ fn run_chained<E: GemmElem>(
         for (total, ns) in stage_ns.iter().zip(ns) {
             total.fetch_add(ns, Ordering::Relaxed);
         }
+        bodies.non_finite.fetch_add(non_finite, Ordering::Relaxed);
         if E::QUANTIZED_V {
             note_saturation(Some(bodies.saturated), sat, tiles * c_blocks * t_count * LANES);
         }
@@ -955,26 +918,17 @@ impl<S: Scheme> ConvExecutor for WinogradConv<S> {
     /// One pool job per layer (paper §4.4), with working buffers drawn from
     /// the context's persistent per-worker [`ScratchArena`]. Transforms run
     /// on the **generated codelet kernels** with the scheme's epilogue and
-    /// prologue fused, in place wherever the tile geometry allows. Per-lane
-    /// arithmetic is identical in both schedules and to the interpreted,
-    /// gather-everything `LoWinoConv::execute_three_fork_join`, so outputs
-    /// are bitwise identical (`tests/winograd_schemes.rs`,
-    /// `tests/lowino_chained.rs` and `tests/lowino_in_place.rs` are the
-    /// end-to-end checks).
-    fn execute(
-        &mut self,
-        input: &BlockedImage,
-        output: &mut BlockedImage,
-        ctx: &mut ConvContext,
-    ) -> Result<StageTimings, ExecError> {
-        self.execute_impl(input, output, &ConvPostOps::default(), ctx)
-    }
-
-    /// Fused override of the default execute-then-apply path: the post-ops
-    /// ride the phase-③ row pass, so the activations are touched exactly
-    /// once. Bitwise identical to the default implementation
-    /// ([`crate::algo::apply_post_ops`]) because `((y + bias) + res).max(0.0)`
-    /// is evaluated in the same order with the same IEEE ops.
+    /// prologue fused, in place wherever the tile geometry allows; the
+    /// post-ops ride the phase-③ row pass, so the activations are touched
+    /// exactly once. Per-lane arithmetic is identical in both schedules and
+    /// to the interpreted, gather-everything
+    /// `LoWinoConv::execute_three_fork_join`, and `((y + bias) + res)` then
+    /// the ReLU select are the IEEE ops of [`crate::algo::apply_post_ops`]
+    /// in its order, so outputs are bitwise identical
+    /// (`tests/winograd_schemes.rs`, `tests/lowino_chained.rs` and
+    /// `tests/lowino_in_place.rs` are the end-to-end checks). The tile
+    /// bodies run depth-first where the tile needs no pre-pass and
+    /// [`chain_block`] finds a block that fits the L2, staged otherwise.
     fn execute_post(
         &mut self,
         input: &BlockedImage,
@@ -982,7 +936,43 @@ impl<S: Scheme> ConvExecutor for WinogradConv<S> {
         post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        self.execute_impl(input, output, post, ctx)
+        check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_post(output, post);
+        let shape = self.gemm_shape();
+        let blocking = self.resolved_blocking(ctx);
+        self.saturated.store(0, Ordering::Relaxed);
+        self.non_finite.store(0, Ordering::Relaxed);
+        let bodies = TileBodies {
+            spec: self.spec,
+            geom: self.geom,
+            tt: &self.tt,
+            spatial: self.spatial.as_ref(),
+            quant: &self.quant,
+            inv: &self.inv,
+            input,
+            output,
+            post,
+            spans: S::SPANS,
+            saturated: &self.saturated,
+            non_finite: &self.non_finite,
+            tier: ctx.tier,
+            vt: VecTier::for_simd(ctx.tier),
+            _elem: PhantomData,
+        };
+        let words = shape.as_u8i8(S::Elem::ELEMENT);
+        let chain = match bodies.spatial {
+            None => chain_block(&words, blocking.row_blk, ctx.threads(), ctx.cache.l2_bytes),
+            Some(_) => None,
+        };
+        match chain {
+            Some(nb) => run_chained(&bodies, &BlockGemm::plan(ctx.tier, &shape, &blocking, &self.u_panel), nb, ctx),
+            None => run_staged(&bodies, &self.u_panel, &mut self.panels, &shape, &blocking, ctx),
+        }
+    }
+
+    /// Tallied per output tile in phase ③, one atomic add per task range.
+    fn non_finite(&self) -> u64 {
+        self.non_finite.load(Ordering::Relaxed)
     }
 
     /// Saturation of the last execute's quantized values, counted as they

@@ -10,14 +10,16 @@
 //!   stored straight into the output), never values.
 //! * **Fused post-ops.** `execute_post` (bias / residual / ReLU riding the
 //!   phase-③ row pass) equals `execute` followed by the scalar
-//!   [`apply_post_ops`] pass, bit for bit, for every scheme.
+//!   [`apply_post_ops`] pass, bit for bit, for every scheme — and for the two
+//!   direct executors, which apply them to each pixel before its store.
 //! * **Saturation.** What `saturation()` reports — tallied while the values
 //!   are produced — equals a recount of the scheme's quantized panel/buffer.
 
 use lowino_conv::calibrate::calibrate_winograd_domain_per_position;
 use lowino_conv::{
     apply_post_ops, calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvError,
-    ConvExecutor, ConvPostOps, DownScaleConv, LoWinoConv, UpCastConv, WinogradF32Conv,
+    ConvExecutor, ConvPostOps, DirectF32Conv, DirectInt8Conv, DownScaleConv, LoWinoConv, UpCastConv,
+    WinogradF32Conv,
 };
 use lowino_gemm::{Blocking, CacheModel, VPanel};
 use lowino_quant::{count_saturated_i8, count_saturated_u8};
@@ -267,30 +269,34 @@ fn fused_post_ops_match_unfused_oracle_bitwise_for_every_scheme() {
         ((b + c * 5 + y * 3 + x * 2) as f32 * 0.19).cos() * 0.8
     }));
     let mut ctx = ConvContext::new(2);
+    let spatial = calibrate_spatial(std::slice::from_ref(&img)).unwrap();
+    let mut executors: Vec<(String, Box<dyn ConvExecutor>)> = vec![
+        ("DirectInt8".into(), Box::new(DirectInt8Conv::new(spec, &w, spatial).unwrap())),
+        ("DirectF32".into(), Box::new(DirectF32Conv::new(spec, &w).unwrap())),
+    ];
     for kind in KINDS {
         for m in [2, 4] {
-            let mut conv = plan(kind, spec, m, &w, &img, None).unwrap();
-            let mut plain = zeros_for(&spec);
-            conv.execute(&img, &mut plain, &mut ctx).unwrap();
-            for (use_bias, use_res, relu) in
-                [(true, false, false), (false, true, false), (false, false, true), (true, true, true)]
-            {
-                let post = ConvPostOps {
-                    bias: use_bias.then_some(bias.as_slice()),
-                    residual: use_res.then_some(&res),
-                    relu,
-                };
-                let mut fused = zeros_for(&spec);
-                conv.execute_post(&img, &mut fused, &post, &mut ctx).unwrap();
-                // Oracle: the plain output through the reference elementwise pass.
-                let mut want = plain.clone();
-                apply_post_ops(&mut want, &post);
-                let bits = |img: &BlockedImage| img.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert!(
-                    bits(&fused) == bits(&want),
-                    "{kind:?} F({m},3): bias={use_bias} res={use_res} relu={relu}"
-                );
-            }
+            executors.push((format!("{kind:?} F({m},3)"), plan(kind, spec, m, &w, &img, None).unwrap()));
+        }
+    }
+    for (name, mut conv) in executors {
+        let mut plain = zeros_for(&spec);
+        conv.execute(&img, &mut plain, &mut ctx).unwrap();
+        for (use_bias, use_res, relu) in
+            [(true, false, false), (false, true, false), (false, false, true), (true, true, true)]
+        {
+            let post = ConvPostOps {
+                bias: use_bias.then_some(bias.as_slice()),
+                residual: use_res.then_some(&res),
+                relu,
+            };
+            let mut fused = zeros_for(&spec);
+            conv.execute_post(&img, &mut fused, &post, &mut ctx).unwrap();
+            // Oracle: the plain output through the reference elementwise pass.
+            let mut want = plain.clone();
+            apply_post_ops(&mut want, &post);
+            let bits = |img: &BlockedImage| img.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&fused) == bits(&want), "{name}: bias={use_bias} res={use_res} relu={relu}");
         }
     }
 }

@@ -42,8 +42,10 @@ pub struct HealthPolicy {
     /// intermediates exceeds this ratio (the calibrated scales no longer
     /// fit the live data distribution). Set above 1.0 to disable.
     pub max_saturation_ratio: f64,
-    /// Demote when the output contains NaN/±inf values. One linear pass
-    /// over the output per execute; set `false` to disable.
+    /// Demote when the output contains NaN/±inf values. Reads the count the
+    /// executor tallied while storing its output
+    /// ([`ConvExecutor::non_finite`]) — no pass over the output; set
+    /// `false` to disable.
     pub check_output_finite: bool,
 }
 
@@ -57,11 +59,12 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// The overload-brownout policy: every post-execute health scan is
-    /// disabled, so an execute costs no extra passes over the output and
-    /// numerics alone never trigger a demotion rebuild. A browned-out
-    /// server deliberately trades the §9 quality guards for latency
-    /// headroom; hard failures (worker panics, build errors) still demote.
+    /// The overload-brownout policy: every post-execute health check is
+    /// disabled, so numerics alone never trigger a demotion rebuild (the
+    /// executors tally saturation and non-finite outputs either way; the
+    /// checks only read those counts). A browned-out server deliberately
+    /// trades the §9 quality guards for latency headroom; hard failures
+    /// (worker panics, build errors) still demote.
     pub fn relaxed() -> Self {
         Self {
             max_saturation_ratio: f64::INFINITY,
@@ -165,7 +168,7 @@ impl ResilientConv {
 
     /// A layer pinned to `algo`: exactly one executor, planned like a
     /// ladder rung (`per_position` asks LoWino for one scale per tile
-    /// position). With nowhere to demote to it runs no health scans
+    /// position). With nowhere to demote to it runs no health checks
     /// ([`HealthPolicy::relaxed`]), keeps no copy of the weights or
     /// samples, and returns a construction failure unchanged.
     pub fn pinned(
@@ -252,7 +255,7 @@ impl ResilientConv {
     }
 
     /// Swap the health policy live — the serving brownout controller
-    /// relaxes the per-execute health scans under overload and restores
+    /// relaxes the per-execute health checks under overload and restores
     /// them when pressure clears. Takes effect from the next execute;
     /// demotions already taken stay (the ladder is sticky by design).
     pub fn set_policy(&mut self, policy: HealthPolicy) {
@@ -299,7 +302,7 @@ impl ResilientConv {
         loop {
             match self.exec.execute_post(input, output, post, ctx) {
                 Ok(times) => {
-                    let Some(reason) = self.health_breach(output) else {
+                    let Some(reason) = self.health_breach() else {
                         return Ok(times);
                     };
                     self.demote(reason)?;
@@ -313,15 +316,16 @@ impl ResilientConv {
         }
     }
 
-    /// Post-execute health check against the policy.
-    fn health_breach(&self, output: &BlockedImage) -> Option<DemotionReason> {
+    /// Post-execute health check against the policy: reads the counts the
+    /// executor tallied where it produced the values.
+    fn health_breach(&self) -> Option<DemotionReason> {
         if let Some((saturated, total)) = self.exec.saturation() {
             if total > 0 && saturated as f64 > self.policy.max_saturation_ratio * total as f64 {
                 return Some(DemotionReason::SaturationBreach { saturated, total });
             }
         }
         if self.policy.check_output_finite {
-            let count = output.data().iter().filter(|v| !v.is_finite()).count() as u64;
+            let count = self.exec.non_finite();
             if count > 0 {
                 return Some(DemotionReason::NonFiniteOutput { count });
             }

@@ -551,7 +551,7 @@ impl CompiledGraph {
         // two coexisting images alias; offsets are PLAN_ALIGN-aligned.
         unsafe {
             let mut in_img = slot_image(base, plan, slots, input_slot);
-            load_nchw(&mut in_img, input);
+            in_img.fill_from_nchw(input);
         }
         for (idx, op) in ops.iter_mut().enumerate() {
             let _lsp = lowino_trace::span_arg("graph/layer", idx as u64);
@@ -688,27 +688,6 @@ unsafe fn slot_image(
     let s = &slots[idx];
     unsafe {
         BlockedImage::from_arena_ptr(base.add(plan.offsets[idx]), s.batch, s.channels, s.h, s.w)
-    }
-}
-
-/// Copy an NCHW tensor into a blocked slot, fully overwriting the window
-/// (padding lanes zeroed — the slot may hold a dead tensor's bits).
-fn load_nchw(img: &mut BlockedImage, t: &Tensor4) {
-    let (b_n, c_n, h, w) = img.dims();
-    debug_assert_eq!(t.dims(), (b_n, c_n, h, w));
-    let c_blocks = img.c_blocks();
-    for b in 0..b_n {
-        for cb in 0..c_blocks {
-            for y in 0..h {
-                for x in 0..w {
-                    let lanes = img.lanes_mut(b, cb, y, x);
-                    for (l, v) in lanes.iter_mut().enumerate() {
-                        let c = cb * LANES + l;
-                        *v = if c < c_n { t.at(b, c, y, x) } else { 0.0 };
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -42,7 +42,7 @@ pub trait BatchModel {
     fn on_shutdown(&mut self) -> Result<(), String> {
         Ok(())
     }
-    /// Brownout hook: `true` relaxes post-execute health scans so each
+    /// Brownout hook: `true` relaxes post-execute health checks so each
     /// batch costs less under overload, `false` restores them. Default:
     /// no-op (trivial test models have no health policy to relax).
     fn set_degraded(&mut self, _degraded: bool) {}

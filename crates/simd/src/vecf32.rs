@@ -495,6 +495,16 @@ mod dispatch_x86 {
     pub unsafe fn requantize_avx2(src: &[i32], alpha: f32, offset: i32, dst: &mut [u8]) {
         requantize_chunks::<F32x8>(src, alpha, offset, dst);
     }
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn count_non_finite_avx512(values: &[f32]) -> u64 {
+        count_non_finite_loop(values)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn count_non_finite_avx2(values: &[f32]) -> u64 {
+        count_non_finite_loop(values)
+    }
 }
 
 /// Tier-dispatched [`quantize_f32_lanes_i8`](crate::quantize_f32_lanes_i8):
@@ -568,6 +578,35 @@ pub fn requantize_i32_lanes(vt: VecTier, src: &[i32], alpha: f32, compensate: bo
         // SAFETY: scalar model has no feature requirement.
         _ => unsafe { requantize_chunks::<F32x1>(src, alpha, offset, dst) },
     }
+}
+
+/// NaN / ±inf values among `values` — the store phases' output-health
+/// tally, run on values just stored (one output row or pixel, fewer than
+/// 2³²) at the tier's vector width.
+///
+/// # Panics
+///
+/// Debug-panics when `vt` exceeds the host capability.
+#[inline]
+pub fn count_non_finite(vt: VecTier, values: &[f32]) -> u64 {
+    debug_assert!(vt <= VecTier::detect(), "vec tier {vt} not supported");
+    match vt {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: tier availability checked above.
+        VecTier::F32x16 => unsafe { dispatch_x86::count_non_finite_avx512(values) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        VecTier::F32x8 => unsafe { dispatch_x86::count_non_finite_avx2(values) },
+        _ => count_non_finite_loop(values),
+    }
+}
+
+/// The count's one loop, which the compiler vectorizes at the width the
+/// calling wrapper enables: summed in a `u32` so the flags stay in vector
+/// lanes (a `filter().count()` widens each to `usize`).
+#[inline(always)]
+fn count_non_finite_loop(values: &[f32]) -> u64 {
+    u64::from(values.iter().map(|v| u32::from(!v.is_finite())).sum::<u32>())
 }
 
 #[cfg(test)]
@@ -709,6 +748,26 @@ mod tests {
                 }
                 let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "vt={vt}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_non_finite_matches_a_scan_all_tiers() {
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+        // Lengths straddle every chunk boundary; the poisons land in the
+        // vector body and in the scalar tail.
+        for len in [0usize, 1, 7, 8, 15, 16, 17, 64, 67, 256] {
+            let mut src = pattern_f32(len, len as u64);
+            for (i, at) in (0..len).step_by(5).enumerate() {
+                src[at] = poisons[i % poisons.len()];
+            }
+            if let Some(last) = src.last_mut() {
+                *last = f32::MAX;
+            }
+            let want = src.iter().filter(|v| !v.is_finite()).count() as u64;
+            for vt in VecTier::available() {
+                assert_eq!(count_non_finite(vt, &src), want, "vt={vt} len={len}");
             }
         }
     }

@@ -64,6 +64,10 @@ impl Storage {
     }
 }
 
+/// Pixels per chunk of [`BlockedImage::fill_from_nchw`]: 64 pixels of 64
+/// lanes are 16 KiB of destination, resident in L1 while they are filled.
+const FILL_PIXELS: usize = 64;
+
 /// A batch of images in the blocked `B × [C/64] × H × W × 64` `f32` layout.
 #[derive(Debug)]
 pub struct BlockedImage {
@@ -167,18 +171,47 @@ impl BlockedImage {
     pub fn from_nchw(t: &Tensor4) -> Self {
         let (n, c, h, w) = t.dims();
         let mut img = Self::zeros(n, c, h, w);
-        for b in 0..n {
-            for ch in 0..c {
-                let (cb, cl) = (ch / LANES, ch % LANES);
-                for y in 0..h {
-                    for x in 0..w {
-                        let off = img.offset(b, cb, y, x) + cl;
-                        img.buf.as_mut_slice()[off] = t.at(b, ch, y, x);
+        img.fill_from_nchw(t);
+        img
+    }
+
+    /// Overwrite the whole image with an NCHW tensor of the same dims,
+    /// channel padding zeroed — every lane is written, so an arena window
+    /// holding a dead tensor's bits loads cleanly.
+    ///
+    /// One pass over the image, 64 pixels at a time: the chunk's padding
+    /// lanes are zeroed, then each channel's contiguous run of the NCHW
+    /// plane is written at a 64-lane stride. The chunk's destination
+    /// (16 KiB) stays in L1 until every one of its lanes is written, and
+    /// each channel plane is read front to back.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t`'s dims are not the image's.
+    pub fn fill_from_nchw(&mut self, t: &Tensor4) {
+        assert_eq!(t.dims(), self.dims(), "NCHW tensor dims mismatch");
+        let (channels, c_blocks, plane) = (self.channels, self.c_blocks, self.h * self.w);
+        if plane == 0 {
+            return;
+        }
+        let src = t.data();
+        for (bc, block) in self.buf.as_mut_slice().chunks_exact_mut(plane * LANES).enumerate() {
+            let (b, cb) = (bc / c_blocks, bc % c_blocks);
+            let lanes = (channels - cb * LANES).min(LANES);
+            let planes = &src[(b * channels + cb * LANES) * plane..];
+            for (i, chunk) in block.chunks_mut(FILL_PIXELS * LANES).enumerate() {
+                if lanes < LANES {
+                    chunk.fill(0.0);
+                }
+                let p0 = i * FILL_PIXELS;
+                for l in 0..lanes {
+                    let run = &planes[l * plane + p0..][..chunk.len() / LANES];
+                    for (px, &v) in chunk.chunks_exact_mut(LANES).zip(run) {
+                        px[l] = v;
                     }
                 }
             }
         }
-        img
     }
 
     /// Unpack back to an NCHW tensor (dropping channel padding).
@@ -341,6 +374,37 @@ mod tests {
         let img = BlockedImage::zeros(1, 64, 4, 4);
         assert_eq!(img.offset(0, 0, 0, 1) - img.offset(0, 0, 0, 0), 64);
         assert_eq!(img.offset(0, 0, 1, 0) - img.offset(0, 0, 0, 0), 4 * 64);
+    }
+
+    #[test]
+    fn fill_overwrites_every_lane_and_matches_the_element_order() {
+        // Planes longer and shorter than one fill chunk, channel counts on
+        // and off the 64-lane grid, batched.
+        for (n, c, h, w) in [(2, 3, 3, 5), (1, 64, 9, 9), (2, 70, 11, 7), (1, 130, 1, 1), (1, 5, 0, 3)] {
+            let t = sample(n, c, h, w);
+            let mut img = BlockedImage::zeros(n, c, h, w);
+            img.data_mut().fill(f32::NAN);
+            img.fill_from_nchw(&t);
+            for b in 0..n {
+                for cb in 0..img.c_blocks() {
+                    for y in 0..h {
+                        for x in 0..w {
+                            for (l, &v) in img.lanes(b, cb, y, x).iter().enumerate() {
+                                let ch = cb * LANES + l;
+                                let want = if ch < c { t.at(b, ch, y, x) } else { 0.0 };
+                                assert_eq!(v.to_bits(), want.to_bits(), "{n}x{c}x{h}x{w} at {b},{ch},{y},{x}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dims mismatch")]
+    fn fill_rejects_other_dims() {
+        BlockedImage::zeros(1, 3, 4, 4).fill_from_nchw(&sample(1, 3, 4, 5));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! End-to-end resilience: each injectable fault site, armed in turn, must
 //! leave [`ResilientConv`] serving finite output within direct-f32
-//! tolerance — and reporting which (demoted) algorithm served it.
+//! tolerance — and reporting which (demoted) algorithm served it. A
+//! non-finite output demotes too, reporting the count the executor tallied
+//! in its store phase.
 //!
 //! The fault sites are process-global, so every test here takes
 //! `FAULT_LOCK`: an armed site is then always consumed by the test that
@@ -10,7 +12,7 @@ use std::sync::Mutex;
 
 use lowino::prelude::*;
 use lowino::resilient::DemotionReason;
-use lowino::{ConvContext, DirectF32Conv, ResilientConv};
+use lowino::{calibrate_winograd_domain, ConvContext, ConvPostOps, DirectF32Conv, LoWinoConv, ResilientConv};
 use lowino_nn::{mini_resnet, CompiledGraph, GraphSpec};
 use lowino_testkit::faults::{self, CALIBRATE_SAMPLES, GRAPH_PLAN, POOL_PHASE, SCRATCH_GROW};
 
@@ -68,6 +70,42 @@ fn pool_phase_fault_demotes_and_serves_within_tolerance() {
     assert!(out.to_nchw().data().iter().all(|v| v.is_finite()));
     let err = out.to_nchw().rel_l2_error(&want.to_nchw());
     assert!(err < TOL, "rel error {err}");
+}
+
+#[test]
+fn one_nan_in_the_residual_demotes_lowino_with_the_count_a_scan_finds() {
+    // ReLU off, so the residual's one NaN — at the last pixel, a clipped
+    // corner of a ragged F(4,3) tile (H' = 10 = 2·4 + 2) — reaches the
+    // output of every rung and the ladder runs dry. The first demotion
+    // reports what LoWino tallied in its store phase; a scan of the same
+    // layer's output must agree.
+    let _guard = FAULT_LOCK.lock().unwrap();
+    faults::disarm_all();
+    let (spec, w, img) = setup();
+    let mut res = BlockedImage::zeros(1, 8, 10, 10);
+    res.lanes_mut(0, 0, 9, 9)[7] = f32::NAN;
+    let post = ConvPostOps { residual: Some(&res), ..ConvPostOps::default() };
+    let mut ctx = ConvContext::new(2);
+    let samples = vec![img.clone()];
+    let scale = calibrate_winograd_domain(&spec, 4, &samples).unwrap();
+    let mut lowino = LoWinoConv::new(spec, 4, &w, scale).unwrap();
+    let mut scanned = BlockedImage::zeros(1, 8, 10, 10);
+    lowino.execute_post(&img, &mut scanned, &post, &mut ctx).unwrap();
+    let scan = scanned.data().iter().filter(|v| !v.is_finite()).count() as u64;
+    assert_eq!(scan, 1);
+
+    let mut conv = ResilientConv::new(spec, 4, &w, samples).unwrap();
+    let mut out = BlockedImage::zeros(1, 8, 10, 10);
+    let err = conv.execute_post(&img, &mut out, &post, &mut ctx).unwrap_err();
+    assert!(err.to_string().contains("exhausted"), "{err}");
+    let first = &conv.demotions()[0];
+    assert_eq!((first.from, first.to), (Algorithm::LoWino { m: 4 }, Algorithm::UpCast { m: 4 }));
+    assert!(
+        matches!(first.reason, DemotionReason::NonFiniteOutput { count } if count == scan),
+        "{:?}",
+        first.reason
+    );
+    assert!(conv.demotions().iter().all(|d| matches!(d.reason, DemotionReason::NonFiniteOutput { count: 1 })));
 }
 
 #[test]
