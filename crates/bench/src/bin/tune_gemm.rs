@@ -8,6 +8,11 @@
 //!
 //! By default only the cost model's top-K candidates are measured
 //! (Autotuner 2.0); `--full 1` sweeps the whole candidate lattice.
+//!
+//! This is the one program that writes wisdom; engines only read it
+//! (`LOWINO_WISDOM`). New winners are added to the file's entries. A file
+//! that does not parse is left untouched and the run exits 1 with the
+//! parse error, before anything is measured; a missing file starts empty.
 
 use lowino_bench::runner::arg;
 use lowino_bench::Table;
@@ -32,9 +37,15 @@ fn main() {
         ("YOLOv3_c F(4,3)", GemmShape { t: 36, n: 4 * 4, c: 256, k: 512 }),
     ];
 
+    let mut wisdom = match Wisdom::load(std::path::Path::new(&wisdom_path)) {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("tune_gemm: {wisdom_path}: {e} (file left untouched)");
+            std::process::exit(1);
+        }
+    };
     let tier = SimdTier::detect();
     let mut pool = StaticPool::new(threads);
-    let mut wisdom = Wisdom::load(std::path::Path::new(&wisdom_path)).unwrap_or_default();
 
     println!("== §4.3.4 auto-tuning (tier {tier}, {threads} thread(s)) ==\n");
     for (name, shape) in shapes {

@@ -10,7 +10,7 @@
 use lowino_gemm::{Operands, UPanel, UPanelOf};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
-use lowino_simd::{saturate_to_i8, SimdTier};
+use lowino_simd::SimdTier;
 use lowino_tensor::{ConvShape, Tensor4, TileGeometry, LANES};
 use lowino_winograd::TileTransformer;
 
@@ -122,13 +122,6 @@ pub fn pack_filters_direct_i8(
     }
     panel.finalize_compensation();
     Ok((panel, alpha_u))
-}
-
-/// Saturating helper shared with the executors (re-exported so the quant
-/// crate's local copy stays pinned to the simd one).
-#[inline]
-pub fn quantize_pin_check(x: f32) -> i8 {
-    saturate_to_i8(x)
 }
 
 #[cfg(test)]

@@ -5,8 +5,11 @@
 //! algorithm (explicitly or via the cost model), running whatever
 //! calibration the chosen scheme needs, packing the filters, and allocating
 //! workspaces — into a reusable [`Layer`].
-
-use std::path::PathBuf;
+//!
+//! An engine only reads wisdom. [`Engine::new`] and [`Engine::with_tier`]
+//! seed it from `LOWINO_WISDOM`; code that wants another file assigns
+//! `engine.context_mut().wisdom = Wisdom::load(path)?`. The one writer is
+//! the offline `tune_gemm` binary.
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, Algorithm, ConvContext, ConvError,
@@ -14,9 +17,7 @@ use lowino_conv::{
     StageTimings, UpCastConv, WinogradF32Conv,
 };
 use lowino_conv::calibrate::calibrate_winograd_domain_per_position;
-use lowino_gemm::Wisdom;
 use lowino_quant::QParams;
-use lowino_simd::SimdTier;
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 
 use crate::select::select_algorithm;
@@ -50,15 +51,6 @@ impl Engine {
         }
     }
 
-    /// Start configuring an engine explicitly: tier, wisdom file.
-    pub fn builder(threads: usize) -> EngineBuilder {
-        EngineBuilder {
-            threads,
-            tier: None,
-            wisdom_path: None,
-        }
-    }
-
     /// The underlying context (advanced use: wisdom, tier inspection).
     pub fn context_mut(&mut self) -> &mut ConvContext {
         &mut self.ctx
@@ -67,15 +59,6 @@ impl Engine {
     /// The underlying context, read-only (tuner seeding, tier queries).
     pub fn context(&self) -> &ConvContext {
         &self.ctx
-    }
-
-    /// Persist this engine's accumulated wisdom into `path` via the
-    /// crash-safe merge-save (read-merge, tmp file, fsync, rename — the
-    /// `wisdom/save` fault site). What a serving shard calls at shutdown
-    /// so tuned blockings survive restarts; safe to call concurrently
-    /// from engines sharing one file.
-    pub fn save_wisdom(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        self.ctx.wisdom.merge_save(path.as_ref())
     }
 
     /// Allocate a correctly-shaped blocked output for a layer spec.
@@ -92,46 +75,6 @@ impl Engine {
         output: &mut BlockedImage,
     ) -> Result<StageTimings, ExecError> {
         layer.exec.execute(input, output, &mut self.ctx)
-    }
-}
-
-/// Configures an [`Engine`] with an explicit tier and wisdom file.
-///
-/// ```no_run
-/// # use lowino::{Engine, SimdTier};
-/// let engine = Engine::builder(4)
-///     .tier(SimdTier::Avx2)
-///     .wisdom_path("model.wisdom")
-///     .build();
-/// ```
-pub struct EngineBuilder {
-    threads: usize,
-    tier: Option<SimdTier>,
-    wisdom_path: Option<PathBuf>,
-}
-
-impl EngineBuilder {
-    /// Pin the SIMD tier (default: [`SimdTier::detect`]).
-    pub fn tier(mut self, tier: SimdTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
-    /// Wisdom file to seed blockings from (default: `LOWINO_WISDOM` if
-    /// set). Unreadable files degrade to empty wisdom.
-    pub fn wisdom_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.wisdom_path = Some(path.into());
-        self
-    }
-
-    /// Construct the engine.
-    pub fn build(self) -> Engine {
-        let tier = self.tier.unwrap_or_else(SimdTier::detect);
-        let mut ctx = ConvContext::with_tier(self.threads, tier);
-        if let Some(path) = self.wisdom_path {
-            ctx.wisdom = Wisdom::load(&path).unwrap_or_default();
-        }
-        Engine { ctx }
     }
 }
 

@@ -51,7 +51,7 @@ pub mod builder;
 pub mod resilient;
 pub mod select;
 
-pub use builder::{AlgoChoice, Engine, EngineBuilder, Layer, LayerBuilder};
+pub use builder::{AlgoChoice, Engine, Layer, LayerBuilder};
 pub use resilient::{Demotion, DemotionReason, HealthPolicy, ResilientConv};
 pub use select::{estimate_cost, select_algorithm, CostModel};
 

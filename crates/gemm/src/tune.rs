@@ -254,17 +254,6 @@ impl Wisdom {
         (GemmCostModel::new().seed(tier, shape), SeedSource::Model)
     }
 
-    /// Union `other` into `self`; on a conflicting key `other`'s entry
-    /// wins (it is the newer measurement on the save path).
-    pub fn merge(&mut self, other: &Wisdom) {
-        for (k, v) in &other.exact {
-            self.exact.insert(*k, *v);
-        }
-        for (k, v) in &other.class {
-            self.class.insert(*k, *v);
-        }
-    }
-
     /// Serialise to the line format.
     pub fn to_string_format(&self) -> String {
         let fmt_b = |b: &Blocking| {
@@ -425,19 +414,6 @@ impl Wisdom {
         }
         result
     }
-
-    /// Concurrent-writer save: re-load the file, merge `self`'s entries
-    /// over it, and [`Wisdom::save`] the union — so two processes saving
-    /// interleaved keep *both* writers' entries instead of
-    /// last-writer-wins clobbering.
-    /// A missing or unparseable on-disk file contributes nothing (a
-    /// corrupt file is already lost; this path replaces it with good
-    /// data). Inherits `save`'s crash safety and its fault site.
-    pub fn merge_save(&self, path: &Path) -> Result<(), String> {
-        let mut merged = Self::load(path).unwrap_or_default();
-        merged.merge(self);
-        merged.save(path)
-    }
 }
 
 #[cfg(test)]
@@ -540,24 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_both_writers_entries() {
-        let s1 = GemmShape { t: 16, n: 100, c: 64, k: 128 };
-        let s2 = GemmShape { t: 36, n: 200, c: 128, k: 64 };
-        let mut a = Wisdom::new();
-        a.insert(SimdTier::Avx2, &s1, B1);
-        let mut b = Wisdom::new();
-        b.insert(SimdTier::Avx2, &s2, B2);
-        a.merge(&b);
-        assert_eq!(a.get(SimdTier::Avx2, &s1), Some(B1));
-        assert_eq!(a.get(SimdTier::Avx2, &s2), Some(B2));
-        // Conflicts: the merged-in (newer) writer wins.
-        let mut c = Wisdom::new();
-        c.insert(SimdTier::Avx2, &s1, B2);
-        a.merge(&c);
-        assert_eq!(a.get(SimdTier::Avx2, &s1), Some(B2));
-    }
-
-    #[test]
     fn wisdom_parse_errors() {
         assert!(Wisdom::parse("1 2 3 4 5 6").is_err()); // no arrow
         assert!(Wisdom::parse("1 2 3 -> 1 2 3 4 5").is_err()); // short key
@@ -629,53 +587,6 @@ mod tests {
         let back = Wisdom::load(&path).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.get(SimdTier::Avx2, &s_old), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn concurrent_merge_save_keeps_both_writers_entries() {
-        use lowino_testkit::faults::WISDOM_SAVE;
-        let _guard = SAVE_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "lowino-wisdom-merge-test-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wisdom.txt");
-        std::fs::remove_file(&path).ok();
-
-        // Two independent writers (e.g. two tuning runs) save interleaved:
-        // both entries survive.
-        let s_a = GemmShape { t: 16, n: 100, c: 64, k: 128 };
-        let s_b = GemmShape { t: 36, n: 1024, c: 512, k: 512 };
-        let mut a = Wisdom::new();
-        a.insert(SimdTier::Avx2, &s_a, B1);
-        let mut b = Wisdom::new();
-        b.insert(SimdTier::Avx512Vnni, &s_b, B2);
-        a.merge_save(&path).unwrap();
-        b.merge_save(&path).unwrap();
-        let disk = Wisdom::load(&path).unwrap();
-        assert_eq!(disk.len(), 2, "merge_save must union, not clobber");
-        assert_eq!(disk.get(SimdTier::Avx2, &s_a), Some(B1));
-        assert_eq!(disk.get(SimdTier::Avx512Vnni, &s_b), Some(B2));
-
-        // A crash mid-merge-save (the crash-safe path's fault site) leaves
-        // the union intact on disk; the disarmed retry lands the third
-        // writer's entry without losing the first two.
-        let mut c = Wisdom::new();
-        let s_c = GemmShape { t: 4, n: 64, c: 32, k: 64 };
-        c.insert(SimdTier::Scalar, &s_c, B1);
-        WISDOM_SAVE.arm();
-        let err = c.merge_save(&path).expect_err("armed fault fails the save");
-        assert!(err.contains("injected fault: wisdom/save"), "{err}");
-        let disk = Wisdom::load(&path).expect("file must stay loadable");
-        assert_eq!(disk.len(), 2, "crashed merge_save must not lose entries");
-        c.merge_save(&path).expect("disarmed retry");
-        let disk = Wisdom::load(&path).unwrap();
-        assert_eq!(disk.len(), 3);
-        assert_eq!(disk.get(SimdTier::Avx2, &s_a), Some(B1));
-        assert_eq!(disk.get(SimdTier::Avx512Vnni, &s_b), Some(B2));
-        assert_eq!(disk.get(SimdTier::Scalar, &s_c), Some(B1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

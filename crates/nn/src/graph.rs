@@ -365,11 +365,12 @@ impl CompiledGraph {
     }
 
     /// [`Self::compile`] onto a caller-built [`Engine`] with an explicit
-    /// per-conv [`HealthPolicy`] — a serving shard configures its engine
-    /// first (pinned tier, wisdom file via [`Engine::builder`]) and hands
-    /// it over, and the health-off ablation disables the post-execute
-    /// scans. The graph takes ownership; `spec.threads` is ignored (the
-    /// engine already owns its pool).
+    /// per-conv [`HealthPolicy`] — a caller configures its engine first
+    /// (a pinned tier via [`Engine::with_tier`], another wisdom file via
+    /// [`Engine::context_mut`]) and hands it over, and the health-off
+    /// ablation disables the post-execute checks. The graph takes
+    /// ownership; `spec.threads` is ignored (the engine already owns its
+    /// pool).
     pub fn compile_with_engine(
         engine: Engine,
         model: &mut Model,
@@ -466,11 +467,6 @@ impl CompiledGraph {
     /// Borrow the engine (tier/wisdom inspection).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// Mutably borrow the engine (wisdom persistence, context access).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 
     /// The **currently active** algorithm of every conv ladder, in op

@@ -11,8 +11,6 @@
 //! moves it. That keeps engine internals (thread pools, scratch arenas)
 //! pinned to their shard.
 
-use std::path::PathBuf;
-
 use lowino::{HealthPolicy, Tensor4};
 use lowino_nn::CompiledGraph;
 
@@ -37,11 +35,6 @@ pub trait BatchModel {
     fn algorithms(&self) -> Vec<String> {
         Vec::new()
     }
-    /// Called once when the owning shard drains and exits (persist
-    /// wisdom, flush state). Errors are reported in `/stats`, not fatal.
-    fn on_shutdown(&mut self) -> Result<(), String> {
-        Ok(())
-    }
     /// Brownout hook: `true` relaxes post-execute health checks so each
     /// batch costs less under overload, `false` restores them. Default:
     /// no-op (trivial test models have no health policy to relax).
@@ -53,7 +46,6 @@ pub struct GraphModel {
     graph: CompiledGraph,
     input: Tensor4,
     logits: Tensor4,
-    wisdom_path: Option<PathBuf>,
 }
 
 impl GraphModel {
@@ -64,14 +56,7 @@ impl GraphModel {
         let (c, h, w) = graph.input_dims();
         let input = Tensor4::zeros(graph.batch(), c, h, w);
         let logits = Tensor4::zeros(graph.batch(), graph.classes(), 1, 1);
-        Self { graph, input, logits, wisdom_path: None }
-    }
-
-    /// Persist this shard's accumulated wisdom here at shutdown (the
-    /// crash-safe merge-save; concurrent shards may share one file).
-    pub fn with_wisdom_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.wisdom_path = Some(path.into());
-        self
+        Self { graph, input, logits }
     }
 
     /// The wrapped graph.
@@ -127,13 +112,6 @@ impl BatchModel for GraphModel {
             .iter()
             .map(|a| a.to_string())
             .collect()
-    }
-
-    fn on_shutdown(&mut self) -> Result<(), String> {
-        match &self.wisdom_path {
-            Some(path) => self.graph.engine().save_wisdom(path),
-            None => Ok(()),
-        }
     }
 
     fn set_degraded(&mut self, degraded: bool) {

@@ -343,8 +343,6 @@ pub struct ShardSnapshot {
     pub batches: u64,
     /// Demotions taken by this shard's ladders.
     pub demotions: u64,
-    /// Failed shutdown wisdom saves.
-    pub wisdom_errors: u64,
     /// Active algorithm per conv, in op order.
     pub algorithms: Vec<String>,
     /// Supervision state (`healthy`/`wedged`/`restarting`/`dead`).
@@ -391,7 +389,7 @@ impl StatsSnapshot {
                     .collect();
                 format!(
                     "{{\"shard\":{},\"requests\":{},\"batches\":{},\"demotions\":{},\
-                     \"wisdom_errors\":{},\"state\":\"{}\",\"alive\":{},\"warming\":{},\
+                     \"state\":\"{}\",\"alive\":{},\"warming\":{},\
                      \"restarts\":{},\
                      \"replayed\":{},\"heartbeat_age_ns\":{},\"queue_depth\":{},\
                      \"algorithms\":[{}]}}",
@@ -399,7 +397,6 @@ impl StatsSnapshot {
                     s.requests,
                     s.batches,
                     s.demotions,
-                    s.wisdom_errors,
                     s.state,
                     s.alive,
                     s.warming,
@@ -456,7 +453,6 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
             requests: slot.requests.load(Ordering::Acquire),
             batches: slot.batches.load(Ordering::Acquire),
             demotions: slot.demotions.load(Ordering::Acquire),
-            wisdom_errors: slot.wisdom_errors.load(Ordering::Acquire),
             algorithms: slot
                 .algorithms
                 .lock()
@@ -496,8 +492,8 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
 }
 
 /// The running server. Dropping it (or calling [`Server::shutdown`])
-/// drains the queue, answers every accepted request, persists shard
-/// state and joins every thread.
+/// drains the queue, answers every accepted request and joins every
+/// thread.
 pub struct Server {
     shared: Arc<Shared>,
     dispatcher: Option<JoinHandle<()>>,
@@ -714,7 +710,7 @@ impl Server {
     }
 
     /// Stop accepting, flush the queue (every accepted request is still
-    /// answered), run shard shutdown hooks and join all threads.
+    /// answered) and join all threads.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shutdown_inner();
         snapshot(&self.shared)
@@ -950,11 +946,6 @@ fn run_shard<M, F>(
         if slot.done(my_epoch) {
             wake_dispatcher_if_queued(&shared);
         }
-    }
-    // Clean drain exit only (an abandoned worker must not race the
-    // replacement's wisdom writes).
-    if slot.current_epoch() == my_epoch && model.on_shutdown().is_err() {
-        slot.wisdom_errors.fetch_add(1, Ordering::AcqRel);
     }
 }
 

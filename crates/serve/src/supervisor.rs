@@ -140,7 +140,7 @@ pub struct ShardSlot<B> {
     /// Earliest instant (supervisor clock) the next respawn may happen.
     next_restart_at_ns: AtomicU64,
     handle: Mutex<Option<JoinHandle<()>>>,
-    /// Requests this shard answered. This and the four fields below are
+    /// Requests this shard answered. This and the three fields below are
     /// `/stats` counters its workers publish: no invariant, hence open to
     /// the crate.
     pub(crate) requests: AtomicU64,
@@ -148,8 +148,6 @@ pub struct ShardSlot<B> {
     pub(crate) batches: AtomicU64,
     /// Demotions its current model's ladders have taken.
     pub(crate) demotions: AtomicU64,
-    /// Failed shutdown wisdom saves.
-    pub(crate) wisdom_errors: AtomicU64,
     /// Active algorithm per conv, in op order.
     pub(crate) algorithms: Mutex<Vec<String>>,
 }
@@ -180,7 +178,6 @@ impl<B> ShardSlot<B> {
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
-            wisdom_errors: AtomicU64::new(0),
             algorithms: Mutex::new(Vec::new()),
         }
     }
