@@ -271,9 +271,14 @@ cargo test -q --release --offline -p lowino-nn --test graph_overhead -- --ignore
 # read it: no serving shard writes it back at shutdown (nor counts failed
 # saves in /stats), there is no merging save, and the explicit engine
 # builder, the graph's mutable engine borrow and the unused saturating
-# helper are gone.
+# helper are gone. Health checks have no knobs: a ladder always checks, a
+# pinned layer never does, so the health policy, its live setters, the
+# brownout rung that relaxed it, the opt-in input scan and the health-off
+# ablation are gone; so are the one-shot transforms, the compiled output
+# tile and the helpers whose only caller was their own test (`store_ptr` is
+# anchored so that `store_ptr_shared` passes).
 echo "==> deleted-names gate"
-if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health|ShardMsg|SetDegraded|ShardStats|space_cv|BenchAlgo|ServeConfig::from_env|LOWINO_SERVE_(SHARDS|BATCH|DEADLINE_US|QUEUE|TIMEOUT_US|WEDGE_US|MAX_RESTARTS)|EngineBuilder|save_wisdom|merge_save|on_shutdown|with_wisdom_path|wisdom_errors|engine_mut|quantize_pin_check' \
+if grep -rnE 'TunePolicy|TuneRuntime|TuneShared|TuneTable|RetuneConfig|LOWINO_RETUNE|with_tuning|gemm_blocking|blocking_or_default|UPanelI16Unused|GemmTasksI16|GemmTasksF32|acc_len|run_static|run_static_phases|build_algo|TileLanes|VPanelI16|UPanelI16|VPanelF32|UPanelF32|ZPanelF32|plan_i16|plan_f32|simple_v_panel|simple_u_panel|VWords|UWords|pack_filters_upcast|pack_filters_lowino|pack_filters_f32|c4_stride|gemm_elem!|BENCH_PR|QuantizedModel|QStage|forward_stages|convert_layers|compile_with_health|ShardMsg|SetDegraded|ShardStats|space_cv|BenchAlgo|ServeConfig::from_env|LOWINO_SERVE_(SHARDS|BATCH|DEADLINE_US|QUEUE|TIMEOUT_US|WEDGE_US|MAX_RESTARTS)|EngineBuilder|save_wisdom|merge_save|on_shutdown|with_wisdom_path|wisdom_errors|engine_mut|quantize_pin_check|HealthPolicy|NonFinitePolicy|NonFiniteInput|set_health_policy|with_policy|set_policy|check_output_finite|max_saturation_ratio|ablation_graph_overhead|graph_health_off|fn degraded\(|\.degraded\(\)|output_tile_f32_compiled|output_tile_dequantized_post|input_transform_f32|input_transform_i32|filter_transform_f32|output_transform_f32|down_scaling_alpha|dpbusd_rows|store_ptr\(|class_len|scaled_down|fn down_scale\(|\.down_scale\(|quantize_slice|fn zero_fill\(|\.zero_fill\(' \
     crates/ tests/ examples/ ci/ README.md .claude/ | grep -v 'ci/check.sh:.*grep -rnE'; then
     echo "deleted names are back (see above)" >&2
     exit 1

@@ -6,11 +6,11 @@
 //! * **scheduling** — thread scaling of the static fork-join schedule;
 //! * **tuned vs default** — Autotuner 2.0 seeding quality on one layer:
 //!   planner default vs pure cost-model seed vs measured top-K winner vs
-//!   full-lattice-sweep winner (PR 8 acceptance table in EXPERIMENTS.md);
-//! * **graph overhead** — the graph engine with its default per-conv
-//!   health policy vs health checks disabled, which attributes the cost of
-//!   the health checks (numbers in EXPERIMENTS.md; the graph's per-op
-//!   overhead itself is guarded in release by `tests/graph_overhead.rs`).
+//!   full-lattice-sweep winner (PR 8 acceptance table in EXPERIMENTS.md).
+//!
+//! The graph engine's per-op overhead is guarded in release by
+//! `tests/graph_overhead.rs`; its health checks read counts the executors
+//! tally while storing, and nothing switches them off to compare against.
 //!
 //! Run with `cargo bench --bench ablations`; set
 //! `LOWINO_BENCH_JSON=BENCH_ablations.json` to accumulate a JSON-line log.
@@ -184,52 +184,10 @@ fn ablation_tuned_vs_default() {
     }
 }
 
-/// The cost of the health checks: the graph engine wraps every conv in a
-/// `ResilientConv` whose default health policy reads the saturation and
-/// non-finite-output counts its executor tallied while producing the values,
-/// on every execute. Benching the same compiled graph with health checks
-/// disabled attributes it (EXPERIMENTS.md, "Graph-vs-per_layer gap").
-fn ablation_graph_overhead() {
-    use lowino::{HealthPolicy, Tensor4};
-    use lowino_nn::{mini_vgg, CompiledGraph, GraphSpec};
-    use lowino_testkit::Rng;
-
-    let (batch, threads) = (4usize, 2usize);
-    let mut rng = Rng::seed_from_u64(11);
-    let mut x = Tensor4::zeros(batch, 3, 8, 8);
-    rng.fill_f32(x.data_mut(), -1.0, 1.0);
-    let calib = x.clone();
-    let spec = GraphSpec { m: 2, batch, threads };
-
-    let mut model = mini_vgg(3, 8, 3, 31);
-    let mut graph = CompiledGraph::compile(&mut model, &calib, &spec).expect("compile");
-    let mut model = mini_vgg(3, 8, 3, 31);
-    let health_off = HealthPolicy { max_saturation_ratio: 2.0, check_output_finite: false };
-    let engine = Engine::new(threads);
-    let mut graph_no_health =
-        CompiledGraph::compile_with_engine(engine, &mut model, &calib, &spec, health_off)
-            .expect("compile health-off");
-
-    let mut logits = Tensor4::zeros(batch, 3, 1, 1);
-    graph.execute(&x, &mut logits).expect("warm-up");
-    graph_no_health.execute(&x, &mut logits).expect("warm-up");
-
-    let mut group = common("ablation/graph_overhead");
-    group.bench_function("graph_default_health", || {
-        graph.execute(&x, &mut logits).expect("bench rep");
-        black_box(logits.data()[0]);
-    });
-    group.bench_function("graph_health_off", || {
-        graph_no_health.execute(&x, &mut logits).expect("bench rep");
-        black_box(logits.data()[0]);
-    });
-}
-
 fn main() {
     ablation_tile_size();
     ablation_blocking();
     ablation_simd_tier();
     ablation_scheduling();
     ablation_tuned_vs_default();
-    ablation_graph_overhead();
 }

@@ -29,7 +29,7 @@ use lowino_simd::{dequantize_i32_lanes, quantize_f32_lanes_i8};
 use lowino_tensor::LANES;
 use lowino_testkit::{black_box, BenchGroup, Rng};
 use lowino_winograd::codelet::Codelet;
-use lowino_winograd::{Tape, TileTransformer, WinogradMatrices};
+use lowino_winograd::{Tape, TapePostOps, TileTransformer, WinogradMatrices};
 use std::time::Duration;
 
 struct Config {
@@ -145,7 +145,14 @@ fn bench_tile(m: usize, cfg: &Config) {
         black_box(y[0]);
     });
     group.bench_function("compiled", || {
-        tt.output_tile_f32_compiled(vt, black_box(&v), &mut y, &mut s);
+        // The production pair: column pass, then the in-place row pass.
+        tt.output_columns_f32(vt, black_box(&v), &mut s);
+        // SAFETY: `y` holds `m` rows of `m·LANES` values and is
+        // exclusively borrowed.
+        unsafe {
+            let y = y.as_mut_ptr();
+            tt.output_rows_post_strided(vt, TapePostOps::default(), 0, y, m * LANES, &mut s);
+        }
         black_box(y[0]);
     });
 

@@ -21,6 +21,7 @@ use lowino_bench::runner::arg;
 use lowino_bench::{build_executor, label, run_timed, synth_input, synth_weights, Table};
 
 fn main() {
+    lowino_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reps: u32 = arg(&args, "--reps", 3);
     let threads: usize = arg(&args, "--threads", 1);
@@ -78,4 +79,5 @@ fn main() {
          while its multiplication matches oneDNN on cache-sized layers and wins on\n\
          large-matrix layers like YOLOv3_c / U-Net_b thanks to bigger GEMM blocks.)"
     );
+    lowino_trace::flush_to_env();
 }

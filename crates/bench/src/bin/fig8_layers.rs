@@ -22,6 +22,7 @@ use lowino_bench::{
 };
 
 fn main() {
+    lowino_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reps: u32 = arg(&args, "--reps", 3);
     let threads: usize = arg(&args, "--threads", 1);
@@ -132,4 +133,5 @@ fn main() {
             "LoWino vs best FP32: F(2x2) {a2:.2}x, F(4x4) {a4:.2}x  (paper: 1.9x / 2.6x)"
         );
     }
+    lowino_trace::flush_to_env();
 }

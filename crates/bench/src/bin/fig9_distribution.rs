@@ -52,6 +52,7 @@ fn stats(counts: &[u64; 256]) -> (usize, f64, i32, i32) {
 }
 
 fn main() {
+    lowino_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let hw_div: usize = arg(&args, "--hw-div", 2);
     let m: usize = arg(&args, "--m", 4);
@@ -122,4 +123,5 @@ fn main() {
         "\n(paper Fig. 9: the down-scaled values survive only in a narrow integer band\n\
          around zero, while LoWino uses the full [-128, 127] range.)"
     );
+    lowino_trace::flush_to_env();
 }

@@ -33,6 +33,7 @@ struct Row {
 }
 
 fn main() {
+    lowino_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let classes: usize = arg(&args, "--classes", 8);
     let width: usize = arg(&args, "--width", 32);
@@ -168,4 +169,5 @@ fn main() {
          the down-scaling implementation drops to 0.00% at F(4x4,3x3).)",
         100.0 / classes as f64
     );
+    lowino_trace::flush_to_env();
 }

@@ -21,6 +21,7 @@ use lowino_parallel::StaticPool;
 use lowino_simd::SimdTier;
 
 fn main() {
+    lowino_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reps: usize = arg(&args, "--reps", 3);
     let threads: usize = arg(&args, "--threads", 1);
@@ -83,4 +84,5 @@ fn main() {
         .save(std::path::Path::new(&wisdom_path))
         .expect("save wisdom");
     println!("wisdom saved to {wisdom_path} ({} entries)", wisdom.len());
+    lowino_trace::flush_to_env();
 }

@@ -72,7 +72,7 @@ impl ConvExecutor for DirectF32Conv {
         post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_io(&self.spec, input, output)?;
         check_post(output, post);
         let start = Instant::now();
         let spec = self.spec;

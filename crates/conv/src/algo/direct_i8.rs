@@ -137,7 +137,7 @@ impl ConvExecutor for DirectInt8Conv {
         post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_io(&self.spec, input, output)?;
         check_post(output, post);
         let spec = self.spec;
         let (out_h, out_w) = (spec.out_h(), spec.out_w());

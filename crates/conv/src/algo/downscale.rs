@@ -76,11 +76,6 @@ impl DownScaleConv {
         conv.blocking = Some(onednn_like_blocking(&conv.gemm_shape()));
         Ok(conv)
     }
-
-    /// The transform-domain down-scale factor (`1/4`, `1/100`, …).
-    pub fn down_scale(&self) -> f32 {
-        self.quant[0]
-    }
 }
 
 /// The cache-capped blocking modelling oneDNN's partition design (§5.3:
@@ -150,9 +145,9 @@ mod tests {
         let spec = ConvShape::same(1, 4, 4, 8, 3).validate().unwrap();
         let w = Tensor4::zeros(4, 4, 3, 3);
         let c2 = DownScaleConv::new(spec, 2, &w, QParams::UNIT).unwrap();
-        assert!((c2.down_scale() - 0.25).abs() < 1e-9);
+        assert!((c2.quant[0] - 0.25).abs() < 1e-9);
         let c4 = DownScaleConv::new(spec, 4, &w, QParams::UNIT).unwrap();
-        assert!((c4.down_scale() - 0.01).abs() < 1e-9);
+        assert!((c4.quant[0] - 0.01).abs() < 1e-9);
     }
 
     #[test]

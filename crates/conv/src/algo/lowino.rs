@@ -34,7 +34,7 @@ use lowino_winograd::TileTransformer;
 pub use crate::algo::winograd::chain_block;
 use crate::algo::winograd::{plan_tiles, staged_panels, Scheme, WinogradConv};
 use crate::algo::{check_io, Algorithm};
-use crate::context::{ConvContext, NonFinitePolicy};
+use crate::context::ConvContext;
 use crate::error::ConvError;
 use crate::filter::pack_filters;
 use crate::stats::StageTimings;
@@ -130,7 +130,7 @@ impl LoWinoConv {
         output: &mut BlockedImage,
         ctx: &mut ConvContext,
     ) -> StageTimings {
-        check_io(&self.spec, input, output, NonFinitePolicy::Propagate)
+        check_io(&self.spec, input, output)
             .expect("io mismatch on the legacy reference path");
         let mut timings = StageTimings::default();
         let spec = self.spec;

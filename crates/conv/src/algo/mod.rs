@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use lowino_simd::vecf32::{count_non_finite, VecTier};
 use lowino_tensor::{BlockedImage, ConvShape, LANES};
 
-use crate::context::{ConvContext, NonFinitePolicy};
+use crate::context::ConvContext;
 use crate::error::ExecError;
 use crate::stats::StageTimings;
 
@@ -238,9 +238,8 @@ pub trait ConvExecutor {
     /// [`apply_post_ops`]), so the `ResilientConv` demotion ladder can swap
     /// implementations freely.
     ///
-    /// Every failure is recoverable: mismatched tensors and rejected
-    /// non-finite inputs ([`ExecError::IoShape`] /
-    /// [`ExecError::NonFiniteInput`]) are detected before any work starts,
+    /// Every failure is recoverable: mismatched tensors
+    /// ([`ExecError::IoShape`]) are detected before any work starts,
     /// and a panic inside the fork-join surfaces as
     /// [`ExecError::WorkerPanic`] with the pool, scratch and executor all
     /// still usable (the output buffer contents are then unspecified).
@@ -330,13 +329,11 @@ pub(crate) fn resolve_blocking(
     *slot.get_or_insert_with(|| ctx.seed_blocking(shape))
 }
 
-/// Shared input/output validation for all executors: dimension check plus
-/// the context's non-finite input policy.
+/// Shared input/output validation for all executors: the dimension check.
 pub(crate) fn check_io(
     spec: &ConvShape,
     input: &BlockedImage,
     output: &BlockedImage,
-    policy: NonFinitePolicy,
 ) -> Result<(), ExecError> {
     let expected_in = (spec.batch, spec.in_c, spec.h, spec.w);
     if input.dims() != expected_in {
@@ -353,12 +350,6 @@ pub(crate) fn check_io(
             expected: expected_out,
             got: output.dims(),
         });
-    }
-    if policy == NonFinitePolicy::Reject {
-        let count = input.data().iter().filter(|v| !v.is_finite()).count() as u64;
-        if count > 0 {
-            return Err(ExecError::NonFiniteInput { count });
-        }
     }
     Ok(())
 }

@@ -936,7 +936,7 @@ impl<S: Scheme> ConvExecutor for WinogradConv<S> {
         post: &ConvPostOps<'_>,
         ctx: &mut ConvContext,
     ) -> Result<StageTimings, ExecError> {
-        check_io(&self.spec, input, output, ctx.non_finite)?;
+        check_io(&self.spec, input, output)?;
         check_post(output, post);
         let shape = self.gemm_shape();
         let blocking = self.resolved_blocking(ctx);

@@ -6,21 +6,6 @@ use lowino_simd::SimdTier;
 
 use crate::scratch::ScratchArena;
 
-/// What `execute` does when the input tensor contains NaN/±inf values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NonFinitePolicy {
-    /// Don't look: non-finite values flow through the kernels (quantization
-    /// maps them to clamped integers; f32 paths propagate them). Zero
-    /// per-execute scan cost — the default, preserving the zero-overhead
-    /// steady state.
-    #[default]
-    Propagate,
-    /// Scan the input up front and fail with
-    /// [`ExecError::NonFiniteInput`](crate::ExecError::NonFiniteInput)
-    /// before any work starts. One linear pass over the input per execute.
-    Reject,
-}
-
 /// Execution context shared across layers: the static-scheduling thread
 /// pool (paper §4.4), the detected SIMD tier, the auto-tuning wisdom
 /// (§4.3.4), and the persistent per-worker scratch arena the executors'
@@ -34,8 +19,6 @@ pub struct ConvContext {
     pub wisdom: Wisdom,
     /// One scratch slot per pool worker, reused across stages and layers.
     pub scratch: ScratchArena,
-    /// How `execute` treats NaN/±inf input values.
-    pub non_finite: NonFinitePolicy,
     /// Per-core cache capacities of the host ([`CacheModel::detect`]) — the
     /// machine description `LoWinoConv` picks its schedule from.
     pub cache: CacheModel,
@@ -61,7 +44,6 @@ impl ConvContext {
             tier,
             wisdom,
             scratch: ScratchArena::new(threads),
-            non_finite: NonFinitePolicy::default(),
             cache: CacheModel::detect(),
         }
     }

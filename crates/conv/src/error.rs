@@ -63,12 +63,6 @@ pub enum ExecError {
         /// Dims that were provided.
         got: (usize, usize, usize, usize),
     },
-    /// The input contained NaN/±inf values and the context's
-    /// [`NonFinitePolicy`](crate::NonFinitePolicy) is `Reject`.
-    NonFiniteInput {
-        /// Number of non-finite input values found.
-        count: u64,
-    },
     /// A worker panicked inside the fork-join; the pool recovered and
     /// stays usable, the output buffer contents are unspecified.
     WorkerPanic {
@@ -88,9 +82,6 @@ impl core::fmt::Display for ExecError {
                 f,
                 "{which} dims don't match spec: expected {expected:?}, got {got:?}"
             ),
-            ExecError::NonFiniteInput { count } => {
-                write!(f, "input contains {count} non-finite value(s)")
-            }
             ExecError::WorkerPanic { message } => write!(f, "worker panic: {message}"),
         }
     }

@@ -149,14 +149,15 @@ mod tests {
         let (spec, w) = spec_and_weights();
         let tt = TileTransformer::new(2, 3).unwrap();
         let tf = transform_filters_f32(&spec, &tt, &w).unwrap();
-        // Spot-check one channel against the one-shot helper.
+        // Spot-check one channel against the interpreted scalar transform.
         let mut g = vec![0f32; 9];
         for dy in 0..3 {
             for dx in 0..3 {
                 g[dy * 3 + dx] = w.at(3, 2, dy, dx);
             }
         }
-        let want = lowino_winograd::filter_transform_f32(2, 3, &g).unwrap();
+        let mut want = vec![0f32; 16];
+        tt.filter_tile_f32(&g, &mut want, &mut tt.make_scratch(1));
         let base = (3 * 4 + 2) * 16;
         for t in 0..16 {
             assert!((tf[base + t] - want[t]).abs() < 1e-5);

@@ -39,7 +39,7 @@ pub use algo::upcast::UpCastConv;
 pub use algo::wino_f32::WinogradF32Conv;
 pub use algo::{apply_post_ops, Algorithm, ConvExecutor, ConvPostOps};
 pub use calibrate::{calibrate_spatial, calibrate_winograd_domain};
-pub use context::{ConvContext, NonFinitePolicy};
+pub use context::ConvContext;
 pub use error::{ConvError, ExecError};
 pub use scratch::{ScratchArena, WorkerScratch};
 pub use stats::StageTimings;

@@ -32,15 +32,6 @@ impl StageTimings {
         self.gemm += other.gemm;
         self.output_transform += other.output_transform;
     }
-
-    /// Divide all stages by `n` (average of `n` accumulated runs).
-    pub fn scaled_down(&self, n: u32) -> StageTimings {
-        StageTimings {
-            input_transform: self.input_transform / n,
-            gemm: self.gemm / n,
-            output_transform: self.output_transform / n,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -60,6 +51,6 @@ mod tests {
         acc.accumulate(&a);
         acc.accumulate(&a);
         assert_eq!(acc.gemm, Duration::from_millis(20));
-        assert_eq!(acc.scaled_down(2), a);
+        assert_eq!(acc.total(), 2 * a.total());
     }
 }

@@ -8,7 +8,7 @@
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvError, ConvExecutor, ExecError,
-    LoWinoConv, NonFinitePolicy,
+    LoWinoConv,
 };
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 use lowino_testkit::faults::{CALIBRATE_SAMPLES, SCRATCH_GROW};
@@ -119,31 +119,4 @@ fn io_shape_mismatch_is_an_error_not_a_panic() {
 
     // The executor is still usable after rejected calls.
     conv.execute(&img, &mut out, &mut ctx).unwrap();
-}
-
-/// `NonFinitePolicy::Reject` scans the input up front and fails before any
-/// work; the default `Propagate` policy lets the same input through.
-#[test]
-fn non_finite_policy_reject_fails_fast() {
-    let _turn = turn();
-    let spec = ConvShape::same(1, 8, 8, 10, 3).validate().unwrap();
-    let img = test_image(&spec);
-    let weights = test_weights(&spec);
-    let cal = calibrate_winograd_domain(&spec, 2, std::slice::from_ref(&img)).unwrap();
-    let mut conv = LoWinoConv::new(spec, 2, &weights, cal).unwrap();
-    let mut ctx = ConvContext::new(1);
-    let mut out = BlockedImage::zeros(1, 8, 10, 10);
-
-    let mut poisoned = Tensor4::from_fn(1, 8, 10, 10, |_, _, _, _| 0.5);
-    *poisoned.at_mut(0, 3, 4, 5) = f32::NAN;
-    *poisoned.at_mut(0, 6, 0, 1) = f32::INFINITY;
-    let poisoned = BlockedImage::from_nchw(&poisoned);
-
-    ctx.non_finite = NonFinitePolicy::Reject;
-    let err = conv.execute(&poisoned, &mut out, &mut ctx).unwrap_err();
-    assert_eq!(err, ExecError::NonFiniteInput { count: 2 });
-
-    // Propagate (the default) doesn't scan: the same input executes.
-    ctx.non_finite = NonFinitePolicy::Propagate;
-    conv.execute(&poisoned, &mut out, &mut ctx).unwrap();
 }

@@ -52,13 +52,13 @@ pub mod resilient;
 pub mod select;
 
 pub use builder::{AlgoChoice, Engine, Layer, LayerBuilder};
-pub use resilient::{Demotion, DemotionReason, HealthPolicy, ResilientConv};
+pub use resilient::{Demotion, DemotionReason, ResilientConv};
 pub use select::{estimate_cost, select_algorithm, CostModel};
 
 pub use lowino_conv::{
     apply_post_ops, calibrate_spatial, calibrate_winograd_domain, Algorithm, ConvContext,
     ConvError, ConvExecutor, ConvPostOps, DirectF32Conv, DirectInt8Conv, DownScaleConv,
-    ExecError, LoWinoConv, NonFinitePolicy, StageTimings, UpCastConv, WinogradF32Conv,
+    ExecError, LoWinoConv, StageTimings, UpCastConv, WinogradF32Conv,
 };
 pub use lowino_gemm::{
     Blocking, CacheModel, GemmCostModel, GemmShape, SeedSource, ShapeClass, Wisdom,
@@ -70,7 +70,7 @@ pub use lowino_tensor::{AlignedBuf, BlockedImage, ConvShape, Tensor4, TileGeomet
 /// Everything a typical user needs.
 pub mod prelude {
     pub use crate::builder::{AlgoChoice, Engine, Layer, LayerBuilder};
-    pub use crate::resilient::{HealthPolicy, ResilientConv};
+    pub use crate::resilient::ResilientConv;
     pub use crate::select::select_algorithm;
     pub use lowino_conv::{Algorithm, ConvError, ConvExecutor, ExecError, StageTimings};
     pub use lowino_quant::QParams;

@@ -9,24 +9,26 @@
 //! and *demotes* — rebuilds itself one rung down — whenever the current
 //! algorithm fails to construct, fails at runtime
 //! ([`ExecError::WorkerPanic`]), or passes but with unhealthy numerics
-//! (quantization saturation above [`HealthPolicy::max_saturation_ratio`],
-//! or non-finite output values). Each rung trades speed for sturdiness:
-//! the bottom of the ladder is the full-precision direct convolution,
-//! which quantizes nothing and transforms nothing.
+//! (more than a quarter of the quantized intermediates saturated, or any
+//! non-finite output value). Each rung trades speed for sturdiness: the
+//! bottom of the ladder is the full-precision direct convolution, which
+//! quantizes nothing and transforms nothing.
 //!
 //! Demotions are sticky (the layer keeps serving from the demoted rung),
 //! recorded in [`ResilientConv::demotions`], and emitted as a
 //! `resilient/demote` trace instant so production traces show exactly when
 //! and why a layer degraded.
 //!
-//! [`ResilientConv::pinned`] is the one-rung case: one algorithm, planned
-//! like a rung, with nothing to demote to — what post-training
-//! quantization of a whole model (paper Table 3) serves from.
+//! Both health checks read counts the executor tallied while storing its
+//! values, so they cost no pass of their own and nothing switches them off:
+//! how a layer was built decides. [`ResilientConv::pinned`] is the one-rung
+//! case: one algorithm, planned like a rung, with nothing to demote to —
+//! what post-training quantization of a whole model (paper Table 3) serves
+//! from — so it runs no health checks at all.
 //!
 //! Caller errors do **not** demote: a mismatched tensor
-//! ([`ExecError::IoShape`]) or a rejected non-finite input
-//! ([`ExecError::NonFiniteInput`]) would fail identically on every rung,
-//! so they are returned to the caller unchanged.
+//! ([`ExecError::IoShape`]) would fail identically on every rung, so it is
+//! returned to the caller unchanged.
 
 use lowino_conv::{
     Algorithm, ConvContext, ConvError, ConvExecutor, ConvPostOps, ExecError, StageTimings,
@@ -35,43 +37,10 @@ use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
 
 use crate::builder::plan_executor;
 
-/// When a passing execute still counts as unhealthy.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Demote when `saturated / total` of the last execute's quantized
-    /// intermediates exceeds this ratio (the calibrated scales no longer
-    /// fit the live data distribution). Set above 1.0 to disable.
-    pub max_saturation_ratio: f64,
-    /// Demote when the output contains NaN/±inf values. Reads the count the
-    /// executor tallied while storing its output
-    /// ([`ConvExecutor::non_finite`]) — no pass over the output; set
-    /// `false` to disable.
-    pub check_output_finite: bool,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self {
-            max_saturation_ratio: 0.25,
-            check_output_finite: true,
-        }
-    }
-}
-
-impl HealthPolicy {
-    /// The overload-brownout policy: every post-execute health check is
-    /// disabled, so numerics alone never trigger a demotion rebuild (the
-    /// executors tally saturation and non-finite outputs either way; the
-    /// checks only read those counts). A browned-out server deliberately
-    /// trades the §9 quality guards for latency headroom; hard failures
-    /// (worker panics, build errors) still demote.
-    pub fn relaxed() -> Self {
-        Self {
-            max_saturation_ratio: f64::INFINITY,
-            check_output_finite: false,
-        }
-    }
-}
+/// A ladder demotes when more than this share of the last execute's
+/// quantized intermediates saturated (the calibrated scales no longer fit
+/// the live data distribution).
+const MAX_SATURATION_RATIO: f64 = 0.25;
 
 /// Why a demotion happened.
 #[derive(Debug)]
@@ -80,7 +49,7 @@ pub enum DemotionReason {
     BuildFailed(ConvError),
     /// `execute` returned a recoverable runtime error (worker panic).
     ExecFailed(ExecError),
-    /// Quantization saturation exceeded the policy threshold.
+    /// More than a quarter of the quantized values saturated.
     SaturationBreach {
         /// Saturated quantized values in the last execute.
         saturated: u64,
@@ -126,7 +95,9 @@ pub struct ResilientConv {
     spec: ConvShape,
     weights: Tensor4,
     samples: Vec<BlockedImage>,
-    policy: HealthPolicy,
+    /// Whether a passing execute is checked for saturation and non-finite
+    /// output: true for a ladder, false for a pinned layer.
+    checked: bool,
     /// Rungs not yet tried, in demotion order.
     remaining: Vec<Algorithm>,
     exec: Box<dyn ConvExecutor + Send>,
@@ -134,7 +105,7 @@ pub struct ResilientConv {
 }
 
 impl ResilientConv {
-    /// Plan a resilient layer with the default [`HealthPolicy`].
+    /// Plan a resilient layer, health-checked after every execute.
     /// `samples` calibrate the quantized rungs (LoWino in the Winograd
     /// domain, up-casting in the spatial domain).
     pub fn new(
@@ -142,17 +113,6 @@ impl ResilientConv {
         m: usize,
         weights: &Tensor4,
         samples: Vec<BlockedImage>,
-    ) -> Result<Self, ConvError> {
-        Self::with_policy(spec, m, weights, samples, HealthPolicy::default())
-    }
-
-    /// [`Self::new`] with an explicit health policy.
-    pub fn with_policy(
-        spec: ConvShape,
-        m: usize,
-        weights: &Tensor4,
-        samples: Vec<BlockedImage>,
-        policy: HealthPolicy,
     ) -> Result<Self, ConvError> {
         let ladder = vec![
             Algorithm::LoWino { m },
@@ -163,14 +123,14 @@ impl ResilientConv {
             Algorithm::WinogradF32 { m },
             Algorithm::DirectF32,
         ];
-        Self::plan(spec, ladder, false, weights, samples, policy)
+        Self::plan(spec, ladder, false, weights, samples)
     }
 
     /// A layer pinned to `algo`: exactly one executor, planned like a
     /// ladder rung (`per_position` asks LoWino for one scale per tile
-    /// position). With nowhere to demote to it runs no health checks
-    /// ([`HealthPolicy::relaxed`]), keeps no copy of the weights or
-    /// samples, and returns a construction failure unchanged.
+    /// position). With nowhere to demote to it runs no health checks,
+    /// keeps no copy of the weights or samples, and returns a construction
+    /// failure unchanged.
     pub fn pinned(
         spec: ConvShape,
         algo: Algorithm,
@@ -178,20 +138,21 @@ impl ResilientConv {
         weights: &Tensor4,
         samples: Vec<BlockedImage>,
     ) -> Result<Self, ConvError> {
-        Self::plan(spec, vec![algo], per_position, weights, samples, HealthPolicy::relaxed())
+        Self::plan(spec, vec![algo], per_position, weights, samples)
     }
 
     /// Serve from the first rung of `remaining` that builds; the weights
     /// and samples are kept only while a rung is left to rebuild from them.
+    /// A ladder (more than one rung asked for) is health-checked for life.
     fn plan(
         spec: ConvShape,
         mut remaining: Vec<Algorithm>,
         per_position: bool,
         weights: &Tensor4,
         samples: Vec<BlockedImage>,
-        policy: HealthPolicy,
     ) -> Result<Self, ConvError> {
         let spec = spec.validate()?;
+        let checked = remaining.len() > 1;
         let mut demotions = Vec::new();
         let mut pending: Option<(Algorithm, ConvError)> = None;
         let mut exec = None;
@@ -227,7 +188,7 @@ impl ResilientConv {
             spec,
             weights,
             samples,
-            policy,
+            checked,
             remaining,
             exec,
             demotions,
@@ -249,19 +210,6 @@ impl ResilientConv {
         &self.demotions
     }
 
-    /// The active health policy.
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
-    }
-
-    /// Swap the health policy live — the serving brownout controller
-    /// relaxes the per-execute health checks under overload and restores
-    /// them when pressure clears. Takes effect from the next execute;
-    /// demotions already taken stay (the ladder is sticky by design).
-    pub fn set_policy(&mut self, policy: HealthPolicy) {
-        self.policy = policy;
-    }
-
     /// Seed the serving executor's GEMM blocking at plan time
     /// ([`ConvContext::seed_blocking`]: exact wisdom → shape class → cost
     /// model; never a measurement). An executor that is never seeded — this
@@ -275,8 +223,8 @@ impl ResilientConv {
 
     /// Run the layer, demoting down the ladder until a rung produces a
     /// healthy result. Errs only when the chain is exhausted (every rung
-    /// including direct-f32 failed) or on a caller error (shape mismatch /
-    /// rejected non-finite input), which no demotion can fix.
+    /// including direct-f32 failed) or on a caller error (shape mismatch),
+    /// which no demotion can fix.
     pub fn execute(
         &mut self,
         input: &BlockedImage,
@@ -316,19 +264,20 @@ impl ResilientConv {
         }
     }
 
-    /// Post-execute health check against the policy: reads the counts the
-    /// executor tallied where it produced the values.
+    /// Post-execute health check of a ladder: reads the counts the executor
+    /// tallied where it produced the values.
     fn health_breach(&self) -> Option<DemotionReason> {
+        if !self.checked {
+            return None;
+        }
         if let Some((saturated, total)) = self.exec.saturation() {
-            if total > 0 && saturated as f64 > self.policy.max_saturation_ratio * total as f64 {
+            if total > 0 && saturated as f64 > MAX_SATURATION_RATIO * total as f64 {
                 return Some(DemotionReason::SaturationBreach { saturated, total });
             }
         }
-        if self.policy.check_output_finite {
-            let count = self.exec.non_finite();
-            if count > 0 {
-                return Some(DemotionReason::NonFiniteOutput { count });
-            }
+        let count = self.exec.non_finite();
+        if count > 0 {
+            return Some(DemotionReason::NonFiniteOutput { count });
         }
         None
     }
@@ -529,13 +478,21 @@ mod tests {
             ResilientConv::pinned(spec, Algorithm::LoWino { m: 4 }, true, &w, vec![img.clone()])
                 .unwrap();
         assert_eq!(conv.algorithm(), Algorithm::LoWino { m: 4 });
-        assert_eq!(conv.policy().max_saturation_ratio, f64::INFINITY);
-        assert!(!conv.policy().check_output_finite);
         let mut ctx = ConvContext::new(1);
         let mut out = BlockedImage::zeros(1, 8, 10, 10);
         conv.execute(&img, &mut out, &mut ctx).unwrap();
         assert!(conv.demotions().is_empty());
         assert!(out.max_abs() > 0.0);
+
+        // A 1000× louder input saturates far past the ladder's bound (the
+        // input a ladder demotes on, `saturation_breach_demotes_to_full_precision`);
+        // a pinned layer runs no health checks and keeps serving LoWino.
+        let (_, _, loud) = setup(1000.0);
+        conv.execute(&loud, &mut out, &mut ctx).unwrap();
+        let (saturated, total) = conv.exec.saturation().unwrap();
+        assert!(saturated as f64 > MAX_SATURATION_RATIO * total as f64, "{saturated}/{total}");
+        assert_eq!(conv.algorithm(), Algorithm::LoWino { m: 4 });
+        assert!(conv.demotions().is_empty());
 
         // F(9,3) has no generated transform: the ladder would demote, a
         // pinned layer fails with exactly the planner's error.

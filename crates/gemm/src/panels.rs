@@ -376,16 +376,6 @@ impl<T: Lane> ZPanelOf<T> {
         self.buf.as_mut_slice()[o] = v;
     }
 
-    /// Raw mutable pointer for the micro-kernel store at `(t, n, k)`;
-    /// `k` must be 16-aligned. Row stride (n → n+1) is `T·64` lanes.
-    #[inline]
-    pub fn store_ptr(&mut self, t: usize, n: usize, k: usize) -> *mut T {
-        debug_assert!(k.is_multiple_of(16));
-        let o = self.offset(t, n, k);
-        // SAFETY: offset in bounds by construction.
-        unsafe { self.buf.as_mut_ptr().add(o) }
-    }
-
     /// Row stride in lanes between consecutive tiles `n`.
     #[inline]
     pub fn n_stride(&self) -> usize {
@@ -475,10 +465,10 @@ mod tests {
 
     #[test]
     fn zpanel_store_ptr_matches_get() {
-        let mut z = ZPanel::new(4, 2, 64);
-        let p = z.store_ptr(2, 1, 16);
-        // SAFETY: in-bounds write of 16 lanes.
+        let z = ZPanel::new(4, 2, 64);
+        // SAFETY: in-bounds write of 16 lanes, nothing else writes `z`.
         unsafe {
+            let p = z.store_ptr_shared(2, 1, 16);
             for i in 0..16 {
                 *p.add(i) = i as i32 + 1;
             }

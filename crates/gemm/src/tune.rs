@@ -214,11 +214,6 @@ impl Wisdom {
         self.exact.len()
     }
 
-    /// Number of remembered shape classes.
-    pub fn class_len(&self) -> usize {
-        self.class.len()
-    }
-
     /// Whether nothing is remembered.
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.class.is_empty()
@@ -407,12 +402,27 @@ impl Wisdom {
             drop(f);
             std::fs::rename(&tmp, path).map_err(|e| {
                 format!("renaming {} -> {}: {e}", tmp.display(), path.display())
-            })
+            })?;
+            // The rename is an update of the directory: sync it too, or a
+            // power cut can bring the old entry back.
+            let dir = parent_dir(path);
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| format!("syncing {}: {e}", dir.display()))
         })();
         if result.is_err() {
             std::fs::remove_file(&tmp).ok();
         }
         result
+    }
+}
+
+/// The directory whose entry for `path` a rename updates: `.` for a bare
+/// file name.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
@@ -446,6 +456,25 @@ mod tests {
     }
 
     #[test]
+    fn save_syncs_the_directory_that_holds_the_file() {
+        assert_eq!(parent_dir(Path::new("wisdom.txt")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("a/b/wisdom.txt")), Path::new("a/b"));
+        assert_eq!(parent_dir(Path::new("/wisdom.txt")), Path::new("/"));
+        // Each form opens and syncs as a directory on this platform.
+        for dir in [Path::new("."), Path::new("/")] {
+            std::fs::File::open(dir).unwrap().sync_all().unwrap();
+        }
+        let dir = std::env::temp_dir().join(format!("lowino-dirsync-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wisdom.txt");
+        let mut w = Wisdom::new();
+        w.insert(SimdTier::Avx2, &GemmShape { t: 16, n: 64, c: 64, k: 64 }, B1);
+        w.save(&path).unwrap();
+        assert_eq!(Wisdom::load(&path).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn wisdom_round_trip() {
         let mut w = Wisdom::new();
         let s1 = GemmShape { t: 16, n: 4096, c: 256, k: 256 };
@@ -456,7 +485,7 @@ mod tests {
         assert!(text.starts_with("# lowino wisdom v2\n"));
         let back = Wisdom::parse(&text).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.class_len(), 2);
+        assert_eq!(back.class.len(), 2);
         assert_eq!(back.get(SimdTier::Avx512Vnni, &s1), Some(B1));
         assert_eq!(back.get(SimdTier::Avx2, &s2), Some(B2));
         assert_eq!(back.get(SimdTier::Avx2, &GemmShape { t: 1, n: 1, c: 1, k: 1 }), None);

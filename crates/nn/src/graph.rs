@@ -360,27 +360,23 @@ impl CompiledGraph {
         calib_x: &Tensor4,
         spec: &GraphSpec,
     ) -> Result<Self, ConvError> {
-        let health = HealthPolicy::default();
-        Self::compile_with_engine(Engine::new(spec.threads), model, calib_x, spec, health)
+        Self::compile_with_engine(Engine::new(spec.threads), model, calib_x, spec)
     }
 
-    /// [`Self::compile`] onto a caller-built [`Engine`] with an explicit
-    /// per-conv [`HealthPolicy`] — a caller configures its engine first
-    /// (a pinned tier via [`Engine::with_tier`], another wisdom file via
-    /// [`Engine::context_mut`]) and hands it over, and the health-off
-    /// ablation disables the post-execute checks. The graph takes
-    /// ownership; `spec.threads` is ignored (the engine already owns its
-    /// pool).
+    /// [`Self::compile`] onto a caller-built [`Engine`] — a caller
+    /// configures its engine first (a pinned tier via [`Engine::with_tier`],
+    /// another wisdom file via [`Engine::context_mut`]) and hands it over.
+    /// The graph takes ownership; `spec.threads` is ignored (the engine
+    /// already owns its pool).
     pub fn compile_with_engine(
         engine: Engine,
         model: &mut Model,
         calib_x: &Tensor4,
         spec: &GraphSpec,
-        health: HealthPolicy,
     ) -> Result<Self, ConvError> {
         let m = spec.m;
         Self::build(engine, model, calib_x, spec.batch, |shape, weights, samples| {
-            ResilientConv::with_policy(shape, m, weights, samples, health)
+            ResilientConv::new(shape, m, weights, samples)
         })
     }
 
@@ -490,19 +486,6 @@ impl CompiledGraph {
     /// Did the `graph/plan` fault degrade the layout to no-reuse?
     pub fn plan_degraded(&self) -> bool {
         self.plan.degraded
-    }
-
-    /// Swap every conv ladder's [`HealthPolicy`] live. The serving
-    /// brownout controller uses this to relax the post-execute health
-    /// scans under overload (`HealthPolicy::relaxed()`) and restore the
-    /// compile-time policy when pressure clears; demotions already taken
-    /// are sticky and unaffected.
-    pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        for op in &mut self.ops {
-            if let GraphOp::Conv { conv, .. } = op {
-                conv.set_policy(policy);
-            }
-        }
     }
 
     /// Total demotions taken across every conv ladder in the graph.

@@ -86,8 +86,9 @@ pub fn mini_vgg(in_c: usize, width: usize, classes: usize, seed: u64) -> Model {
     Model::new(layers, classes)
 }
 
-/// MiniResNet: a stem conv plus two identity residual blocks — the
-/// small-scale analogue of the paper's ResNet-50 row in Table 3.
+/// MiniResNet: a stem conv plus three identity residual blocks, the first
+/// two each followed by a max-pool — the small-scale analogue of the
+/// paper's ResNet-50 row in Table 3.
 pub fn mini_resnet(in_c: usize, width: usize, classes: usize, seed: u64) -> Model {
     let mut rng = Rng::seed_from_u64(seed);
     let block = |rng: &mut Rng| {

@@ -11,7 +11,7 @@
 //! region, and both tests hold the binary's `audit()` guard so neither can
 //! allocate inside the other's armed window.
 
-use lowino::{CacheModel, Engine, HealthPolicy, Tensor4};
+use lowino::{CacheModel, Engine, Tensor4};
 use lowino_nn::{mini_resnet, mini_vgg, CompiledGraph, GraphSpec};
 use lowino_testkit::alloc::{audit, CountingAlloc};
 
@@ -36,7 +36,7 @@ fn miniresnet_graph_execute_is_allocation_free_in_steady_state() {
         let cache = &mut engine.context_mut().cache;
         *cache = CacheModel { l2_bytes, ..*cache };
         let mut g =
-            CompiledGraph::compile_with_engine(engine, &mut model, &x, &spec, HealthPolicy::default())
+            CompiledGraph::compile_with_engine(engine, &mut model, &x, &spec)
                 .unwrap();
         let mut logits = Tensor4::zeros(2, 3, 1, 1);
         // Warm-up: the first execute grows the per-worker scratch arenas.

@@ -52,22 +52,6 @@ impl QParams {
         f32::from(q) / self.alpha
     }
 
-    /// Quantize a slice.
-    pub fn quantize_slice(&self, src: &[f32], dst: &mut [i8]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = self.quantize(s);
-        }
-    }
-
-    /// De-quantize a slice.
-    pub fn dequantize_slice(&self, src: &[i8], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = self.dequantize(s);
-        }
-    }
-
     /// Combined de-quantization scale of a product of two quantized
     /// operands: `1/(α_V·α_U)` — what the output transform multiplies the
     /// INT32 GEMM result by.
@@ -138,11 +122,8 @@ mod tests {
     fn slice_round_trip() {
         let q = QParams::from_threshold(10.0);
         let src = [0.0f32, 1.0, -2.5, 9.99, -10.0];
-        let mut qd = [0i8; 5];
-        let mut back = [0f32; 5];
-        q.quantize_slice(&src, &mut qd);
-        q.dequantize_slice(&qd, &mut back);
-        for (a, b) in src.iter().zip(&back) {
+        for a in src {
+            let b = q.dequantize(q.quantize(a));
             assert!((a - b).abs() <= 0.5 / q.alpha + 1e-6);
         }
     }

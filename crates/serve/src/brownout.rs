@@ -1,6 +1,5 @@
 //! Overload brownout: a pure hysteretic controller that trades batching
-//! efficiency (and, at the last rung, numeric strictness) for latency
-//! headroom when the server is drowning.
+//! efficiency for latency headroom when the server is drowning.
 //!
 //! The supervisor ticks [`BrownoutPolicy`] with what it can observe —
 //! queue depth relative to the admission bound and the recent p99
@@ -10,25 +9,22 @@
 //! * rung 0 — healthy: the configured `max_batch` / `max_delay_ns`;
 //! * rung *r* — both limits right-shifted by *r* (halved per rung):
 //!   smaller batches and shorter coalescing waits drain the queue at the
-//!   cost of per-request efficiency;
-//! * the **last** rung additionally flips every shard's `ResilientConv`
-//!   health policy to [`HealthPolicy::relaxed`] — post-execute health
-//!   scans (saturation ratio, finite-output checks) are skipped so each
-//!   batch costs less, while hard failures still demote.
+//!   cost of per-request efficiency.
+//!
+//! No rung touches numerics: the conv ladders' health checks read counts
+//! the executors tally while storing, so switching them off would save
+//! nothing.
 //!
 //! Stepping **down** (toward degradation) is immediate — one pressured
 //! tick per rung. Stepping **up** needs `clear_ticks` *consecutive*
 //! clear ticks, and the clear threshold (`exit_depth`) sits well below
 //! the entry threshold (`enter_depth`), so the controller cannot
 //! oscillate on a load hovering at the boundary.
-//!
-//! [`HealthPolicy::relaxed`]: lowino_core::resilient::HealthPolicy::relaxed
 
 /// Thresholds and shape of the brownout ladder.
 #[derive(Debug, Clone, Copy)]
 pub struct BrownoutConfig {
-    /// Number of degradation rungs below healthy (rung 0). The last
-    /// rung is the one that also relaxes shard health policies.
+    /// Number of degradation rungs below healthy (rung 0).
     pub rungs: u32,
     /// Step down when `depth / queue_cap` reaches this ratio.
     pub enter_depth: f64,
@@ -99,12 +95,6 @@ impl BrownoutPolicy {
     /// Current rung (0 = healthy).
     pub fn rung(&self) -> u32 {
         self.rung
-    }
-
-    /// Is the controller at the last rung — the one that also relaxes
-    /// shard health policies?
-    pub fn degraded(&self) -> bool {
-        self.cfg.rungs > 0 && self.rung >= self.cfg.rungs
     }
 
     /// The batching limits for the current rung: base values
@@ -196,7 +186,7 @@ mod tests {
         assert_eq!(p.limits(), (4, 1_000_000));
         assert_eq!(p.tick(depth(80)), BrownoutStep::Down);
         assert_eq!(p.tick(depth(80)), BrownoutStep::Down);
-        assert!(p.degraded(), "last rung relaxes health policies");
+        assert_eq!(p.rung(), 3, "at the last rung");
         assert_eq!(p.tick(depth(80)), BrownoutStep::Hold, "no rung below the last");
         assert_eq!(p.limits(), (1, 250_000));
     }

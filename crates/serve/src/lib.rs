@@ -33,17 +33,15 @@
 //!   hermetically without TCP; the real listener speaks the same code
 //!   path over `TcpStream`.
 //! * [`model`] — the [`model::BatchModel`] trait the shards execute, and
-//!   [`model::GraphModel`] adapting a compiled graph to it (including
-//!   the brownout `set_degraded` hook over `HealthPolicy`).
+//!   [`model::GraphModel`] adapting a compiled graph to it.
 //! * [`supervisor`] — the shard slot, sole owner of one shard's state:
 //!   its bounded batch mailbox (`try_send` never waits) and whether its
 //!   worker holds a batch (so idleness is exact), heartbeats, the
 //!   epoch-guarded *active batch* cell that makes steal-vs-reply
 //!   exactly-once, restart backoff and its `/stats` counters.
 //! * [`brownout`] — the pure hysteretic overload controller stepping
-//!   `max_batch`/`max_delay_ns` down under queue or latency pressure; its
-//!   last rung is a `degraded` flag every shard worker reads on each wake
-//!   to relax (or restore) its model's health policy.
+//!   `max_batch`/`max_delay_ns` down under queue or latency pressure
+//!   (and nothing else: the models' health checks cost nothing to keep).
 //! * [`server`] — the threaded composition: connection handlers feed the
 //!   shared batcher, a dispatcher flushes ready batches to the
 //!   shortest-backlog live shard (a worker going idle wakes it), a supervisor detects dead/wedged

@@ -11,7 +11,7 @@
 //! moves it. That keeps engine internals (thread pools, scratch arenas)
 //! pinned to their shard.
 
-use lowino::{HealthPolicy, Tensor4};
+use lowino::Tensor4;
 use lowino_nn::CompiledGraph;
 
 /// A model that answers fixed-shape requests in batches.
@@ -35,9 +35,11 @@ pub trait BatchModel {
     fn algorithms(&self) -> Vec<String> {
         Vec::new()
     }
-    /// Brownout hook: `true` relaxes post-execute health checks so each
-    /// batch costs less under overload, `false` restores them. Default:
-    /// no-op (trivial test models have no health policy to relax).
+    /// Nothing calls this, and it does nothing: health checks are free and
+    /// cannot be switched off, so no brownout rung relaxes them. It stays
+    /// only because the benchmark ledger's `TimedModel`
+    /// (`benchmark/src/serve.rs`) still overrides it, and goes with that
+    /// override.
     fn set_degraded(&mut self, _degraded: bool) {}
 }
 
@@ -112,15 +114,6 @@ impl BatchModel for GraphModel {
             .iter()
             .map(|a| a.to_string())
             .collect()
-    }
-
-    fn set_degraded(&mut self, degraded: bool) {
-        let policy = if degraded {
-            HealthPolicy::relaxed()
-        } else {
-            HealthPolicy::default()
-        };
-        self.graph.set_health_policy(policy);
     }
 }
 

@@ -19,9 +19,9 @@
 //!
 //! Each piece of state has one owner: `Shared` holds the normalised
 //! [`ServeConfig`] once, each [`ShardSlot`] holds its shard's mailbox,
-//! health and `/stats` counters, and the brownout rung (with its
-//! "degraded" bit) is published by the supervisor and *read* by every
-//! worker on each wake — a respawned worker picks it up like any other.
+//! health and `/stats` counters, and the brownout rung is the
+//! supervisor's alone: it sets the batcher's limits and publishes the
+//! rung for `/stats`; no worker reads it.
 //!
 //! Guarantees the tests pin down:
 //!
@@ -42,10 +42,8 @@
 //!   factory with exponential backoff, giving up (state `Dead`, traffic
 //!   routed to survivors) after `max_restarts`.
 //! * **brownout** — under queue-depth or p99-vs-deadline pressure the
-//!   [`BrownoutPolicy`] steps `max_batch`/`max_delay_ns` down (and, at
-//!   the last rung, raises the shared `degraded` flag that relaxes every
-//!   worker's health policy), hysteretically stepping back up when
-//!   pressure clears.
+//!   [`BrownoutPolicy`] steps `max_batch`/`max_delay_ns` down,
+//!   hysteretically stepping back up when pressure clears.
 //! * **panic isolation** — each connection handler runs under
 //!   `catch_unwind` (counted in `/stats`), and shard inference panics
 //!   are converted into 500 responses rather than hangs.
@@ -246,12 +244,6 @@ struct Shared {
     latency: Mutex<VecDeque<u64>>,
     /// Current brownout rung, published for `/stats`.
     brownout_rung: AtomicU64,
-    /// Is the brownout at its last rung? Every worker compares this with
-    /// what its model last applied on each wake and calls
-    /// [`BatchModel::set_degraded`] when they differ. Stored (`Release`)
-    /// before the batcher limits change; loaded (`Acquire`) by workers
-    /// after a mailbox pop, so a batch those limits release sees it.
-    degraded: AtomicBool,
     sup_stop: Mutex<bool>,
     sup_cv: Condvar,
     events: Mutex<Vec<SupervisorEvent>>,
@@ -556,7 +548,6 @@ impl Server {
             slots: (0..cfg.shards).map(|_| Slot::new()).collect(),
             latency: Mutex::new(VecDeque::new()),
             brownout_rung: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
             sup_stop: Mutex::new(false),
             sup_cv: Condvar::new(),
             events: Mutex::new(Vec::new()),
@@ -874,7 +865,6 @@ fn run_shard<M, F>(
     let mut inputs = vec![0f32; cap * il];
     let mut outputs = vec![0f32; cap * ol];
     let mut last_demotions = usize::MAX; // force one initial algorithms publish
-    let mut degraded = false; // a fresh model runs its default health policy
     loop {
         let (held, mut live) = match slot.recv(my_epoch, HEARTBEAT_PERIOD) {
             Recv::Stop => break,
@@ -883,13 +873,6 @@ fn run_shard<M, F>(
         };
         let now = shared.clock.now_ns();
         slot.beat(now);
-        // Follow the published brownout flag on every wake, before
-        // executing anything (a respawned worker included).
-        let want = shared.degraded.load(Ordering::Acquire);
-        if want != degraded {
-            model.set_degraded(want);
-            degraded = want;
-        }
         // Last line of deadline defense: anything that expired while
         // riding the mailbox is shed, not executed.
         time_out_expired(&mut live, now);
@@ -1061,6 +1044,14 @@ fn handle_infer<S: Read + Write>(
         .chunks_exact(4)
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         .collect();
+    if input.iter().any(|v| !v.is_finite()) {
+        // Checked where input from outside enters the program: a NaN image
+        // would be answered with meaningless logits and could demote the
+        // shard's conv ladders for the shard's life.
+        shared.http_errors.fetch_add(1, Ordering::AcqRel);
+        return http::write_error(reader.get_mut(), 400, "body holds a non-finite f32", keep)
+            .is_ok();
+    }
     let start = shared.clock.now_ns();
     let deadline_ns = match req.deadline_us {
         Some(us) => start.saturating_add(us.saturating_mul(1_000)),
@@ -1446,11 +1437,8 @@ where
             deadline_ns: Some(cfg.default_deadline_ns).filter(|&d| d != NO_DEADLINE),
         });
         if step != BrownoutStep::Hold {
-            // Publish the rung before the limits it implies, so a batch
-            // the new limits release already finds its worker's flag set.
             let rung = brownout.rung();
             shared.brownout_rung.store(rung as u64, Ordering::Release);
-            shared.degraded.store(brownout.degraded(), Ordering::Release);
             lowino_trace::instant("serve/brownout", rung as u64);
             let (max_batch, max_delay_ns) = brownout.limits();
             shared
@@ -1684,6 +1672,11 @@ mod tests {
             .unwrap();
         assert_eq!(http::read_response(&mut conn).unwrap().status, 400);
 
+        // A non-finite value anywhere in the body → 400 at admission: the
+        // model runs no batch for it, and the connection stays usable.
+        let r = post_infer(&mut conn, &[1.0, f32::NAN, 3.5]);
+        assert_eq!(r.status, 400);
+
         // /stats parses and reflects the completed request plus the new
         // supervision fields.
         conn.get_mut()
@@ -1709,7 +1702,8 @@ mod tests {
         let snap = server.shutdown();
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.conn_panics, 0);
-        assert_eq!(snap.http_errors, 2, "400 + 404");
+        assert_eq!(snap.http_errors, 3, "400 + 400 + 404");
+        assert_eq!((snap.accepted, snap.batches), (1, 1), "the NaN body never reached a shard");
         assert_eq!(
             snap.accepted,
             snap.completed + snap.failed + snap.timed_out + snap.unavailable

@@ -109,23 +109,6 @@ pub fn dpbusd(tier: SimdTier, acc: &mut [i32; 16], a: &[u8; 64], b: &[i8; 64]) {
     }
 }
 
-/// Accumulate a whole row of `len` 64-byte groups: a GEMV-style helper used
-/// by the fallback GEMM path and by tests.
-///
-/// `acc` has 16 lanes per group? No — this variant reduces across groups
-/// into a single 16-lane accumulator, i.e. it computes 16 independent
-/// strided dot products of length `4·len`.
-#[inline]
-pub fn dpbusd_rows(tier: SimdTier, acc: &mut [i32; 16], a: &[u8], b: &[i8]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len() % 64, 0);
-    for (ca, cb) in a.chunks_exact(64).zip(b.chunks_exact(64)) {
-        let ca: &[u8; 64] = ca.try_into().expect("chunk");
-        let cb: &[i8; 64] = cb.try_into().expect("chunk");
-        dpbusd(tier, acc, ca, cb);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,27 +193,6 @@ mod tests {
             let mut want = [0i32; 16];
             for _ in 0..100 {
                 dpbusd_scalar(&mut want, &a, &b);
-            }
-            assert_eq!(acc, want, "tier={tier}");
-        }
-    }
-
-    #[test]
-    fn rows_helper_reduces_across_groups() {
-        let mut a = vec![0u8; 256];
-        let mut b = vec![0i8; 256];
-        for i in 0..256 {
-            a[i] = (i % 251) as u8;
-            b[i] = ((i * 7) % 255) as u8 as i8;
-        }
-        for tier in SimdTier::available() {
-            let mut acc = [0i32; 16];
-            dpbusd_rows(tier, &mut acc, &a, &b);
-            let mut want = [0i32; 16];
-            for g in 0..4 {
-                let ca: &[u8; 64] = a[g * 64..][..64].try_into().unwrap();
-                let cb: &[i8; 64] = b[g * 64..][..64].try_into().unwrap();
-                dpbusd_scalar(&mut want, ca, cb);
             }
             assert_eq!(acc, want, "tier={tier}");
         }

@@ -133,13 +133,6 @@ impl<T: Pod> AlignedBuf<T> {
         self.ptr
     }
 
-    /// Overwrite every element with zero.
-    pub fn zero_fill(&mut self) {
-        // SAFETY: the buffer is valid for `len` elements and all Pod types
-        // are valid all-zeroes.
-        unsafe { core::ptr::write_bytes(self.ptr, 0, self.len) };
-    }
-
     /// Overwrite every element with `value`.
     pub fn fill(&mut self, value: T) {
         self.as_mut_slice().fill(value);
@@ -252,7 +245,7 @@ mod tests {
         let mut b = AlignedBuf::<f32>::zeroed(10);
         b.fill(1.5);
         assert!(b.as_slice().iter().all(|&x| x == 1.5));
-        b.zero_fill();
+        b.fill(0.0);
         assert!(b.as_slice().iter().all(|&x| x == 0.0));
     }
 

@@ -43,12 +43,6 @@ pub fn range_growth_2d(m: usize, r: usize) -> Result<f64, MatrixError> {
     range_growth_1d(m, r).map(|g| g * g)
 }
 
-/// The down-scaling factor `α = 1/growth` the oneDNN-style approach applies
-/// to the integer-transformed input (paper §2.3: `1/4`, `1/100`, `1/10000`).
-pub fn down_scaling_alpha(m: usize, r: usize) -> Result<f64, MatrixError> {
-    range_growth_2d(m, r).map(|g| 1.0 / g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,12 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn down_scaling_alpha_is_reciprocal() {
-        assert_eq!(down_scaling_alpha(2, 3).unwrap(), 0.25);
-        assert_eq!(down_scaling_alpha(4, 3).unwrap(), 0.01);
-    }
-
-    #[test]
     fn growth_is_monotonic_in_tile_size() {
         let mut prev = 0.0;
         for m in [2usize, 4, 6] {
@@ -86,7 +74,7 @@ mod tests {
     fn growth_bound_is_tight_empirically() {
         // A worst-case INT8 tile must reach (not exceed) the analytic bound
         // for F(2,3), whose Bᵀ has ±1 entries: signs can be chosen to align.
-        use crate::transform::input_transform_i32;
+        use crate::transform::TileTransformer;
         let g = range_growth_2d(2, 3).unwrap() as i32;
         // d chosen so row [1,0,-1,0] and its column pass align: d[0,j]=127,
         // d[2,j]=-127 pattern.
@@ -104,7 +92,9 @@ mod tests {
         d[2] = -127;
         d[2 * n] = -127;
         d[2 * n + 2] = 127;
-        let v = input_transform_i32(2, 3, &d).unwrap();
+        let t = TileTransformer::new(2, 3).unwrap();
+        let mut v = vec![0i32; n * n];
+        t.input_tile_i32(&d, &mut v, &mut t.make_scratch(1));
         let max = v.iter().map(|x| x.abs()).max().unwrap();
         assert_eq!(max, g * 127, "bound should be attained");
     }

@@ -50,10 +50,7 @@ pub use matrices::{WinogradMatrices, F2_3, F4_3, F6_3};
 pub use rational::Rational;
 pub use kernels::KernelId;
 pub use tape::{Tape, TapeInstr, TapePostOps};
-pub use transform::{
-    filter_transform_f32, input_transform_f32, input_transform_i32, output_transform_f32,
-    TileTransformer, TransformScratch,
-};
+pub use transform::{TileTransformer, TransformScratch};
 
 #[cfg(test)]
 mod tests {

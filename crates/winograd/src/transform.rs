@@ -373,24 +373,6 @@ impl TileTransformer {
         }
     }
 
-    /// Compiled [`Self::output_tile_f32`].
-    pub fn output_tile_f32_compiled(
-        &self,
-        vt: VecTier,
-        z: &[f32],
-        y: &mut [f32],
-        s: &mut TransformScratch,
-    ) {
-        let (m, lanes) = (self.m(), s.lanes);
-        assert!(y.len() >= m * m * lanes);
-        self.output_columns_f32(vt, z, s);
-        // SAFETY: `y` holds the `m` rows of `m·lanes` values at pitch
-        // `m·lanes` (asserted above) and is exclusively borrowed.
-        unsafe {
-            self.output_rows_post_strided(vt, TapePostOps::default(), 0, y.as_mut_ptr(), m * lanes, s);
-        }
-    }
-
     // -- fused epilogue transforms (the LoWino production path) ----------
 
     /// Input transform with the **fused quantize epilogue**, reading the
@@ -482,35 +464,14 @@ impl TileTransformer {
         y: &mut [f32],
         s: &mut TransformScratch,
     ) {
-        self.output_tile_dequantized_post(vt, z, inv_alphas, stride, TapePostOps::default(), y, s);
-    }
-
-    /// [`Self::output_tile_dequantized`] with the graph engine's fused
-    /// **post-op epilogue** on the row pass: per output element, add the
-    /// per-lane `bias`, add the matching element of the `m×m` lane-group
-    /// `residual` tile, then ReLU — all in-register before the single
-    /// store into `y` (see [`crate::tape::TapePostOps`] for the exact
-    /// order and bitwise contract).
-    ///
-    /// Bitwise identical to [`Self::output_tile_dequantized`] followed by
-    /// the scalar `((y + bias) + res).max(0.0)` per element.
-    pub fn output_tile_dequantized_post(
-        &self,
-        vt: VecTier,
-        z: &[i32],
-        inv_alphas: &[f32],
-        stride: usize,
-        post: TapePostOps<'_>,
-        y: &mut [f32],
-        s: &mut TransformScratch,
-    ) {
         let (m, lanes) = (self.m(), s.lanes);
         assert!(y.len() >= m * m * lanes);
         self.output_columns_dequantized(vt, z, inv_alphas, stride, s);
-        let res_row_stride = m * post.residual.map_or(0, |r| r.2);
         // SAFETY: `y` holds the `m` rows of `m·lanes` values at pitch
         // `m·lanes` (asserted above) and is exclusively borrowed.
-        unsafe { self.output_rows_post_strided(vt, post, res_row_stride, y.as_mut_ptr(), m * lanes, s) }
+        unsafe {
+            self.output_rows_post_strided(vt, TapePostOps::default(), 0, y.as_mut_ptr(), m * lanes, s)
+        }
     }
 
     /// The column pass of the output transform with the **fused dequantize
@@ -592,48 +553,24 @@ impl TileTransformer {
     }
 }
 
-/// One-shot input transform of a scalar (`lanes = 1`) tile — reference use.
-pub fn input_transform_f32(m: usize, r: usize, d: &[f32]) -> Result<Vec<f32>, MatrixError> {
-    let t = TileTransformer::new(m, r)?;
-    let n = t.n();
-    let mut v = vec![0.0; n * n];
-    let mut s = t.make_scratch(1);
-    t.input_tile_f32(d, &mut v, &mut s);
-    Ok(v)
-}
-
-/// One-shot integer input transform of a scalar tile.
-pub fn input_transform_i32(m: usize, r: usize, d: &[i32]) -> Result<Vec<i32>, MatrixError> {
-    let t = TileTransformer::new(m, r)?;
-    let n = t.n();
-    let mut v = vec![0; n * n];
-    let mut s = t.make_scratch(1);
-    t.input_tile_i32(d, &mut v, &mut s);
-    Ok(v)
-}
-
-/// One-shot filter transform of a scalar tile.
-pub fn filter_transform_f32(m: usize, r: usize, g: &[f32]) -> Result<Vec<f32>, MatrixError> {
-    let t = TileTransformer::new(m, r)?;
-    let n = t.n();
-    let mut u = vec![0.0; n * n];
-    let mut s = t.make_scratch(1);
-    t.filter_tile_f32(g, &mut u, &mut s);
-    Ok(u)
-}
-
-/// One-shot output transform of a scalar tile.
-pub fn output_transform_f32(m: usize, r: usize, z: &[f32]) -> Result<Vec<f32>, MatrixError> {
-    let t = TileTransformer::new(m, r)?;
-    let mut y = vec![0.0; m * m];
-    let mut s = t.make_scratch(1);
-    t.output_tile_f32(z, &mut y, &mut s);
-    Ok(y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot transform of a scalar (`lanes = 1`) `F(m, r)` tile by one
+    /// of the interpreted tile methods, into `len` outputs.
+    fn one_shot<T: Copy + Default>(
+        m: usize,
+        r: usize,
+        x: &[T],
+        len: usize,
+        f: fn(&TileTransformer, &[T], &mut [T], &mut TransformScratch),
+    ) -> Vec<T> {
+        let t = TileTransformer::new(m, r).unwrap();
+        let mut y = vec![T::default(); len];
+        f(&t, x, &mut y, &mut t.make_scratch(1));
+        y
+    }
 
     /// Dense reference: out = L · tile · Lᵀ-style products via explicit loops.
     fn dense_2d(l: &[f32], lr: usize, lc: usize, tile: &[f32], tn: usize) -> Vec<f32> {
@@ -670,7 +607,7 @@ mod tests {
             let t = TileTransformer::new(m, r).unwrap();
             let n = t.n();
             let d = tile(n, 0.3);
-            let v = input_transform_f32(m, r, &d).unwrap();
+            let v = one_shot(m, r, &d, n * n, TileTransformer::input_tile_f32);
             let bt = t.matrices().bt.to_f32();
             let want = dense_2d(&bt, n, n, &d, n);
             for (a, b) in v.iter().zip(&want) {
@@ -685,7 +622,7 @@ mod tests {
             let t = TileTransformer::new(m, r).unwrap();
             let n = t.n();
             let g = tile(r, 1.7);
-            let u = filter_transform_f32(m, r, &g).unwrap();
+            let u = one_shot(m, r, &g, n * n, TileTransformer::filter_tile_f32);
             let gm = t.matrices().g.to_f32();
             let want = dense_2d(&gm, n, r, &g, r);
             for (a, b) in u.iter().zip(&want) {
@@ -700,7 +637,7 @@ mod tests {
             let t = TileTransformer::new(m, r).unwrap();
             let n = t.n();
             let z = tile(n, 2.9);
-            let y = output_transform_f32(m, r, &z).unwrap();
+            let y = one_shot(m, r, &z, m * m, TileTransformer::output_tile_f32);
             let at = t.matrices().at.to_f32();
             let want = dense_2d(&at, m, n, &z, n);
             for (a, b) in y.iter().zip(&want) {
@@ -718,10 +655,10 @@ mod tests {
             let n = t.n();
             let d = tile(n, 0.11);
             let g = tile(r, 5.2);
-            let v = input_transform_f32(m, r, &d).unwrap();
-            let u = filter_transform_f32(m, r, &g).unwrap();
+            let v = one_shot(m, r, &d, n * n, TileTransformer::input_tile_f32);
+            let u = one_shot(m, r, &g, n * n, TileTransformer::filter_tile_f32);
             let z: Vec<f32> = v.iter().zip(&u).map(|(a, b)| a * b).collect();
-            let y = output_transform_f32(m, r, &z).unwrap();
+            let y = one_shot(m, r, &z, m * m, TileTransformer::output_tile_f32);
             for oy in 0..m {
                 for ox in 0..m {
                     let mut want = 0.0f32;
@@ -748,14 +685,14 @@ mod tests {
         let t = TileTransformer::new(4, 3).unwrap();
         let n = t.n();
         let d = vec![127i32; n * n];
-        let v = input_transform_i32(4, 3, &d).unwrap();
+        let v = one_shot(4, 3, &d, n * n, TileTransformer::input_tile_i32);
         let max = v.iter().map(|x| x.abs()).max().unwrap();
         assert!(max <= 100 * 127, "max={max}");
         // And alternating-sign worst case.
         let d: Vec<i32> = (0..n * n)
             .map(|i| if (i / n + i % n).is_multiple_of(2) { 127 } else { -127 })
             .collect();
-        let v = input_transform_i32(4, 3, &d).unwrap();
+        let v = one_shot(4, 3, &d, n * n, TileTransformer::input_tile_i32);
         assert!(v.iter().all(|x| x.abs() <= 100 * 127));
     }
 
@@ -778,7 +715,7 @@ mod tests {
         small.input_tile_f32(&d, &mut v, &mut s);
         for lane in [0usize, 15] {
             let d1: Vec<f32> = (0..n * n).map(|e| d[e * 16 + lane]).collect();
-            let v1 = input_transform_f32(2, 3, &d1).unwrap();
+            let v1 = one_shot(2, 3, &d1, n * n, TileTransformer::input_tile_f32);
             for e in 0..n * n {
                 assert!((v[e * 16 + lane] - v1[e]).abs() < 1e-3);
             }
@@ -797,7 +734,7 @@ mod tests {
         // Check a few lanes against scalar execution.
         for lane in [0usize, 1, 31, 63] {
             let d1: Vec<f32> = (0..n * n).map(|e| d[e * lanes + lane]).collect();
-            let v1 = input_transform_f32(4, 3, &d1).unwrap();
+            let v1 = one_shot(4, 3, &d1, n * n, TileTransformer::input_tile_f32);
             for e in 0..n * n {
                 assert!((v[e * lanes + lane] - v1[e]).abs() < 1e-3);
             }

@@ -275,7 +275,15 @@ property! {
             tt.filter_tile_f32_compiled(vt, &g, &mut u, &mut s_cmp);
             prop_assert!(bits(&u) == bits(&want_u), "filter F({m},3) tier={vt} lanes={lanes}");
             let mut y = vec![f32::NAN; m * m * lanes];
-            tt.output_tile_f32_compiled(vt, &z, &mut y, &mut s_cmp);
+            // The production pair: column pass, then the row pass storing
+            // the `m` rows at pitch `m·lanes`.
+            tt.output_columns_f32(vt, &z, &mut s_cmp);
+            // SAFETY: `y` holds `m` rows of `m·lanes` values and is
+            // exclusively borrowed.
+            unsafe {
+                let (post, pitch) = (TapePostOps::default(), m * lanes);
+                tt.output_rows_post_strided(vt, post, 0, y.as_mut_ptr(), pitch, &mut s_cmp);
+            }
             prop_assert!(bits(&y) == bits(&want_y), "output F({m},3) tier={vt} lanes={lanes}");
         }
     }
