@@ -1,27 +1,33 @@
 //! INT8 direct convolution (the "INT8 Direct Convolution – oneDNN" baseline
 //! of paper Fig. 8), implemented as an **implicit GEMM**:
 //!
-//! 1. the input is quantized once into a spatially zero-padded
-//!    `[B][H+2p][W+2p][C_p]` u8 buffer (padding pixels hold the compensated
-//!    zero, 128 — the compensation algebra renders them inert);
+//! 1. the input is quantized once by the spatial pre-pass the DownScale and
+//!    UpCast schemes share ([`SpatialInt8`]), with the +128 compensation,
+//!    into a `[B][H+2p][W+2p][C_p]` u8 image whose halo holds the
+//!    compensated zero, 128 — the compensation algebra renders it inert;
 //! 2. for each filter offset `(dy, dx)` the micro-kernel consumes the
-//!    quantized buffer *in place* with shifted row pointers — no im2col
+//!    quantized image *in place* with shifted row pointers — no im2col
 //!    materialisation, so each input byte is written once and read from
 //!    cache, matching the memory behaviour of a production direct
-//!    convolution;
-//! 3. the `r²` offset passes accumulate into the same `Z` tile (seeded with
-//!    the combined compensation row), then `Z` is de-quantized into the
-//!    blocked output.
+//!    convolution. The walk covers the words of the real `C` channels, not
+//!    `C_p`: the padding weights are zero, so the skipped products are too;
+//! 3. the `r²` offset passes accumulate into the same `Z` rows (seeded with
+//!    the combined compensation row). They are partial sums the same task
+//!    reads back at once, so every pass but the last stores them
+//!    cache-allocating and only the finished sums leave with the
+//!    non-temporal scatter — the GEMM driver's rule for its `C` chunks.
+//!    Then `Z` is de-quantized into the blocked output.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lowino_gemm::kernel::{microkernel, Seed, Store};
-use lowino_gemm::{Blocking, Element, GemmShape, UPanel, ZPanel};
+use lowino_gemm::{product_traffic, Blocking, Element, GemmShape, UPanel, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
-use lowino_simd::{dequantize_lanes, quantize_lanes, store::stream_fence, stream_store_u8_64};
+use lowino_simd::{dequantize_lanes, store::stream_fence};
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, Tensor4, LANES};
 
+use crate::algo::spatial::SpatialInt8;
 use crate::algo::{
     check_io, check_post, note_saturation, resolve_blocking, store_pixel_post, Algorithm, ConvExecutor, ConvPostOps,
 };
@@ -41,9 +47,8 @@ pub struct DirectInt8Conv {
     alpha_w: QParams,
     /// Quantized, compensated, spatially padded input:
     /// `[B][H+2p][W+2p][C_p]` u8; padding pixels hold 128.
-    qbuf: AlignedBuf<u8>,
+    spatial: SpatialInt8,
     z_panel: ZPanel,
-    cp: usize,
     /// Saturated quantized values of the last execute, tallied line by line
     /// as phase ① produces them.
     saturated: AtomicU64,
@@ -68,7 +73,6 @@ impl DirectInt8Conv {
                 "DirectInt8Conv currently supports stride 1 only".into(),
             ));
         }
-        let cp = round_up(spec.in_c, LANES);
         let (u_panel, alpha_w) = pack_filters_direct_i8(&spec, weights)?;
         let t_count = spec.r * spec.r;
         let kp = u_panel.kp();
@@ -78,11 +82,8 @@ impl DirectInt8Conv {
                 *dst += z;
             }
         }
-        let (hp, wp) = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
-        let mut qbuf = AlignedBuf::<u8>::zeroed(spec.batch * hp * wp * cp);
-        // Padding pixels are the compensated zero. Fill everything once;
-        // the interior is overwritten on every execute.
-        qbuf.fill(128);
+        let padded = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
+        let spatial = SpatialInt8::new(&spec, padded, input_scale.alpha, true);
         let n = spec.batch * spec.out_h() * spec.out_w();
         Ok(Self {
             spec,
@@ -90,9 +91,8 @@ impl DirectInt8Conv {
             zbar_total,
             alpha_in: input_scale,
             alpha_w,
-            qbuf,
+            spatial,
             z_panel: ZPanel::new(1, n, spec.out_c),
-            cp,
             saturated: AtomicU64::new(0),
             non_finite: AtomicU64::new(0),
             blocking: None,
@@ -129,7 +129,7 @@ impl ConvExecutor for DirectInt8Conv {
     /// post-ops applied to each de-quantized pixel before its store.
     /// This executor's phase bodies use only small stack arrays, so —
     /// unlike the Winograd executors — it draws nothing from the scratch
-    /// arena; the padded u8 buffer is a planned member already.
+    /// arena; the padded u8 image is a planned member already.
     fn execute_post(
         &mut self,
         input: &BlockedImage,
@@ -141,11 +141,10 @@ impl ConvExecutor for DirectInt8Conv {
         check_post(output, post);
         let spec = self.spec;
         let (out_h, out_w) = (spec.out_h(), spec.out_w());
-        let (hp, wp) = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
         let r = spec.r;
-        let alpha = self.alpha_in.alpha;
-        let cp = self.cp;
-        let c_blocks = cp / LANES;
+        let cp = round_up(spec.in_c, LANES);
+        // The words of the real channels: the padding weights are zero.
+        let words = Element::U8I8.words(spec.in_c);
 
         let shape = self.gemm_shape();
         let blocking = resolve_blocking(&mut self.blocking, &shape, ctx);
@@ -157,7 +156,7 @@ impl ConvExecutor for DirectInt8Conv {
         let kp = self.u_panel.kp();
         let zp: &ZPanel = &self.z_panel;
         let up: &UPanel = &self.u_panel;
-        let qb: &AlignedBuf<u8> = &self.qbuf;
+        let sp: &SpatialInt8 = &self.spatial;
         let zbar: &[i32] = self.zbar_total.as_slice();
         let z_stride = zp.n_stride();
         let inv = self.alpha_in.product_dequant(&self.alpha_w);
@@ -174,50 +173,26 @@ impl ConvExecutor for DirectInt8Conv {
             spec.batch * out_h * out_w,
         ];
         let times = pool.run_phases_catching(&totals, |_, phase, range| match phase {
-            // -- Phase ①: quantize the input once into the padded u8 buffer.
+            // -- Phase ①: quantize the input once into the padded u8 image.
             0 => {
                 let _span = lowino_trace::span("direct_i8/quantize_input");
-                let values = range.len() * spec.w * c_blocks * LANES;
-                let mut sat = 0u64;
-                let mut q = [0u8; LANES];
-                for row in range {
-                    let b = row / spec.h;
-                    let y = row % spec.h;
-                    for x in 0..spec.w {
-                        for cb in 0..c_blocks {
-                            let lanes = if cb < input.c_blocks() {
-                                input.lanes(b, cb, y, x)
-                            } else {
-                                &[0.0; LANES]
-                            };
-                            quantize_lanes(vt, lanes, alpha, true, &mut q);
-                            sat += lowino_quant::count_saturated_u8(&q);
-                            let off = ((b * hp + y + spec.pad) * wp + x + spec.pad) * cp
-                                + cb * LANES;
-                            // SAFETY: each (b, y) row is owned by one task;
-                            // offsets are in bounds and 64-byte aligned.
-                            unsafe {
-                                let dst = qb.as_ptr().add(off) as *mut u8;
-                                let dst = core::slice::from_raw_parts_mut(dst, LANES);
-                                stream_store_u8_64(tier, dst, &q);
-                            }
-                        }
-                    }
-                }
+                let values = range.len() * spec.w * cp;
+                // SAFETY: each (b, y) row is one task of this phase, and
+                // nothing reads the image before the phase barrier.
+                let sat = unsafe { sp.quantize_rows(vt, &spec, input, range) };
                 note_saturation(Some(saturated), sat, values);
-                stream_fence();
             }
             // -- Phase ②: r² shifted-pointer GEMM passes accumulating
             // into Z.
             1 => {
                 let _span = lowino_trace::span("direct_i8/gemm");
                 // Each task (one output row) runs r² shifted passes of an
-                // out_w × cp × kp product.
+                // out_w × C × kp product.
                 if lowino_trace::enabled() {
-                    lowino_trace::counter(
-                        "gemm/dpbusd_macs",
-                        (range.len() * out_w * cp * kp * r * r) as u64,
-                    );
+                    let (bytes, macs) = product_traffic(Element::U8I8, out_w, spec.in_c, kp);
+                    let passes = (range.len() * r * r) as u64;
+                    lowino_trace::counter("gemm/panel_bytes", passes * bytes);
+                    lowino_trace::counter("gemm/dpbusd_macs", passes * macs);
                 }
                 for task in range {
                     let b = task / out_h;
@@ -232,6 +207,9 @@ impl ConvExecutor for DirectInt8Conv {
                             for t in 0..r * r {
                                 let (dy, dx) = (t / r, t % r);
                                 let seed_first = t == 0;
+                                // Partial sums the next pass reads back stay
+                                // in cache; the finished ones stream out.
+                                let store = if t + 1 == r * r { Store::Stream } else { Store::Cached };
                                 let mut x1 = x0;
                                 while x1 < x_end {
                                     let rb = (x_end - x1).min(blocking.row_blk);
@@ -245,12 +223,10 @@ impl ConvExecutor for DirectInt8Conv {
                                         };
                                         // SAFETY: the shifted input rows
                                         // (oy+dy, x1+dx .. x1+dx+rb) are
-                                        // inside the padded buffer; Z rows
+                                        // inside the padded image; Z rows
                                         // are owned by this task.
                                         unsafe {
-                                            let v_ptr = qb.as_ptr().add(
-                                                ((b * hp + oy + dy) * wp + x1 + dx) * cp,
-                                            );
+                                            let v_ptr = sp.bytes().as_ptr().add(sp.offset(b, oy + dy, x1 + dx, 0));
                                             let u_ptr = up.block_ptr(t, k1);
                                             let z_ptr =
                                                 zp.store_ptr_shared(0, n_base + x1, k1);
@@ -263,11 +239,11 @@ impl ConvExecutor for DirectInt8Conv {
                                                 cp,
                                                 u_ptr,
                                                 up.word_stride(),
-                                                cp / 4,
+                                                words,
                                                 seed,
                                                 z_ptr,
                                                 z_stride,
-                                                Store::Stream,
+                                                store,
                                             );
                                         }
                                         k1 += cb * 16;
@@ -439,12 +415,12 @@ mod tests {
             // Twice: the tally is per execute, not cumulative.
             for _ in 0..2 {
                 conv.execute(&loud, &mut out, &mut ctx).unwrap();
-                let scanned = lowino_quant::count_saturated_u8(conv.qbuf.as_slice());
+                let scanned = lowino_quant::count_saturated_u8(conv.spatial.bytes());
                 assert!(scanned > 2 * 70 * 81 / 4, "the loud input must clip ({scanned})");
                 assert_eq!(conv.saturation(), Some((scanned, 2 * 70 * 81)), "threads={threads}");
             }
             conv.execute(&quiet, &mut out, &mut ctx).unwrap();
-            let scanned = lowino_quant::count_saturated_u8(conv.qbuf.as_slice());
+            let scanned = lowino_quant::count_saturated_u8(conv.spatial.bytes());
             assert_eq!(conv.saturation().unwrap().0, scanned, "threads={threads}");
         }
     }

@@ -24,7 +24,8 @@ use lowino_tensor::{ConvShape, Tensor4};
 use lowino_winograd::range_growth_2d;
 
 use crate::algo::lowino::lowino_filters;
-use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv};
+use crate::algo::spatial::SpatialInt8;
+use crate::algo::winograd::{plan_tiles, tile_extent, Scheme, WinogradConv};
 use crate::algo::Algorithm;
 use crate::error::ConvError;
 
@@ -70,7 +71,7 @@ impl DownScaleConv {
         // Effective input scale is α_in·α_ds (the spatial scale times the
         // transform down-scale).
         let inv = 1.0 / (input_scale.alpha * alpha_ds * alpha_u.alpha);
-        let spatial = SpatialInt8::new(&spec, &geom, &tt, input_scale.alpha);
+        let spatial = SpatialInt8::new(&spec, tile_extent(&spec, &geom), input_scale.alpha, false);
         let mut conv =
             Self::assemble(spec, geom, tt, u_panel, Some(spatial), vec![alpha_ds; geom.t()], vec![inv]);
         conv.blocking = Some(onednn_like_blocking(&conv.gemm_shape()));

@@ -4,6 +4,7 @@ pub mod direct_f32;
 pub mod direct_i8;
 pub mod downscale;
 pub mod lowino;
+mod spatial;
 pub mod upcast;
 pub mod wino_f32;
 pub mod winograd;

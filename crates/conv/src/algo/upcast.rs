@@ -21,7 +21,8 @@ use lowino_quant::QParams;
 use lowino_tensor::{ConvShape, Tensor4};
 use lowino_winograd::range_growth_2d;
 
-use crate::algo::winograd::{plan_tiles, Scheme, SpatialInt8, WinogradConv};
+use crate::algo::spatial::SpatialInt8;
+use crate::algo::winograd::{plan_tiles, tile_extent, Scheme, WinogradConv};
 use crate::algo::Algorithm;
 use crate::error::ConvError;
 use crate::filter::pack_filters;
@@ -72,7 +73,7 @@ impl UpCastConv {
         let (u_panel, alpha_u) =
             pack_filters::<I16>(&spec, &geom, &tt, weights, false, |a, u| i16::from(a.quantize(u)))?;
         let inv = 1.0 / (input_scale.alpha * alpha_u[0].alpha);
-        let spatial = SpatialInt8::new(&spec, &geom, &tt, input_scale.alpha);
+        let spatial = SpatialInt8::new(&spec, tile_extent(&spec, &geom), input_scale.alpha, false);
         Ok(Self::assemble(spec, geom, tt, u_panel, Some(spatial), Vec::new(), vec![inv]))
     }
 }

@@ -45,13 +45,14 @@ use lowino_gemm::{
     normalize_for, BlockGemm, Blocking, GemmShape, GemmTasks, Operands, UPanelOf, VPanelOf, ZPanelOf,
     F32, I16, U8I8,
 };
-use lowino_quant::{count_saturated_i8, count_saturated_u8};
+use lowino_quant::count_saturated_u8;
 use lowino_simd::vecf32::{count_non_finite, requantize_i32_lanes, VecTier};
 use lowino_simd::{store::stream_fence, stream_store_u8_64, SimdTier};
 use lowino_tensor::align::cast_slice_mut;
 use lowino_tensor::{round_up, AlignedBuf, BlockedImage, ConvShape, TileGeometry, LANES};
 use lowino_winograd::{TapePostOps, TileTransformer, TransformScratch};
 
+use crate::algo::spatial::SpatialInt8;
 use crate::algo::{check_io, check_post, note_saturation, resolve_blocking, Algorithm, ConvExecutor, ConvPostOps};
 use crate::context::ConvContext;
 use crate::error::{ConvError, ExecError};
@@ -296,104 +297,6 @@ unsafe fn exact_lines<E: GemmElem>(
     0
 }
 
-/// The other tile source (Fig. 2 ❶): the layer's input quantized **once, in
-/// the spatial domain**, into a padded INT8 image by a pre-pass phase, so
-/// overlapping tiles re-read INT8 bytes instead of re-quantizing FP32 (the
-/// oneDNN behaviour the paper contrasts with in §5.3: its transform reads 4×
-/// fewer input bytes than LoWino's).
-pub struct SpatialInt8 {
-    /// The spatial-domain input scale.
-    alpha_in: f32,
-    /// Whether the generated f32 `Bᵀ` is exact on this tile size's INT8
-    /// tiles ([`TileTransformer::input_exact_in_f32`]); else phase ① runs the
-    /// interpreted integer codelets.
-    exact_in_f32: bool,
-    /// `[B][hp][wp][C_p]` i8, filled once per execute; the halo stays zero.
-    qbuf: AlignedBuf<i8>,
-    /// Padded dims: ragged edge tiles read past `H + 2p`, so the buffer
-    /// covers the full tile extent.
-    hp: usize,
-    wp: usize,
-    cp: usize,
-}
-
-impl SpatialInt8 {
-    pub(super) fn new(spec: &ConvShape, geom: &TileGeometry, tt: &TileTransformer, alpha_in: f32) -> Self {
-        let cp = round_up(spec.in_c, LANES);
-        let hp = ((geom.tiles_h - 1) * geom.m + geom.n).max(spec.h + 2 * spec.pad);
-        let wp = ((geom.tiles_w - 1) * geom.m + geom.n).max(spec.w + 2 * spec.pad);
-        Self {
-            alpha_in,
-            exact_in_f32: tt.input_exact_in_f32(127),
-            qbuf: AlignedBuf::zeroed(spec.batch * hp * wp * cp),
-            hp,
-            wp,
-            cp,
-        }
-    }
-
-    fn offset(&self, b: usize, y: usize, x: usize, cb: usize) -> usize {
-        ((b * self.hp + y) * self.wp + x) * self.cp + cb * LANES
-    }
-
-    /// The pre-pass over image rows `rows` (of `B·H`). Returns how many
-    /// values sit on the ±127 clamp bounds.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may read the buffer or quantize any of `rows` during
-    /// the call (one task per `(b, y)` row; tiles are cut after the phase
-    /// barrier).
-    unsafe fn quantize_rows(&self, spec: &ConvShape, input: &BlockedImage, rows: Range<usize>) -> u64 {
-        let mut saturated = 0;
-        for row in rows {
-            let (b, y) = (row / spec.h, row % spec.h);
-            for x in 0..spec.w {
-                for cb in 0..self.cp / LANES {
-                    let off = self.offset(b, y + spec.pad, x + spec.pad, cb);
-                    debug_assert!(off + LANES <= self.qbuf.len());
-                    // SAFETY: the 64 bytes at `off` are inside the buffer and
-                    // belong to row `(b, y)`, which the caller's contract
-                    // makes this call's alone.
-                    let dst = unsafe {
-                        core::slice::from_raw_parts_mut(self.qbuf.as_ptr().add(off) as *mut i8, LANES)
-                    };
-                    for (q, &s) in dst.iter_mut().zip(input.lanes(b, cb, y, x)) {
-                        *q = (s * self.alpha_in).round_ties_even().clamp(-127.0, 127.0) as i8;
-                    }
-                    saturated += count_saturated_i8(dst);
-                }
-            }
-        }
-        saturated
-    }
-
-    /// Channel group `cb` of the tile at `(b, y0, x0)` as an `n×n×64` patch
-    /// of widened INT8 values. The pad offset shifts the origin into the
-    /// padded buffer, so indices are always in bounds and halo pixels read
-    /// zeros.
-    fn gather_tile<T: From<i8>>(
-        &self,
-        pad: usize,
-        b: usize,
-        (y0, x0): (isize, isize),
-        cb: usize,
-        n: usize,
-        patch: &mut [T],
-    ) {
-        let (y0, x0) = ((y0 + pad as isize) as usize, (x0 + pad as isize) as usize);
-        for i in 0..n {
-            for j in 0..n {
-                let off = self.offset(b, y0 + i, x0 + j, cb);
-                let src = &self.qbuf.as_slice()[off..off + LANES];
-                for (d, &s) in patch[(i * n + j) * LANES..][..LANES].iter_mut().zip(src) {
-                    *d = T::from(s);
-                }
-            }
-        }
-    }
-}
-
 /// One worker's tile buffers, cut from its [`WorkerScratch`]: `patch` is the
 /// gathered input patch of ① and the gathered residual tile of ③, `tile` the
 /// f32 `V` tile of the non-quantizing epilogues and the clipped output tile
@@ -414,6 +317,9 @@ pub struct TileBodies<'a, E: GemmElem> {
     tt: &'a TileTransformer,
     /// ①'s source when a pre-pass fills it; else the tile is cut from `input`.
     spatial: Option<&'a SpatialInt8>,
+    /// Whether ① transforms the INT8 tiles with the interpreted integer
+    /// codelets (the generated f32 `Bᵀ` is not exact on them).
+    int_tiles: bool,
     /// The quantizing epilogue's scale per tile position.
     quant: &'a [f32],
     /// ③'s de-quantization factors: one per tile position, or one for all.
@@ -441,7 +347,7 @@ impl<E: GemmElem> TileBodies<'_, E> {
         let WorkerScratch { transform, patch_f, tile_f, patch_i, tile_i, v_block, z_block, .. } = ws;
         self.tt.ensure_scratch(transform, LANES);
         let len = self.geom.t() * LANES;
-        let int_len = if self.spatial.is_some_and(|sp| !sp.exact_in_f32) { len } else { 0 };
+        let int_len = if self.int_tiles { len } else { 0 };
         let bufs = TileBufs {
             transform,
             patch: ensure_f32(patch_f, len),
@@ -476,7 +382,7 @@ impl<E: GemmElem> TileBodies<'_, E> {
         let (_, _, in_h, in_w) = input.dims();
         let patch_stride = n * LANES;
         let src = match self.spatial {
-            Some(sp) if !sp.exact_in_f32 => {
+            Some(sp) if self.int_tiles => {
                 sp.gather_tile(self.spec.pad, b, (y0, x0), cb, n, &mut *bufs.patch_i);
                 self.tt.input_tile_i32(bufs.patch_i, bufs.tile_i, bufs.transform);
                 // SAFETY: the caller's contract.
@@ -583,6 +489,9 @@ pub struct WinogradConv<S: Scheme> {
     /// The spatially-quantized input image, for the schemes whose tiles are
     /// cut from it (their jobs get the pre-pass phase that fills it).
     pub(super) spatial: Option<SpatialInt8>,
+    /// Whether those tiles need the integer input transform
+    /// ([`TileTransformer::input_exact_in_f32`] fails on INT8 values).
+    int_tiles: bool,
     /// ①'s quantization scale per tile position (quantizing schemes).
     pub(super) quant: Vec<f32>,
     /// ③'s de-quantization factors: per tile position, one for all, or none.
@@ -612,6 +521,15 @@ pub(super) fn plan_tiles(
     Ok((spec, geom, TileTransformer::new(m, spec.r)?))
 }
 
+/// The padded `(rows, columns)` of a pre-pass image for this tiling: ragged
+/// edge tiles read past `H + 2p`, so it covers the full tile extent.
+pub(super) fn tile_extent(spec: &ConvShape, geom: &TileGeometry) -> (usize, usize) {
+    (
+        ((geom.tiles_h - 1) * geom.m + geom.n).max(spec.h + 2 * spec.pad),
+        ((geom.tiles_w - 1) * geom.m + geom.n).max(spec.w + 2 * spec.pad),
+    )
+}
+
 impl<S: Scheme> WinogradConv<S> {
     pub(super) fn assemble(
         spec: ConvShape,
@@ -622,12 +540,14 @@ impl<S: Scheme> WinogradConv<S> {
         quant: Vec<f32>,
         inv: Vec<f32>,
     ) -> Self {
+        let int_tiles = spatial.is_some() && !tt.input_exact_in_f32(127);
         Self {
             spec,
             geom,
             tt,
             u_panel,
             spatial,
+            int_tiles,
             quant,
             inv,
             panels: None,
@@ -658,7 +578,7 @@ impl<S: Scheme> WinogradConv<S> {
     /// The spatially-quantized input of the last execute, halo and padding
     /// channels (all zero) included, where the scheme has one.
     pub fn quantized_input(&self) -> Option<&[i8]> {
-        self.spatial.as_ref().map(|sp| sp.qbuf.as_slice())
+        self.spatial.as_ref().map(SpatialInt8::as_i8)
     }
 
     /// Stage ②'s blocking for this execute, normalized to the shape.
@@ -711,7 +631,7 @@ fn run_staged<E: GemmElem>(
             let values = range.len() * spec.w * c_blocks * LANES;
             // SAFETY: each (b, y) row is one task of this phase, and nothing
             // reads the buffer before the phase barrier.
-            let sat = unsafe { spatial.quantize_rows(spec, bodies.input, range) };
+            let sat = unsafe { spatial.quantize_rows(bodies.vt, spec, bodies.input, range) };
             note_saturation((!E::QUANTIZED_V).then_some(saturated), sat, values);
         }
         // -- Phase ①: every finished V line goes into the V panel.
@@ -947,6 +867,7 @@ impl<S: Scheme> ConvExecutor for WinogradConv<S> {
             geom: self.geom,
             tt: &self.tt,
             spatial: self.spatial.as_ref(),
+            int_tiles: self.int_tiles,
             quant: &self.quant,
             inv: &self.inv,
             input,

@@ -1,6 +1,7 @@
 //! The scheme battery: LoWino, DownScale, UpCast and WinogradF32 are four
 //! schemes of one staged Winograd executor, and this is the one test binary
-//! that holds all of them to the same bars.
+//! that holds all of them to the same bars. DirectInt8, which shares their
+//! spatial INT8 pre-pass, rides along in the pinned table.
 //!
 //! * **Pinned outputs.** A 64-bit hash of every scheme's output bits on a
 //!   fixed set of layers was recorded at the commit *before* the executors
@@ -34,6 +35,8 @@ enum Kind {
     DownScale,
     UpCast,
     WinogradF32,
+    /// Not a Winograd scheme: planned once per layer, whatever `m`.
+    DirectInt8,
 }
 
 const KINDS: [Kind; 5] = [
@@ -109,6 +112,7 @@ fn plan(
         Kind::DownScale => boxed!(DownScaleConv::new(spec, m, w, calibrate_spatial(samples)?)),
         Kind::UpCast => boxed!(UpCastConv::new(spec, m, w, calibrate_spatial(samples)?)),
         Kind::WinogradF32 => boxed!(WinogradF32Conv::new(spec, m, w)),
+        Kind::DirectInt8 => boxed!(DirectInt8Conv::new(spec, w, calibrate_spatial(samples)?)),
     }
 }
 
@@ -138,15 +142,29 @@ fn cells() -> Vec<(Kind, usize, &'static str, ConvShape)> {
             }
         }
     }
+    // The direct executor has no tile size: `m = 0` marks its cells.
+    for (name, spec) in shapes() {
+        cells.push((Kind::DirectInt8, 0, name, spec));
+    }
     cells
 }
 
+/// A cell's label in assertion messages and in [`PINNED`]'s comments.
+fn label(kind: Kind, m: usize) -> String {
+    match kind {
+        Kind::DirectInt8 => format!("{kind:?}"),
+        _ => format!("{kind:?} F({m},3)"),
+    }
+}
+
 /// Output hashes recorded at the parent commit (four separate executors,
-/// gather-everything baselines), one per [`cells`] entry. Regenerate with
+/// gather-everything baselines), one per [`cells`] entry; the DirectInt8
+/// rows were recorded before its pre-pass became the Winograd baselines'
+/// quantizer and its partial sums stayed in cache. Regenerate with
 /// `cargo test -p lowino-conv --test winograd_schemes -- --ignored --nocapture`
 /// only for a change that is *meant* to move output bits.
 #[rustfmt::skip]
-const PINNED: [u64; 56] = [
+const PINNED: [u64; 60] = [
     0xb3a68d173e72a843, // LoWinoTensor F(2,3) 8->8 10x10
     0x03a5dcdfacad0e0a, // LoWinoTensor F(2,3) 70->66 11x11
     0xb75a7efa2013bece, // LoWinoTensor F(2,3) 2x16->16 9x13
@@ -203,6 +221,10 @@ const PINNED: [u64; 56] = [
     0x22aab3b695963764, // WinogradF32 F(6,3) 70->66 11x11
     0xdc0d288495802b80, // WinogradF32 F(6,3) 2x16->16 9x13
     0x88bcca539991e426, // WinogradF32 F(6,3) 8->8 10x10 pad0
+    0x9ac3d65dd9c13d7a, // DirectInt8 8->8 10x10
+    0x08b5d375ba2593a9, // DirectInt8 70->66 11x11
+    0xc82381d9d9696326, // DirectInt8 2x16->16 9x13
+    0xad5207646fd3e9ce, // DirectInt8 8->8 10x10 pad0
 ];
 
 #[test]
@@ -225,7 +247,8 @@ fn every_scheme_reproduces_the_pinned_parent_outputs() {
                 assert_eq!(
                     hash(&out),
                     want,
-                    "{kind:?} F({m},3) {name}: tier {} threads {} blocking {blocking:?}",
+                    "{} {name}: tier {} threads {} blocking {blocking:?}",
+                    label(kind, m),
                     ctx.tier,
                     ctx.threads()
                 );
@@ -250,7 +273,7 @@ fn print_pinned_table() {
         let (w, img) = (weights(&spec), image(&spec));
         let mut out = zeros_for(&spec);
         plan(kind, spec, m, &w, &img, None).unwrap().execute(&img, &mut out, &mut ctx).unwrap();
-        println!("    {:#018x}, // {kind:?} F({m},3) {name}", hash(&out));
+        println!("    {:#018x}, // {} {name}", hash(&out), label(kind, m));
     }
 }
 

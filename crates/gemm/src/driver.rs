@@ -309,7 +309,7 @@ pub fn batched_gemm_u8i8(
 /// keeps its name, whatever the fold): `V` rows read, the `U[t]` panel
 /// streamed once, `Z` written, over the words the drivers walk — 4 bytes
 /// and `channels_per_word` MACs per lane each.
-fn product_traffic(elem: Element, rows: usize, c: usize, kp: usize) -> (u64, u64) {
+pub fn product_traffic(elem: Element, rows: usize, c: usize, kp: usize) -> (u64, u64) {
     let (rows, words, kp) = (rows as u64, elem.words(c) as u64, kp as u64);
     (
         4 * (rows * words + words * kp + rows * kp),

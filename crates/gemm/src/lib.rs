@@ -37,7 +37,7 @@ pub mod tune;
 mod driver;
 
 pub use cost::{candidate_lattice, CacheModel, GemmCostModel};
-pub use driver::{batched_gemm_u8i8, BlockGemm, GemmShape, GemmTasks, PanelScratch};
+pub use driver::{batched_gemm_u8i8, product_traffic, BlockGemm, GemmShape, GemmTasks, PanelScratch};
 pub use driver::normalize_blocking as normalize_for;
 pub use kernel::{Blocking, Element, MAX_COL_BLK, MAX_ROW_BLK};
 pub use panels::{Operands, UPanel, UPanelOf, VPanel, VPanelOf, ZPanel, ZPanelOf, F32, I16, U8I8};

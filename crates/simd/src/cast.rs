@@ -12,7 +12,8 @@ pub const QMAX: i32 = 127;
 /// Rounds to nearest, ties to even — the rounding of the x86 `cvtps2dq`
 /// conversion every production INT8 pipeline uses, and the form that
 /// vectorises to `vroundps`. Non-finite inputs saturate (`NaN → 0`, the
-/// behaviour of `as` casts).
+/// behaviour of `as` casts; the lane quantizers below, which the executors
+/// run, saturate `NaN` to +127 like their vector tiers).
 #[inline]
 pub fn saturate_to_i8(x: f32) -> i8 {
     // clamp handles ±∞; NaN propagates and `as` maps it to 0.
@@ -33,16 +34,31 @@ pub fn saturate_i32_to_i8(x: i32) -> i8 {
 ///
 /// The whole group is one cache line — the unit the input transform scatters
 /// with non-temporal stores.
+///
+/// Non-finite values saturate like the vector tiers' (see [`quantize_one`]):
+/// `NaN` and `+∞` to +127, `−∞` to −127.
 #[inline]
 pub fn quantize_f32_lanes_i8(src: &[f32], alpha: f32, compensate: bool, dst: &mut [u8]) {
     debug_assert_eq!(src.len(), dst.len());
     let offset = if compensate { 128i32 } else { 0 };
-    let qmax = QMAX as f32;
     for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        // Branchless: vectorises to vcvtdq2ps/vroundps/vmaxps/vminps.
-        let q = (s * alpha).round_ties_even().clamp(-qmax, qmax) as i32 + offset;
-        *d = q as u8; // q ∈ [-127+128, 127+128] = [1, 255] when compensating
+        *d = quantize_one(s, alpha, offset); // ∈ [1, 255] when compensating
     }
+}
+
+/// One lane of the quantize epilogue, spelled in the vector tiers' order:
+/// `maxps(minps(x·α, 127), −127)`, then the round-to-even convert, plus
+/// `offset`, low byte. `minps`/`maxps` return their second operand when
+/// either is NaN, so the bound wins and NaN saturates to +127 on every tier.
+/// For finite `x·α` this equals round-then-clamp: rounding can only cross
+/// the clamp boundary onto the boundary itself.
+#[inline(always)]
+pub(crate) fn quantize_one(x: f32, alpha: f32, offset: i32) -> u8 {
+    let (hi, lo) = (QMAX as f32, -(QMAX as f32));
+    let s = x * alpha;
+    let s = if s < hi { s } else { hi };
+    let s = if s > lo { s } else { lo };
+    (s.round_ties_even() as i32 + offset) as u8
 }
 
 /// De-quantise 64 i32 GEMM lanes to f32 with the reciprocal scale

@@ -22,16 +22,13 @@
 //!   tapes must reproduce it bit-for-bit);
 //! * [`F32Vector::load_i32_scaled`] is `cvtdq2ps` + `mulps`, identical to
 //!   `x as f32 * scale`;
-//! * [`F32Vector::quantize_u8`] clamps **before** the rounding convert
-//!   (`cvtps2dq`, ties-to-even) where the scalar
-//!   [`quantize_f32_lanes_i8`](crate::quantize_f32_lanes_i8) rounds first
-//!   and then clamps — the two orders agree for every finite input because
-//!   rounding can only cross the clamp boundary onto the boundary itself.
-//!   Non-finite lanes are the one place the tiers may differ (`NaN`
-//!   saturates instead of mapping to 0); the transform pipeline never
-//!   produces them from finite activations.
+//! * [`F32Vector::quantize_u8`] clamps with `minps` then `maxps`
+//!   **before** the rounding convert (`cvtps2dq`, ties-to-even), and the
+//!   scalar [`quantize_f32_lanes_i8`](crate::quantize_f32_lanes_i8) spells
+//!   the same clamp in the same operand order — so non-finite lanes agree
+//!   too: `NaN` and `+∞` saturate to +127, `−∞` to −127, on every tier.
 
-use crate::cast::QMAX;
+use crate::cast::{quantize_one, QMAX};
 use crate::dispatch::SimdTier;
 
 /// The f32 vector width a tape executes with. Ordered narrow → wide so
@@ -192,7 +189,7 @@ pub trait F32Vector: Copy {
     /// `clamp(round_ties_even(x·alpha), ±127) + offset` and store the low
     /// byte of each result as `u8` — `WIDTH` bytes at `dst`. Matches
     /// [`quantize_f32_lanes_i8`](crate::quantize_f32_lanes_i8) bitwise for
-    /// finite `x·alpha`.
+    /// every `x`, non-finite ones included (`NaN` saturates to +127).
     ///
     /// # Safety
     ///
@@ -252,12 +249,9 @@ impl F32Vector for F32x1 {
 
     #[inline(always)]
     unsafe fn quantize_u8(self, alpha: f32, offset: i32, dst: *mut u8) {
-        // Exactly the scalar `quantize_f32_lanes_i8` body for one lane.
-        let q = (self.0 * alpha)
-            .round_ties_even()
-            .clamp(-(QMAX as f32), QMAX as f32) as i32
-            + offset;
-        *dst = q as u8;
+        // The scalar `quantize_f32_lanes_i8` body for one lane: the clamp
+        // in `minps`/`maxps` operand order, as `max` above spells `maxps`.
+        *dst = quantize_one(self.0, alpha, offset);
     }
 }
 
@@ -675,6 +669,55 @@ mod tests {
             let mut got = vec![0u8; src.len()];
             quantize_lanes(vt, &src, 1.0, true, &mut got);
             assert_eq!(got, want, "vt={vt}");
+        }
+    }
+
+    #[test]
+    fn quantize_saturates_non_finite_alike_on_every_tier() {
+        // NaN (either sign) and ±inf in the vector body and in the scalar
+        // tail: the bound operand of `minps`/`maxps` wins, so NaN → +127.
+        let poisons = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let expect = [127i32, 127, 127, -127];
+        for len in [1usize, 7, 8, 17, 64, 67] {
+            let mut src = pattern_f32(len, len as u64 + 3);
+            for at in (0..len).step_by(3) {
+                src[at] = poisons[at / 3 % poisons.len()];
+            }
+            for compensate in [true, false] {
+                let offset = if compensate { 128 } else { 0 };
+                let mut want = vec![0u8; len];
+                quantize_f32_lanes_i8(&src, 12.7, compensate, &mut want);
+                for at in (0..len).step_by(3) {
+                    assert_eq!(want[at], (expect[at / 3 % poisons.len()] + offset) as u8, "scalar spec at {at}");
+                }
+                for vt in VecTier::available() {
+                    let mut got = vec![0u8; len];
+                    quantize_lanes(vt, &src, 12.7, compensate, &mut got);
+                    assert_eq!(got, want, "vt={vt} len={len} compensate={compensate}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uncompensated_quantize_is_the_spatial_pre_pass_spelling_on_every_tier() {
+        // The spatial INT8 pre-pass once rounded each value with
+        // `(x·α).round_ties_even().clamp(±127) as i8`; `quantize_lanes`
+        // without compensation, read as i8, must be that bit for bit on
+        // finite inputs — ties at ±k.5 and ±127.5, values past the clamp —
+        // and so must the saturation count read off its bytes.
+        let mut src: Vec<f32> = (-130..=130).flat_map(|k| [k as f32, k as f32 + 0.5, -(k as f32) - 0.5]).collect();
+        src.extend([127.5, -127.5, 127.49, -127.49, 128.0, -128.0, 1e9, -1e9, f32::MAX, f32::MIN, 0.0, -0.0]);
+        src.extend(pattern_f32(203, 11));
+        for alpha in [1.0f32, 0.5, 12.7] {
+            let want: Vec<i8> = src.iter().map(|&x| (x * alpha).round_ties_even().clamp(-127.0, 127.0) as i8).collect();
+            for vt in VecTier::available() {
+                let mut got = vec![0u8; src.len()];
+                quantize_lanes(vt, &src, alpha, false, &mut got);
+                let got: Vec<i8> = got.iter().map(|&q| q as i8).collect();
+                assert_eq!(got, want, "vt={vt} alpha={alpha}");
+                assert_eq!(lowino_quant::count_saturated_i8(&got), lowino_quant::count_saturated_i8(&want));
+            }
         }
     }
 
